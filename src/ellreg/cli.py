@@ -188,6 +188,8 @@ def cmd_solve(args) -> int:
     summary = {
         "final_residual": u.meta["residual"],
         "sweeps": u.meta["sweeps"],
+        "jacobian_refactors": u.meta["jacobian_refactors"],
+        "residual_history": u.meta["residual_history"],
         "h": grid.h,
         "tol": u.meta["tol"],
         "grid": f"{grid.shape} {grid.N} {grid.extent!r}",

@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .grid import GridFunction, shift_array
 
@@ -50,6 +49,8 @@ def bump_profile(s):
 
 def _adaptive_integral(fn, a: float, b: float, points=None, tol: float = 1e-10) -> float:
     """QUADPACK integral, re-verified by integrating the two halves separately."""
+    from scipy import integrate  # deferred: only the kernel constants need it
+
     kw = {"epsabs": tol * 1e-2, "epsrel": tol * 1e-2, "limit": 200}
     if points:
         kw["points"] = points

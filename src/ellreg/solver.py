@@ -1,24 +1,23 @@
 """Finite-difference Dirichlet solvers on masked 2-D grids.
 
 Second derivatives use the central stencils exact on quadratics: the 3-point
-stencil for u_xx/u_yy and the 4-point cross stencil for u_xy.  The linear
-Dirichlet solve assembles the stencil operator over interior nodes (5-point
-for diagonal coefficients, 9-point with cross terms) and factors it with
-sparse LU; one step of iterative refinement keeps the stencil residual near
-machine level, and the residual is verified against the contract before the
-solution is returned.
+stencil for u_xx/u_yy and the 4-point cross stencil for u_xy.  One sparse
+assembly builds the Jacobian of tr(C D^2_h v) in the interior unknowns
+(5-point for diagonal C, 9-point with cross terms), factored by sparse LU.
+The linear Dirichlet solve factors tr(W0 D^2_h) once, refines the solution
+iteratively and verifies its residual against the contract.
 
-The fully nonlinear solve is a damped pointwise fixed point
+The fully nonlinear solve is a chord iteration with boundary values fixed,
 
-    u <- u + tau * (F(D^2_h u) - f),     tau = h^2 / (4 * Lam_eff),
+    u <- u - L^{-1} (F(D^2_h u) - f),     L = tr(W0 D^2_h) factored once.
 
-swept in red-black order with boundary values held fixed.  For every catalog
-operator the perturbation derivative is bounded by eps < lam_min(W0), so the
-sweep is a contraction and the iterate converges to the unique solution of
-the discrete system; the iteration stops once the max-node residual
-|F(D^2_h u) - f| falls below tol.  Residuals are measured on the current
-iterate before it is touched, so the returned function reproduces its own
-reported residual on re-evaluation.
+The perturbation derivative of every catalog operator is bounded by
+eps < lam_min(W0), so the frozen Jacobian stays close to DF and the step
+contracts.  An iteration that cuts the max-node residual by less than a fixed
+factor refactors L with DF(D^2_h u) at the current iterate (a Newton step).
+The 9-point stencil is not monotone, so a residual that keeps growing is
+reported as divergence.  The residual is measured on the iterate before it is
+touched, so the returned function reproduces its reported residual <= tol.
 """
 
 from __future__ import annotations
@@ -73,17 +72,16 @@ class HessianField:
         return operators.sym2(self.h11[i, j], self.h12[i, j], self.h22[i, j])
 
 
-def _neighbor(v: np.ndarray, di: int, dj: int) -> np.ndarray:
-    """Array whose (i, j) entry is v[i + di, j + dj] (zero off the lattice)."""
-    return shift_array(v, -di, -dj)
-
-
-def _hessian_arrays(v: np.ndarray, h: float):
+def _hessian_arrays(v: np.ndarray, h: float, mask: np.ndarray):
+    """Second differences of the lattice array v at the nodes of mask, in
+    row-major order (the order of the assembled unknowns); mask must stay off
+    the lattice frame."""
     h2 = h * h
     c = v[1:-1, 1:-1]
-    h11 = (v[2:, 1:-1] - 2.0 * c + v[:-2, 1:-1]) / h2
-    h22 = (v[1:-1, 2:] - 2.0 * c + v[1:-1, :-2]) / h2
-    h12 = (v[2:, 2:] + v[:-2, :-2] - v[2:, :-2] - v[:-2, 2:]) / (4.0 * h2)
+    inner = mask[1:-1, 1:-1]
+    h11 = (v[2:, 1:-1] - 2.0 * c + v[:-2, 1:-1])[inner] / h2
+    h22 = (v[1:-1, 2:] - 2.0 * c + v[1:-1, :-2])[inner] / h2
+    h12 = (v[2:, 2:] + v[:-2, :-2] - v[2:, :-2] - v[:-2, 2:])[inner] / (4.0 * h2)
     return h11, h12, h22
 
 
@@ -93,20 +91,13 @@ def hessian(u: GridFunction, mask: np.ndarray | None = None) -> HessianField:
     support = u.defined.copy()
     for di in (-1, 0, 1):
         for dj in (-1, 0, 1):
-            if (di, dj) != (0, 0):
-                support &= _neighbor(u.defined, di, dj)
+            support &= shift_array(u.defined, -di, -dj)
     support[0, :] = support[-1, :] = support[:, 0] = support[:, -1] = False
     if mask is not None and (mask & ~support).any():
         raise StencilError("requested node lacks full stencil support")
     v = u.filled(0.0)
-    h11 = np.full_like(v, np.nan)
-    h12 = np.full_like(v, np.nan)
-    h22 = np.full_like(v, np.nan)
-    a11, a12, a22 = _hessian_arrays(v, g.h)
-    inner = support[1:-1, 1:-1]
-    h11[1:-1, 1:-1][inner] = a11[inner]
-    h12[1:-1, 1:-1][inner] = a12[inner]
-    h22[1:-1, 1:-1][inner] = a22[inner]
+    h11, h12, h22 = (np.full_like(v, np.nan) for _ in range(3))
+    h11[support], h12[support], h22[support] = _hessian_arrays(v, g.h, support)
     return HessianField(g, h11, h12, h22, support)
 
 
@@ -142,24 +133,50 @@ def _field_values(f, grid: Grid2, mask: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# linear Dirichlet solve (direct)
+# stencil assembly and factorization
 
 
-def _stencil_terms(W0: np.ndarray, h: float):
-    w11, w12, w22 = float(W0[0, 0]), float(W0[0, 1]), float(W0[1, 1])
+def _assemble(c11, c12, c22, h: float, region: SubRegion):
+    """Sparse matrix of v -> tr(C D^2_h v) in the interior unknowns of region,
+    for scalar or per-interior-node coefficients; boundary neighbours drop out."""
+    interior, boundary = region.interior, region.boundary
+    m = int(interior.sum())
+    if m == 0:
+        raise SolverError("region has no interior nodes")
+    idx = np.full(interior.shape, -1, dtype=np.int64)
+    idx[interior] = np.arange(m)
+    ii, jj = np.nonzero(interior)
     inv = 1.0 / (h * h)
-    terms = {
-        (0, 0): -2.0 * (w11 + w22) * inv,
-        (1, 0): w11 * inv,
-        (-1, 0): w11 * inv,
-        (0, 1): w22 * inv,
-        (0, -1): w22 * inv,
-    }
-    if w12 != 0.0:
-        c = 2.0 * w12 / (4.0 * h * h)
-        for off, s in (((1, 1), c), ((-1, -1), c), ((1, -1), -c), ((-1, 1), -c)):
-            terms[off] = terms.get(off, 0.0) + s
-    return terms
+    a, b, c = (np.broadcast_to(np.asarray(x, dtype=float) * inv, (m,)) for x in (c11, c12, c22))
+    terms = [((0, 0), -2.0 * (a + c)), ((1, 0), a), ((-1, 0), a), ((0, 1), c), ((0, -1), c)]
+    if np.any(b != 0.0):
+        q = 0.5 * b
+        terms += [((1, 1), q), ((-1, -1), q), ((1, -1), -q), ((-1, 1), -q)]
+    rows, cols, vals = [], [], []
+    for (di, dj), coeff in terms:
+        nbr = idx[ii + di, jj + dj]
+        is_int = nbr >= 0
+        if not (is_int | boundary[ii + di, jj + dj]).all():
+            raise SolverError("interior stencil reaches an undefined node")
+        rows.append(np.flatnonzero(is_int))
+        cols.append(nbr[is_int])
+        vals.append(coeff[is_int])
+    return coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(m, m),
+    ).tocsc()
+
+
+def _factor(A):
+    # The stencil matrix is structurally symmetric, so a minimum-degree
+    # ordering of A^T + A keeps the LU fill well below the column ordering's.
+    try:
+        return splu(A, permc_spec="MMD_AT_PLUS_A")
+    except RuntimeError as exc:
+        raise SolverError(f"stencil factorization failed: {exc}") from None
+
+
+# ---------------------------------------------------------------------------
+# linear Dirichlet solve (direct)
 
 
 def solve_linear_dirichlet(W0, f, g, grid: Grid2, region: SubRegion | None = None,
@@ -172,38 +189,17 @@ def solve_linear_dirichlet(W0, f, g, grid: Grid2, region: SubRegion | None = Non
     region = region or grid.region
     interior, boundary = region.interior, region.boundary
     W0 = np.asarray(W0, dtype=float)
+    w11, w12, w22 = W0[0, 0], W0[0, 1], W0[1, 1]
     gfull = _boundary_values(g, grid, boundary)
     ffull = _field_values(f, grid, interior)
-    m = int(interior.sum())
-    if m == 0:
-        raise SolverError("region has no interior nodes")
-    idx = np.full((grid.N, grid.N), -1, dtype=np.int64)
-    idx[interior] = np.arange(m)
-    ii, jj = np.nonzero(interior)
-    rows_all, cols_all, vals_all = [], [], []
-    bc = np.zeros(m)
-    for (di, dj), coeff in _stencil_terms(W0, grid.h).items():
-        ni, nj = ii + di, jj + dj
-        nbr_idx = idx[ni, nj]
-        is_int = nbr_idx >= 0
-        is_bnd = boundary[ni, nj]
-        if not (is_int | is_bnd).all():
-            raise SolverError("interior stencil reaches an undefined node")
-        rows_all.append(np.arange(m)[is_int])
-        cols_all.append(nbr_idx[is_int])
-        vals_all.append(np.full(int(is_int.sum()), coeff))
-        bc[~is_int] += coeff * gfull[ni[~is_int], nj[~is_int]]
-    A = coo_matrix(
-        (np.concatenate(vals_all), (np.concatenate(rows_all), np.concatenate(cols_all))),
-        shape=(m, m),
-    ).tocsc()
-    b = ffull[interior] - bc
-    lu = splu(A)
+    A = _assemble(w11, w12, w22, grid.h, region)
+    # the stencil applied to the boundary data alone is the boundary's share
+    g11, g12, g22 = _hessian_arrays(gfull, grid.h, interior)
+    b = ffull[interior] - (w11 * g11 + 2.0 * w12 * g12 + w22 * g22)
+    lu = _factor(A)
     x = lu.solve(b)
     scale = max(float(np.max(np.abs(gfull[boundary]), initial=0.0)),
-                float(np.max(np.abs(ffull[interior]), initial=0.0)))
-    if scale == 0.0:
-        scale = 1.0
+                float(np.max(np.abs(ffull[interior]), initial=0.0))) or 1.0
     for _ in range(3):
         r = b - A @ x
         res = float(np.max(np.abs(r)))
@@ -213,10 +209,8 @@ def solve_linear_dirichlet(W0, f, g, grid: Grid2, region: SubRegion | None = Non
     res = float(np.max(np.abs(b - A @ x)))
     if res > residual_tol * scale:
         raise SolverError(f"direct solve residual {res:.3e} exceeds {residual_tol:.1e} * {scale:.3e}")
-    values = np.full((grid.N, grid.N), np.nan)
-    values[interior] = x
-    values[boundary] = gfull[boundary]
-    out = GridFunction(grid, values, region.defined.copy())
+    gfull[interior] = x
+    out = GridFunction(grid, np.where(region.defined, gfull, np.nan), region.defined.copy())
     out.meta.update(residual=res, method="sparse_lu", h=grid.h)
     return out
 
@@ -228,15 +222,27 @@ def solve_laplace_dirichlet(g, grid: Grid2, region: SubRegion | None = None,
 
 
 # ---------------------------------------------------------------------------
-# damped fixed-point solve of F(D^2 u) = f
+# chord / Newton solve of F(D^2 u) = f
+
+# A step that cuts the residual by less than _SLOW_CONTRACTION refactors the
+# Jacobian at the current iterate; _GROWTH_LIMIT consecutive increases mean
+# divergence; meta["residual_history"] keeps the first _HISTORY_CAP residuals.
+_SLOW_CONTRACTION = 0.25
+_GROWTH_LIMIT = 3
+_HISTORY_CAP = 100
 
 
 def solve_fully_nonlinear(spec, f, g, grid: Grid2, region: SubRegion | None = None,
                           tol: float | None = None, max_sweeps: int = 1_000_000) -> GridFunction:
+    """Solve F(D^2_h u) = f with u = g on the region boundary.
+
+    max_sweeps bounds the outer (chord or Newton) iterations.  Raises
+    SolverError on non-finite iterates, an exhausted budget, or a residual
+    that keeps growing.
+    """
     region = region or grid.region
     interior, boundary = region.interior, region.boundary
-    eff = operators.effective_bounds(spec)
-    if eff.lam <= 0:
+    if operators.effective_bounds(spec).lam <= 0:
         raise SolverError("operator is not elliptic after perturbation")
     gfull = _boundary_values(g, grid, boundary)
     ffull = _field_values(f, grid, interior)
@@ -245,48 +251,38 @@ def solve_fully_nonlinear(spec, f, g, grid: Grid2, region: SubRegion | None = No
     if tol is None:
         tol = 1e-8 * scale
     h = grid.h
-    tau = h * h / (4.0 * eff.Lam)
+    f_int = ffull[interior]
+    v = gfull.copy()
+    lu = _factor(_assemble(spec.w11, spec.w12, spec.w22, h, region))
 
-    v = np.zeros((grid.N, grid.N))
-    v[boundary] = gfull[boundary]
-    I, J = np.indices((grid.N, grid.N))
-    parity = (I + J) % 2 == 0
-    inner = np.s_[1:-1, 1:-1]
-    int_in = interior[inner]
-    red_in = (interior & parity)[inner]
-    black_in = (interior & ~parity)[inner]
-    f_in = ffull[inner]
-
-    def residual_field():
-        h11, h12, h22 = _hessian_arrays(v, h)
-        return operators.evaluate_batch(spec, h11, h12, h22) - f_in
-
+    history: list[float] = []
     prev = np.inf
-    grow = 0
-    sweeps = 0
+    grow = refactors = sweeps = 0
     while True:
-        resid = residual_field()
-        res = float(np.max(np.abs(np.where(int_in, resid, 0.0))))
+        H = _hessian_arrays(v, h, interior)
+        resid = operators.evaluate_batch(spec, *H) - f_int
+        res = float(np.max(np.abs(resid)))
         if not np.isfinite(res):
             raise SolverError("iteration produced non-finite values")
+        if len(history) < _HISTORY_CAP:
+            history.append(res)
         if res <= tol:
             break
         if sweeps >= max_sweeps:
             raise SolverError(f"no convergence in {max_sweeps} sweeps (residual {res:.3e})")
         grow = grow + 1 if res > prev * (1.0 + 1e-12) else 0
-        if grow >= 100:
+        if grow >= _GROWTH_LIMIT:
             raise SolverError(f"residual diverging (grew for {grow} consecutive sweeps)")
+        if res > _SLOW_CONTRACTION * prev:
+            lu = _factor(_assemble(*operators.gradient_batch(spec, *H), h, region))
+            refactors += 1
         prev = res
-        v[inner][red_in] += tau * resid[red_in]
-        resid = residual_field()
-        v[inner][black_in] += tau * resid[black_in]
+        v[interior] -= lu.solve(resid)
         sweeps += 1
 
-    values = np.full((grid.N, grid.N), np.nan)
-    values[interior] = v[interior]
-    values[boundary] = gfull[boundary]
-    out = GridFunction(grid, values, region.defined.copy())
-    out.meta.update(residual=res, sweeps=sweeps, tau=tau, h=h, tol=tol, converged=True)
+    out = GridFunction(grid, np.where(region.defined, v, np.nan), region.defined.copy())
+    out.meta.update(residual=res, sweeps=sweeps, h=h, tol=tol, converged=True,
+                    residual_history=history, jacobian_refactors=refactors)
     return out
 
 

@@ -58,7 +58,7 @@ def identity_spec():
 
 @pytest.fixture(scope="session")
 def perturbed_solution(disk129, sine_spec):
-    """Solved instance of the perturbed operator with smooth boundary data
-    (shared because the damped iteration is the expensive part of the suite)."""
+    """Solved instance of the perturbed operator with smooth boundary data,
+    shared by the analysis tests that read it."""
     u = solve_fully_nonlinear(sine_spec, None, cubic_harmonic, disk129)
     return u

@@ -60,7 +60,10 @@ def test_solve_quadratic_and_determinism(tmp_path, capsys):
     summary = json.loads(text1)
     assert summary["final_residual"] <= summary["tol"]
     assert summary["h"] == pytest.approx(2.0 / 32.0)
+    assert summary["residual_history"][-1] == summary["final_residual"]
+    assert summary["jacobian_refactors"] == 0
     assert out1.read_bytes() == out2.read_bytes()
+    assert text1.replace(str(out1), str(out2)) == text2
     sol = load_grid(out1)
     exact = saddle(sol.grid.X, sol.grid.Y)
     assert np.max(np.abs(sol.values[sol.defined] - exact[sol.defined])) <= 1e-7
@@ -69,9 +72,11 @@ def test_solve_quadratic_and_determinism(tmp_path, capsys):
 def test_solve_divergence_writes_nothing(tmp_path, capsys):
     out = tmp_path / "never.grid"
     code, _, err = run_cli(
-        ["solve", "-N", "33", "--max-sweeps", "2", "--output", str(out)], capsys)
+        ["solve", "-N", "33", "--perturbation", "sine", "--eps", "0.05", "--max-sweeps", "2",
+         "--output", str(out)], capsys)
     assert code == cli.EXIT_NUMERICAL
     assert "numerical failure" in err
+    assert "no convergence in 2 sweeps" in err
     assert not out.exists()
 
 

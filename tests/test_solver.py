@@ -1,5 +1,5 @@
-"""Grids, stencils, direct Dirichlet solves, the damped nonlinear iteration,
-and the discrete comparison check."""
+"""Grids, stencils, direct Dirichlet solves, the chord/Newton nonlinear
+iteration, and the discrete comparison check."""
 
 from __future__ import annotations
 
@@ -214,6 +214,47 @@ def test_nonlinear_determinism(disk33, sine_spec):
 def test_nonlinear_budget_error(disk33, sine_spec):
     with pytest.raises(sv.SolverError, match="no convergence"):
         sv.solve_fully_nonlinear(sine_spec, None, saddle, disk33, max_sweeps=3)
+
+
+RESIDUAL_CASES = [pytest.param(spec, id=f"catalog{i}") for i, spec in enumerate(op.catalog_specs())] + [
+    pytest.param(op.OperatorSpec(1.0, 0.0, 1.0, 0.9, "sine"), id="sine_eps0.9"),
+    pytest.param(op.OperatorSpec(1.0, 0.55, 1.0, 0.3, "smooth_max"), id="w12_0.55_smooth_max"),
+]
+
+
+@pytest.mark.parametrize("spec", RESIDUAL_CASES)
+def test_nonlinear_residual_contract(disk65, spec):
+    g = lambda x, y: np.sin(2.0 * x) * np.cosh(y) + x * y
+    f = GridFunction.from_callable(disk65, lambda x, y: 0.5 * np.cos(x + y))
+    a = sv.solve_fully_nonlinear(spec, f, g, disk65)
+    H = sv.hessian(a)
+    m = disk65.interior
+    assert not (m & ~H.mask).any()
+    resid = np.abs(op.evaluate_batch(spec, H.h11[m], H.h12[m], H.h22[m]) - f.values[m])
+    assert float(np.max(resid)) <= a.meta["tol"]
+    assert a.meta["sweeps"] <= 50
+    history = a.meta["residual_history"]
+    assert len(history) == a.meta["sweeps"] + 1 and history[-1] == a.meta["residual"]
+    if spec.eps == 0.9:  # near lam_min the frozen Jacobian contracts too slowly
+        assert a.meta["jacobian_refactors"] >= 1
+    b = sv.solve_fully_nonlinear(spec, f, g, disk65)
+    assert np.array_equal(a.values, b.values, equal_nan=True)
+    assert a.meta == b.meta
+
+
+def test_nonlinear_two_grid_convergence_order(sine_spec):
+    # u = exp(x) cos(y) with f = F(D^2 u) in closed form
+    u = lambda x, y: np.exp(x) * np.cos(y)
+    errs = []
+    for N in (65, 129, 257):
+        g = Grid2.disk(N)
+        X, Y = g.X, g.Y
+        f = GridFunction(g, op.evaluate_batch(sine_spec, u(X, Y), -np.exp(X) * np.sin(Y), -u(X, Y)),
+                         g.defined.copy())
+        sol = sv.solve_fully_nonlinear(sine_spec, f, u, g, tol=1e-10)
+        errs.append(float(np.max(np.abs(sol.values[g.interior] - u(X, Y)[g.interior]))))
+    orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+    assert orders.min() >= 1.8, orders
 
 
 # ---------------------------------------------------------------------------
