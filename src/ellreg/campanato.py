@@ -16,9 +16,12 @@ coordinates rescaled to the unit frame for conditioning; values are never
 interpolated, so quadratic inputs are reproduced to rounding accuracy at
 every scale.  Sup deviations are brute-force maxima over the ball nodes.
 
-Hessian Hoelder seminorms are measured pairwise over a subsampled node set
-(entrywise max metric, matching the pointwise-to-uniform statement), which is
-exact on the sample.
+One least-squares helper serves the scale fits, fit_quadratic and the
+pointwise fits; pointwise centers are lattice nodes with ball membership
+decided in integer offsets, so all centers with unclipped balls share one
+design matrix.  One pairwise kernel measures every Hoelder seminorm over a
+subsampled node set (entrywise max metric on the Hessian, matching the
+pointwise-to-uniform statement), exact on the sample.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from . import operators
 from .constants import ConstantsReport, EllipticityBounds, pointwise_factor
 from .grid import GridFunction
 from .mollifier import mollify
-from .solver import SolverError, hessian, solve_laplace_dirichlet
+from .solver import SolverError, _hessian_arrays, hessian, solve_laplace_dirichlet
 
 __all__ = [
     "CertificateReport",
@@ -104,6 +107,17 @@ def _coeffs_to_poly(coef: np.ndarray) -> QuadraticPolynomial:
     return QuadraticPolynomial(a, b, c)
 
 
+def _fit_ball(xi: np.ndarray, eta: np.ndarray, vals: np.ndarray):
+    """Least-squares quadratic in the unit-frame coordinates (xi, eta) for one
+    value column or a (nodes, k) stack of columns; returns the coefficients
+    and the max node deviation of each column."""
+    A = _design(xi, eta)
+    coef, _, rank, _ = np.linalg.lstsq(A, vals, rcond=None)
+    if rank < 6:
+        raise ValueError("degenerate node set: quadratic fit is rank-deficient")
+    return coef, np.max(np.abs(vals - A @ coef), axis=0)
+
+
 def fit_quadratic(u: GridFunction, center, r: float):
     """Least-squares quadratic over the nodes in the ball; returns the
     polynomial in physical coordinates and the max node deviation."""
@@ -113,16 +127,9 @@ def fit_quadratic(u: GridFunction, center, r: float):
     count = int(mask.sum())
     if count < 12:
         raise ValueError(f"ball of radius {r} holds {count} nodes; need at least 12")
-    xi = (g.X[mask] - cx) / r
-    eta = (g.Y[mask] - cy) / r
-    A = _design(xi, eta)
-    vals = u.values[mask]
-    coef, _, rank, _ = np.linalg.lstsq(A, vals, rcond=None)
-    if rank < 6:
-        raise ValueError("degenerate node set: quadratic fit is rank-deficient")
-    sup_dev = float(np.max(np.abs(vals - A @ coef)))
+    coef, sup_dev = _fit_ball((g.X[mask] - cx) / r, (g.Y[mask] - cy) / r, u.values[mask])
     poly = _coeffs_to_poly(coef).rescaled(r).recentered([cx, cy])
-    return poly, sup_dev
+    return poly, float(sup_dev)
 
 
 # ---------------------------------------------------------------------------
@@ -150,18 +157,15 @@ def _taylor_at_center(h_fun: GridFunction) -> QuadraticPolynomial:
     if g.N % 2 == 0:
         raise ValueError("grid must have a center node (odd N)")
     i0 = (g.N - 1) // 2
-    v = h_fun.values
-    hh = g.h
-    window = h_fun.defined[i0 - 1:i0 + 2, i0 - 1:i0 + 2]
-    if not window.all():
+    window = np.s_[i0 - 1:i0 + 2, i0 - 1:i0 + 2]
+    if not h_fun.defined[window].all():
         raise ValueError("center node lacks full stencil support")
-    a = float(v[i0, i0])
-    b = np.array([(v[i0 + 1, i0] - v[i0 - 1, i0]) / (2 * hh),
-                  (v[i0, i0 + 1] - v[i0, i0 - 1]) / (2 * hh)])
-    c11 = (v[i0 + 1, i0] - 2 * a + v[i0 - 1, i0]) / hh**2
-    c22 = (v[i0, i0 + 1] - 2 * a + v[i0, i0 - 1]) / hh**2
-    c12 = (v[i0 + 1, i0 + 1] + v[i0 - 1, i0 - 1] - v[i0 + 1, i0 - 1] - v[i0 - 1, i0 + 1]) / (4 * hh**2)
-    return QuadraticPolynomial(a, b, np.array([[c11, c12], [c12, c22]]))
+    v = h_fun.values[window]
+    center = np.zeros((3, 3), dtype=bool)
+    center[1, 1] = True
+    c11, c12, c22 = (float(c[0]) for c in _hessian_arrays(v, g.h, center))
+    b = np.array([(v[2, 1] - v[0, 1]) / (2 * g.h), (v[1, 2] - v[1, 0]) / (2 * g.h)])
+    return QuadraticPolynomial(float(v[1, 1]), b, np.array([[c11, c12], [c12, c22]]))
 
 
 def improvement_step(u: GridFunction, spec, constants: ConstantsReport | None = None,
@@ -283,17 +287,6 @@ def _resolvable(grid, radius: float) -> bool:
     return int(grid.ball_mask(radius).sum()) >= 12
 
 
-def _lstsq_ball(u_vals, g, mask, radius):
-    xi = g.X[mask] / radius
-    eta = g.Y[mask] / radius
-    A = _design(xi, eta)
-    coef, _, rank, _ = np.linalg.lstsq(A, u_vals, rcond=None)
-    if rank < 6:
-        raise ValueError("degenerate node set at scale fit")
-    dev = u_vals - A @ coef
-    return coef, float(np.max(np.abs(dev)))
-
-
 def _iterate(u: GridFunction, spec, ratio: float, kmax: int, f: GridFunction | None,
              alpha: float | None, mode: str) -> DecayTable:
     if not 0 < ratio < 1:
@@ -311,7 +304,7 @@ def _iterate(u: GridFunction, spec, ratio: float, kmax: int, f: GridFunction | N
             break
         mask = u.defined & g.ball_mask(radius)
         resid = u.values[mask] - P(g.X[mask], g.Y[mask])
-        coef, sup_dev = _lstsq_ball(resid, g, mask, radius)
+        coef, sup_dev = _fit_ball(g.X[mask] / radius, g.Y[mask] / radius, resid)
         correction_physical = _coeffs_to_poly(coef).rescaled(radius)
         P = P + correction_physical
         amplitude = ratio ** (2 * k) if mode == "homogeneous" else ratio ** (k * (2 + alpha))
@@ -324,7 +317,7 @@ def _iterate(u: GridFunction, spec, ratio: float, kmax: int, f: GridFunction | N
                 f_check = math.sqrt(mean_n) / radius ** (alpha if alpha is not None else 0.0)
         records.append(DecayRecord(
             k=k, radius=radius, poly=QuadraticPolynomial(P.a, P.b.copy(), P.c.copy()),
-            sup_dev=sup_dev, correction=correction_scaled, amplitude=amplitude,
+            sup_dev=float(sup_dev), correction=correction_scaled, amplitude=amplitude,
             operator_residual=abs(operators.evaluate(spec, P.c)), f_check=f_check))
     floor = 1e-13 * max(u.sup(), 1.0)
     pts = [(math.log(r.radius), math.log(r.sup_dev)) for r in records if r.sup_dev > floor]
@@ -388,41 +381,90 @@ def pointwise_to_holder(fits, alpha: float) -> float:
     return float(pointwise_factor(alpha)) * max(ks)
 
 
+_CENTER_CHUNK = 256  # centers per multi-column solve; bounds the value block at N = 513
+
+
 def pointwise_fit_constants(u: GridFunction, alpha: float, region_radius: float = 0.25,
-                            stride: int = 2, fit_radius: float = 0.3,
-                            max_workers: int = 1):
+                            stride: int = 2, fit_radius: float = 0.3):
     """Per-center quadratic fits with their pointwise Hoelder constants
     K_c = max_x |u(x) - P_c(x)| / |x - c|^(2+alpha) over the whole domain.
 
-    Centers are independent, so the work parallelizes over a thread pool when
-    max_workers > 1; the result order is fixed by the center enumeration
-    either way.
+    Centers are lattice nodes, so ball membership is decided in integer
+    offsets, (di^2 + dj^2) h^2 <= (fit_radius (1 + 1e-12))^2, and every center
+    whose offset ball lies on defined nodes shares one design matrix: those
+    centers are fitted by one multi-column least-squares solve per chunk of
+    at most 256 centers.  A center whose ball is clipped by the domain is
+    fitted alone by fit_quadratic on its own node set.  The result order is
+    fixed by the center enumeration.
     """
     g = u.grid
     centers_mask = u.defined & (np.hypot(g.X, g.Y) <= region_radius * (1.0 + 1e-12))
     ii, jj = np.nonzero(centers_mask)
     keep = (ii % stride == 0) & (jj % stride == 0)
-    centers = list(zip(ii[keep], jj[keep]))
-    if not centers:
+    ii, jj = ii[keep], jj[keep]
+    if not len(ii):
         raise ValueError("no fit centers inside the requested region")
+    reach = fit_radius * (1.0 + 1e-12)
+    m = int(reach / g.h) + 1
+    di, dj = np.mgrid[-m:m + 1, -m:m + 1]
+    ball = (di * di + dj * dj) * g.h**2 <= reach**2
+    di, dj = di[ball], dj[ball]
+    if len(di) < 12:
+        raise ValueError(f"ball of radius {fit_radius} holds {len(di)} nodes; need at least 12")
+    # NaN off the defined nodes and in a frame wide enough for every offset ball
+    padded = np.pad(u.filled(np.nan), m, constant_values=np.nan)
+    offsets = di * padded.shape[1] + dj
+    flat = (ii + m) * padded.shape[1] + (jj + m)
+    xi, eta = di * g.h / fit_radius, dj * g.h / fit_radius
+
+    polys = []
+    for lo in range(0, len(ii), _CENTER_CHUNK):
+        chunk = range(lo, min(lo + _CENTER_CHUNK, len(ii)))
+        vals = padded.ravel()[flat[lo:chunk.stop] + offsets[:, None]]
+        full = ~np.isnan(vals).any(axis=0)
+        coef = np.empty((6, len(chunk)))
+        if full.any():
+            coef[:, full] = _fit_ball(xi, eta, vals[:, full])[0]
+        for t, c in enumerate(chunk):
+            center = (g.X[ii[c], jj[c]], g.Y[ii[c], jj[c]])
+            if full[t]:
+                polys.append(_coeffs_to_poly(coef[:, t]).rescaled(fit_radius).recentered(center))
+            else:
+                polys.append(fit_quadratic(u, center, fit_radius)[0])
+
     allx, ally = g.X[u.defined], g.Y[u.defined]
     allv = u.values[u.defined]
-
-    def one(center):
-        i, j = center
+    fits = []
+    for i, j, poly in zip(ii, jj, polys):
         cx, cy = g.X[i, j], g.Y[i, j]
-        poly, _ = fit_quadratic(u, (cx, cy), fit_radius)
         dist = np.hypot(allx - cx, ally - cy)
         far = dist > 0.5 * g.h
         ratios = np.abs(allv[far] - poly(allx[far], ally[far])) / dist[far] ** (2.0 + alpha)
-        return poly, float(np.max(ratios))
+        fits.append((poly, float(np.max(ratios))))
+    return fits
 
-    if max_workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(one, centers))
-    return [one(c) for c in centers]
+def _pairwise_holder(g, mask: np.ndarray, fields, alpha: float, max_nodes: int) -> float:
+    """Max over distinct node pairs of max_k |v_k(x) - v_k(y)| / |x - y|^alpha,
+    with v_k the lattice arrays in fields, over the nodes of mask kept by the
+    lattice stride that leaves at most about max_nodes of them."""
+    ii, jj = np.nonzero(mask)
+    stride = max(1, math.ceil(math.sqrt(len(ii) / max_nodes)))
+    keep = (ii % stride == 0) & (jj % stride == 0)
+    ii, jj = ii[keep], jj[keep]
+    x, y = g.X[ii, jj], g.Y[ii, jj]
+    cols = [v[ii, jj] for v in fields]
+    worst = 0.0
+    chunk = 256
+    for lo in range(0, len(ii), chunk):
+        s = slice(lo, lo + chunk)
+        dist = np.hypot(x[s][:, None] - x[None, :], y[s][:, None] - y[None, :])
+        diff = np.abs(cols[0][s][:, None] - cols[0][None, :])
+        for v in cols[1:]:
+            diff = np.maximum(diff, np.abs(v[s][:, None] - v[None, :]))
+        np.fill_diagonal(dist[:, lo:lo + diff.shape[0]], np.inf)
+        worst = max(worst, float(np.max(diff / dist**alpha)))
+    return worst
 
 
 def discrete_hessian_seminorm(u: GridFunction, alpha: float, radius: float = 0.25,
@@ -432,26 +474,9 @@ def discrete_hessian_seminorm(u: GridFunction, alpha: float, radius: float = 0.2
     H = hessian(u)
     g = u.grid
     mask = H.mask & (np.hypot(g.X, g.Y) <= radius * (1.0 + 1e-12))
-    ii, jj = np.nonzero(mask)
-    count = len(ii)
-    if count < 2:
+    if int(mask.sum()) < 2:
         raise ValueError("ball under-resolved for a pairwise seminorm")
-    stride = max(1, math.ceil(math.sqrt(count / max_nodes)))
-    keep = (ii % stride == 0) & (jj % stride == 0)
-    ii, jj = ii[keep], jj[keep]
-    x, y = g.X[ii, jj], g.Y[ii, jj]
-    h11, h12, h22 = H.h11[ii, jj], H.h12[ii, jj], H.h22[ii, jj]
-    worst = 0.0
-    chunk = 256
-    for lo in range(0, len(ii), chunk):
-        s = slice(lo, lo + chunk)
-        dist = np.hypot(x[s][:, None] - x[None, :], y[s][:, None] - y[None, :])
-        dmax = np.maximum(np.abs(h11[s][:, None] - h11[None, :]),
-                          np.maximum(np.abs(h12[s][:, None] - h12[None, :]),
-                                     np.abs(h22[s][:, None] - h22[None, :])))
-        np.fill_diagonal(dist[:, lo:lo + dmax.shape[0]], np.inf)
-        worst = max(worst, float(np.max(dmax / dist**alpha)))
-    return worst
+    return _pairwise_holder(g, mask, (H.h11, H.h12, H.h22), alpha, max_nodes)
 
 
 @dataclass
@@ -489,27 +514,8 @@ def certificate_check(u: GridFunction, spec, f: GridFunction | None,
         raise ValueError("inhomogeneous certificate needs a full (alpha, alpha_bar) report")
     a = constants.pair.alpha
     measured = discrete_hessian_seminorm(u, a, radius=ball_radius, max_nodes=subsample)
-    f_semi = _holder_seminorm_values(f, a)
+    f_semi = _pairwise_holder(f.grid, f.defined, (f.values,), a, 1089)
     T = float(1.0 / float(constants.delta)) * f_semi + sup_u
     bound = float(pointwise_factor(a)) * 2.0**a * float(constants.C4) * T
     return CertificateReport(measured, bound, bool(measured <= bound), True,
                              ball_radius, a, constants)
-
-
-def _holder_seminorm_values(f: GridFunction, alpha: float, max_nodes: int = 1089) -> float:
-    g = f.grid
-    ii, jj = np.nonzero(f.defined)
-    stride = max(1, math.ceil(math.sqrt(len(ii) / max_nodes)))
-    keep = (ii % stride == 0) & (jj % stride == 0)
-    ii, jj = ii[keep], jj[keep]
-    x, y, v = g.X[ii, jj], g.Y[ii, jj], f.values[ii, jj]
-    worst = 0.0
-    chunk = 256
-    for lo in range(0, len(ii), chunk):
-        s = slice(lo, lo + chunk)
-        dist = np.hypot(x[s][:, None] - x[None, :], y[s][:, None] - y[None, :])
-        diff = np.abs(v[s][:, None] - v[None, :])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.where(dist > 0, diff / dist**alpha, 0.0)
-        worst = max(worst, float(np.max(ratios)))
-    return worst

@@ -10,7 +10,9 @@ generators keyed by the single 64-bit run seed.
 Exit codes: 0 success / condition satisfied; 1 condition not satisfied;
 2 usage or validation error; 3 numerical failure.
 
-ELLREG_THREADS caps worker parallelism (per-center fit pool in analyze).
+analyze --pointwise fits the quadratics of all centers whose fit ball lies on
+defined nodes together (one shared design matrix, ball membership decided in
+integer lattice offsets) and fits each center with a clipped ball alone.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import argparse
 import configparser
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -43,14 +44,6 @@ PROFILES = {
     "radial_sqrt": lambda x, y: np.hypot(x, y) ** 0.5,
     "poisson_quartic": lambda x, y: 12.0 * x**2,
 }
-
-
-def worker_cap(default: int = 1) -> int:
-    raw = os.environ.get("ELLREG_THREADS", "")
-    try:
-        return max(1, int(raw)) if raw else default
-    except ValueError:
-        return default
 
 
 def _json_dump(obj) -> str:
@@ -231,8 +224,7 @@ def cmd_analyze(args) -> int:
     pointwise_payload = None
     if args.pointwise:
         fits = campanato.pointwise_fit_constants(
-            u, alpha, region_radius=min(0.25 * grid.extent, grid.extent - 4 * grid.h),
-            max_workers=worker_cap())
+            u, alpha, region_radius=min(0.25 * grid.extent, grid.extent - 4 * grid.h))
         pointwise_payload = {
             "certified_bound": campanato.pointwise_to_holder(fits, alpha),
             "centers": len(fits),
@@ -300,13 +292,10 @@ def cmd_cordes(args) -> int:
         xs, ys = field.x, field.y
         keps, kepsp, cdel = field.keps, field.kepsprime, field.cordesdelta
         zero_nodes = field.zero_trace_nodes
-        H = solver.hessian(u)
-        g11, g12, g22 = operators.gradient_batch(
-            spec, H.h11[H.mask], H.h12[H.mask], H.h22[H.mask])
-        a_stack = np.empty((g11.size, 2, 2))
-        a_stack[:, 0, 0] = g11
-        a_stack[:, 0, 1] = a_stack[:, 1, 0] = g12
-        a_stack[:, 1, 1] = g22
+        a_stack = np.empty((field.g11.size, 2, 2))
+        a_stack[:, 0, 0] = field.g11
+        a_stack[:, 0, 1] = a_stack[:, 1, 0] = field.g12
+        a_stack[:, 1, 1] = field.g22
     else:
         G0 = operators.gradient(spec, np.zeros((2, 2)))
         xs = np.array([0.0])
@@ -566,7 +555,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_float(p, "--gamma")
     p.add_argument("--subsample", type=int, default=None)
     p.add_argument("--pointwise", action="store_true",
-                   help="add the per-center certified Hoelder bound (pool capped by ELLREG_THREADS)")
+                   help="add the per-center certified Hoelder bound (centers whose fit ball "
+                        "lies on defined nodes share one least-squares design)")
     p.add_argument("--strict", action="store_true", help="warnings become exit code 1")
     p.add_argument("--csv-output", dest="csv_output", default="decay.csv")
     p.add_argument("--output", "-o", default=None, help="certificate JSON (default stdout)")

@@ -154,10 +154,14 @@ def hessian_identity_check(u: GridFunction) -> float:
 
 @dataclass
 class CordesFieldReport:
-    """Per-node margins of the linearized coefficient field DF(D^2 u)."""
+    """Per-node margins of the linearized coefficient field DF(D^2 u), with
+    the field's entries g11, g12, g22 at the same nodes."""
 
     x: np.ndarray
     y: np.ndarray
+    g11: np.ndarray
+    g12: np.ndarray
+    g22: np.ndarray
     keps: np.ndarray
     kepsprime: np.ndarray
     cordesdelta: np.ndarray
@@ -185,7 +189,8 @@ def linearized_field(spec, u: GridFunction) -> CordesFieldReport:
     if not ok.any():
         raise ValueError("every node has zero trace")
     return CordesFieldReport(
-        x=xs, y=ys, keps=keps, kepsprime=keps.copy(), cordesdelta=cdelta,
+        x=xs, y=ys, g11=g11, g12=g12, g22=g22,
+        keps=keps, kepsprime=keps.copy(), cordesdelta=cdelta,
         min_keps=float(np.min(keps[ok])),
         min_kepsprime=float(np.min(keps[ok])),
         min_cordes_delta=float(np.min(cdelta[ok])),

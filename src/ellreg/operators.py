@@ -113,7 +113,6 @@ class OperatorSpec:
     w22: float
     eps: float = 0.0
     perturbation: str = "none"
-    params: tuple = ()
 
     def __post_init__(self):
         if self.perturbation not in PERTURBATIONS:
@@ -340,25 +339,20 @@ def rescale_hessian_seminorm(value: float, bounds: EllipticityBounds, alpha_bar:
 
 
 def spec_to_config(spec: OperatorSpec) -> dict:
-    out = {
+    return {
         "w11": repr(spec.w11),
         "w12": repr(spec.w12),
         "w22": repr(spec.w22),
         "eps": repr(spec.eps),
         "perturbation": spec.perturbation,
     }
-    if spec.params:
-        out["params"] = " ".join(repr(p) for p in spec.params)
-    return out
 
 
 def spec_from_config(cfg) -> OperatorSpec:
-    params = tuple(float(tok) for tok in cfg.get("params", "").split())
     return OperatorSpec(
         w11=float(cfg.get("w11", 1.0)),
         w12=float(cfg.get("w12", 0.0)),
         w22=float(cfg.get("w22", 1.0)),
         eps=float(cfg.get("eps", 0.0)),
         perturbation=cfg.get("perturbation", "none"),
-        params=params,
     )

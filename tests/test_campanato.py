@@ -4,9 +4,12 @@ Hoelder upgrades, and certificates."""
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ellreg import campanato as cp
 from ellreg import constants as C
@@ -290,6 +293,47 @@ def test_pointwise_bound_dominates_measured_seminorm_20_fields(disk65):
         assert certified >= measured
 
 
+def _pointwise_reference(u, alpha, region_radius, stride=2, fit_radius=0.3):
+    """fit_quadratic and the K_c max, one center at a time."""
+    g = u.grid
+    ii, jj = np.nonzero(u.defined & (np.hypot(g.X, g.Y) <= region_radius * (1.0 + 1e-12)))
+    keep = (ii % stride == 0) & (jj % stride == 0)
+    allx, ally, allv = g.X[u.defined], g.Y[u.defined], u.values[u.defined]
+    fits, clipped = [], []
+    full_count = int((u.defined & (np.hypot(g.X, g.Y) <= fit_radius * (1.0 + 1e-12))).sum())
+    for i, j in zip(ii[keep], jj[keep]):
+        cx, cy = g.X[i, j], g.Y[i, j]
+        poly, _ = cp.fit_quadratic(u, (cx, cy), fit_radius)
+        dist = np.hypot(allx - cx, ally - cy)
+        far = dist > 0.5 * g.h
+        ratios = np.abs(allv[far] - poly(allx[far], ally[far])) / dist[far] ** (2.0 + alpha)
+        fits.append((poly, float(np.max(ratios))))
+        ball = u.defined & (np.hypot(g.X - cx, g.Y - cy) <= fit_radius * (1.0 + 1e-12))
+        clipped.append(int(ball.sum()) < full_count)
+    return fits, clipped
+
+
+@pytest.mark.parametrize("fraction", [0.25, 0.8])
+@pytest.mark.parametrize("shape,extent", [("disk", 1.0), ("square", 1.0), ("disk", 0.4)])
+def test_pointwise_batched_fits_match_per_center_reference(shape, extent, fraction):
+    g = Grid2(shape, 65, extent)
+    u = GridFunction.from_callable(
+        g, lambda x, y: np.sin(3 * x / extent) * np.cos(2 * y / extent)
+        + np.hypot(x / extent - 0.1, y / extent) ** 2.5)
+    alpha = 0.5
+    got = cp.pointwise_fit_constants(u, alpha, region_radius=fraction * extent)
+    want, clipped = _pointwise_reference(u, alpha, fraction * extent)
+    assert not all(clipped)  # the shared design is exercised
+    if fraction == 0.8:
+        assert any(clipped)  # and so is the per-center path for clipped balls
+    assert len(got) == len(want)
+    for (p, k), (q, k_ref) in zip(got, want):
+        assert abs(k - k_ref) <= 1e-10 * k_ref
+        coef = np.concatenate([[p.a], p.b, p.c.ravel()])
+        coef_ref = np.concatenate([[q.a], q.b, q.c.ravel()])
+        assert np.max(np.abs(coef - coef_ref)) <= 1e-10 * np.max(np.abs(coef_ref))
+
+
 def test_seminorm_zero_on_quadratic(disk65):
     u = GridFunction.from_callable(disk65, saddle)
     assert cp.discrete_hessian_seminorm(u, 0.5, radius=0.3) <= 1e-9
@@ -300,6 +344,45 @@ def test_seminorm_matches_known_profile(disk129):
     u = GridFunction.from_callable(disk129, lambda x, y: np.hypot(x, y) ** 2.5)
     s = cp.discrete_hessian_seminorm(u, 0.5, radius=0.3)
     assert s > 1.0
+
+
+_HOLDER_GRIDS = (Grid2.disk(17), Grid2.square(17, 0.5))
+
+
+def _holder_brute_force(g, mask, fields, alpha, max_nodes):
+    ii, jj = np.nonzero(mask)
+    stride = max(1, math.ceil(math.sqrt(len(ii) / max_nodes)))
+    nodes = [(i, j) for i, j in zip(ii, jj) if i % stride == 0 and j % stride == 0]
+    worst = 0.0
+    for n, (i, j) in enumerate(nodes):
+        for k, l in nodes[n + 1:]:
+            # one-element arrays take the kernel's vectorised power, which may
+            # round differently from the scalar one
+            dist = np.hypot(np.array([g.X[i, j] - g.X[k, l]]), np.array([g.Y[i, j] - g.Y[k, l]]))
+            worst = max(worst, max(abs(v[i, j] - v[k, l]) for v in fields) / (dist**alpha)[0])
+    return worst
+
+
+@st.composite
+def _holder_inputs(draw):
+    g = draw(st.sampled_from(_HOLDER_GRIDS))
+    flat = sorted(draw(st.sets(st.integers(0, g.N * g.N - 1), max_size=40)))
+    mask = np.zeros((g.N, g.N), dtype=bool)
+    mask.ravel()[flat] = True
+    fields = []
+    for _ in range(draw(st.integers(1, 3))):
+        v = np.full((g.N, g.N), np.nan)  # the kernel must read only mask nodes
+        v.ravel()[flat] = draw(st.lists(st.floats(-1e6, 1e6), min_size=len(flat),
+                                        max_size=len(flat)))
+        fields.append(v)
+    alpha = draw(st.floats(0.0, 1.0, exclude_min=True))
+    return g, mask, tuple(fields), alpha, draw(st.integers(1, 50))
+
+
+@settings(deadline=None)
+@given(_holder_inputs())
+def test_pairwise_holder_kernel_equals_brute_force(inputs):
+    assert cp._pairwise_holder(*inputs) == _holder_brute_force(*inputs)
 
 
 # ---------------------------------------------------------------------------

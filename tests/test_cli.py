@@ -183,8 +183,7 @@ def test_cordes_with_solution_grid(tmp_path, capsys):
     assert payload["min_kepsprime"] > 0
 
 
-def test_analyze_pointwise_bound_with_thread_cap(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("ELLREG_THREADS", "2")
+def test_analyze_pointwise_bound(tmp_path, capsys):
     g = Grid2.disk(65)
     u = GridFunction.from_callable(g, lambda x, y: x**3 - 3 * x * y**2)
     grid_file = tmp_path / "u.grid"
