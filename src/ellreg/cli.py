@@ -8,7 +8,11 @@ identical files.  Randomized audits draw from counter-based Philox
 generators keyed by the single 64-bit run seed.
 
 Exit codes: 0 success / condition satisfied; 1 condition not satisfied;
-2 usage or validation error; 3 numerical failure.
+2 usage or validation error (including analyze on an even N, which has no
+center node, and a grid file with an infinite value); 3 numerical failure.
+
+selftest runs the acceptance check registry (ellreg.checks) at its reduced
+scale, with every Philox key set to the run seed.
 
 analyze --pointwise fits the quadratics of all centers whose fit ball lies on
 defined nodes together (one shared design matrix, ball membership decided in
@@ -25,7 +29,7 @@ import sys
 
 import numpy as np
 
-from . import campanato, constants, cordes, mollifier, operators, solver
+from . import campanato, constants, cordes, operators, solver
 from .grid import Grid2, GridFunction, load_grid, save_grid
 
 EXIT_OK = 0
@@ -152,8 +156,7 @@ def cmd_constants(args) -> int:
     return EXIT_OK if report.all_checks_pass() else EXIT_UNSATISFIED
 
 
-def _solve_from_config(r: _Resolver):
-    grid = _build_grid(r)
+def _solve_from_config(r: _Resolver, grid: Grid2):
     spec = _build_spec(r)
     gname = r.get("boundary", "solve", "boundary", "quadratic_saddle", cast=str)
     fname = r.get("source", "solve", "source", "zero", cast=str)
@@ -170,13 +173,14 @@ def _solve_from_config(r: _Resolver):
     else:
         f = GridFunction.from_callable(grid, _profile(fname))
     u = solver.solve_fully_nonlinear(spec, f, g, grid, tol=tol, max_sweeps=max_sweeps)
-    return grid, spec, f, u
+    return spec, f, u
 
 
 def cmd_solve(args) -> int:
     cfg = _load_config(args.config)
     r = _Resolver(args, cfg)
-    grid, spec, f, u = _solve_from_config(r)
+    grid = _build_grid(r)
+    spec, f, u = _solve_from_config(r, grid)
     save_grid(args.output, u)
     summary = {
         "final_residual": u.meta["residual"],
@@ -199,11 +203,14 @@ def cmd_analyze(args) -> int:
     spec = _build_spec(r)
     warnings: list[str] = []
     if args.input:
-        u = load_grid(args.input)
+        u, f = load_grid(args.input), None
         grid = u.grid
-        f = None
     else:
-        grid, spec, f, u = _solve_from_config(r)
+        grid = _build_grid(r)
+    if grid.N % 2 == 0:
+        raise ValueError(f"analyze needs a center node: N must be odd, got {grid.N}")
+    if not args.input:
+        spec, f, u = _solve_from_config(r, grid)
 
     rho = r.get("rho", "analyze", "rho", 0.5)
     kmax = int(r.get("kmax", "analyze", "kmax", 4, cast=int))
@@ -290,7 +297,7 @@ def cmd_cordes(args) -> int:
         u = load_grid(args.input)
         field = cordes.linearized_field(spec, u)
         xs, ys = field.x, field.y
-        keps, kepsp, cdel = field.keps, field.kepsprime, field.cordesdelta
+        keps, cdel = field.keps, field.cordesdelta
         zero_nodes = field.zero_trace_nodes
         a_stack = np.empty((field.g11.size, 2, 2))
         a_stack[:, 0, 0] = field.g11
@@ -302,14 +309,14 @@ def cmd_cordes(args) -> int:
         ys = np.array([0.0])
         ev = np.linalg.eigvalsh(G0)
         keps = np.array([cordes.k_eps_margin(ev)])
-        kepsp = keps.copy()
         cdel = np.array([cordes.cordes_delta(G0)])
         zero_nodes = []
         a_stack = G0[None, :, :]
 
+    # in 2-D the trace-form margin k'_eps equals k_eps, so keps fills both columns
     lines = ["x,y,keps,kepsprime,cordesdelta"]
     for i in range(len(xs)):
-        lines.append(",".join(repr(float(v)) for v in (xs[i], ys[i], keps[i], kepsp[i], cdel[i])))
+        lines.append(",".join(repr(float(v)) for v in (xs[i], ys[i], keps[i], keps[i], cdel[i])))
     with open(args.csv_output, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -329,10 +336,10 @@ def cmd_cordes(args) -> int:
         deviation_ok = False
         nirenberg = {"error": str(exc)}
 
-    min_kepsp = float(np.nanmin(kepsp))
+    min_keps = float(np.nanmin(keps))
     summary = {
-        "min_keps": float(np.nanmin(keps)),
-        "min_kepsprime": min_kepsp,
+        "min_keps": min_keps,
+        "min_kepsprime": min_keps,
         "min_cordes_delta": float(np.nanmin(cdel)),
         "nodes": int(len(xs)),
         "zero_trace_nodes": [list(t) for t in zero_nodes],
@@ -340,133 +347,25 @@ def cmd_cordes(args) -> int:
         "csv_output": args.csv_output,
     }
     _emit(_json_dump(summary), args.output)
-    ok = min_kepsp > 0.0 and deviation_ok and not zero_nodes
+    ok = min_keps > 0.0 and deviation_ok and not zero_nodes
     return EXIT_OK if ok else EXIT_UNSATISFIED
 
 
 # ---------------------------------------------------------------------------
-# selftest: a reduced-scale deterministic mirror of the acceptance suite
-
-
-def _selftest_checks(seed: int):
-    checks = []
-
-    def add(name, ok, value):
-        checks.append({"name": name, "pass": bool(ok), "value": value})
-
-    # constants chain at flat ellipticity
-    bounds = constants.EllipticityBounds(1.0, 1.0)
-    pair = constants.HolderPair(alpha_bar=0.5, alpha=0.25)
-    ext = constants.ExternalConstants(K1=1.0, alpha0=0.1, C_prime=1.0, K2=1.0, C3=1.0)
-    rep = constants.build_report(2, bounds, pair, ext)
-    r0_ok = abs(float(rep.r0) - 2.25e-6) <= 1e-10 * 2.25e-6
-    add("constants_r0", r0_ok, repr(float(rep.r0)))
-    add("constants_chain", rep.all_checks_pass(),
-        [c.name for c in rep.chain_checks if not c.satisfied])
-    add("pointwise_factor", abs(float(constants.pointwise_factor(0.5)) - 58.62741699796952) < 1e-9,
-        repr(float(constants.pointwise_factor(0.5))))
-
-    # mollifier
-    g65 = Grid2.disk(65)
-    offs, w = mollifier.discrete_kernel(g65.h, 4.0 * g65.h)
-    add("mollifier_mass", math.fsum(w) == 1.0, repr(math.fsum(w)))
-    lin = GridFunction.from_callable(g65, lambda x, y: 0.3 + 1.2 * x - 0.7 * y)
-    ml = mollifier.mollify(lin, 4.0 * g65.h)
-    dev = float(np.max(np.abs(ml.values[ml.defined] - lin.values[ml.defined])))
-    add("mollifier_linear_fixed_point", dev <= 1e-12, repr(dev))
-    g33 = Grid2.disk(33)
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    sup_ok = True
-    for _ in range(10):
-        vals = rng.standard_normal((33, 33))
-        u = GridFunction(g33, np.where(g33.defined, vals, np.nan), g33.defined.copy())
-        m = mollifier.mollify(u, 3.0 * g33.h)  # 4h would exceed extent/5 at N = 33
-        sup_ok &= m.sup() <= u.sup()
-    add("mollifier_max_norm", sup_ok, None)
-
-    # solver
-    lap = solver.solve_laplace_dirichlet(PROFILES["quadratic_saddle"], g65)
-    exact = PROFILES["quadratic_saddle"](g65.X, g65.Y)
-    err = float(np.max(np.abs(lap.values[lap.defined] - exact[lap.defined])))
-    add("solver_quadratic", err <= 1e-8, repr(err))
-    mp_ok = True
-    for _ in range(10):
-        gb = rng.standard_normal((33, 33))
-        sol = solver.solve_laplace_dirichlet(gb, g33)
-        lo = float(np.min(gb[g33.boundary]))
-        hi = float(np.max(gb[g33.boundary]))
-        vals = sol.values[g33.interior]
-        mp_ok &= (vals.min() >= lo - 1e-10) and (vals.max() <= hi + 1e-10)
-    add("solver_max_principle", mp_ok, None)
-    spec0 = operators.OperatorSpec(1.25, 0.15, 1.0)
-    direct = solver.solve_linear_dirichlet(spec0.W0, None, PROFILES["sine"], g33)
-    fixed = solver.solve_fully_nonlinear(spec0, None, PROFILES["sine"], g33, tol=1e-11)
-    diff = float(np.max(np.abs(direct.values[g33.interior] - fixed.values[g33.interior])))
-    add("solver_nonlinear_match", diff <= 1e-8, repr(diff))
-    g49 = Grid2.disk(49)
-    spec_sine = operators.OperatorSpec(1.0, 0.0, 1.0, 0.05, "sine")
-    up = solver.solve_fully_nonlinear(spec_sine, None, PROFILES["quadratic_saddle"], g49)
-    add("solver_perturbed_converged", up.meta["residual"] <= up.meta["tol"],
-        repr(up.meta["residual"]))
-
-    # operators
-    res_ok = True
-    worst = 0.0
-    for sp in operators.catalog_specs():
-        rr = operators.residual_audit(sp, samples=2000, seed=seed)
-        worst = max(worst, rr - sp.eps)
-        res_ok &= rr <= sp.eps + 1e-15
-    add("operators_residual", res_ok, repr(worst))
-    nr = operators.normalize(operators.OperatorSpec(1.7, 0.3, 1.1))
-    dfd = operators.fd_gradient(operators.OperatorSpec(1.7, 0.3, 1.1), np.zeros((2, 2)))
-    add("operators_normalize",
-        nr.identity_defect <= 1e-12
-        and float(np.max(np.abs(nr.transformed.gradient(np.zeros((2, 2))) - np.eye(2)))) <= 1e-6,
-        repr(nr.identity_defect))
-    add("operators_fd_gradient",
-        float(np.max(np.abs(dfd - operators.OperatorSpec(1.7, 0.3, 1.1).W0))) <= 1e-6, None)
-
-    # campanato
-    quad = GridFunction.from_callable(g65, lambda x, y: 1.0 + x - 2.0 * y + x * y + x**2)
-    tq = campanato.campanato_iterate(quad, spec0, rho=0.5, kmax=3)
-    qdev = max(rec.sup_dev for rec in tq.records)
-    add("campanato_idempotence", qdev <= 1e-9 * quad.sup(), repr(qdev))
-    g129 = Grid2.disk(129)
-    cubic = GridFunction.from_callable(g129, PROFILES["cubic_harmonic"])
-    spec_id = operators.OperatorSpec(1.0, 0.0, 1.0)
-    tc = campanato.campanato_iterate(cubic, spec_id, rho=0.5, kmax=4)
-    add("campanato_cubic_decay", tc.exponent_defined and tc.fitted_exponent >= 2.8,
-        repr(tc.fitted_exponent))
-    th = campanato.inhomogeneous_iterate(cubic, spec_id, GridFunction.zeros(g129),
-                                         mu=0.5, kmax=4, alpha=0.25)
-    same = all(a.sup_dev == b.sup_dev and a.poly.a == b.poly.a
-               for a, b in zip(tc.records, th.records))
-    add("campanato_inhomogeneous_reduction", same, None)
-    cert = campanato.certificate_check(cubic, spec_id, None, rep, bounds)
-    add("certificate_cubic_satisfied", cert.satisfied, repr(cert.measured_seminorm))
-
-    # cordes
-    add("cordes_exact_margins",
-        cordes.k_eps_margin([1.0, 2.0]) == 8.0 / 9.0
-        and cordes.cordes_delta(np.eye(2)) == 1.0
-        and cordes.cordes_delta(np.eye(3)) == 1.0
-        and cordes.kprime_prefactor(3) == 2.75,
-        repr(cordes.k_eps_margin([1.0, 2.0])))
-    wavy = GridFunction.from_callable(g33, lambda x, y: np.sin(x) * np.sin(y))
-    add("cordes_hessian_identity", cordes.hessian_identity_check(wavy) <= 1e-10,
-        repr(cordes.hessian_identity_check(wavy)))
-
-    return checks
+# selftest: the acceptance check registry at reduced scale
 
 
 def cmd_selftest(args) -> int:
+    from . import checks
+
     seed = args.seed if args.seed is not None else 12345
-    checks = _selftest_checks(seed)
+    records = [rec for criterion in checks.CRITERIA.values()
+               for rec in criterion(checks.REDUCED, seed)]
     payload = {
         "suite": "ellreg-selftest",
         "seed": seed,
-        "checks": checks,
-        "all_pass": all(c["pass"] for c in checks),
+        "checks": records,
+        "all_pass": all(c["pass"] for c in records),
     }
     _emit(_json_dump(payload), args.output)
     return EXIT_OK if payload["all_pass"] else EXIT_UNSATISFIED
@@ -572,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", "-o", default=None, help="summary JSON (default stdout)")
     p.set_defaults(func=cmd_cordes)
 
-    p = sub.add_parser("selftest", help="reduced-scale deterministic acceptance mirror")
+    p = sub.add_parser("selftest", help="the acceptance check registry at reduced scale")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--output", "-o", default=None)
     p.set_defaults(func=cmd_selftest)

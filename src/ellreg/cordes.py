@@ -155,7 +155,8 @@ def hessian_identity_check(u: GridFunction) -> float:
 @dataclass
 class CordesFieldReport:
     """Per-node margins of the linearized coefficient field DF(D^2 u), with
-    the field's entries g11, g12, g22 at the same nodes."""
+    the field's entries g11, g12, g22 at the same nodes.  In 2-D the
+    trace-form margin k'_eps equals k_eps, so ``keps`` stands for both."""
 
     x: np.ndarray
     y: np.ndarray
@@ -163,10 +164,8 @@ class CordesFieldReport:
     g12: np.ndarray
     g22: np.ndarray
     keps: np.ndarray
-    kepsprime: np.ndarray
     cordesdelta: np.ndarray
     min_keps: float
-    min_kepsprime: float
     min_cordes_delta: float
     zero_trace_nodes: list
 
@@ -190,9 +189,8 @@ def linearized_field(spec, u: GridFunction) -> CordesFieldReport:
         raise ValueError("every node has zero trace")
     return CordesFieldReport(
         x=xs, y=ys, g11=g11, g12=g12, g22=g22,
-        keps=keps, kepsprime=keps.copy(), cordesdelta=cdelta,
+        keps=keps, cordesdelta=cdelta,
         min_keps=float(np.min(keps[ok])),
-        min_kepsprime=float(np.min(keps[ok])),
         min_cordes_delta=float(np.min(cdelta[ok])),
         zero_trace_nodes=zero_nodes,
     )

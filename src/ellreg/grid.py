@@ -16,8 +16,10 @@ Grid file format (text, row-major in the x index):
     ...
     v(N-1,0) ... v(N-1,N-1)
 
-with ``nan`` for undefined nodes.  Values are written with shortest
-round-trip formatting, so save/load is exact and deterministic.
+with ``nan`` for undefined nodes (whatever the in-memory values there are).
+Values are written with shortest round-trip formatting, so save/load
+reproduces the values and the defined mask exactly and deterministically.
+An ``inf`` token is rejected on load.
 """
 
 from __future__ import annotations
@@ -194,9 +196,10 @@ class GridFunction:
 
 def save_grid(path, gf: GridFunction) -> None:
     g = gf.grid
+    values = np.where(gf.defined, gf.values, np.nan)
     lines = [f"grid {g.shape} {g.N} {g.extent!r}"]
     for i in range(g.N):
-        lines.append(" ".join(repr(float(v)) for v in gf.values[i]))
+        lines.append(" ".join(repr(float(v)) for v in values[i]))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -209,5 +212,6 @@ def load_grid(path) -> GridFunction:
     values = np.array([[float(tok) for tok in line.split()] for line in text[1:]])
     if values.shape != (grid.N, grid.N):
         raise ValueError(f"{path}: expected {grid.N}x{grid.N} values, got {values.shape}")
-    defined = np.isfinite(values)
-    return GridFunction(grid, values, defined)
+    if np.isinf(values).any():
+        raise ValueError(f"{path}: infinite value in grid file")
+    return GridFunction(grid, values, ~np.isnan(values))

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ellreg import cli
+from ellreg import checks, cli
 from ellreg.grid import Grid2, GridFunction, load_grid, save_grid
 
 from conftest import saddle
@@ -149,6 +152,30 @@ def test_analyze_truncation_warning_and_strict(tmp_path, capsys):
     assert code2 == cli.EXIT_UNSATISFIED
 
 
+def test_analyze_rejects_even_n_before_any_solve(tmp_path, capsys):
+    csv_file = tmp_path / "d.csv"
+    out_file = tmp_path / "a.json"
+    tail = ["--csv-output", str(csv_file), "-o", str(out_file)]
+    code, _, err = run_cli(["analyze", "-N", "64", *tail], capsys)
+    assert code == cli.EXIT_USAGE
+    assert "N must be odd, got 64" in err
+    grid_file = tmp_path / "even.grid"
+    save_grid(grid_file, GridFunction.from_callable(Grid2.disk(64), saddle))
+    code, _, err = run_cli(["analyze", "--input", str(grid_file), *tail], capsys)
+    assert code == cli.EXIT_USAGE
+    assert "N must be odd, got 64" in err
+    assert not csv_file.exists() and not out_file.exists()
+
+
+def test_analyze_rejects_infinite_grid_file(tmp_path, capsys):
+    grid_file = tmp_path / "inf.grid"
+    grid_file.write_text("grid disk 33 1.0\n" + (" ".join(["inf"] * 33) + "\n") * 33)
+    code, _, err = run_cli(["analyze", "--input", str(grid_file),
+                            "--csv-output", str(tmp_path / "d.csv")], capsys)
+    assert code == cli.EXIT_USAGE
+    assert f"{grid_file}: infinite value" in err
+
+
 def test_cordes_identity_spec(tmp_path, capsys):
     code, out, _ = run_cli(
         ["cordes", "--csv-output", str(tmp_path / "c.csv")], capsys)
@@ -195,6 +222,43 @@ def test_analyze_pointwise_bound(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["pointwise"]["certified_bound"] > 0
     assert payload["pointwise"]["centers"] > 10
+
+
+# the check names the selftest reported before it ran the acceptance registry
+_LEGACY_SELFTEST_CHECKS = {
+    "constants_r0", "constants_chain", "pointwise_factor", "mollifier_mass",
+    "mollifier_linear_fixed_point", "mollifier_max_norm", "solver_quadratic",
+    "solver_max_principle", "solver_nonlinear_match", "solver_perturbed_converged",
+    "operators_residual", "operators_normalize", "operators_fd_gradient",
+    "campanato_idempotence", "campanato_cubic_decay", "campanato_inhomogeneous_reduction",
+    "certificate_cubic_satisfied", "cordes_exact_margins", "cordes_hessian_identity",
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**63])
+def test_selftest_passes_for_seed(capsys, seed):
+    code, out, _ = run_cli(["selftest", "--seed", str(seed)], capsys)
+    payload = json.loads(out)
+    assert code == cli.EXIT_OK and payload["all_pass"]
+    assert payload["seed"] == seed
+    names = [c["name"] for c in payload["checks"]]
+    assert len(names) == len(set(names))
+    assert _LEGACY_SELFTEST_CHECKS < set(names)
+    assert "solver_two_grid_order" in names and "campanato_telescoping" in names
+
+
+def test_selftest_grids_stay_coarse():
+    assert max(checks.REDUCED["n"], checks.REDUCED["fine_n"], checks.REDUCED["rate_n"],
+               *checks.REDUCED["order_ns"]) <= 129
+
+
+def test_cli_import_leaves_the_check_registry_unloaded():
+    src = str(Path(cli.__file__).parents[1])
+    probe = (f"import sys; sys.path.insert(0, {src!r}); import ellreg.cli; "
+             "print('ellreg.checks' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "False"
 
 
 def test_malformed_config_exits_2(tmp_path, capsys):

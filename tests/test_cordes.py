@@ -119,12 +119,16 @@ def test_linearized_field_constant_coefficients(disk33):
     rep2 = cd.linearized_field(spec2, u)
     assert rep2.min_keps == pytest.approx(cd.k_eps_margin([1.0, 2.0]), abs=1e-14)
     assert np.allclose(rep2.keps, cd.k_eps_margin([1.0, 2.0]), atol=1e-14)
-    assert np.array_equal(rep2.keps, rep2.kepsprime)  # n = 2 coincidence
+    # n = 2 coincidence: keps is also the trace-form margin k'_eps
+    assert np.allclose(rep2.keps, cd.k_eps_prime_margin([1.0, 2.0]), atol=1e-14)
 
 
 def test_linearized_field_perturbed_solution(disk65, sine_spec):
     u = solve_fully_nonlinear(sine_spec, None, saddle, disk65)
     rep = cd.linearized_field(sine_spec, u)
     identity_margin = cd.k_eps_margin(np.linalg.eigvalsh(op.df_at_zero(sine_spec)))
-    assert rep.min_kepsprime >= identity_margin - 0.2
-    assert rep.min_kepsprime > 0
+    assert rep.min_keps >= identity_margin - 0.2
+    assert rep.min_keps > 0
+    prime = [cd.k_eps_prime_margin(np.linalg.eigvalsh([[a, b], [b, c]]))
+             for a, b, c in zip(rep.g11, rep.g12, rep.g22)]
+    assert np.allclose(rep.keps, prime, rtol=0.0, atol=1e-12)

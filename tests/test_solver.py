@@ -3,8 +3,13 @@ iteration, and the discrete comparison check."""
 
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ellreg import constants as C
 from ellreg import mollifier as mo
@@ -44,6 +49,60 @@ def test_grid_io_round_trip(tmp_path, disk33):
     assert v.grid.shape == "disk" and v.grid.N == 33
     assert np.array_equal(v.defined, u.defined)
     assert np.array_equal(v.values[v.defined], u.values[u.defined])
+
+
+def test_grid_io_round_trips_a_sub_mask(tmp_path, disk33):
+    # values off the mask are finite here; the file must still mark them nan
+    vals = cubic_harmonic(disk33.X, disk33.Y)
+    u = GridFunction(disk33, vals, disk33.ball_mask(0.4))
+    path = tmp_path / "u.grid"
+    save_grid(path, u)
+    v = load_grid(path)
+    assert v.defined.sum() == u.defined.sum() < disk33.defined.sum()
+    assert np.array_equal(v.defined, u.defined)
+
+
+@pytest.mark.parametrize("token", ["inf", "-inf"])
+def test_grid_file_rejects_infinite_values(tmp_path, disk33, token):
+    path = tmp_path / "u.grid"
+    save_grid(path, GridFunction.zeros(disk33))
+    path.write_text(path.read_text().replace(" 0.0", f" {token}", 1))
+    with pytest.raises(ValueError, match="u.grid: infinite value"):
+        load_grid(path)
+    path.write_text("grid disk 33 1.0\n" + f"{' '.join([token] * 33)}\n" * 33)
+    with pytest.raises(ValueError, match="u.grid: infinite value"):
+        load_grid(path)
+
+
+_SPECIAL_FLOATS = (-0.0, 0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e300, -1e300)
+
+
+@st.composite
+def _grid_functions(draw):
+    g = Grid2(draw(st.sampled_from(("disk", "square"))), draw(st.integers(17, 41)),
+              draw(st.floats(1e-3, 1e3)))
+    rng = philox(draw(st.integers(0, 2**32 - 1)))
+    mask = g.defined & (rng.random((g.N, g.N)) < draw(st.floats(0.0, 1.0)))
+    pool = draw(st.lists(st.one_of(st.sampled_from(_SPECIAL_FLOATS),
+                                   st.floats(allow_nan=False, allow_infinity=False)),
+                         min_size=1, max_size=32))
+    values = rng.standard_normal((g.N, g.N))  # finite junk off the mask
+    values[mask] = rng.choice(np.array(pool), size=int(mask.sum()))
+    return GridFunction(g, values, mask)
+
+
+@settings(deadline=None, max_examples=60)
+@given(_grid_functions())
+def test_grid_io_round_trip_property(u):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "u.grid"
+        save_grid(path, u)
+        v = load_grid(path)
+    g = u.grid
+    assert (v.grid.shape, v.grid.N, v.grid.extent) == (g.shape, g.N, g.extent)
+    assert np.array_equal(v.defined, u.defined)
+    # bit for bit, so -0.0 and subnormals count
+    assert np.array_equal(v.values[v.defined].view(np.int64), u.values[u.defined].view(np.int64))
 
 
 # ---------------------------------------------------------------------------
