@@ -29,7 +29,7 @@ import sys
 
 import numpy as np
 
-from . import campanato, constants, cordes, operators, solver
+from . import campanato, checks, constants, cordes, operators, solver
 from .grid import Grid2, GridFunction, load_grid, save_grid
 
 EXIT_OK = 0
@@ -356,8 +356,6 @@ def cmd_cordes(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    from . import checks
-
     seed = args.seed if args.seed is not None else 12345
     records = [rec for criterion in checks.CRITERIA.values()
                for rec in criterion(checks.REDUCED, seed)]

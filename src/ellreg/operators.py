@@ -290,7 +290,6 @@ class NormalizationResult:
     new_bounds: EllipticityBounds
     new_eps: float
     paper_eps_bound: float
-    identity_defect: float
 
 
 def df_at_zero(op) -> np.ndarray:
@@ -319,14 +318,12 @@ def normalize(op) -> NormalizationResult:
     new_bounds = EllipticityBounds(eff.lam / eff.Lam, eff.Lam / eff.lam)
     eps = float(op.eps)
     new_eps = eps / float(evals[0])
-    defect = float(np.max(np.abs(A @ A.T @ W - np.eye(2))))
     return NormalizationResult(
         A=A,
         transformed=TransformedOperator(op, A),
         new_bounds=new_bounds,
         new_eps=new_eps,
         paper_eps_bound=eps * eff.Lam,
-        identity_defect=defect,
     )
 
 

@@ -3,9 +3,6 @@
 from __future__ import annotations
 
 import json
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -250,15 +247,6 @@ def test_selftest_passes_for_seed(capsys, seed):
 def test_selftest_grids_stay_coarse():
     assert max(checks.REDUCED["n"], checks.REDUCED["fine_n"], checks.REDUCED["rate_n"],
                *checks.REDUCED["order_ns"]) <= 129
-
-
-def test_cli_import_leaves_the_check_registry_unloaded():
-    src = str(Path(cli.__file__).parents[1])
-    probe = (f"import sys; sys.path.insert(0, {src!r}); import ellreg.cli; "
-             "print('ellreg.checks' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                         check=True).stdout
-    assert out.strip() == "False"
 
 
 def test_malformed_config_exits_2(tmp_path, capsys):
