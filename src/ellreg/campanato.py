@@ -19,9 +19,10 @@ every scale.  Sup deviations are brute-force maxima over the ball nodes.
 One least-squares helper serves the scale fits, fit_quadratic and the
 pointwise fits; pointwise centers are lattice nodes with ball membership
 decided in integer offsets, so all centers with unclipped balls share one
-design matrix.  One pairwise kernel measures every Hoelder seminorm over a
-subsampled node set (entrywise max metric on the Hessian, matching the
-pointwise-to-uniform statement), exact on the sample.
+design matrix, and their constants K_c read the distance powers from one
+table over integer offsets.  One pairwise kernel measures every Hoelder
+seminorm over a subsampled node set (entrywise max metric on the Hessian,
+matching the pointwise-to-uniform statement), exact on the sample.
 """
 
 from __future__ import annotations
@@ -66,7 +67,9 @@ class QuadraticPolynomial:
     def __post_init__(self):
         self.b = np.asarray(self.b, dtype=float).reshape(2)
         self.c = np.asarray(self.c, dtype=float).reshape(2, 2)
-        if not np.allclose(self.c, self.c.T, atol=0.0):
+        c12, c21 = float(self.c[0, 1]), float(self.c[1, 0])
+        # np.allclose(c, c.T, atol=0) on the one off-diagonal pair, without its overhead
+        if not (c12 == c21 or abs(c12 - c21) <= 1e-5 * min(abs(c12), abs(c21))):
             raise ValueError("c must be symmetric")
 
     @classmethod
@@ -88,13 +91,6 @@ class QuadraticPolynomial:
                                    (amplitude / scale) * self.b,
                                    (amplitude / scale**2) * self.c)
 
-    def recentered(self, center) -> "QuadraticPolynomial":
-        """P(x - center) expanded about the origin."""
-        cx = np.asarray(center, dtype=float)
-        b_new = self.b - self.c @ cx
-        a_new = self.a - float(self.b @ cx) + 0.5 * float(cx @ self.c @ cx)
-        return QuadraticPolynomial(a_new, b_new, self.c.copy())
-
 
 def _design(xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
     return np.column_stack([np.ones_like(xi), xi, eta, 0.5 * xi * xi, xi * eta, 0.5 * eta * eta])
@@ -107,14 +103,32 @@ def _coeffs_to_poly(coef: np.ndarray) -> QuadraticPolynomial:
     return QuadraticPolynomial(a, b, c)
 
 
+def _physical(coef: np.ndarray, r: float, cx, cy) -> np.ndarray:
+    """Coefficients of a fit in the unit frame of the ball of radius r about
+    (cx, cy), expanded in physical coordinates about the origin; one column
+    or a (6, k) stack with one center per column."""
+    s1, s2 = 1.0 / r, 1.0 / r**2
+    b1, b2 = s1 * coef[1], s1 * coef[2]
+    c11, c12, c22 = s2 * coef[3], s2 * coef[4], s2 * coef[5]
+    g1, g2 = c11 * cx + c12 * cy, c12 * cx + c22 * cy
+    a = coef[0] - (b1 * cx + b2 * cy) + 0.5 * (g1 * cx + g2 * cy)
+    return np.array([a, b1 - g1, b2 - g2, c11, c12, c22])
+
+
+def _lstsq6(A: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Least-squares coefficients for the six-column design A."""
+    coef, _, rank, _ = np.linalg.lstsq(A, vals, rcond=None)
+    if rank < 6:
+        raise ValueError("degenerate node set: quadratic fit is rank-deficient")
+    return coef
+
+
 def _fit_ball(xi: np.ndarray, eta: np.ndarray, vals: np.ndarray):
     """Least-squares quadratic in the unit-frame coordinates (xi, eta) for one
     value column or a (nodes, k) stack of columns; returns the coefficients
     and the max node deviation of each column."""
     A = _design(xi, eta)
-    coef, _, rank, _ = np.linalg.lstsq(A, vals, rcond=None)
-    if rank < 6:
-        raise ValueError("degenerate node set: quadratic fit is rank-deficient")
+    coef = _lstsq6(A, vals)
     return coef, np.max(np.abs(vals - A @ coef), axis=0)
 
 
@@ -128,8 +142,7 @@ def fit_quadratic(u: GridFunction, center, r: float):
     if count < 12:
         raise ValueError(f"ball of radius {r} holds {count} nodes; need at least 12")
     coef, sup_dev = _fit_ball((g.X[mask] - cx) / r, (g.Y[mask] - cy) / r, u.values[mask])
-    poly = _coeffs_to_poly(coef).rescaled(r).recentered([cx, cy])
-    return poly, float(sup_dev)
+    return _coeffs_to_poly(_physical(coef, r, cx, cy)), float(sup_dev)
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +395,9 @@ def pointwise_to_holder(fits, alpha: float) -> float:
 
 
 _CENTER_CHUNK = 256  # centers per multi-column solve; bounds the value block at N = 513
+# centers per residual product: 8 N^2 doubles, 4 MB at N = 257 and 17 MB at N = 513;
+# 4-16 centers ran equally fast at N = 257 and 4-8 at N = 513, fewer or more slower
+_RESIDUAL_BLOCK = 8
 
 
 def pointwise_fit_constants(u: GridFunction, alpha: float, region_radius: float = 0.25,
@@ -394,10 +410,17 @@ def pointwise_fit_constants(u: GridFunction, alpha: float, region_radius: float 
     whose offset ball lies on defined nodes shares one design matrix: those
     centers are fitted by one multi-column least-squares solve per chunk of
     at most 256 centers.  A center whose ball is clipped by the domain is
-    fitted alone by fit_quadratic on its own node set.  The result order is
-    fixed by the center enumeration.
+    fitted alone by fit_quadratic on its own node set.
+
+    K_c is taken in integer offsets too: |x - c|^(2+alpha) is read from one
+    (2N-1)^2 table of ((di^2 + dj^2) h^2)^(1+alpha/2), whose zero offset holds
+    inf so the center itself drops out, and |u - P_c| for a block of centers
+    is one product of their coefficient rows with the monomial basis of the
+    lattice; it is NaN off the defined nodes, which the NaN-skipping max
+    ignores.  The result order is fixed by the center enumeration.
     """
     g = u.grid
+    n = g.N
     centers_mask = u.defined & (np.hypot(g.X, g.Y) <= region_radius * (1.0 + 1e-12))
     ii, jj = np.nonzero(centers_mask)
     keep = (ii % stride == 0) & (jj % stride == 0)
@@ -411,37 +434,48 @@ def pointwise_fit_constants(u: GridFunction, alpha: float, region_radius: float 
     di, dj = di[ball], dj[ball]
     if len(di) < 12:
         raise ValueError(f"ball of radius {fit_radius} holds {len(di)} nodes; need at least 12")
+    values = u.filled(np.nan)
     # NaN off the defined nodes and in a frame wide enough for every offset ball
-    padded = np.pad(u.filled(np.nan), m, constant_values=np.nan)
+    padded = np.pad(values, m, constant_values=np.nan)
     offsets = di * padded.shape[1] + dj
     flat = (ii + m) * padded.shape[1] + (jj + m)
-    xi, eta = di * g.h / fit_radius, dj * g.h / fit_radius
+    design = _design(di * g.h / fit_radius, dj * g.h / fit_radius)
+    cx, cy = g.X[ii, jj], g.Y[ii, jj]
 
-    polys = []
+    # physical coefficient rows (a, b1, b2, c11, c12, c22), one column per center
+    coef = np.empty((6, len(ii)))
+    clipped = {}
     for lo in range(0, len(ii), _CENTER_CHUNK):
-        chunk = range(lo, min(lo + _CENTER_CHUNK, len(ii)))
-        vals = padded.ravel()[flat[lo:chunk.stop] + offsets[:, None]]
+        hi = min(lo + _CENTER_CHUNK, len(ii))
+        vals = padded.ravel()[flat[lo:hi] + offsets[:, None]]
         full = ~np.isnan(vals).any(axis=0)
-        coef = np.empty((6, len(chunk)))
         if full.any():
-            coef[:, full] = _fit_ball(xi, eta, vals[:, full])[0]
-        for t, c in enumerate(chunk):
-            center = (g.X[ii[c], jj[c]], g.Y[ii[c], jj[c]])
-            if full[t]:
-                polys.append(_coeffs_to_poly(coef[:, t]).rescaled(fit_radius).recentered(center))
-            else:
-                polys.append(fit_quadratic(u, center, fit_radius)[0])
+            cols = np.flatnonzero(full) + lo
+            coef[:, cols] = _physical(_lstsq6(design, vals[:, full]), fit_radius,
+                                      cx[cols], cy[cols])
+        for c in np.flatnonzero(~full) + lo:
+            poly = fit_quadratic(u, (cx[c], cy[c]), fit_radius)[0]
+            coef[:, c] = poly.a, poly.b[0], poly.b[1], poly.c[0, 0], poly.c[0, 1], poly.c[1, 1]
+            clipped[c] = poly
 
-    allx, ally = g.X[u.defined], g.Y[u.defined]
-    allv = u.values[u.defined]
-    fits = []
-    for i, j, poly in zip(ii, jj, polys):
-        cx, cy = g.X[i, j], g.Y[i, j]
-        dist = np.hypot(allx - cx, ally - cy)
-        far = dist > 0.5 * g.h
-        ratios = np.abs(allv[far] - poly(allx[far], ally[far])) / dist[far] ** (2.0 + alpha)
-        fits.append((poly, float(np.max(ratios))))
-    return fits
+    off = np.arange(1 - n, n)
+    denom = ((off[:, None] ** 2 + off[None, :] ** 2) * g.h**2) ** (1.0 + 0.5 * alpha)
+    denom[n - 1, n - 1] = np.inf
+    x, y = g.X.ravel(), g.Y.ravel()
+    basis = np.stack([np.ones_like(x), x, y, 0.5 * x * x, x * y, 0.5 * y * y])
+    values = values.ravel()
+    kc = np.empty(len(ii))
+    for lo in range(0, len(ii), _RESIDUAL_BLOCK):
+        hi = min(lo + _RESIDUAL_BLOCK, len(ii))
+        resid = coef[:, lo:hi].T @ basis
+        np.subtract(values, resid, out=resid)
+        np.abs(resid, out=resid)
+        for t, (i, j) in enumerate(zip(ii[lo:hi], jj[lo:hi])):
+            ratio = resid[t].reshape(n, n)
+            np.divide(ratio, denom[n - 1 - i:2 * n - 1 - i, n - 1 - j:2 * n - 1 - j], out=ratio)
+            kc[lo + t] = np.fmax.reduce(ratio, axis=None)  # skips the NaN off the defined nodes
+    return [(clipped[c] if c in clipped else _coeffs_to_poly(coef[:, c]), float(kc[c]))
+            for c in range(len(ii))]
 
 
 def _pairwise_holder(g, mask: np.ndarray, fields, alpha: float, max_nodes: int) -> float:

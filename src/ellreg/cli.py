@@ -9,14 +9,18 @@ generators keyed by the single 64-bit run seed.
 
 Exit codes: 0 success / condition satisfied; 1 condition not satisfied;
 2 usage or validation error (including analyze on an even N, which has no
-center node, and a grid file with an infinite value); 3 numerical failure.
+center node, analyze with an operator whose ellipticity bounds fall outside
+the [constants] lambda/Lambda, and a grid file with an infinite value);
+3 numerical failure.
 
 selftest runs the acceptance check registry (ellreg.checks) at its reduced
 scale, with every Philox key set to the run seed.
 
 analyze --pointwise fits the quadratics of all centers whose fit ball lies on
 defined nodes together (one shared design matrix, ball membership decided in
-integer lattice offsets) and fits each center with a clipped ball alone.
+integer lattice offsets) and fits each center with a clipped ball alone; the
+per-center constants K_c read their distances from one table over integer
+lattice offsets.
 """
 
 from __future__ import annotations
@@ -201,6 +205,12 @@ def cmd_analyze(args) -> int:
     cfg = _load_config(args.config)
     r = _Resolver(args, cfg)
     spec = _build_spec(r)
+    n, bounds, pair, ext, variant = _build_constants_inputs(r)
+    eff = operators.effective_bounds(spec)
+    if eff.lam < bounds.lam * (1.0 - 1e-12) or eff.Lam > bounds.Lam * (1.0 + 1e-12):
+        raise ValueError(
+            f"operator bounds (lambda, Lambda) = ({eff.lam!r}, {eff.Lam!r}) fall outside "
+            f"the certificate's [constants] bounds ({bounds.lam!r}, {bounds.Lam!r})")
     warnings: list[str] = []
     if args.input:
         u, f = load_grid(args.input), None
@@ -224,7 +234,6 @@ def cmd_analyze(args) -> int:
     if table.truncated:
         warnings.append(f"decay table truncated: scale {len(table.records)} under-resolved")
 
-    n, bounds, pair, ext, variant = _build_constants_inputs(r)
     report = constants.build_report(n, bounds, pair, ext, variant)
     cert = campanato.certificate_check(u, spec, f, report, bounds, subsample=subsample)
 

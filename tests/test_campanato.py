@@ -293,45 +293,60 @@ def test_pointwise_bound_dominates_measured_seminorm_20_fields(disk65):
         assert certified >= measured
 
 
-def _pointwise_reference(u, alpha, region_radius, stride=2, fit_radius=0.3):
-    """fit_quadratic and the K_c max, one center at a time."""
+def _pointwise_reference(u, alphas, region_radius, stride=2, fit_radius=0.3):
+    """fit_quadratic and the K_c max, one center at a time; the fits of every
+    alpha in alphas, keyed by alpha, and the centers with clipped balls."""
     g = u.grid
     ii, jj = np.nonzero(u.defined & (np.hypot(g.X, g.Y) <= region_radius * (1.0 + 1e-12)))
     keep = (ii % stride == 0) & (jj % stride == 0)
     allx, ally, allv = g.X[u.defined], g.Y[u.defined], u.values[u.defined]
-    fits, clipped = [], []
+    fits, clipped = {alpha: [] for alpha in alphas}, []
     full_count = int((u.defined & (np.hypot(g.X, g.Y) <= fit_radius * (1.0 + 1e-12))).sum())
     for i, j in zip(ii[keep], jj[keep]):
         cx, cy = g.X[i, j], g.Y[i, j]
         poly, _ = cp.fit_quadratic(u, (cx, cy), fit_radius)
         dist = np.hypot(allx - cx, ally - cy)
         far = dist > 0.5 * g.h
-        ratios = np.abs(allv[far] - poly(allx[far], ally[far])) / dist[far] ** (2.0 + alpha)
-        fits.append((poly, float(np.max(ratios))))
+        resid = np.abs(allv[far] - poly(allx[far], ally[far]))
+        for alpha in alphas:
+            fits[alpha].append((poly, float(np.max(resid / dist[far] ** (2.0 + alpha)))))
         ball = u.defined & (np.hypot(g.X - cx, g.Y - cy) <= fit_radius * (1.0 + 1e-12))
         clipped.append(int(ball.sum()) < full_count)
     return fits, clipped
 
 
 @pytest.mark.parametrize("fraction", [0.25, 0.8])
-@pytest.mark.parametrize("shape,extent", [("disk", 1.0), ("square", 1.0), ("disk", 0.4)])
-def test_pointwise_batched_fits_match_per_center_reference(shape, extent, fraction):
+@pytest.mark.parametrize("shape,extent,hole", [
+    pytest.param("disk", 1.0, False, id="disk-1.0"),
+    pytest.param("square", 1.0, False, id="square-1.0"),
+    pytest.param("disk", 0.4, False, id="disk-0.4"),
+    pytest.param("disk", 1.0, True, id="disk-1.0-hole"),
+])
+def test_pointwise_batched_fits_match_per_center_reference(shape, extent, hole, fraction):
     g = Grid2(shape, 65, extent)
-    u = GridFunction.from_callable(
-        g, lambda x, y: np.sin(3 * x / extent) * np.cos(2 * y / extent)
-        + np.hypot(x / extent - 0.1, y / extent) ** 2.5)
-    alpha = 0.5
-    got = cp.pointwise_fit_constants(u, alpha, region_radius=fraction * extent)
-    want, clipped = _pointwise_reference(u, alpha, fraction * extent)
+    values = (np.sin(3 * g.X / extent) * np.cos(2 * g.Y / extent)
+              + np.hypot(g.X / extent - 0.1, g.Y / extent) ** 2.5)
+    defined = g.defined.copy()
+    if hole:
+        # a strict sub-mask: a hole of undefined nodes away from the centers,
+        # with finite junk stored wherever the field is undefined
+        defined &= np.hypot(g.X / extent - 0.6, g.Y / extent - 0.5) > 0.08
+        values = np.where(defined, values, 10.0)
+    else:
+        values = np.where(defined, values, np.nan)
+    u = GridFunction(g, values, defined)
+    reference, clipped = _pointwise_reference(u, (0.25, 0.5, 1.0), fraction * extent)
     assert not all(clipped)  # the shared design is exercised
     if fraction == 0.8:
         assert any(clipped)  # and so is the per-center path for clipped balls
-    assert len(got) == len(want)
-    for (p, k), (q, k_ref) in zip(got, want):
-        assert abs(k - k_ref) <= 1e-10 * k_ref
-        coef = np.concatenate([[p.a], p.b, p.c.ravel()])
-        coef_ref = np.concatenate([[q.a], q.b, q.c.ravel()])
-        assert np.max(np.abs(coef - coef_ref)) <= 1e-10 * np.max(np.abs(coef_ref))
+    for alpha, want in reference.items():
+        got = cp.pointwise_fit_constants(u, alpha, region_radius=fraction * extent)
+        assert len(got) == len(want)
+        for (p, k), (q, k_ref) in zip(got, want):
+            assert abs(k - k_ref) <= 1e-10 * k_ref
+            coef = np.concatenate([[p.a], p.b, p.c.ravel()])
+            coef_ref = np.concatenate([[q.a], q.b, q.c.ravel()])
+            assert np.max(np.abs(coef - coef_ref)) <= 1e-10 * np.max(np.abs(coef_ref))
 
 
 def test_seminorm_zero_on_quadratic(disk65):

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,8 @@ from ellreg import checks, cli
 from ellreg.grid import Grid2, GridFunction, load_grid, save_grid
 
 from conftest import saddle
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run_cli(argv, capsys):
@@ -164,6 +170,25 @@ def test_analyze_rejects_even_n_before_any_solve(tmp_path, capsys):
     assert not csv_file.exists() and not out_file.exists()
 
 
+def test_analyze_rejects_operator_outside_certificate_bounds(tmp_path, capsys):
+    csv_file = tmp_path / "d.csv"
+    out_file = tmp_path / "a.json"
+    grid_file = tmp_path / "u.grid"
+    save_grid(grid_file, GridFunction.from_callable(Grid2.disk(129), saddle))
+    tail = ["--w22", "2", "--csv-output", str(csv_file), "-o", str(out_file)]
+    for source in (["-N", "129"], ["--input", str(grid_file)]):
+        code, _, err = run_cli(["analyze", *source, *tail], capsys)
+        assert code == cli.EXIT_USAGE
+        assert "(lambda, Lambda) = (1.0, 2.0)" in err
+        assert "[constants] bounds (1.0, 1.0)" in err
+        assert not csv_file.exists() and not out_file.exists()
+    # the same operator certified at its own Lambda passes the check
+    code, out, _ = run_cli(["analyze", "--input", str(grid_file), "--Lambda", "2", "--kmax", "3",
+                            "--alpha0", "1.0", *tail], capsys)
+    assert code == cli.EXIT_OK
+    assert json.loads(out_file.read_text())["certificate"]["satisfied"]
+
+
 def test_analyze_rejects_infinite_grid_file(tmp_path, capsys):
     grid_file = tmp_path / "inf.grid"
     grid_file.write_text("grid disk 33 1.0\n" + (" ".join(["inf"] * 33) + "\n") * 33)
@@ -205,6 +230,24 @@ def test_cordes_with_solution_grid(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["nodes"] > 500
     assert payload["min_kepsprime"] > 0
+
+
+def test_import_and_light_runs_leave_scipy_sparse_unloaded(tmp_path):
+    probe = (
+        "import sys\n"
+        "from ellreg import cli\n"
+        "loaded = ['scipy.sparse' in sys.modules]\n"
+        "cli.main(['constants', '-o', 'k.json'])\n"
+        "loaded.append('scipy.sparse' in sys.modules)\n"
+        "cli.main(['cordes', '-o', 'c.json', '--csv-output', 'c.csv'])\n"
+        "loaded.append('scipy.sparse' in sys.modules)\n"
+        "print(loaded)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[False, False, False]"
+    assert json.loads((tmp_path / "c.json").read_text())["nodes"] == 1
 
 
 def test_analyze_pointwise_bound(tmp_path, capsys):
