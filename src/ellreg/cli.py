@@ -85,6 +85,8 @@ class _Resolver:
 
 def _load_config(path: str | None) -> configparser.ConfigParser:
     cfg = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    # Keys are case-sensitive: [constants] needs both lambda and Lambda.
+    cfg.optionxform = str
     if path:
         with open(path) as fh:
             cfg.read_file(fh, source=path)

@@ -166,19 +166,13 @@ def _assemble(c11, c12, c22, h: float, region: SubRegion):
     ).tocsc()
 
 
-def _factor(A, pivot: bool = True):
-    """Sparse LU of an assembled stencil matrix.
-
-    The matrix is structurally symmetric, so a minimum-degree ordering of
-    A^T + A keeps the fill well below the column ordering's.  pivot=False
-    takes the diagonal as pivot without a search; that is stable for the
-    constant-coefficient matrix tr(W0 D^2_h), which is symmetric definite for
-    SPD W0.  A Jacobian with per-node coefficients keeps partial pivoting.
-    """
+def _factor(A):
+    # The stencil matrix is structurally symmetric, so a minimum-degree
+    # ordering of A^T + A keeps the LU fill well below the column ordering's.
     from scipy.sparse.linalg import splu
 
     try:
-        return splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=1.0 if pivot else 0.0)
+        return splu(A, permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:
         raise SolverError(f"stencil factorization failed: {exc}") from None
 
@@ -204,7 +198,7 @@ def solve_linear_dirichlet(W0, f, g, grid: Grid2, region: SubRegion | None = Non
     # the stencil applied to the boundary data alone is the boundary's share
     g11, g12, g22 = _hessian_arrays(gfull, grid.h, interior)
     b = ffull[interior] - (w11 * g11 + 2.0 * w12 * g12 + w22 * g22)
-    lu = _factor(A, pivot=False)
+    lu = _factor(A)
     x = lu.solve(b)
     scale = max(float(np.max(np.abs(gfull[boundary]), initial=0.0)),
                 float(np.max(np.abs(ffull[interior]), initial=0.0))) or 1.0
@@ -261,7 +255,7 @@ def solve_fully_nonlinear(spec, f, g, grid: Grid2, region: SubRegion | None = No
     h = grid.h
     f_int = ffull[interior]
     v = gfull.copy()
-    lu = _factor(_assemble(spec.w11, spec.w12, spec.w22, h, region), pivot=False)
+    lu = _factor(_assemble(spec.w11, spec.w12, spec.w22, h, region))
 
     history: list[float] = []
     prev = np.inf

@@ -189,6 +189,27 @@ def test_analyze_rejects_operator_outside_certificate_bounds(tmp_path, capsys):
     assert json.loads(out_file.read_text())["certificate"]["satisfied"]
 
 
+def test_analyze_config_with_lambda_and_Lambda(tmp_path, capsys):
+    # lambda and Lambda are two keys; with eps > 0 the bounds check needs both
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(
+        "[grid]\nn = 65\n\n[operator]\neps = 0.05\nperturbation = sine\n\n"
+        "[constants]\nlambda = 0.95\nLambda = 1.08\n\n[analyze]\nkmax = 3\n")
+    out_file = tmp_path / "a.json"
+    code, _, err = run_cli(["analyze", "--config", str(cfgfile), "-o", str(out_file),
+                            "--csv-output", str(tmp_path / "d.csv")], capsys)
+    assert code == cli.EXIT_OK, err
+    assert json.loads(out_file.read_text())["certificate"]["satisfied"]
+    # Lambda alone leaves lambda at its default 1.0 > 1 - eps
+    cfgfile.write_text(cfgfile.read_text().replace("lambda = 0.95\n", ""))
+    code, _, err = run_cli(["analyze", "--config", str(cfgfile)], capsys)
+    assert code == cli.EXIT_USAGE
+    assert "[constants] bounds (1.0, 1.08)" in err
+    cfgfile.write_text(cfgfile.read_text().replace("Lambda", "lambda = 0.95\nLambda"))
+    canon = cli.canonical_config(cli._load_config(str(cfgfile)))
+    assert "Lambda = 1.08" in canon and "lambda = 0.95" in canon
+
+
 def test_analyze_rejects_infinite_grid_file(tmp_path, capsys):
     grid_file = tmp_path / "inf.grid"
     grid_file.write_text("grid disk 33 1.0\n" + (" ".join(["inf"] * 33) + "\n") * 33)
