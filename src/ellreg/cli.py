@@ -192,6 +192,7 @@ def cmd_solve(args) -> int:
         "final_residual": u.meta["residual"],
         "sweeps": u.meta["sweeps"],
         "jacobian_refactors": u.meta["jacobian_refactors"],
+        "factor_nnz": u.meta["factor_nnz"],
         "residual_history": u.meta["residual_history"],
         "h": grid.h,
         "tol": u.meta["tol"],
@@ -262,6 +263,7 @@ def cmd_analyze(args) -> int:
             "d2h_norm": step.d2h_norm,
             "d2h_bound_ok": step.d2h_bound_ok,
             "c_correction": step.c_correction,
+            "factor_nnz": step.factor_nnz,
         }
     except (ValueError, solver.SolverError) as exc:
         warnings.append(f"improvement step skipped: {exc}")

@@ -166,13 +166,37 @@ def _assemble(c11, c12, c22, h: float, region: SubRegion):
     ).tocsc()
 
 
+# SuperLU's default relaxed supernodes (relax=20) amalgamate small subtrees of
+# the elimination tree into dense blocks; on these 2-D stencil matrices that
+# stores explicit zeros, and the default panel_size=10 allocates wide panel
+# work arrays.  With relax=1 the factor stores exactly its fill
+# (lu.nnz == L.nnz + U.nnz of the default factor); the solutions move by
+# rounding only, at most 1.6e-14 of max|u| on the benchmark's solves and an
+# N=513 9-point solve.  Median factor seconds on a 2-core Xeon, BLAS on 1 thread:
+#
+#   matrix                               default  panel 2  panel 4  panel 8
+#   9-pt square N=65 (w12 = 0.15)         0.014    0.011    0.008    0.008
+#   5-pt disk N=81                        0.020    0.009    0.009    0.012
+#   5-pt replacement disk N=257, r=0.8    0.184    0.092    0.086    0.112
+#   5-pt replacement disk N=513, r=0.8    1.16     0.67     0.55     0.70
+#   9-pt disk N=513 (w12 = 0.15)          5.68     2.70     2.25     3.02
+#
+# At N=513 the stored entries fall from 10.2M to 8.05M (5-point) and from
+# 39.1M to 26.4M (9-point), and the peak resident memory of the factorization
+# falls by 65 MB and 191 MB; panel 8 costs 9 MB more than 4 on the 5-point
+# matrix.
+_SUPERNODE_RELAX = 1
+_PANEL_SIZE = 4
+
+
 def _factor(A):
     # The stencil matrix is structurally symmetric, so a minimum-degree
     # ordering of A^T + A keeps the LU fill well below the column ordering's.
     from scipy.sparse.linalg import splu
 
     try:
-        return splu(A, permc_spec="MMD_AT_PLUS_A")
+        return splu(A, permc_spec="MMD_AT_PLUS_A", relax=_SUPERNODE_RELAX,
+                    panel_size=_PANEL_SIZE)
     except RuntimeError as exc:
         raise SolverError(f"stencil factorization failed: {exc}") from None
 
@@ -186,7 +210,8 @@ def solve_linear_dirichlet(W0, f, g, grid: Grid2, region: SubRegion | None = Non
     """Direct solve of tr(W0 D^2_h u) = f with u = g on the region boundary.
 
     Raises SolverError if the verified stencil residual exceeds
-    residual_tol * max(|g|, |f|).
+    residual_tol * max(|g|, |f|).  meta["factor_nnz"] is the number of entries
+    the LU factor stores.
     """
     region = region or grid.region
     interior, boundary = region.interior, region.boundary
@@ -213,7 +238,7 @@ def solve_linear_dirichlet(W0, f, g, grid: Grid2, region: SubRegion | None = Non
         raise SolverError(f"direct solve residual {res:.3e} exceeds {residual_tol:.1e} * {scale:.3e}")
     gfull[interior] = x
     out = GridFunction(grid, np.where(region.defined, gfull, np.nan), region.defined.copy())
-    out.meta.update(residual=res, method="sparse_lu", h=grid.h)
+    out.meta.update(residual=res, method="sparse_lu", h=grid.h, factor_nnz=lu.nnz)
     return out
 
 
@@ -240,7 +265,8 @@ def solve_fully_nonlinear(spec, f, g, grid: Grid2, region: SubRegion | None = No
 
     max_sweeps bounds the outer (chord or Newton) iterations.  Raises
     SolverError on non-finite iterates, an exhausted budget, or a residual
-    that keeps growing.
+    that keeps growing.  meta["factor_nnz"] is the largest number of entries
+    stored by the chord factor or any Newton refactor.
     """
     region = region or grid.region
     interior, boundary = region.interior, region.boundary
@@ -256,6 +282,7 @@ def solve_fully_nonlinear(spec, f, g, grid: Grid2, region: SubRegion | None = No
     f_int = ffull[interior]
     v = gfull.copy()
     lu = _factor(_assemble(spec.w11, spec.w12, spec.w22, h, region))
+    factor_nnz = lu.nnz
 
     history: list[float] = []
     prev = np.inf
@@ -277,6 +304,7 @@ def solve_fully_nonlinear(spec, f, g, grid: Grid2, region: SubRegion | None = No
             raise SolverError(f"residual diverging (grew for {grow} consecutive sweeps)")
         if res > _SLOW_CONTRACTION * prev:
             lu = _factor(_assemble(*operators.gradient_batch(spec, *H), h, region))
+            factor_nnz = max(factor_nnz, lu.nnz)
             refactors += 1
         prev = res
         v[interior] -= lu.solve(resid)
@@ -284,7 +312,8 @@ def solve_fully_nonlinear(spec, f, g, grid: Grid2, region: SubRegion | None = No
 
     out = GridFunction(grid, np.where(region.defined, v, np.nan), region.defined.copy())
     out.meta.update(residual=res, sweeps=sweeps, h=h, tol=tol, converged=True,
-                    residual_history=history, jacobian_refactors=refactors)
+                    residual_history=history, jacobian_refactors=refactors,
+                    factor_nnz=factor_nnz)
     return out
 
 

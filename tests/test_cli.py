@@ -68,6 +68,8 @@ def test_solve_quadratic_and_determinism(tmp_path, capsys):
     assert summary["h"] == pytest.approx(2.0 / 32.0)
     assert summary["residual_history"][-1] == summary["final_residual"]
     assert summary["jacobian_refactors"] == 0
+    assert isinstance(summary["factor_nnz"], int) and summary["factor_nnz"] > 0
+    assert json.loads(text2)["factor_nnz"] == summary["factor_nnz"]
     assert out1.read_bytes() == out2.read_bytes()
     assert text1.replace(str(out1), str(out2)) == text2
     sol = load_grid(out1)
@@ -108,13 +110,17 @@ def test_analyze_quadratic_input(tmp_path, capsys):
     grid_file = tmp_path / "u.grid"
     save_grid(grid_file, u)
     csv_file = tmp_path / "decay.csv"
-    code, out, err = run_cli(
-        ["analyze", "--input", str(grid_file), "--kmax", "3",
-         "--alpha0", "1.0", "--csv-output", str(csv_file)], capsys)
+    argv = ["analyze", "--input", str(grid_file), "--kmax", "3",
+            "--alpha0", "1.0", "--csv-output", str(csv_file)]
+    code, out, err = run_cli(argv, capsys)
     assert code == cli.EXIT_OK
     payload = json.loads(out)
     assert payload["certificate"]["satisfied"]
     assert payload["step_report"] is not None
+    nnz = payload["step_report"]["factor_nnz"]
+    assert isinstance(nnz, int) and nnz > 0
+    code2, out2, _ = run_cli(argv, capsys)
+    assert code2 == code and out2 == out
     assert not payload["truncated"]
     rows = csv_file.read_text().strip().splitlines()
     assert rows[0] == "k,radius,sup_dev,a,b1,b2,c11,c12,c22"

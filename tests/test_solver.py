@@ -201,6 +201,62 @@ def test_linear_solve_square_grid():
 
 
 # ---------------------------------------------------------------------------
+# sparse factorization
+
+
+def _contract_boundary(x, y):
+    return np.sin(2.0 * x) * np.cosh(y) + x * y
+
+
+def _subdisk_laplacian():
+    g = Grid2.disk(129)
+    return sv._assemble(1.0, 0.0, 1.0, g.h, g.subregion(0.8))
+
+
+def _square_chord_matrix():
+    g = Grid2.square(65)
+    return sv._assemble(1.0, 0.15, 1.0, g.h, g.region)
+
+
+def _newton_jacobian():
+    g = Grid2.disk(65)
+    spec = op.OperatorSpec(1.0, 0.0, 1.0, 0.9, "sine")
+    v = np.where(g.defined, _contract_boundary(g.X, g.Y), 0.0)
+    H = sv._hessian_arrays(v, g.h, g.interior)
+    return sv._assemble(*op.gradient_batch(spec, *H), g.h, g.region)
+
+
+@pytest.mark.parametrize("build", [_subdisk_laplacian, _square_chord_matrix, _newton_jacobian],
+                         ids=["5pt_subdisk129", "9pt_chord_square65", "newton_sine_disk65"])
+def test_factor_stores_exactly_its_fill(build):
+    from scipy.sparse.linalg import splu
+
+    A = build()
+    lu = sv._factor(A)
+    # no relaxed-supernode padding: every stored entry belongs to L or U ...
+    assert lu.nnz == lu.L.nnz + lu.U.nnz
+    # ... and the fill is that of SuperLU's default settings, same ordering
+    default = splu(A, permc_spec="MMD_AT_PLUS_A")
+    assert lu.nnz == default.L.nnz + default.U.nnz < default.nnz
+    # unit source and zero boundary: solve_linear_dirichlet's bound is 1e-10
+    b = np.ones(A.shape[0])
+    assert float(np.max(np.abs(b - A @ lu.solve(b)))) <= 1e-10
+
+
+def test_solvers_report_factor_nnz():
+    g = Grid2.disk(65)
+    sub = g.subregion(0.8)
+    lin = sv.solve_laplace_dirichlet(_contract_boundary, g, region=sub)
+    assert lin.meta["factor_nnz"] == sv._factor(sv._assemble(1.0, 0.0, 1.0, g.h, sub)).nnz
+    spec = op.OperatorSpec(1.0, 0.0, 1.0, 0.9, "sine")
+    sol = sv.solve_fully_nonlinear(spec, None, _contract_boundary, g)
+    chord = sv._factor(sv._assemble(1.0, 0.0, 1.0, g.h, g.region)).nnz
+    assert sol.meta["jacobian_refactors"] >= 1
+    # the Newton Jacobian carries cross terms, so its 9-point factor is the largest
+    assert isinstance(sol.meta["factor_nnz"], int) and sol.meta["factor_nnz"] > chord
+
+
+# ---------------------------------------------------------------------------
 # nonlinear solve
 
 
@@ -283,7 +339,7 @@ RESIDUAL_CASES = [pytest.param(spec, id=f"catalog{i}") for i, spec in enumerate(
 
 @pytest.mark.parametrize("spec", RESIDUAL_CASES)
 def test_nonlinear_residual_contract(disk65, spec):
-    g = lambda x, y: np.sin(2.0 * x) * np.cosh(y) + x * y
+    g = _contract_boundary
     f = GridFunction.from_callable(disk65, lambda x, y: 0.5 * np.cos(x + y))
     a = sv.solve_fully_nonlinear(spec, f, g, disk65)
     H = sv.hessian(a)
@@ -297,6 +353,36 @@ def test_nonlinear_residual_contract(disk65, spec):
     if spec.eps == 0.9:  # near lam_min the frozen Jacobian contracts too slowly
         assert a.meta["jacobian_refactors"] >= 1
     b = sv.solve_fully_nonlinear(spec, f, g, disk65)
+    assert np.array_equal(a.values, b.values, equal_nan=True)
+    assert a.meta == b.meta
+
+
+@st.composite
+def generated_specs(draw):
+    w11 = draw(st.floats(0.5, 2.0))
+    w22 = draw(st.floats(0.5, 2.0))
+    w12 = draw(st.floats(-0.9, 0.9)) * np.sqrt(w11 * w22)
+    lam_min = op.OperatorSpec(w11, w12, w22)._lam_min()
+    eps = draw(st.floats(0.0, 0.95)) * lam_min
+    return op.OperatorSpec(w11, w12, w22, eps, draw(st.sampled_from(op.PERTURBATIONS)))
+
+
+_CONTRACT_GRIDS = {"disk": Grid2.disk(33), "square": Grid2.square(33)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=generated_specs(), shape=st.sampled_from(sorted(_CONTRACT_GRIDS)))
+def test_nonlinear_residual_contract_property(spec, shape):
+    g = _CONTRACT_GRIDS[shape]
+    f = GridFunction.from_callable(g, lambda x, y: 0.5 * np.cos(x + y))
+    # more than 50 sweeps raises SolverError
+    a = sv.solve_fully_nonlinear(spec, f, _contract_boundary, g, max_sweeps=50)
+    H = sv.hessian(a)
+    m = g.interior
+    assert not (m & ~H.mask).any()
+    resid = np.abs(op.evaluate_batch(spec, H.h11[m], H.h12[m], H.h22[m]) - f.values[m])
+    assert float(np.max(resid)) <= a.meta["tol"]
+    b = sv.solve_fully_nonlinear(spec, f, _contract_boundary, g, max_sweeps=50)
     assert np.array_equal(a.values, b.values, equal_nan=True)
     assert a.meta == b.meta
 
