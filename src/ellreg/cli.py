@@ -328,8 +328,8 @@ def cmd_cordes(args) -> int:
 
     # in 2-D the trace-form margin k'_eps equals k_eps, so keps fills both columns
     lines = ["x,y,keps,kepsprime,cordesdelta"]
-    for i in range(len(xs)):
-        lines.append(",".join(repr(float(v)) for v in (xs[i], ys[i], keps[i], keps[i], cdel[i])))
+    lines += [f"{x},{y},{k},{k},{d}" for x, y, k, d in
+              zip(*(map(repr, np.asarray(a, dtype=float).tolist()) for a in (xs, ys, keps, cdel)))]
     with open(args.csv_output, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -24,6 +24,7 @@ An ``inf`` token is rejected on load.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -198,18 +199,24 @@ def save_grid(path, gf: GridFunction) -> None:
     g = gf.grid
     values = np.where(gf.defined, gf.values, np.nan)
     lines = [f"grid {g.shape} {g.N} {g.extent!r}"]
-    for i in range(g.N):
-        lines.append(" ".join(repr(float(v)) for v in values[i]))
+    lines += [" ".join(map(repr, row.tolist())) for row in values]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def load_grid(path) -> GridFunction:
-    text = Path(path).read_text().strip().splitlines()
-    head = text[0].split()
-    if len(head) != 4 or head[0] != "grid":
-        raise ValueError(f"{path}: malformed grid header {text[0]!r}")
-    grid = Grid2(head[1], int(head[2]), float(head[3]))
-    values = np.array([[float(tok) for tok in line.split()] for line in text[1:]])
+    with open(path) as fh:
+        header = fh.readline().strip()
+        head = header.split()
+        if len(head) != 4 or head[0] != "grid":
+            raise ValueError(f"{path}: malformed grid header {header!r}")
+        grid = Grid2(head[1], int(head[2]), float(head[3]))
+        try:
+            with warnings.catch_warnings():
+                # a file without value rows fails the shape check below
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                values = np.loadtxt(fh, ndmin=2)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     if values.shape != (grid.N, grid.N):
         raise ValueError(f"{path}: expected {grid.N}x{grid.N} values, got {values.shape}")
     if np.isinf(values).any():

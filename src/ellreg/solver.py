@@ -4,8 +4,16 @@ Second derivatives use the central stencils exact on quadratics: the 3-point
 stencil for u_xx/u_yy and the 4-point cross stencil for u_xy.  One sparse
 assembly builds the Jacobian of tr(C D^2_h v) in the interior unknowns
 (5-point for diagonal C, 9-point with cross terms), factored by sparse LU.
-The linear Dirichlet solve factors tr(W0 D^2_h) once, refines the solution
-iteratively and verifies its residual against the contract.
+Every factor comes from one builder.  A stencil with scalar coefficients and
+no cross term, on an odd-N region whose masks both axis reflections leave
+unchanged, maps each parity class (the signs of v under x -> -x and
+y -> -y) into itself; the builder then factors one reduced matrix per class
+on a quadrant of the lattice, and with c11 == c22 on a region symmetric
+under x <-> y one factor serves two classes.  Any other stencil, a Newton
+Jacobian among them, is factored whole.  The linear Dirichlet solve factors
+tr(W0 D^2_h) once, refines the solution in the full space until a step fails
+to halve the residual, keeps the best iterate and verifies its residual
+against the contract.
 
 The fully nonlinear solve is a chord iteration with boundary values fixed,
 
@@ -134,30 +142,50 @@ def _field_values(f, grid: Grid2, mask: np.ndarray) -> np.ndarray:
 # stencil assembly and factorization
 
 
-def _assemble(c11, c12, c22, h: float, region: SubRegion):
+def _assemble(c11, c12, c22, h: float, region: SubRegion, parity=None):
     """Sparse matrix of v -> tr(C D^2_h v) in the interior unknowns of region,
-    for scalar or per-interior-node coefficients; boundary neighbours drop out."""
+    for scalar or per-interior-node coefficients; boundary neighbours drop out.
+
+    With parity (sx, sy), for a stencil and region that both axis reflections
+    leave unchanged, it is the matrix on the functions with
+    v(-x, y) = sx v(x, y) and v(x, -y) = sy v(x, y): the unknowns are
+    _class_unknowns' nodes, and a neighbour across an axis reads its mirror
+    image times the sign.
+    """
     from scipy.sparse import coo_matrix  # deferred: constants and cordes runs never assemble
 
     interior, boundary = region.interior, region.boundary
-    m = int(interior.sum())
+    unknown = interior if parity is None else _class_unknowns(interior, *parity)
+    m = int(unknown.sum())
     if m == 0:
         raise SolverError("region has no interior nodes")
     idx = np.full(interior.shape, -1, dtype=np.int64)
-    idx[interior] = np.arange(m)
-    ii, jj = np.nonzero(interior)
+    idx[unknown] = np.arange(m)
+    ii, jj = np.nonzero(unknown)
+    if parity is not None:
+        # a node across an axis stands for its mirror image times the sign
+        mid = interior.shape[0] // 2
+        sign = np.ones(interior.shape)
+        idx[:mid] = idx[:mid:-1]
+        sign[:mid] *= parity[0]
+        idx[:, :mid] = idx[:, :mid:-1]
+        sign[:, :mid] *= parity[1]
     inv = 1.0 / (h * h)
     a, b, c = (np.broadcast_to(np.asarray(x, dtype=float) * inv, (m,)) for x in (c11, c12, c22))
     terms = [((0, 0), -2.0 * (a + c)), ((1, 0), a), ((-1, 0), a), ((0, 1), c), ((0, -1), c)]
     if np.any(b != 0.0):
         q = 0.5 * b
         terms += [((1, 1), q), ((-1, -1), q), ((1, -1), -q), ((-1, 1), -q)]
+    defined = interior | boundary
     rows, cols, vals = [], [], []
     for (di, dj), coeff in terms:
-        nbr = idx[ii + di, jj + dj]
-        is_int = nbr >= 0
-        if not (is_int | boundary[ii + di, jj + dj]).all():
+        ni, nj = ii + di, jj + dj
+        if not defined[ni, nj].all():
             raise SolverError("interior stencil reaches an undefined node")
+        nbr = idx[ni, nj]
+        is_int = nbr >= 0
+        if parity is not None:
+            coeff = coeff * sign[ni, nj]
         rows.append(np.flatnonzero(is_int))
         cols.append(nbr[is_int])
         vals.append(coeff[is_int])
@@ -201,6 +229,94 @@ def _factor(A):
         raise SolverError(f"stencil factorization failed: {exc}") from None
 
 
+# Parity classes (sx, sy): the signs of v under x -> -x and under y -> -y.
+# A stencil without cross term on a region that both axis reflections leave
+# unchanged maps each class into itself, so its matrix splits into one block
+# per class on a quadrant of the lattice (Bossavit, CMAME 56, 1986).  The four
+# blocks of the 5-point Laplacian on the N=513, r=0.8 replacement disk store
+# 4.70M entries in three factors, against 8.05M for the whole matrix.
+_PARITY_CLASSES = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+
+
+def _class_unknowns(interior: np.ndarray, sx: int, sy: int) -> np.ndarray:
+    """Interior nodes with x, y >= 0 that carry a class's values: an odd sign
+    forces v to zero on its axis, so those axis nodes drop out."""
+    mid = interior.shape[0] // 2
+    out = np.zeros_like(interior)
+    i0, j0 = mid + (sx < 0), mid + (sy < 0)
+    out[i0:, j0:] = interior[i0:, j0:]
+    return out
+
+
+def _reflection_symmetric(c11, c12, c22, region: SubRegion) -> bool:
+    """Whether both axis reflections leave the stencil of tr(C D^2_h) and the
+    region unchanged: scalar coefficients without cross term, a centre node
+    (odd N) and masks equal to their flips."""
+    if any(np.ndim(x) for x in (c11, c12, c22)) or c12 != 0.0:
+        return False
+    masks = (region.interior, region.boundary)
+    return masks[0].shape[0] % 2 == 1 and all(
+        np.array_equal(m, m[::-1]) and np.array_equal(m, m[:, ::-1]) for m in masks)
+
+
+class _ClassFactor:
+    """Solves A x = r for a reflection-symmetric stencil matrix A from one LU
+    factor per parity class.  When c11 == c22 and the masks are also symmetric
+    under x <-> y, the (-, +) class is the transpose of the (+, -) one and
+    reuses its factor.  nnz sums the entries of the distinct factors."""
+
+    def __init__(self, c11, c22, h: float, region: SubRegion):
+        interior = region.interior
+        mid = interior.shape[0] // 2
+        self._interior, self._mid = interior, mid
+        share = c11 == c22 and all(np.array_equal(m, m.T)
+                                   for m in (interior, region.boundary))
+        factors = {}  # class -> (its unknowns on the quadrant x, y >= 0, LU factor)
+        self._blocks = []  # (sx, sy, unknowns, factor, solved through the transpose)
+        for sx, sy in _PARITY_CLASSES:
+            if share and (sx, sy) == (-1, 1):
+                if (1, -1) in factors:
+                    self._blocks.append((sx, sy, *factors[1, -1], True))
+                continue
+            unknown = _class_unknowns(interior, sx, sy)
+            # (+, +) holds every quadrant node, so _assemble raises on an empty
+            # region; another class may be empty on a region a node wide
+            if (sx, sy) != (1, 1) and not unknown.any():
+                continue
+            lu = _factor(_assemble(c11, 0.0, c22, h, region, parity=(sx, sy)))
+            factors[sx, sy] = (unknown[mid:, mid:], lu)
+            self._blocks.append((sx, sy, *factors[sx, sy], False))
+        self.nnz = sum(lu.nnz for _, lu in factors.values())
+
+    def solve(self, r: np.ndarray) -> np.ndarray:
+        mid = self._mid
+        R = np.zeros(self._interior.shape)
+        R[self._interior] = r
+        # r and its mirror images, each on the quadrant x, y >= 0
+        quad = (R[mid:, mid:], R[mid::-1, mid:], R[mid:, mid::-1], R[mid::-1, mid::-1])
+        X = np.zeros_like(R)
+        for sx, sy, unknown, lu, transposed in self._blocks:
+            proj = 0.25 * (quad[0] + sx * quad[1] + sy * quad[2] + sx * sy * quad[3])
+            yq = np.zeros_like(proj)
+            yq[unknown] = lu.solve((proj.T if transposed else proj)[unknown])
+            if transposed:
+                yq = yq.T
+            # extend the quadrant solution by the class's signs; its rows and
+            # columns on an odd axis are zero
+            half = np.concatenate([sx * yq[:0:-1], yq])
+            X += np.concatenate([sy * half[:, :0:-1], half], axis=1)
+        return X[self._interior]
+
+
+def _factor_stencil(c11, c12, c22, h: float, region: SubRegion, A=None):
+    """Factor of the stencil matrix of tr(C D^2_h) on region, with .solve(r)
+    and .nnz: split by parity class when _reflection_symmetric holds, else one
+    LU factor of A (assembled here when not given)."""
+    if _reflection_symmetric(c11, c12, c22, region):
+        return _ClassFactor(c11, c22, h, region)
+    return _factor(_assemble(c11, c12, c22, h, region) if A is None else A)
+
+
 # ---------------------------------------------------------------------------
 # linear Dirichlet solve (direct)
 
@@ -211,7 +327,7 @@ def solve_linear_dirichlet(W0, f, g, grid: Grid2, region: SubRegion | None = Non
 
     Raises SolverError if the verified stencil residual exceeds
     residual_tol * max(|g|, |f|).  meta["factor_nnz"] is the number of entries
-    the LU factor stores.
+    the LU factor stores, summed over its class factors when it is split.
     """
     region = region or grid.region
     interior, boundary = region.interior, region.boundary
@@ -223,17 +339,25 @@ def solve_linear_dirichlet(W0, f, g, grid: Grid2, region: SubRegion | None = Non
     # the stencil applied to the boundary data alone is the boundary's share
     g11, g12, g22 = _hessian_arrays(gfull, grid.h, interior)
     b = ffull[interior] - (w11 * g11 + 2.0 * w12 * g12 + w22 * g22)
-    lu = _factor(A)
+    lu = _factor_stencil(w11, w12, w22, grid.h, region, A)
     x = lu.solve(b)
     scale = max(float(np.max(np.abs(gfull[boundary]), initial=0.0)),
                 float(np.max(np.abs(ffull[interior]), initial=0.0))) or 1.0
+    r = b - A @ x
+    res = float(np.max(np.abs(r)))
+    # Refine in the full space; a step that does not halve the residual has
+    # reached the rounding floor, so stop there and keep the best iterate.
     for _ in range(3):
-        r = b - A @ x
-        res = float(np.max(np.abs(r)))
         if res <= 0.05 * residual_tol * scale:
             break
-        x = x + lu.solve(r)
-    res = float(np.max(np.abs(b - A @ x)))
+        x_new = x + lu.solve(r)
+        r_new = b - A @ x_new
+        res_new = float(np.max(np.abs(r_new)))
+        halved = res_new <= 0.5 * res
+        if res_new < res:
+            x, r, res = x_new, r_new, res_new
+        if not halved:
+            break
     if res > residual_tol * scale:
         raise SolverError(f"direct solve residual {res:.3e} exceeds {residual_tol:.1e} * {scale:.3e}")
     gfull[interior] = x
@@ -281,7 +405,7 @@ def solve_fully_nonlinear(spec, f, g, grid: Grid2, region: SubRegion | None = No
     h = grid.h
     f_int = ffull[interior]
     v = gfull.copy()
-    lu = _factor(_assemble(spec.w11, spec.w12, spec.w22, h, region))
+    lu = _factor_stencil(spec.w11, spec.w12, spec.w22, h, region)
     factor_nnz = lu.nnz
 
     history: list[float] = []
@@ -303,7 +427,8 @@ def solve_fully_nonlinear(spec, f, g, grid: Grid2, region: SubRegion | None = No
         if grow >= _GROWTH_LIMIT:
             raise SolverError(f"residual diverging (grew for {grow} consecutive sweeps)")
         if res > _SLOW_CONTRACTION * prev:
-            lu = _factor(_assemble(*operators.gradient_batch(spec, *H), h, region))
+            lu = None  # release the old factor before the new one is built
+            lu = _factor_stencil(*operators.gradient_batch(spec, *H), h, region)
             factor_nnz = max(factor_nnz, lu.nnz)
             refactors += 1
         prev = res

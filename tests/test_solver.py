@@ -74,6 +74,15 @@ def test_grid_file_rejects_infinite_values(tmp_path, disk33, token):
         load_grid(path)
 
 
+@pytest.mark.parametrize("body", ["", "1.0 2.0\n3.0\n", "1.0 abc\n"],
+                         ids=["no_rows", "ragged", "bad_token"])
+def test_grid_file_value_errors_name_the_file(tmp_path, body):
+    path = tmp_path / "u.grid"
+    path.write_text("grid disk 33 1.0\n" + body)
+    with pytest.raises(ValueError, match="u.grid: "):
+        load_grid(path)
+
+
 _SPECIAL_FLOATS = (-0.0, 0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e300, -1e300)
 
 
@@ -243,14 +252,97 @@ def test_factor_stores_exactly_its_fill(build):
     assert float(np.max(np.abs(b - A @ lu.solve(b)))) <= 1e-10
 
 
+@st.composite
+def _symmetric_stencils(draw):
+    g = Grid2(draw(st.sampled_from(("disk", "square"))), 2 * draw(st.integers(8, 32)) + 1)
+    radius = draw(st.one_of(st.none(), st.floats(0.2, 0.9)))
+    region = g.region if radius is None else g.subregion(radius)
+    w11 = draw(st.floats(0.5, 2.0))
+    w22 = draw(st.one_of(st.just(w11), st.floats(0.5, 2.0)))
+    return g, region, w11, w22, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_symmetric_stencils())
+def test_class_factor_matches_plain_factor(case):
+    g, region, w11, w22, seed = case
+    lu = sv._factor_stencil(w11, 0.0, w22, g.h, region)
+    assert isinstance(lu, sv._ClassFactor)
+    b = philox(seed).standard_normal(int(region.interior.sum()))
+    want = sv._factor(sv._assemble(w11, 0.0, w22, g.h, region)).solve(b)
+    assert np.max(np.abs(lu.solve(b) - want)) <= 1e-12 * np.max(np.abs(want))
+    # nnz sums the distinct factors: with w11 == w22, (-, +) reuses (+, -)'s
+    classes = [p for p in sv._PARITY_CLASSES
+               if sv._class_unknowns(region.interior, *p).any()
+               and not (w11 == w22 and p == (-1, 1))]
+    assert lu.nnz == sum(sv._factor(sv._assemble(w11, 0.0, w22, g.h, region, parity=p)).nnz
+                         for p in classes)
+
+
+def _one_class_case(N=33, coeffs=(1.0, 0.0, 1.0), centre=None):
+    g = Grid2.disk(N)
+    region = g.region if centre is None else g.subregion(0.5, center=(centre * g.h, 0.0))
+    if coeffs is None:  # per-node coefficients, as in a Newton Jacobian
+        ones = np.ones(int(region.interior.sum()))
+        coeffs = (ones, 0.0 * ones, ones)
+    return g, region, coeffs
+
+
+@pytest.mark.parametrize("case", [dict(coeffs=(1.0, 0.3, 1.0)), dict(N=34), dict(centre=1),
+                                  dict(coeffs=None)],
+                         ids=["cross_term", "even_N", "off_centre_subdisk", "per_node_coefficients"])
+def test_asymmetric_stencils_factor_as_one_class(case):
+    g, region, coeffs = _one_class_case(**case)
+    lu = sv._factor_stencil(*coeffs, g.h, region)
+    ref = sv._factor(sv._assemble(*coeffs, g.h, region))
+    assert not isinstance(lu, sv._ClassFactor)
+    b = philox(8).standard_normal(int(region.interior.sum()))
+    assert lu.nnz == ref.nnz
+    assert np.array_equal(lu.solve(b), ref.solve(b))
+
+
+def test_replacement_class_factor_stores_at_most_60_percent():
+    g = Grid2.disk(129)
+    sub = g.subregion(0.8)
+    plain = sv._factor(sv._assemble(1.0, 0.0, 1.0, g.h, sub)).nnz  # 316,822
+    assert sv._factor_stencil(1.0, 0.0, 1.0, g.h, sub).nnz <= 0.6 * plain
+
+
+def test_refinement_stops_once_a_step_fails_to_halve(monkeypatch):
+    # 9-point N=129 with this boundary: the second refinement step does not
+    # halve the residual, so the solve stops after it instead of running all three
+    rhs_norms = []
+    build = sv._factor_stencil
+
+    class Counting:
+        def __init__(self, lu):
+            self.lu, self.nnz = lu, lu.nnz
+
+        def solve(self, r):
+            rhs_norms.append(float(np.max(np.abs(r))))
+            return self.lu.solve(r)
+
+    monkeypatch.setattr(sv, "_factor_stencil", lambda *a: Counting(build(*a)))
+    g = Grid2.disk(129)
+    u = sv.solve_linear_dirichlet([[1.25, 0.15], [0.15, 1.0]], None,
+                                  lambda x, y: np.sin(2.0 * x) * np.cos(y), g)
+    assert len(rhs_norms) < 4
+    # the first solve gets b, every later one the residual of the iterate before it
+    residuals = rhs_norms[1:]
+    assert all(b <= 0.5 * a for a, b in zip(residuals, residuals[1:]))
+    assert u.meta["residual"] > 0.5 * residuals[-1]
+    assert u.meta["residual"] <= min(residuals)
+
+
 def test_solvers_report_factor_nnz():
     g = Grid2.disk(65)
     sub = g.subregion(0.8)
     lin = sv.solve_laplace_dirichlet(_contract_boundary, g, region=sub)
-    assert lin.meta["factor_nnz"] == sv._factor(sv._assemble(1.0, 0.0, 1.0, g.h, sub)).nnz
+    assert lin.meta["factor_nnz"] == sv._factor_stencil(1.0, 0.0, 1.0, g.h, sub).nnz
+    assert lin.meta["factor_nnz"] < sv._factor(sv._assemble(1.0, 0.0, 1.0, g.h, sub)).nnz
     spec = op.OperatorSpec(1.0, 0.0, 1.0, 0.9, "sine")
     sol = sv.solve_fully_nonlinear(spec, None, _contract_boundary, g)
-    chord = sv._factor(sv._assemble(1.0, 0.0, 1.0, g.h, g.region)).nnz
+    chord = sv._factor_stencil(1.0, 0.0, 1.0, g.h, g.region).nnz
     assert sol.meta["jacobian_refactors"] >= 1
     # the Newton Jacobian carries cross terms, so its 9-point factor is the largest
     assert isinstance(sol.meta["factor_nnz"], int) and sol.meta["factor_nnz"] > chord
