@@ -85,12 +85,6 @@ class QuadraticPolynomial:
     def __add__(self, other: "QuadraticPolynomial") -> "QuadraticPolynomial":
         return QuadraticPolynomial(self.a + other.a, self.b + other.b, self.c + other.c)
 
-    def rescaled(self, scale: float, amplitude: float = 1.0) -> "QuadraticPolynomial":
-        """amplitude * P(x / scale) expanded in physical coordinates."""
-        return QuadraticPolynomial(amplitude * self.a,
-                                   (amplitude / scale) * self.b,
-                                   (amplitude / scale**2) * self.c)
-
 
 def _design(xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
     return np.column_stack([np.ones_like(xi), xi, eta, 0.5 * xi * xi, xi * eta, 0.5 * eta * eta])
@@ -320,10 +314,8 @@ def _iterate(u: GridFunction, spec, ratio: float, kmax: int, f: GridFunction | N
         mask = u.defined & g.ball_mask(radius)
         resid = u.values[mask] - P(g.X[mask], g.Y[mask])
         coef, sup_dev = _fit_ball(g.X[mask] / radius, g.Y[mask] / radius, resid)
-        correction_physical = _coeffs_to_poly(coef).rescaled(radius)
-        P = P + correction_physical
+        P = P + _coeffs_to_poly(_physical(coef, radius, 0.0, 0.0))
         amplitude = ratio ** (2 * k) if mode == "homogeneous" else ratio ** (k * (2 + alpha))
-        correction_scaled = correction_physical.rescaled(1.0 / radius, 1.0 / amplitude)
         f_check = None
         if f is not None:
             fmask = f.defined & g.ball_mask(radius)
@@ -332,8 +324,9 @@ def _iterate(u: GridFunction, spec, ratio: float, kmax: int, f: GridFunction | N
                 f_check = math.sqrt(mean_n) / radius ** (alpha if alpha is not None else 0.0)
         records.append(DecayRecord(
             k=k, radius=radius, poly=QuadraticPolynomial(P.a, P.b.copy(), P.c.copy()),
-            sup_dev=float(sup_dev), correction=correction_scaled, amplitude=amplitude,
-            operator_residual=abs(operators.evaluate(spec, P.c)), f_check=f_check))
+            sup_dev=float(sup_dev), correction=_coeffs_to_poly(coef / amplitude),
+            amplitude=amplitude, operator_residual=abs(operators.evaluate(spec, P.c)),
+            f_check=f_check))
     floor = 1e-13 * max(u.sup(), 1.0)
     pts = [(math.log(r.radius), math.log(r.sup_dev)) for r in records if r.sup_dev > floor]
     if len(pts) >= 3:

@@ -307,24 +307,17 @@ def cmd_cordes(args) -> int:
     f_bound = r.get("f_bound", "analyze", "f_bound", 0.0)
 
     if args.input:
-        u = load_grid(args.input)
-        field = cordes.linearized_field(spec, u)
-        xs, ys = field.x, field.y
-        keps, cdel = field.keps, field.cordesdelta
-        zero_nodes = field.zero_trace_nodes
-        a_stack = np.empty((field.g11.size, 2, 2))
-        a_stack[:, 0, 0] = field.g11
-        a_stack[:, 0, 1] = a_stack[:, 1, 0] = field.g12
-        a_stack[:, 1, 1] = field.g22
-    else:
-        G0 = operators.gradient(spec, np.zeros((2, 2)))
-        xs = np.array([0.0])
-        ys = np.array([0.0])
-        ev = np.linalg.eigvalsh(G0)
-        keps = np.array([cordes.k_eps_margin(ev)])
-        cdel = np.array([cordes.cordes_delta(G0)])
+        field = cordes.linearized_field(spec, load_grid(args.input))
+        xs, ys, entries = field.x, field.y, (field.g11, field.g12, field.g22)
+        keps, cdel, zero_nodes = field.keps, field.cordesdelta, field.zero_trace_nodes
+    else:  # DF at the zero Hessian, one node at the origin
+        entries = operators.gradient_batch(spec, *np.zeros((3, 1)))
+        xs = ys = np.array([0.0])
+        keps, cdel, _ = cordes.margins_2x2(*entries)
         zero_nodes = []
-        a_stack = G0[None, :, :]
+    a_stack = np.empty((xs.size, 2, 2))
+    a_stack[:, 0, 0], a_stack[:, 1, 1] = entries[0], entries[2]
+    a_stack[:, 0, 1] = a_stack[:, 1, 0] = entries[1]
 
     # in 2-D the trace-form margin k'_eps equals k_eps, so keps fills both columns
     lines = ["x,y,keps,kepsprime,cordesdelta"]

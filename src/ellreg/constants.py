@@ -89,6 +89,10 @@ class EllipticityBounds:
         if not self.lam <= self.Lam:
             raise ValueError("lambda must not exceed Lambda")
 
+    def rescaled(self) -> "EllipticityBounds":
+        """Bounds [lam/Lam, Lam/lam] of the operator normalized to DF(0) = I."""
+        return EllipticityBounds(self.lam / self.Lam, self.Lam / self.lam)
+
 
 @dataclass(frozen=True)
 class HolderPair:
@@ -221,9 +225,8 @@ def eps0_tilde(n: int, bounds: EllipticityBounds, alpha_bar: float, ext: Externa
 
 def eps0(n: int, bounds: EllipticityBounds, alpha_bar: float, ext: ExternalConstants):
     """Closeness threshold at general ellipticity: the rescaled cap divided by Lam."""
-    rescaled = EllipticityBounds(bounds.lam / bounds.Lam, bounds.Lam / bounds.lam)
     with mp.workdps(_DPS):
-        return eps0_tilde(n, rescaled, alpha_bar, ext) / mp.mpf(bounds.Lam)
+        return eps0_tilde(n, bounds.rescaled(), alpha_bar, ext) / mp.mpf(bounds.Lam)
 
 
 def c0(n: int, lam: float, eps0_tilde_val, variant: str = "proof"):
@@ -266,7 +269,7 @@ def c1_chain(n: int, bounds: EllipticityBounds, alpha_bar: float, ext: ExternalC
         C0_val = c0(n, bounds.lam, eps_t, c0_variant)
         C0_prime = C0_val * tail
         C1_tilde = C0_prime * 2**ab * factor
-        rescaled = EllipticityBounds(bounds.lam / bounds.Lam, bounds.Lam / bounds.lam)
+        rescaled = bounds.rescaled()
         eps_t_resc = eps0_tilde(n, rescaled, alpha_bar, ext)
         C0_resc = c0(n, rescaled.lam, eps_t_resc, c0_variant)
         C1 = C0_resc * tail * 2**ab * factor * mp.mpf(bounds.Lam) ** (2 + ab)

@@ -43,6 +43,7 @@ __all__ = [
     "k_eps_margin",
     "k_eps_prime_margin",
     "linearized_field",
+    "margins_2x2",
     "nirenberg_constants",
 ]
 
@@ -134,8 +135,7 @@ def nirenberg_constants(a_field, f_bound: float, eps_slack: float) -> NirenbergR
             f"{(1.0 + eps_slack) * max_dev_sq:.6g} >= 1")
     k = 2.0 / (1.0 - (1.0 + eps_slack) * max_dev_sq)
     k1 = (1.0 + 1.0 / eps_slack) * f_bound
-    n = 2
-    threshold = math.inf if n == 2 else (n - 1) / (n - 2)
+    threshold = math.inf  # (n-1)/(n-2) at n = 2
     return NirenbergResult(k=k, k1=k1, max_dev_sq=max_dev_sq, eps_slack=eps_slack,
                            threshold=threshold, threshold_ok=bool(k < threshold))
 
@@ -170,27 +170,33 @@ class CordesFieldReport:
     zero_trace_nodes: list
 
 
-def linearized_field(spec, u: GridFunction) -> CordesFieldReport:
-    """Evaluate DF at the discrete Hessian of u and audit every node."""
-    H = hessian(u)
-    m = H.mask
-    g11, g12, g22 = operators.gradient_batch(spec, H.h11[m], H.h12[m], H.h22[m])
+def margins_2x2(g11, g12, g22):
+    """k_eps and cordes_delta of the symmetric 2x2 matrices with entries
+    g11, g12, g22 (equal-length arrays) in closed form, NaN where the trace
+    vanishes, and the mask of those nodes; raises if every trace vanishes."""
     tr = g11 + g22
     zero = tr == 0.0
-    xs, ys = u.grid.X[m], u.grid.Y[m]
-    zero_nodes = list(zip(xs[zero].tolist(), ys[zero].tolist()))
+    if zero.all():
+        raise ValueError("every node has zero trace")
     with np.errstate(divide="ignore", invalid="ignore"):
         spread = (g11 - g22) ** 2 + 4.0 * g12**2  # (l1 - l2)^2 for 2x2 symmetric
         keps = np.where(zero, np.nan, 1.0 - spread / tr**2)
         hs2 = g11**2 + 2.0 * g12**2 + g22**2
         cdelta = np.where(zero, np.nan, tr**2 / hs2 - 1.0)
-    ok = ~zero
-    if not ok.any():
-        raise ValueError("every node has zero trace")
+    return keps, cdelta, zero
+
+
+def linearized_field(spec, u: GridFunction) -> CordesFieldReport:
+    """Evaluate DF at the discrete Hessian of u and audit every node."""
+    H = hessian(u)
+    m = H.mask
+    g11, g12, g22 = operators.gradient_batch(spec, H.h11[m], H.h12[m], H.h22[m])
+    keps, cdelta, zero = margins_2x2(g11, g12, g22)
+    xs, ys = u.grid.X[m], u.grid.Y[m]
     return CordesFieldReport(
         x=xs, y=ys, g11=g11, g12=g12, g22=g22,
         keps=keps, cordesdelta=cdelta,
-        min_keps=float(np.min(keps[ok])),
-        min_cordes_delta=float(np.min(cdelta[ok])),
-        zero_trace_nodes=zero_nodes,
+        min_keps=float(np.min(keps[~zero])),
+        min_cordes_delta=float(np.min(cdelta[~zero])),
+        zero_trace_nodes=list(zip(xs[zero].tolist(), ys[zero].tolist())),
     )

@@ -175,25 +175,6 @@ class GridFunction:
             raise ValueError("empty evaluation mask")
         return float(np.max(np.abs(self.values[m])))
 
-    def interp(self, px: np.ndarray, py: np.ndarray) -> np.ndarray:
-        """Bilinear interpolation at points; NaN where a cell corner is undefined."""
-        g = self.grid
-        fx = (np.asarray(px) + g.extent) / g.h
-        fy = (np.asarray(py) + g.extent) / g.h
-        i0 = np.clip(np.floor(fx).astype(int), 0, g.N - 2)
-        j0 = np.clip(np.floor(fy).astype(int), 0, g.N - 2)
-        tx = fx - i0
-        ty = fy - j0
-        v = self.values
-        out = (
-            v[i0, j0] * (1 - tx) * (1 - ty)
-            + v[i0 + 1, j0] * tx * (1 - ty)
-            + v[i0, j0 + 1] * (1 - tx) * ty
-            + v[i0 + 1, j0 + 1] * tx * ty
-        )
-        inside = (fx >= 0) & (fx <= g.N - 1) & (fy >= 0) & (fy <= g.N - 1)
-        return np.where(inside, out, np.nan)
-
 
 def save_grid(path, gf: GridFunction) -> None:
     g = gf.grid

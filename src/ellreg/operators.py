@@ -315,13 +315,12 @@ def normalize(op) -> NormalizationResult:
         raise ValueError("DF(0) must be positive definite")
     A = (evecs * (1.0 / np.sqrt(evals))) @ evecs.T
     eff = effective_bounds(op)
-    new_bounds = EllipticityBounds(eff.lam / eff.Lam, eff.Lam / eff.lam)
     eps = float(op.eps)
     new_eps = eps / float(evals[0])
     return NormalizationResult(
         A=A,
         transformed=TransformedOperator(op, A),
-        new_bounds=new_bounds,
+        new_bounds=eff.rescaled(),
         new_eps=new_eps,
         paper_eps_bound=eps * eff.Lam,
     )

@@ -4,13 +4,14 @@ Second derivatives use the central stencils exact on quadratics: the 3-point
 stencil for u_xx/u_yy and the 4-point cross stencil for u_xy.  One sparse
 assembly builds the Jacobian of tr(C D^2_h v) in the interior unknowns
 (5-point for diagonal C, 9-point with cross terms), factored by sparse LU.
-Every factor comes from one builder.  A stencil with scalar coefficients and
-no cross term, on an odd-N region whose masks both axis reflections leave
-unchanged, maps each parity class (the signs of v under x -> -x and
-y -> -y) into itself; the builder then factors one reduced matrix per class
-on a quadrant of the lattice, and with c11 == c22 on a region symmetric
-under x <-> y one factor serves two classes.  Any other stencil, a Newton
-Jacobian among them, is factored whole.  The linear Dirichlet solve factors
+Every factor comes from one builder, given the assembled matrix A.  A stencil
+with scalar coefficients and no cross term, on an odd-N region whose masks
+both axis reflections leave unchanged, maps each parity class (the signs of v
+under x -> -x and y -> -y) into itself; the builder then factors one block per
+class, the rows of A at the class's quadrant nodes times the map that mirrors
+them onto the region, and with c11 == c22 on a region symmetric under x <-> y
+one factor serves two classes.  Any other stencil, a Newton Jacobian among
+them, is factored whole.  The linear Dirichlet solve factors
 tr(W0 D^2_h) once, refines the solution in the full space until a step fails
 to halve the residual, keeps the best iterate and verifies its residual
 against the contract.
@@ -71,11 +72,6 @@ class HessianField:
     h12: np.ndarray
     h22: np.ndarray
     mask: np.ndarray
-
-    def at(self, i: int, j: int) -> np.ndarray:
-        if not self.mask[i, j]:
-            raise StencilError(f"node ({i}, {j}) lacks full stencil support")
-        return operators.sym2(self.h11[i, j], self.h12[i, j], self.h22[i, j])
 
 
 def _hessian_arrays(v: np.ndarray, h: float, mask: np.ndarray):
@@ -142,34 +138,18 @@ def _field_values(f, grid: Grid2, mask: np.ndarray) -> np.ndarray:
 # stencil assembly and factorization
 
 
-def _assemble(c11, c12, c22, h: float, region: SubRegion, parity=None):
+def _assemble(c11, c12, c22, h: float, region: SubRegion):
     """Sparse matrix of v -> tr(C D^2_h v) in the interior unknowns of region,
-    for scalar or per-interior-node coefficients; boundary neighbours drop out.
-
-    With parity (sx, sy), for a stencil and region that both axis reflections
-    leave unchanged, it is the matrix on the functions with
-    v(-x, y) = sx v(x, y) and v(x, -y) = sy v(x, y): the unknowns are
-    _class_unknowns' nodes, and a neighbour across an axis reads its mirror
-    image times the sign.
-    """
+    for scalar or per-interior-node coefficients; boundary neighbours drop out."""
     from scipy.sparse import coo_matrix  # deferred: constants and cordes runs never assemble
 
     interior, boundary = region.interior, region.boundary
-    unknown = interior if parity is None else _class_unknowns(interior, *parity)
-    m = int(unknown.sum())
+    m = int(interior.sum())
     if m == 0:
         raise SolverError("region has no interior nodes")
     idx = np.full(interior.shape, -1, dtype=np.int64)
-    idx[unknown] = np.arange(m)
-    ii, jj = np.nonzero(unknown)
-    if parity is not None:
-        # a node across an axis stands for its mirror image times the sign
-        mid = interior.shape[0] // 2
-        sign = np.ones(interior.shape)
-        idx[:mid] = idx[:mid:-1]
-        sign[:mid] *= parity[0]
-        idx[:, :mid] = idx[:, :mid:-1]
-        sign[:, :mid] *= parity[1]
+    idx[interior] = np.arange(m)
+    ii, jj = np.nonzero(interior)
     inv = 1.0 / (h * h)
     a, b, c = (np.broadcast_to(np.asarray(x, dtype=float) * inv, (m,)) for x in (c11, c12, c22))
     terms = [((0, 0), -2.0 * (a + c)), ((1, 0), a), ((-1, 0), a), ((0, 1), c), ((0, -1), c)]
@@ -184,8 +164,6 @@ def _assemble(c11, c12, c22, h: float, region: SubRegion, parity=None):
             raise SolverError("interior stencil reaches an undefined node")
         nbr = idx[ni, nj]
         is_int = nbr >= 0
-        if parity is not None:
-            coeff = coeff * sign[ni, nj]
         rows.append(np.flatnonzero(is_int))
         cols.append(nbr[is_int])
         vals.append(coeff[is_int])
@@ -238,14 +216,27 @@ def _factor(A):
 _PARITY_CLASSES = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
-def _class_unknowns(interior: np.ndarray, sx: int, sy: int) -> np.ndarray:
-    """Interior nodes with x, y >= 0 that carry a class's values: an odd sign
-    forces v to zero on its axis, so those axis nodes drop out."""
-    mid = interior.shape[0] // 2
-    out = np.zeros_like(interior)
-    i0, j0 = mid + (sx < 0), mid + (sy < 0)
-    out[i0:, j0:] = interior[i0:, j0:]
-    return out
+def _class_map(idx: np.ndarray, sx: int, sy: int):
+    """On a region numbered by idx (-1 off the interior) that both axis
+    reflections leave unchanged: a class's unknowns, its interior nodes with
+    x, y >= 0 (an odd sign forces v to zero on its axis), as indices of the
+    stencil matrix; the sparse map E copying each one to its mirror images
+    times the class's signs; and the number of those images."""
+    from scipy.sparse import csr_matrix
+
+    mid = idx.shape[0] // 2
+    quad = np.s_[mid + (sx < 0):, mid + (sy < 0):]
+    rows = idx[quad][idx[quad] >= 0]
+    col = np.full(idx.shape, -1, dtype=np.int64)
+    col[quad][idx[quad] >= 0] = np.arange(rows.size)
+    # a node across an axis is its mirror image times the sign
+    sign = np.ones(idx.shape)
+    col[:mid], sign[:mid] = col[:mid:-1], sx
+    col[:, :mid], sign[:, :mid] = col[:, :mid:-1], sy * sign[:, :mid]
+    c, s = col[idx >= 0], sign[idx >= 0]
+    on = c >= 0
+    E = csr_matrix((s[on], (np.flatnonzero(on), c[on])), shape=(c.size, rows.size))
+    return rows, E, np.bincount(c[on], minlength=rows.size)
 
 
 def _reflection_symmetric(c11, c12, c22, region: SubRegion) -> bool:
@@ -261,60 +252,47 @@ def _reflection_symmetric(c11, c12, c22, region: SubRegion) -> bool:
 
 class _ClassFactor:
     """Solves A x = r for a reflection-symmetric stencil matrix A from one LU
-    factor per parity class.  When c11 == c22 and the masks are also symmetric
-    under x <-> y, the (-, +) class is the transpose of the (+, -) one and
-    reuses its factor.  nnz sums the entries of the distinct factors."""
+    factor per parity class: with _class_map's rows, E and image counts mult,
+    the block A[rows] @ E, and x = sum over classes of E lu.solve(E^T r / mult).
+    When c11 == c22 and the masks are also symmetric under x <-> y, the (-, +)
+    class is the (+, -) one with x and y swapped: it reuses that factor with the
+    rows of E permuted by the swap.  nnz sums the distinct factors' entries."""
 
-    def __init__(self, c11, c22, h: float, region: SubRegion):
+    def __init__(self, A, c11, c22, region: SubRegion):
         interior = region.interior
-        mid = interior.shape[0] // 2
-        self._interior, self._mid = interior, mid
+        idx = np.full(interior.shape, -1, dtype=np.int64)
+        idx[interior] = np.arange(A.shape[0])
         share = c11 == c22 and all(np.array_equal(m, m.T)
                                    for m in (interior, region.boundary))
-        factors = {}  # class -> (its unknowns on the quadrant x, y >= 0, LU factor)
-        self._blocks = []  # (sx, sy, unknowns, factor, solved through the transpose)
+        self._blocks = {}  # class -> (E, image counts, LU factor of its block)
+        self.nnz = 0
         for sx, sy in _PARITY_CLASSES:
             if share and (sx, sy) == (-1, 1):
-                if (1, -1) in factors:
-                    self._blocks.append((sx, sy, *factors[1, -1], True))
+                if (1, -1) in self._blocks:
+                    E, mult, lu = self._blocks[1, -1]
+                    self._blocks[sx, sy] = (E[idx.T[interior]], mult, lu)
                 continue
-            unknown = _class_unknowns(interior, sx, sy)
-            # (+, +) holds every quadrant node, so _assemble raises on an empty
-            # region; another class may be empty on a region a node wide
-            if (sx, sy) != (1, 1) and not unknown.any():
-                continue
-            lu = _factor(_assemble(c11, 0.0, c22, h, region, parity=(sx, sy)))
-            factors[sx, sy] = (unknown[mid:, mid:], lu)
-            self._blocks.append((sx, sy, *factors[sx, sy], False))
-        self.nnz = sum(lu.nnz for _, lu in factors.values())
+            rows, E, mult = _class_map(idx, sx, sy)
+            if rows.size:  # on a region a node wide the odd classes are empty
+                # A is symmetric here, so its columns at rows are the rows A[rows]
+                lu = _factor((A[:, rows].T @ E).tocsc())
+                self._blocks[sx, sy] = (E, mult, lu)
+                self.nnz += lu.nnz
 
     def solve(self, r: np.ndarray) -> np.ndarray:
-        mid = self._mid
-        R = np.zeros(self._interior.shape)
-        R[self._interior] = r
-        # r and its mirror images, each on the quadrant x, y >= 0
-        quad = (R[mid:, mid:], R[mid::-1, mid:], R[mid:, mid::-1], R[mid::-1, mid::-1])
-        X = np.zeros_like(R)
-        for sx, sy, unknown, lu, transposed in self._blocks:
-            proj = 0.25 * (quad[0] + sx * quad[1] + sy * quad[2] + sx * sy * quad[3])
-            yq = np.zeros_like(proj)
-            yq[unknown] = lu.solve((proj.T if transposed else proj)[unknown])
-            if transposed:
-                yq = yq.T
-            # extend the quadrant solution by the class's signs; its rows and
-            # columns on an odd axis are zero
-            half = np.concatenate([sx * yq[:0:-1], yq])
-            X += np.concatenate([sy * half[:, :0:-1], half], axis=1)
-        return X[self._interior]
+        x = np.zeros_like(r)
+        for E, mult, lu in self._blocks.values():
+            x += E @ lu.solve((E.T @ r) / mult)
+        return x
 
 
-def _factor_stencil(c11, c12, c22, h: float, region: SubRegion, A=None):
-    """Factor of the stencil matrix of tr(C D^2_h) on region, with .solve(r)
-    and .nnz: split by parity class when _reflection_symmetric holds, else one
-    LU factor of A (assembled here when not given)."""
+def _factor_stencil(A, c11, c12, c22, region: SubRegion):
+    """Factor of A, the stencil matrix of tr(C D^2_h) on region that _assemble
+    built, with .solve(r) and .nnz: split by parity class when
+    _reflection_symmetric holds, else one LU factor of A."""
     if _reflection_symmetric(c11, c12, c22, region):
-        return _ClassFactor(c11, c22, h, region)
-    return _factor(_assemble(c11, c12, c22, h, region) if A is None else A)
+        return _ClassFactor(A, c11, c22, region)
+    return _factor(A)
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +317,7 @@ def solve_linear_dirichlet(W0, f, g, grid: Grid2, region: SubRegion | None = Non
     # the stencil applied to the boundary data alone is the boundary's share
     g11, g12, g22 = _hessian_arrays(gfull, grid.h, interior)
     b = ffull[interior] - (w11 * g11 + 2.0 * w12 * g12 + w22 * g22)
-    lu = _factor_stencil(w11, w12, w22, grid.h, region, A)
+    lu = _factor_stencil(A, w11, w12, w22, region)
     x = lu.solve(b)
     scale = max(float(np.max(np.abs(gfull[boundary]), initial=0.0)),
                 float(np.max(np.abs(ffull[interior]), initial=0.0))) or 1.0
@@ -405,7 +383,8 @@ def solve_fully_nonlinear(spec, f, g, grid: Grid2, region: SubRegion | None = No
     h = grid.h
     f_int = ffull[interior]
     v = gfull.copy()
-    lu = _factor_stencil(spec.w11, spec.w12, spec.w22, h, region)
+    lu = _factor_stencil(_assemble(spec.w11, spec.w12, spec.w22, h, region),
+                         spec.w11, spec.w12, spec.w22, region)
     factor_nnz = lu.nnz
 
     history: list[float] = []
@@ -428,7 +407,8 @@ def solve_fully_nonlinear(spec, f, g, grid: Grid2, region: SubRegion | None = No
             raise SolverError(f"residual diverging (grew for {grow} consecutive sweeps)")
         if res > _SLOW_CONTRACTION * prev:
             lu = None  # release the old factor before the new one is built
-            lu = _factor_stencil(*operators.gradient_batch(spec, *H), h, region)
+            coeffs = operators.gradient_batch(spec, *H)
+            lu = _factor_stencil(_assemble(*coeffs, h, region), *coeffs, region)
             factor_nnz = max(factor_nnz, lu.nnz)
             refactors += 1
         prev = res

@@ -122,6 +122,22 @@ def test_linearized_field_constant_coefficients(disk33):
     assert np.allclose(rep2.keps, cd.k_eps_prime_margin([1.0, 2.0]), atol=1e-14)
 
 
+def test_closed_form_margins_match_the_general_ones():
+    rng = philox(29)
+    g11, g22 = rng.uniform(0.1, 3.0, (2, 50))
+    g12 = rng.uniform(-1.0, 1.0, 50) * np.sqrt(g11 * g22)
+    g11[0], g22[0] = 1.0, -1.0  # a zero trace
+    keps, cdelta, zero = cd.margins_2x2(g11, g12, g22)
+    assert zero.tolist() == [True] + [False] * 49
+    assert np.isnan(keps[0]) and np.isnan(cdelta[0])
+    for a, b, c, k, d in list(zip(g11, g12, g22, keps, cdelta))[1:]:
+        A = np.array([[a, b], [b, c]])
+        assert k == pytest.approx(cd.k_eps_margin(np.linalg.eigvalsh(A)), rel=0, abs=1e-13)
+        assert d == pytest.approx(cd.cordes_delta(A), rel=1e-14)
+    with pytest.raises(ValueError, match="every node has zero trace"):
+        cd.margins_2x2(g11[:1], g12[:1], g22[:1])
+
+
 def test_linearized_field_perturbed_solution(disk65, sine_spec):
     u = solve_fully_nonlinear(sine_spec, None, saddle, disk65)
     rep = cd.linearized_field(sine_spec, u)

@@ -262,21 +262,58 @@ def _symmetric_stencils(draw):
     return g, region, w11, w22, draw(st.integers(0, 2**32 - 1))
 
 
+def _numbering(region):
+    idx = np.full(region.interior.shape, -1, dtype=np.int64)
+    idx[region.interior] = np.arange(int(region.interior.sum()))
+    return idx
+
+
 @settings(max_examples=60, deadline=None)
 @given(_symmetric_stencils())
 def test_class_factor_matches_plain_factor(case):
     g, region, w11, w22, seed = case
-    lu = sv._factor_stencil(w11, 0.0, w22, g.h, region)
+    A = sv._assemble(w11, 0.0, w22, g.h, region)
+    lu = sv._factor_stencil(A, w11, 0.0, w22, region)
     assert isinstance(lu, sv._ClassFactor)
-    b = philox(seed).standard_normal(int(region.interior.sum()))
-    want = sv._factor(sv._assemble(w11, 0.0, w22, g.h, region)).solve(b)
+    b = philox(seed).standard_normal(A.shape[0])
+    want = sv._factor(A).solve(b)
     assert np.max(np.abs(lu.solve(b) - want)) <= 1e-12 * np.max(np.abs(want))
     # nnz sums the distinct factors: with w11 == w22, (-, +) reuses (+, -)'s
-    classes = [p for p in sv._PARITY_CLASSES
-               if sv._class_unknowns(region.interior, *p).any()
-               and not (w11 == w22 and p == (-1, 1))]
-    assert lu.nnz == sum(sv._factor(sv._assemble(w11, 0.0, w22, g.h, region, parity=p)).nnz
-                         for p in classes)
+    maps = [sv._class_map(_numbering(region), *p) for p in sv._PARITY_CLASSES
+            if not (w11 == w22 and p == (-1, 1))]
+    assert lu.nnz == sum(sv._factor((A[rows] @ E).tocsc()).nnz for rows, E, _ in maps if rows.size)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_symmetric_stencils())
+def test_class_maps_resolve_the_identity(case):
+    from scipy.sparse import diags, identity
+
+    _, region, *_ = case
+    idx = _numbering(region)
+    maps = {p: sv._class_map(idx, *p)[1:] for p in sv._PARITY_CLASSES}
+    projector = {p: E @ diags(1.0 / mult) @ E.T for p, (E, mult) in maps.items()}
+    total = sum(projector.values())
+    assert abs(total - identity(idx.max() + 1)).max() == 0.0
+    # the shared (-, +) map, (+, -)'s with its rows swapped by x <-> y, spans
+    # the same class
+    E, mult = maps[1, -1]
+    swapped = E[idx.T[region.interior]]
+    assert abs(swapped @ diags(1.0 / mult) @ swapped.T - projector[-1, 1]).max() == 0.0
+
+
+@pytest.mark.parametrize("radius_h", [0.5, 1.2], ids=["single_node", "plus_sign"])
+def test_class_factor_on_thin_regions(radius_h):
+    # one interior node leaves three classes empty, a plus sign leaves (-, -) empty
+    g = Grid2.disk(33)
+    region = g.subregion(radius_h * g.h)
+    A = sv._assemble(1.0, 0.0, 1.0, g.h, region)
+    assert A.shape[0] == (1 if radius_h < 1 else 5)
+    lu = sv._factor_stencil(A, 1.0, 0.0, 1.0, region)
+    assert isinstance(lu, sv._ClassFactor)
+    b = philox(9).standard_normal(A.shape[0])
+    want = sv._factor(A).solve(b)
+    assert np.max(np.abs(lu.solve(b) - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def _one_class_case(N=33, coeffs=(1.0, 0.0, 1.0), centre=None):
@@ -293,8 +330,9 @@ def _one_class_case(N=33, coeffs=(1.0, 0.0, 1.0), centre=None):
                          ids=["cross_term", "even_N", "off_centre_subdisk", "per_node_coefficients"])
 def test_asymmetric_stencils_factor_as_one_class(case):
     g, region, coeffs = _one_class_case(**case)
-    lu = sv._factor_stencil(*coeffs, g.h, region)
-    ref = sv._factor(sv._assemble(*coeffs, g.h, region))
+    A = sv._assemble(*coeffs, g.h, region)
+    lu = sv._factor_stencil(A, *coeffs, region)
+    ref = sv._factor(A)
     assert not isinstance(lu, sv._ClassFactor)
     b = philox(8).standard_normal(int(region.interior.sum()))
     assert lu.nnz == ref.nnz
@@ -304,8 +342,9 @@ def test_asymmetric_stencils_factor_as_one_class(case):
 def test_replacement_class_factor_stores_at_most_60_percent():
     g = Grid2.disk(129)
     sub = g.subregion(0.8)
-    plain = sv._factor(sv._assemble(1.0, 0.0, 1.0, g.h, sub)).nnz  # 316,822
-    assert sv._factor_stencil(1.0, 0.0, 1.0, g.h, sub).nnz <= 0.6 * plain
+    A = sv._assemble(1.0, 0.0, 1.0, g.h, sub)
+    plain = sv._factor(A).nnz  # 316,822
+    assert sv._factor_stencil(A, 1.0, 0.0, 1.0, sub).nnz <= 0.6 * plain
 
 
 def test_refinement_stops_once_a_step_fails_to_halve(monkeypatch):
@@ -338,11 +377,13 @@ def test_solvers_report_factor_nnz():
     g = Grid2.disk(65)
     sub = g.subregion(0.8)
     lin = sv.solve_laplace_dirichlet(_contract_boundary, g, region=sub)
-    assert lin.meta["factor_nnz"] == sv._factor_stencil(1.0, 0.0, 1.0, g.h, sub).nnz
-    assert lin.meta["factor_nnz"] < sv._factor(sv._assemble(1.0, 0.0, 1.0, g.h, sub)).nnz
+    A = sv._assemble(1.0, 0.0, 1.0, g.h, sub)
+    assert lin.meta["factor_nnz"] == sv._factor_stencil(A, 1.0, 0.0, 1.0, sub).nnz
+    assert lin.meta["factor_nnz"] < sv._factor(A).nnz
     spec = op.OperatorSpec(1.0, 0.0, 1.0, 0.9, "sine")
     sol = sv.solve_fully_nonlinear(spec, None, _contract_boundary, g)
-    chord = sv._factor_stencil(1.0, 0.0, 1.0, g.h, g.region).nnz
+    chord = sv._factor_stencil(sv._assemble(1.0, 0.0, 1.0, g.h, g.region),
+                               1.0, 0.0, 1.0, g.region).nnz
     assert sol.meta["jacobian_refactors"] >= 1
     # the Newton Jacobian carries cross terms, so its 9-point factor is the largest
     assert isinstance(sol.meta["factor_nnz"], int) and sol.meta["factor_nnz"] > chord
