@@ -176,9 +176,12 @@ def _taylor_at_center(h_fun: GridFunction) -> QuadraticPolynomial:
     return QuadraticPolynomial(float(v[1, 1]), b, np.array([[c11, c12], [c12, c22]]))
 
 
+_REPLACE_RADIUS = 0.8  # radius of the harmonic-replacement disk
+_DEVIATION_RADIUS = 0.25  # radius of the ball the step's deviations are taken on
+
+
 def improvement_step(u: GridFunction, spec, constants: ConstantsReport | None = None,
-                     gamma_used: float | None = None, r_used: float = 0.25,
-                     replace_radius: float = 0.8):
+                     gamma_used: float | None = None):
     """Mollify, replace harmonically on the inner disk, take the second-order
     Taylor polynomial of the replacement at the origin, then move it onto the
     operator's zero set with a scalar correction c |x|^2 ||D^2 h(0)|| / (2 lam)
@@ -187,16 +190,16 @@ def improvement_step(u: GridFunction, spec, constants: ConstantsReport | None = 
     Returns the corrected polynomial and a report of every measured quantity,
     including the harmonic-derivative bound check ||D^2 h(0)|| <= (25/4) n^2 M.
     The documented closed-form radii are far below any lattice resolution, so
-    gamma defaults to 4h and the deviation ball to r_used; the literal
+    gamma defaults to 4h and the deviation ball to _DEVIATION_RADIUS; the literal
     constants live in the constants module.
     """
     g = u.grid
     if gamma_used is None:
         gamma_used = 4.0 * g.h
-    if replace_radius + gamma_used + 2.0 * g.h >= g.extent:
+    if _REPLACE_RADIUS + gamma_used + 2.0 * g.h >= g.extent:
         raise ValueError("domain too small for mollification plus replacement collar")
     u_moll = mollify(u, gamma_used)
-    sub = g.subregion(replace_radius)
+    sub = g.subregion(_REPLACE_RADIUS)
     if (sub.defined & ~u_moll.defined).any():
         raise ValueError("mollified data does not cover the replacement disk")
     h_fun = solve_laplace_dirichlet(u_moll, g, region=sub)
@@ -232,7 +235,7 @@ def improvement_step(u: GridFunction, spec, constants: ConstantsReport | None = 
         c_corr = 0.5 * (lo + hi)
         P = QuadraticPolynomial(P0.a, P0.b, P0.c + c_corr * shift)
 
-    ball = g.ball_mask(r_used)
+    ball = g.ball_mask(_DEVIATION_RADIUS)
     both = sub.defined & u.defined
     diff_uh = np.abs(u.values - h_fun.values)
     sup_u_minus_h = float(np.max(diff_uh[both]))
@@ -241,7 +244,7 @@ def improvement_step(u: GridFunction, spec, constants: ConstantsReport | None = 
     up = np.abs(u.values - P(g.X, g.Y))
     sup_u_minus_p = float(np.max(up[u.defined & ball]))
     report = StepReport(
-        gamma_used=gamma_used, r_used=r_used, replace_radius=replace_radius,
+        gamma_used=gamma_used, r_used=_DEVIATION_RADIUS, replace_radius=_REPLACE_RADIUS,
         sup_u=M, sup_u_minus_h=sup_u_minus_h, sup_h_minus_p=sup_h_minus_p,
         sup_u_minus_p=sup_u_minus_p, d2h_norm=d2h_norm, d2h_bound=d2h_bound,
         d2h_bound_ok=bool(d2h_norm <= d2h_bound * (1 + 1e-12)),
@@ -393,15 +396,16 @@ _CENTER_CHUNK = 256  # centers per multi-column solve; bounds the value block at
 # centers per residual product: 8 N^2 doubles, 4 MB at N = 257 and 17 MB at N = 513;
 # 4-16 centers ran equally fast at N = 257 and 4-8 at N = 513, fewer or more slower
 _RESIDUAL_BLOCK = 8
+_FIT_STRIDE = 2  # centers on every second lattice row and column
+_FIT_RADIUS = 0.3
 
 
-def pointwise_fit_constants(u: GridFunction, alpha: float, region_radius: float = 0.25,
-                            stride: int = 2, fit_radius: float = 0.3):
+def pointwise_fit_constants(u: GridFunction, alpha: float, region_radius: float = 0.25):
     """Per-center quadratic fits with their pointwise Hoelder constants
     K_c = max_x |u(x) - P_c(x)| / |x - c|^(2+alpha) over the whole domain.
 
     Centers are lattice nodes, so ball membership is decided in integer
-    offsets, (di^2 + dj^2) h^2 <= (fit_radius (1 + 1e-12))^2, and every center
+    offsets, (di^2 + dj^2) h^2 <= (_FIT_RADIUS (1 + 1e-12))^2, and every center
     whose offset ball lies on defined nodes shares one design matrix: those
     centers are fitted by one multi-column least-squares solve per chunk of
     at most 256 centers.  A center whose ball is clipped by the domain is
@@ -418,23 +422,23 @@ def pointwise_fit_constants(u: GridFunction, alpha: float, region_radius: float 
     n = g.N
     centers_mask = u.defined & (np.hypot(g.X, g.Y) <= region_radius * (1.0 + 1e-12))
     ii, jj = np.nonzero(centers_mask)
-    keep = (ii % stride == 0) & (jj % stride == 0)
+    keep = (ii % _FIT_STRIDE == 0) & (jj % _FIT_STRIDE == 0)
     ii, jj = ii[keep], jj[keep]
     if not len(ii):
         raise ValueError("no fit centers inside the requested region")
-    reach = fit_radius * (1.0 + 1e-12)
+    reach = _FIT_RADIUS * (1.0 + 1e-12)
     m = int(reach / g.h) + 1
     di, dj = np.mgrid[-m:m + 1, -m:m + 1]
     ball = (di * di + dj * dj) * g.h**2 <= reach**2
     di, dj = di[ball], dj[ball]
     if len(di) < 12:
-        raise ValueError(f"ball of radius {fit_radius} holds {len(di)} nodes; need at least 12")
+        raise ValueError(f"ball of radius {_FIT_RADIUS} holds {len(di)} nodes; need at least 12")
     values = u.filled(np.nan)
     # NaN off the defined nodes and in a frame wide enough for every offset ball
     padded = np.pad(values, m, constant_values=np.nan)
     offsets = di * padded.shape[1] + dj
     flat = (ii + m) * padded.shape[1] + (jj + m)
-    design = _design(di * g.h / fit_radius, dj * g.h / fit_radius)
+    design = _design(di * g.h / _FIT_RADIUS, dj * g.h / _FIT_RADIUS)
     cx, cy = g.X[ii, jj], g.Y[ii, jj]
 
     # physical coefficient rows (a, b1, b2, c11, c12, c22), one column per center
@@ -446,10 +450,10 @@ def pointwise_fit_constants(u: GridFunction, alpha: float, region_radius: float 
         full = ~np.isnan(vals).any(axis=0)
         if full.any():
             cols = np.flatnonzero(full) + lo
-            coef[:, cols] = _physical(_lstsq6(design, vals[:, full]), fit_radius,
+            coef[:, cols] = _physical(_lstsq6(design, vals[:, full]), _FIT_RADIUS,
                                       cx[cols], cy[cols])
         for c in np.flatnonzero(~full) + lo:
-            poly = fit_quadratic(u, (cx[c], cy[c]), fit_radius)[0]
+            poly = fit_quadratic(u, (cx[c], cy[c]), _FIT_RADIUS)[0]
             coef[:, c] = poly.a, poly.b[0], poly.b[1], poly.c[0, 0], poly.c[0, 1], poly.c[1, 1]
             clipped[c] = poly
 

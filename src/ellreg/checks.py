@@ -219,7 +219,7 @@ def pointwise_suite(scale: dict, seed: int) -> list:
             return base + bump + wave
 
         u = GridFunction.from_callable(g, fn)
-        fits = campanato.pointwise_fit_constants(u, alpha, region_radius=0.25, stride=2)
+        fits = campanato.pointwise_fit_constants(u, alpha, region_radius=0.25)
         certified = campanato.pointwise_to_holder(fits, alpha)
         measured = campanato.discrete_hessian_seminorm(u, alpha, radius=0.25)
         dominated &= certified >= measured

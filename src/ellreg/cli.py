@@ -2,16 +2,17 @@
 
 Subcommands: constants, solve, analyze, cordes, selftest.  Run parameters
 come from an INI-style config file (sections [grid], [operator], [constants],
-[solve], [analyze], [run]) with command-line flags overriding file values.
+[solve], [analyze]) with command-line flags overriding file values; a key
+that no subcommand declares is rejected, so one config file serves them all.
 All outputs are deterministic: identical config plus seed yields byte
 identical files.  Randomized audits draw from counter-based Philox
 generators keyed by the single 64-bit run seed.
 
 Exit codes: 0 success / condition satisfied; 1 condition not satisfied;
-2 usage or validation error (including analyze on an even N, which has no
-center node, analyze with an operator whose ellipticity bounds fall outside
-the [constants] lambda/Lambda, and a grid file with an infinite value);
-3 numerical failure.
+2 usage or validation error (including an unknown config key, a config value
+its type rejects, analyze on an even N, which has no center node, analyze
+with an operator whose ellipticity bounds fall outside the [constants]
+lambda/Lambda, and a grid file with an infinite value); 3 numerical failure.
 
 selftest runs the acceptance check registry (ellreg.checks) at its reduced
 scale, with every Philox key set to the run seed.
@@ -66,23 +67,6 @@ def _emit(text: str, path: str | None) -> None:
         sys.stdout.write(text)
 
 
-class _Resolver:
-    """Flag value if given, else config value, else fallback."""
-
-    def __init__(self, args, cfg: configparser.ConfigParser):
-        self.args = args
-        self.cfg = cfg
-
-    def get(self, attr: str, section: str, key: str, fallback, cast=float):
-        val = getattr(self.args, attr, None)
-        if val is not None:
-            return val
-        if self.cfg.has_option(section, key):
-            raw = self.cfg.get(section, key)
-            return raw if cast is str else cast(raw)
-        return fallback
-
-
 def _load_config(path: str | None) -> configparser.ConfigParser:
     cfg = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     # Keys are case-sensitive: [constants] needs both lambda and Lambda.
@@ -111,42 +95,15 @@ def _profile(name: str):
     return PROFILES[name]
 
 
-def _build_grid(r: _Resolver) -> Grid2:
-    shape = r.get("grid_shape", "grid", "shape", "disk", cast=str)
-    n = int(r.get("grid_n", "grid", "n", 129, cast=int))
-    extent = r.get("extent", "grid", "extent", 1.0)
-    return Grid2(shape, n, extent)
+def _build_spec(args) -> operators.OperatorSpec:
+    return operators.OperatorSpec(args.w11, args.w12, args.w22, args.eps, args.perturbation)
 
 
-def _build_spec(r: _Resolver) -> operators.OperatorSpec:
-    return operators.OperatorSpec(
-        w11=r.get("w11", "operator", "w11", 1.0),
-        w12=r.get("w12", "operator", "w12", 0.0),
-        w22=r.get("w22", "operator", "w22", 1.0),
-        eps=r.get("eps", "operator", "eps", 0.0),
-        perturbation=r.get("perturbation", "operator", "perturbation", "none", cast=str),
-    )
-
-
-def _build_constants_inputs(r: _Resolver):
-    n = int(r.get("n", "constants", "n", 2, cast=int))
-    bounds = constants.EllipticityBounds(
-        r.get("lam", "constants", "lambda", 1.0),
-        r.get("Lam", "constants", "Lambda", 1.0),
-    )
-    pair = constants.HolderPair(
-        alpha_bar=r.get("alpha_bar", "constants", "alpha_bar", 0.5),
-        alpha=r.get("alpha", "constants", "alpha", 0.25),
-    )
-    ext = constants.ExternalConstants(
-        K1=r.get("K1", "constants", "K1", 1.0),
-        alpha0=r.get("alpha0", "constants", "alpha0", 0.1),
-        C_prime=r.get("C_prime", "constants", "C_prime", 1.0),
-        K2=r.get("K2", "constants", "K2", 1.0),
-        C3=r.get("C3", "constants", "C3", 1.0),
-    )
-    variant = r.get("c0_variant", "constants", "c0_variant", "proof", cast=str)
-    return n, bounds, pair, ext, variant
+def _build_constants_inputs(args):
+    return (args.n, constants.EllipticityBounds(args.lam, args.Lam),
+            constants.HolderPair(args.alpha_bar, args.alpha),
+            constants.ExternalConstants(args.K1, args.alpha0, args.C_prime, args.K2, args.C3),
+            args.c0_variant)
 
 
 # ---------------------------------------------------------------------------
@@ -154,39 +111,30 @@ def _build_constants_inputs(r: _Resolver):
 
 
 def cmd_constants(args) -> int:
-    cfg = _load_config(args.config)
-    r = _Resolver(args, cfg)
-    n, bounds, pair, ext, variant = _build_constants_inputs(r)
+    n, bounds, pair, ext, variant = _build_constants_inputs(args)
     report = constants.build_report(n, bounds, pair, ext, variant)
     _emit(constants.report_to_json(report), args.output)
     return EXIT_OK if report.all_checks_pass() else EXIT_UNSATISFIED
 
 
-def _solve_from_config(r: _Resolver, grid: Grid2):
-    spec = _build_spec(r)
-    gname = r.get("boundary", "solve", "boundary", "quadratic_saddle", cast=str)
-    fname = r.get("source", "solve", "source", "zero", cast=str)
-    ffile = r.get("source_file", "solve", "source_file", None, cast=str)
-    tol = r.get("tol", "solve", "tol", None)
-    max_sweeps = int(r.get("max_sweeps", "solve", "max_sweeps", 1_000_000, cast=int))
-    g = _profile(gname)
-    if ffile:
-        f = load_grid(ffile)
+def _solve_from_args(args, spec, grid: Grid2):
+    g = _profile(args.boundary)
+    if args.source_file:
+        f = load_grid(args.source_file)
         if f.grid.N != grid.N or f.grid.extent != grid.extent:
             raise ValueError("source grid file does not match the run lattice")
-    elif fname == "zero":
+    elif args.source == "zero":
         f = None
     else:
-        f = GridFunction.from_callable(grid, _profile(fname))
-    u = solver.solve_fully_nonlinear(spec, f, g, grid, tol=tol, max_sweeps=max_sweeps)
-    return spec, f, u
+        f = GridFunction.from_callable(grid, _profile(args.source))
+    u = solver.solve_fully_nonlinear(spec, f, g, grid, tol=args.tol, max_sweeps=args.max_sweeps)
+    return f, u
 
 
 def cmd_solve(args) -> int:
-    cfg = _load_config(args.config)
-    r = _Resolver(args, cfg)
-    grid = _build_grid(r)
-    spec, f, u = _solve_from_config(r, grid)
+    grid = Grid2(args.grid_shape, args.grid_n, args.extent)
+    spec = _build_spec(args)
+    f, u = _solve_from_args(args, spec, grid)
     save_grid(args.output, u)
     summary = {
         "final_residual": u.meta["residual"],
@@ -205,10 +153,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    cfg = _load_config(args.config)
-    r = _Resolver(args, cfg)
-    spec = _build_spec(r)
-    n, bounds, pair, ext, variant = _build_constants_inputs(r)
+    spec = _build_spec(args)
+    n, bounds, pair, ext, variant = _build_constants_inputs(args)
     eff = operators.effective_bounds(spec)
     if eff.lam < bounds.lam * (1.0 - 1e-12) or eff.Lam > bounds.Lam * (1.0 + 1e-12):
         raise ValueError(
@@ -219,35 +165,31 @@ def cmd_analyze(args) -> int:
         u, f = load_grid(args.input), None
         grid = u.grid
     else:
-        grid = _build_grid(r)
+        grid = Grid2(args.grid_shape, args.grid_n, args.extent)
     if grid.N % 2 == 0:
         raise ValueError(f"analyze needs a center node: N must be odd, got {grid.N}")
     if not args.input:
-        spec, f, u = _solve_from_config(r, grid)
-
-    rho = r.get("rho", "analyze", "rho", 0.5)
-    kmax = int(r.get("kmax", "analyze", "kmax", 4, cast=int))
-    alpha = r.get("alpha", "constants", "alpha", 0.25)
-    subsample = int(r.get("subsample", "analyze", "subsample", 1089, cast=int))
+        f, u = _solve_from_args(args, spec, grid)
 
     if f is None:
-        table = campanato.campanato_iterate(u, spec, rho=rho, kmax=kmax)
+        table = campanato.campanato_iterate(u, spec, rho=args.rho, kmax=args.kmax)
     else:
-        table = campanato.inhomogeneous_iterate(u, spec, f, mu=rho, kmax=kmax, alpha=alpha)
+        table = campanato.inhomogeneous_iterate(u, spec, f, mu=args.rho, kmax=args.kmax,
+                                                alpha=args.alpha)
     if table.truncated:
         warnings.append(f"decay table truncated: scale {len(table.records)} under-resolved")
 
     report = constants.build_report(n, bounds, pair, ext, variant)
-    cert = campanato.certificate_check(u, spec, f, report, bounds, subsample=subsample)
+    cert = campanato.certificate_check(u, spec, f, report, bounds, subsample=args.subsample)
 
     pointwise_payload = None
     if args.pointwise:
         fits = campanato.pointwise_fit_constants(
-            u, alpha, region_radius=min(0.25 * grid.extent, grid.extent - 4 * grid.h))
+            u, args.alpha, region_radius=min(0.25 * grid.extent, grid.extent - 4 * grid.h))
         pointwise_payload = {
-            "certified_bound": campanato.pointwise_to_holder(fits, alpha),
+            "certified_bound": campanato.pointwise_to_holder(fits, args.alpha),
             "centers": len(fits),
-            "alpha": alpha,
+            "alpha": args.alpha,
         }
 
     step_payload = None
@@ -285,7 +227,7 @@ def cmd_analyze(args) -> int:
             "ball_radius": cert.ball_radius,
             "alpha_used": cert.alpha_used,
         },
-        "subsample_cap": subsample,
+        "subsample_cap": args.subsample,
         "pointwise": pointwise_payload,
         "step_report": step_payload,
         "csv_output": args.csv_output,
@@ -300,11 +242,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_cordes(args) -> int:
-    cfg = _load_config(args.config)
-    r = _Resolver(args, cfg)
-    spec = _build_spec(r)
-    eps_slack = r.get("eps_slack", "analyze", "eps_slack", 1.0)
-    f_bound = r.get("f_bound", "analyze", "f_bound", 0.0)
+    spec = _build_spec(args)
 
     if args.input:
         field = cordes.linearized_field(spec, load_grid(args.input))
@@ -329,7 +267,7 @@ def cmd_cordes(args) -> int:
     nirenberg = None
     deviation_ok = True
     try:
-        nres = cordes.nirenberg_constants(a_stack, f_bound, eps_slack)
+        nres = cordes.nirenberg_constants(a_stack, args.f_bound, args.eps_slack)
         nirenberg = {
             "k": nres.k,
             "k1": nres.k1,
@@ -379,49 +317,91 @@ def cmd_selftest(args) -> int:
 # argument parsing
 
 
-def _add_config(p):
+def _p(*flags, default, type=float, key=None, **kw):
+    """One run parameter: its flags, config key (by default the last flag's name),
+    type, fallback and further add_argument keywords."""
+    return flags, key or flags[-1].lstrip("-").replace("-", "_"), type, default, kw
+
+
+# Every run parameter is declared once, in a (config section, parameters) group.
+# main fills each one the command line leaves unset from its key in the
+# --config file, cast by its type, or else with its fallback.
+_GRID = ("grid", (
+    _p("--grid-shape", key="shape", default="disk", type=str, choices=("disk", "square")),
+    _p("-N", "--grid-n", key="n", default=129, type=int),
+    _p("--extent", default=1.0),
+))
+_OPERATOR = ("operator", (
+    _p("--w11", default=1.0),
+    _p("--w12", default=0.0),
+    _p("--w22", default=1.0),
+    _p("--eps", default=0.0),
+    _p("--perturbation", default="none", type=str, choices=operators.PERTURBATIONS),
+))
+_SOLVE = ("solve", (
+    _p("--boundary", default="quadratic_saddle", type=str,
+       help=f"boundary profile: {sorted(PROFILES)}"),
+    _p("--source", default="zero", type=str, help="source profile (zero for homogeneous)"),
+    _p("--source-file", default=None, type=str,
+       help="load the source term from a grid file instead of a profile"),
+    _p("--tol", default=None),
+    _p("--max-sweeps", default=1_000_000, type=int),
+))
+_CONSTANTS = ("constants", (
+    _p("-n", default=2, type=int),
+    _p("--lambda", dest="lam", default=1.0),
+    _p("--Lambda", dest="Lam", default=1.0),
+    _p("--alpha-bar", default=0.5),
+    _p("--alpha", default=0.25),
+    _p("--K1", default=1.0),
+    _p("--alpha0", default=0.1),
+    _p("--C-prime", default=1.0),
+    _p("--K2", default=1.0),
+    _p("--C3", default=1.0),
+    _p("--c0-variant", default="proof", type=str, choices=("proof", "statement")),
+))
+_ANALYZE = ("analyze", (
+    _p("--rho", default=0.5),
+    _p("--kmax", default=4, type=int),
+    _p("--subsample", default=1089, type=int),
+))
+_CORDES = ("analyze", (  # cordes reads its two bounds from [analyze]
+    _p("--eps-slack", default=1.0),
+    _p("--f-bound", default=0.0),
+))
+_CONFIG_KEYS = {(section, key) for section, params in
+                (_GRID, _OPERATOR, _SOLVE, _CONSTANTS, _ANALYZE, _CORDES)
+                for _, key, *_ in params}
+
+
+def _add_params(p, *groups):
     p.add_argument("--config", help="INI config file; flags override file values")
+    params = []
+    for section, decls in groups:
+        for flags, key, cast, default, kw in decls:
+            dest = p.add_argument(*flags, type=cast, default=None, **kw).dest
+            params.append((dest, section, key, cast, default))
+    p.set_defaults(params=params)
 
 
-def _add_float(p, *names, **kw):
-    p.add_argument(*names, type=float, default=None, **kw)
-
-
-def _add_operator_flags(p):
-    _add_float(p, "--w11")
-    _add_float(p, "--w12")
-    _add_float(p, "--w22")
-    _add_float(p, "--eps")
-    p.add_argument("--perturbation", choices=operators.PERTURBATIONS, default=None)
-
-
-def _add_grid_flags(p):
-    p.add_argument("--grid-shape", dest="grid_shape", choices=("disk", "square"), default=None)
-    p.add_argument("-N", "--grid-n", dest="grid_n", type=int, default=None)
-    _add_float(p, "--extent")
-
-
-def _add_solve_flags(p):
-    p.add_argument("--boundary", default=None, help=f"boundary profile: {sorted(PROFILES)}")
-    p.add_argument("--source", default=None, help="source profile (zero for homogeneous)")
-    p.add_argument("--source-file", dest="source_file", default=None,
-                   help="load the source term from a grid file instead of a profile")
-    _add_float(p, "--tol")
-    p.add_argument("--max-sweeps", dest="max_sweeps", type=int, default=None)
-
-
-def _add_constants_flags(p):
-    p.add_argument("-n", dest="n", type=int, default=None)
-    _add_float(p, "--lambda", dest="lam")
-    _add_float(p, "--Lambda", dest="Lam")
-    _add_float(p, "--alpha-bar", dest="alpha_bar")
-    _add_float(p, "--alpha", dest="alpha")
-    _add_float(p, "--K1", dest="K1")
-    _add_float(p, "--alpha0", dest="alpha0")
-    _add_float(p, "--C-prime", dest="C_prime")
-    _add_float(p, "--K2", dest="K2")
-    _add_float(p, "--C3", dest="C3")
-    p.add_argument("--c0-variant", dest="c0_variant", choices=("proof", "statement"), default=None)
+def _resolve(args) -> None:
+    """Set every run parameter the command line left unset from the --config
+    file, cast by its type, or else to its fallback.  A key no subcommand
+    declares, or a value its type rejects, is a ValueError naming the file."""
+    cfg = _load_config(args.config)
+    for section in cfg.sections():
+        for key in cfg.options(section):
+            if (section, key) not in _CONFIG_KEYS:
+                raise ValueError(f"{args.config}: unknown config key [{section}] {key}")
+    for dest, section, key, cast, default in args.params:
+        if getattr(args, dest) is not None:
+            continue
+        if cfg.has_option(section, key):
+            try:
+                default = cast(cfg.get(section, key))
+            except ValueError as exc:
+                raise ValueError(f"{args.config}: [{section}] {key}: {exc}") from None
+        setattr(args, dest, default)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -432,31 +412,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("constants", help="evaluate the universal-constants chain")
-    _add_config(p)
-    _add_constants_flags(p)
+    _add_params(p, _CONSTANTS)
     p.add_argument("--output", "-o", default=None, help="write JSON here (default stdout)")
     p.set_defaults(func=cmd_constants)
 
     p = sub.add_parser("solve", help="solve F(D^2 u) = f with Dirichlet data")
-    _add_config(p)
-    _add_grid_flags(p)
-    _add_operator_flags(p)
-    _add_solve_flags(p)
+    _add_params(p, _GRID, _OPERATOR, _SOLVE)
     p.add_argument("--output", "-o", default="solution.grid", help="solution grid file")
     p.add_argument("--summary", default=None, help="write summary JSON here (default stdout)")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("analyze", help="decay table, certificate, improvement step")
-    _add_config(p)
-    _add_grid_flags(p)
-    _add_operator_flags(p)
-    _add_solve_flags(p)
-    _add_constants_flags(p)
+    _add_params(p, _GRID, _OPERATOR, _SOLVE, _CONSTANTS, _ANALYZE)
     p.add_argument("--input", help="solution grid file (otherwise solve in-process)")
-    _add_float(p, "--rho")
-    p.add_argument("--kmax", type=int, default=None)
-    _add_float(p, "--gamma")
-    p.add_argument("--subsample", type=int, default=None)
+    p.add_argument("--gamma", type=float)
     p.add_argument("--pointwise", action="store_true",
                    help="add the per-center certified Hoelder bound (centers whose fit ball "
                         "lies on defined nodes share one least-squares design)")
@@ -466,11 +435,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("cordes", help="spread-condition margins of the linearized field")
-    _add_config(p)
-    _add_operator_flags(p)
+    _add_params(p, _OPERATOR, _CORDES)
     p.add_argument("--input", help="solution grid file (otherwise audit at the zero Hessian)")
-    _add_float(p, "--eps-slack", dest="eps_slack")
-    _add_float(p, "--f-bound", dest="f_bound")
     p.add_argument("--csv-output", dest="csv_output", default="cordes.csv")
     p.add_argument("--output", "-o", default=None, help="summary JSON (default stdout)")
     p.set_defaults(func=cmd_cordes)
@@ -487,6 +453,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if hasattr(args, "params"):
+            _resolve(args)
         return args.func(args)
     except (ValueError, configparser.Error, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -53,7 +53,6 @@ __all__ = [
     "op_norm_sym2",
     "residual_audit",
     "rescale_hessian_seminorm",
-    "spec_from_config",
     "spec_to_config",
     "sym2",
 ]
@@ -342,13 +341,3 @@ def spec_to_config(spec: OperatorSpec) -> dict:
         "eps": repr(spec.eps),
         "perturbation": spec.perturbation,
     }
-
-
-def spec_from_config(cfg) -> OperatorSpec:
-    return OperatorSpec(
-        w11=float(cfg.get("w11", 1.0)),
-        w12=float(cfg.get("w12", 0.0)),
-        w22=float(cfg.get("w22", 1.0)),
-        eps=float(cfg.get("eps", 0.0)),
-        perturbation=cfg.get("perturbation", "none"),
-    )

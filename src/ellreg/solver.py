@@ -264,25 +264,26 @@ class _ClassFactor:
         idx[interior] = np.arange(A.shape[0])
         share = c11 == c22 and all(np.array_equal(m, m.T)
                                    for m in (interior, region.boundary))
-        self._blocks = {}  # class -> (E, image counts, LU factor of its block)
+        self._blocks = {}  # class -> (E, E^T, image counts, LU factor of its block)
         self.nnz = 0
         for sx, sy in _PARITY_CLASSES:
             if share and (sx, sy) == (-1, 1):
                 if (1, -1) in self._blocks:
-                    E, mult, lu = self._blocks[1, -1]
-                    self._blocks[sx, sy] = (E[idx.T[interior]], mult, lu)
+                    E, _, mult, lu = self._blocks[1, -1]
+                    E = E[idx.T[interior]]
+                    self._blocks[sx, sy] = (E, E.T, mult, lu)
                 continue
             rows, E, mult = _class_map(idx, sx, sy)
             if rows.size:  # on a region a node wide the odd classes are empty
                 # A is symmetric here, so its columns at rows are the rows A[rows]
                 lu = _factor((A[:, rows].T @ E).tocsc())
-                self._blocks[sx, sy] = (E, mult, lu)
+                self._blocks[sx, sy] = (E, E.T, mult, lu)
                 self.nnz += lu.nnz
 
     def solve(self, r: np.ndarray) -> np.ndarray:
         x = np.zeros_like(r)
-        for E, mult, lu in self._blocks.values():
-            x += E @ lu.solve((E.T @ r) / mult)
+        for E, ET, mult, lu in self._blocks.values():
+            x += E @ lu.solve((ET @ r) / mult)
         return x
 
 
@@ -298,13 +299,15 @@ def _factor_stencil(A, c11, c12, c22, region: SubRegion):
 # ---------------------------------------------------------------------------
 # linear Dirichlet solve (direct)
 
+_RESIDUAL_TOL = 1e-10  # bound on the verified stencil residual, relative to max(|g|, |f|)
 
-def solve_linear_dirichlet(W0, f, g, grid: Grid2, region: SubRegion | None = None,
-                           residual_tol: float = 1e-10) -> GridFunction:
+
+def solve_linear_dirichlet(W0, f, g, grid: Grid2,
+                           region: SubRegion | None = None) -> GridFunction:
     """Direct solve of tr(W0 D^2_h u) = f with u = g on the region boundary.
 
     Raises SolverError if the verified stencil residual exceeds
-    residual_tol * max(|g|, |f|).  meta["factor_nnz"] is the number of entries
+    _RESIDUAL_TOL * max(|g|, |f|).  meta["factor_nnz"] is the number of entries
     the LU factor stores, summed over its class factors when it is split.
     """
     region = region or grid.region
@@ -326,7 +329,7 @@ def solve_linear_dirichlet(W0, f, g, grid: Grid2, region: SubRegion | None = Non
     # Refine in the full space; a step that does not halve the residual has
     # reached the rounding floor, so stop there and keep the best iterate.
     for _ in range(3):
-        if res <= 0.05 * residual_tol * scale:
+        if res <= 0.05 * _RESIDUAL_TOL * scale:
             break
         x_new = x + lu.solve(r)
         r_new = b - A @ x_new
@@ -336,18 +339,17 @@ def solve_linear_dirichlet(W0, f, g, grid: Grid2, region: SubRegion | None = Non
             x, r, res = x_new, r_new, res_new
         if not halved:
             break
-    if res > residual_tol * scale:
-        raise SolverError(f"direct solve residual {res:.3e} exceeds {residual_tol:.1e} * {scale:.3e}")
+    if res > _RESIDUAL_TOL * scale:
+        raise SolverError(f"direct solve residual {res:.3e} exceeds {_RESIDUAL_TOL:.1e} * {scale:.3e}")
     gfull[interior] = x
     out = GridFunction(grid, np.where(region.defined, gfull, np.nan), region.defined.copy())
     out.meta.update(residual=res, method="sparse_lu", h=grid.h, factor_nnz=lu.nnz)
     return out
 
 
-def solve_laplace_dirichlet(g, grid: Grid2, region: SubRegion | None = None,
-                            residual_tol: float = 1e-10) -> GridFunction:
+def solve_laplace_dirichlet(g, grid: Grid2, region: SubRegion | None = None) -> GridFunction:
     """Discrete-harmonic extension of boundary data (5-point Laplacian)."""
-    return solve_linear_dirichlet(np.eye(2), None, g, grid, region, residual_tol)
+    return solve_linear_dirichlet(np.eye(2), None, g, grid, region)
 
 
 # ---------------------------------------------------------------------------

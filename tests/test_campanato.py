@@ -133,7 +133,7 @@ def test_step_bisection_moves_onto_zero_set(disk65, sine_spec):
 def test_step_validation(disk65, identity_spec):
     u = GridFunction.from_callable(disk65, saddle)
     with pytest.raises(ValueError, match="domain too small"):
-        cp.improvement_step(u, identity_spec, gamma_used=0.19, replace_radius=0.9)
+        cp.improvement_step(u, identity_spec, gamma_used=0.19)
     even = Grid2.disk(64)
     ue = GridFunction.from_callable(even, saddle)
     with pytest.raises(ValueError, match="center node"):
@@ -287,7 +287,7 @@ def _synthetic_fields(grid, count, seed):
 def test_pointwise_bound_dominates_measured_seminorm_20_fields(disk65):
     alpha = 0.5
     for u in _synthetic_fields(disk65, 20, seed=314):
-        fits = cp.pointwise_fit_constants(u, alpha, region_radius=0.25, stride=2)
+        fits = cp.pointwise_fit_constants(u, alpha, region_radius=0.25)
         certified = cp.pointwise_to_holder(fits, alpha)
         measured = cp.discrete_hessian_seminorm(u, alpha, radius=0.25)
         assert certified >= measured

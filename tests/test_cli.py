@@ -343,3 +343,133 @@ def test_config_canonical_round_trip(tmp_path):
     again.write_text(canon)
     assert cli.canonical_config(cli._load_config(str(again))) == canon
     assert canon.index("[grid]") < canon.index("[operator]")
+
+
+def test_unknown_config_keys_exit_2(tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    for argv, text, named in (
+            (["constants"], "[constants]\nlamda = 0.5\n", "[constants] lamda"),
+            (["cordes", "--csv-output", str(tmp_path / "c.csv")], "[operator]\nw_22 = 2\n",
+             "[operator] w_22")):
+        cfgfile.write_text(text)
+        code, out, err = run_cli([*argv, "--config", str(cfgfile)], capsys)
+        assert code == cli.EXIT_USAGE and out == ""
+        assert f"{cfgfile}: unknown config key {named}" in err
+    # keys of other subcommands are known, so one config file serves them all
+    cfgfile.write_text("[grid]\nn = 65\n\n[solve]\ntol = 1e-9\n\n[analyze]\nf_bound = 0.1\n")
+    code, _, _ = run_cli(["constants", "--config", str(cfgfile)], capsys)
+    assert code == cli.EXIT_OK
+
+
+def test_malformed_config_value_names_its_key(tmp_path, capsys):
+    grid_file = tmp_path / "u.grid"
+    save_grid(grid_file, GridFunction.from_callable(Grid2.disk(33), saddle))
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("[solve]\ntol = oops\n")
+    # resolution is eager: analyze --input never solves, yet the value is checked
+    code, _, err = run_cli(["analyze", "--input", str(grid_file), "--config", str(cfgfile),
+                            "--csv-output", str(tmp_path / "d.csv")], capsys)
+    assert code == cli.EXIT_USAGE
+    assert f"{cfgfile}: [solve] tol:" in err and "oops" in err
+    assert not (tmp_path / "d.csv").exists()
+
+
+def test_analyze_inhomogeneous_in_process(tmp_path, capsys):
+    argv = ["analyze", "-N", "129", "--boundary", "cubic_harmonic", "--source", "poisson_quartic",
+            "--csv-output", str(tmp_path / "d.csv")]
+    code, out, err = run_cli(argv, capsys)
+    assert code == cli.EXIT_OK, err
+    payload = json.loads(out)
+    assert payload["mode"] == "inhomogeneous"
+    assert payload["certificate"]["informational"]
+    csv_text = (tmp_path / "d.csv").read_text()
+    code2, out2, _ = run_cli(argv, capsys)
+    assert code2 == code and out2 == out
+    assert (tmp_path / "d.csv").read_text() == csv_text
+
+
+# every [section] key a subcommand reads, a value other than its fallback, its
+# flag, and the flag group it belongs to ([analyze] eps_slack and f_bound are
+# read by cordes alone)
+_SURFACE = [
+    ("grid", "shape", "square", "--grid-shape", "grid"),
+    ("grid", "n", "41", "-N", "grid"),
+    ("grid", "extent", "1.5", "--extent", "grid"),
+    ("operator", "w11", "1.1", "--w11", "operator"),
+    ("operator", "w12", "0.05", "--w12", "operator"),
+    ("operator", "w22", "0.95", "--w22", "operator"),
+    ("operator", "eps", "0.02", "--eps", "operator"),
+    ("operator", "perturbation", "smooth_max", "--perturbation", "operator"),
+    ("solve", "boundary", "quadratic_bowl", "--boundary", "solve"),
+    ("solve", "source", "one", "--source", "solve"),
+    ("solve", "source_file", None, "--source-file", "solve"),  # path filled in below
+    ("solve", "tol", "1e-09", "--tol", "solve"),
+    ("solve", "max_sweeps", "500", "--max-sweeps", "solve"),
+    ("constants", "n", "3", "-n", "constants"),
+    ("constants", "lambda", "0.9", "--lambda", "constants"),
+    ("constants", "Lambda", "1.2", "--Lambda", "constants"),
+    ("constants", "alpha_bar", "0.6", "--alpha-bar", "constants"),
+    ("constants", "alpha", "0.3", "--alpha", "constants"),
+    ("constants", "K1", "1.5", "--K1", "constants"),
+    ("constants", "alpha0", "0.2", "--alpha0", "constants"),
+    ("constants", "C_prime", "2.0", "--C-prime", "constants"),
+    ("constants", "K2", "1.5", "--K2", "constants"),
+    ("constants", "C3", "2.0", "--C3", "constants"),
+    ("constants", "c0_variant", "statement", "--c0-variant", "constants"),
+    ("analyze", "rho", "0.6", "--rho", "analyze"),
+    ("analyze", "kmax", "3", "--kmax", "analyze"),
+    ("analyze", "subsample", "500", "--subsample", "analyze"),
+    ("analyze", "eps_slack", "0.5", "--eps-slack", "cordes"),
+    ("analyze", "f_bound", "0.1", "--f-bound", "cordes"),
+]
+_SURFACE_GROUPS = {
+    "constants": {"constants"},
+    "solve": {"grid", "operator", "solve"},
+    "analyze": {"grid", "operator", "solve", "constants", "analyze"},
+    "cordes": {"operator", "cordes"},
+}
+
+
+def test_every_parameter_reaches_the_output_from_config_and_flags(tmp_path, capsys):
+    src_file = tmp_path / "f.grid"
+    save_grid(src_file, GridFunction.from_callable(Grid2("square", 41, 1.5),
+                                                   lambda x, y: 0.5 + 0.0 * x))
+    rows = [(s, k, str(src_file) if v is None else v, flag, grp) for s, k, v, flag, grp in _SURFACE]
+    cfgfile = tmp_path / "all.cfg"
+    sections = {}
+    for section, key, value, _, _ in rows:
+        sections.setdefault(section, []).append(f"{key} = {value}\n")
+    cfgfile.write_text("".join(f"[{s}]\n" + "".join(lines) + "\n" for s, lines in sections.items()))
+    tails = {
+        "constants": [],
+        "solve": ["-o", str(tmp_path / "u.grid")],
+        "analyze": ["--pointwise", "--csv-output", str(tmp_path / "d.csv")],
+        "cordes": ["--csv-output", str(tmp_path / "c.csv")],
+    }
+    outputs = {}
+    for command, groups in _SURFACE_GROUPS.items():
+        flags = [a for _, _, value, flag, grp in rows if grp in groups for a in (flag, value)]
+        code, out, err = run_cli([command, "--config", str(cfgfile), *tails[command]], capsys)
+        code2, out2, _ = run_cli([command, *flags, *tails[command]], capsys)
+        assert code != cli.EXIT_USAGE, err
+        assert (code2, out2) == (code, out)
+        outputs[command] = json.loads(out)
+    value = {(s, k): v for s, k, v, _, _ in rows}
+
+    report = outputs["constants"]
+    for (section, key), v in value.items():
+        if section == "constants":
+            assert str(report[key]) == v, key
+    summary = outputs["solve"]
+    assert summary["grid"] == "square 41 1.5"
+    assert summary["operator"] == {k: value["operator", k] for k in
+                                   ("w11", "w12", "w22", "eps", "perturbation")}
+    assert summary["tol"] == 1e-9
+    analysis = outputs["analyze"]
+    assert analysis["rho"] == 0.6 and analysis["scales"] == 4
+    assert analysis["subsample_cap"] == 500 and analysis["pointwise"]["alpha"] == 0.3
+    assert analysis["mode"] == "inhomogeneous"  # the source file reached the solve
+    nirenberg = outputs["cordes"]["nirenberg"]
+    assert nirenberg["k"] == pytest.approx(2.0 / (1.0 - 1.5 * nirenberg["max_dev_sq"]), rel=1e-12)
+    assert nirenberg["max_dev_sq"] > 0
+    assert nirenberg["k1"] == pytest.approx(0.3, rel=1e-12)

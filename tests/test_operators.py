@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from ellreg import cli
 from ellreg import operators as op
 from ellreg.constants import EllipticityBounds
 
@@ -152,7 +153,12 @@ def test_rescale_hessian_seminorm():
         op.rescale_hessian_seminorm(-1.0, b1, 0.5)
 
 
-def test_spec_config_round_trip():
+def test_spec_config_round_trip(tmp_path):
+    # spec_to_config written as [operator] and read back by the CLI's resolution
     spec = op.OperatorSpec(1.25, -0.1, 0.9, 0.05, "smooth_max")
-    again = op.spec_from_config(op.spec_to_config(spec))
-    assert again == spec
+    cfgfile = tmp_path / "op.cfg"
+    cfgfile.write_text("[operator]\n" + "".join(
+        f"{key} = {value}\n" for key, value in op.spec_to_config(spec).items()))
+    args = cli.build_parser().parse_args(["cordes", "--config", str(cfgfile)])
+    cli._resolve(args)
+    assert cli._build_spec(args) == spec
