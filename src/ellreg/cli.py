@@ -117,16 +117,19 @@ def cmd_constants(args) -> int:
     return EXIT_OK if report.all_checks_pass() else EXIT_UNSATISFIED
 
 
-def _solve_from_args(args, spec, grid: Grid2):
-    g = _profile(args.boundary)
+def _source(args, grid: Grid2):
+    """The source on grid's lattice: --source-file, else --source (None for zero)."""
     if args.source_file:
         f = load_grid(args.source_file)
         if f.grid.N != grid.N or f.grid.extent != grid.extent:
             raise ValueError("source grid file does not match the run lattice")
-    elif args.source == "zero":
-        f = None
-    else:
-        f = GridFunction.from_callable(grid, _profile(args.source))
+        return f
+    return None if args.source == "zero" else GridFunction.from_callable(grid, _profile(args.source))
+
+
+def _solve_from_args(args, spec, grid: Grid2):
+    g = _profile(args.boundary)
+    f = _source(args, grid)
     u = solver.solve_fully_nonlinear(spec, f, g, grid, tol=args.tol, max_sweeps=args.max_sweeps)
     return f, u
 
@@ -162,13 +165,15 @@ def cmd_analyze(args) -> int:
             f"the certificate's [constants] bounds ({bounds.lam!r}, {bounds.Lam!r})")
     warnings: list[str] = []
     if args.input:
-        u, f = load_grid(args.input), None
+        u = load_grid(args.input)
         grid = u.grid
     else:
         grid = Grid2(args.grid_shape, args.grid_n, args.extent)
     if grid.N % 2 == 0:
         raise ValueError(f"analyze needs a center node: N must be odd, got {grid.N}")
-    if not args.input:
+    if args.input:
+        f = _source(args, grid)
+    else:
         f, u = _solve_from_args(args, spec, grid)
 
     if f is None:
@@ -389,8 +394,9 @@ def _resolve(args) -> None:
     file, cast by its type, or else to its fallback.  A key no subcommand
     declares, or a value its type rejects, is a ValueError naming the file."""
     cfg = _load_config(args.config)
-    for section in cfg.sections():
-        for key in cfg.options(section):
+    # [DEFAULT] comes first: its keys would otherwise pass as keys of every section
+    for section in cfg:
+        for key in cfg[section]:
             if (section, key) not in _CONFIG_KEYS:
                 raise ValueError(f"{args.config}: unknown config key [{section}] {key}")
     for dest, section, key, cast, default in args.params:
@@ -424,7 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="decay table, certificate, improvement step")
     _add_params(p, _GRID, _OPERATOR, _SOLVE, _CONSTANTS, _ANALYZE)
-    p.add_argument("--input", help="solution grid file (otherwise solve in-process)")
+    p.add_argument("--input", help="solution grid file (otherwise solve in-process); "
+                                   "the source still comes from --source or --source-file")
     p.add_argument("--gamma", type=float)
     p.add_argument("--pointwise", action="store_true",
                    help="add the per-center certified Hoelder bound (centers whose fit ball "

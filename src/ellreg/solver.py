@@ -11,22 +11,24 @@ under x -> -x and y -> -y) into itself; the builder then factors one block per
 class, the rows of A at the class's quadrant nodes times the map that mirrors
 them onto the region, and with c11 == c22 on a region symmetric under x <-> y
 one factor serves two classes.  Any other stencil, a Newton Jacobian among
-them, is factored whole.  The linear Dirichlet solve factors
-tr(W0 D^2_h) once, refines the solution in the full space until a step fails
-to halve the residual, keeps the best iterate and verifies its residual
-against the contract.
+them, is factored whole.
 
-The fully nonlinear solve is a chord iteration with boundary values fixed,
+Both Dirichlet solves run one chord loop with boundary values fixed,
 
-    u <- u - L^{-1} (F(D^2_h u) - f),     L = tr(W0 D^2_h) factored once.
+    u <- u - L^{-1} (F(D^2_h u) - f),     L = tr(W0 D^2_h) factored once,
 
-The perturbation derivative of every catalog operator is bounded by
-eps < lam_min(W0), so the frozen Jacobian stays close to DF and the step
-contracts.  An iteration that cuts the max-node residual by less than a fixed
-factor refactors L with DF(D^2_h u) at the current iterate (a Newton step).
-The 9-point stencil is not monotone, so a residual that keeps growing is
-reported as divergence.  The residual is measured on the iterate before it is
-touched, so the returned function reproduces its reported residual <= tol.
+from the boundary data with zero interior values.  The residual is measured
+by differences (the second differences of u, then F) on the iterate before
+it is touched, so the returned function reproduces its reported residual;
+the sum b - A x would add more rounding than the residual it measures.  For
+a linear F = tr(W0 M) the first step is the direct solve and later steps
+refine it until one fails to halve the residual; the best iterate is
+verified against the contract.  For the almost-linear F the perturbation
+derivative of every catalog operator is bounded by eps < lam_min(W0), so the
+frozen Jacobian stays close to DF and the step contracts.  An iteration that
+cuts the max-node residual by less than a fixed factor refactors L with
+DF(D^2_h u) at the current iterate (a Newton step).  The 9-point stencil is
+not monotone, so a residual that keeps growing is reported as divergence.
 """
 
 from __future__ import annotations
@@ -281,7 +283,7 @@ class _ClassFactor:
                 self.nnz += lu.nnz
 
     def solve(self, r: np.ndarray) -> np.ndarray:
-        x = np.zeros_like(r)
+        x = np.zeros(r.shape)  # float, whatever the dtype of r
         for E, ET, mult, lu in self._blocks.values():
             x += E @ lu.solve((ET @ r) / mult)
         return x
@@ -297,94 +299,43 @@ def _factor_stencil(A, c11, c12, c22, region: SubRegion):
 
 
 # ---------------------------------------------------------------------------
-# linear Dirichlet solve (direct)
+# Dirichlet solves: one chord loop
 
-_RESIDUAL_TOL = 1e-10  # bound on the verified stencil residual, relative to max(|g|, |f|)
-
-
-def solve_linear_dirichlet(W0, f, g, grid: Grid2,
-                           region: SubRegion | None = None) -> GridFunction:
-    """Direct solve of tr(W0 D^2_h u) = f with u = g on the region boundary.
-
-    Raises SolverError if the verified stencil residual exceeds
-    _RESIDUAL_TOL * max(|g|, |f|).  meta["factor_nnz"] is the number of entries
-    the LU factor stores, summed over its class factors when it is split.
-    """
-    region = region or grid.region
-    interior, boundary = region.interior, region.boundary
-    W0 = np.asarray(W0, dtype=float)
-    w11, w12, w22 = W0[0, 0], W0[0, 1], W0[1, 1]
-    gfull = _boundary_values(g, grid, boundary)
-    ffull = _field_values(f, grid, interior)
-    A = _assemble(w11, w12, w22, grid.h, region)
-    # the stencil applied to the boundary data alone is the boundary's share
-    g11, g12, g22 = _hessian_arrays(gfull, grid.h, interior)
-    b = ffull[interior] - (w11 * g11 + 2.0 * w12 * g12 + w22 * g22)
-    lu = _factor_stencil(A, w11, w12, w22, region)
-    x = lu.solve(b)
-    scale = max(float(np.max(np.abs(gfull[boundary]), initial=0.0)),
-                float(np.max(np.abs(ffull[interior]), initial=0.0))) or 1.0
-    r = b - A @ x
-    res = float(np.max(np.abs(r)))
-    # Refine in the full space; a step that does not halve the residual has
-    # reached the rounding floor, so stop there and keep the best iterate.
-    for _ in range(3):
-        if res <= 0.05 * _RESIDUAL_TOL * scale:
-            break
-        x_new = x + lu.solve(r)
-        r_new = b - A @ x_new
-        res_new = float(np.max(np.abs(r_new)))
-        halved = res_new <= 0.5 * res
-        if res_new < res:
-            x, r, res = x_new, r_new, res_new
-        if not halved:
-            break
-    if res > _RESIDUAL_TOL * scale:
-        raise SolverError(f"direct solve residual {res:.3e} exceeds {_RESIDUAL_TOL:.1e} * {scale:.3e}")
-    gfull[interior] = x
-    out = GridFunction(grid, np.where(region.defined, gfull, np.nan), region.defined.copy())
-    out.meta.update(residual=res, method="sparse_lu", h=grid.h, factor_nnz=lu.nnz)
-    return out
-
-
-def solve_laplace_dirichlet(g, grid: Grid2, region: SubRegion | None = None) -> GridFunction:
-    """Discrete-harmonic extension of boundary data (5-point Laplacian)."""
-    return solve_linear_dirichlet(np.eye(2), None, g, grid, region)
-
-
-# ---------------------------------------------------------------------------
-# chord / Newton solve of F(D^2 u) = f
-
-# A step that cuts the residual by less than _SLOW_CONTRACTION refactors the
-# Jacobian at the current iterate; _GROWTH_LIMIT consecutive increases mean
-# divergence; meta["residual_history"] keeps the first _HISTORY_CAP residuals.
+# A linear solve returns a residual of at most _RESIDUAL_TOL * max(|g|, |f|)
+# and aims at 0.05 of that in at most _REFINEMENTS steps after the direct
+# solve.  A nonlinear step that cuts the residual by less than
+# _SLOW_CONTRACTION refactors the Jacobian; _GROWTH_LIMIT consecutive increases
+# mean divergence; meta["residual_history"] keeps the first _HISTORY_CAP residuals.
+_RESIDUAL_TOL = 1e-10
+_REFINEMENTS = 3
 _SLOW_CONTRACTION = 0.25
 _GROWTH_LIMIT = 3
 _HISTORY_CAP = 100
 
 
-def solve_fully_nonlinear(spec, f, g, grid: Grid2, region: SubRegion | None = None,
-                          tol: float | None = None, max_sweeps: int = 1_000_000) -> GridFunction:
-    """Solve F(D^2_h u) = f with u = g on the region boundary.
+def _dirichlet(spec, f, g, grid: Grid2, region: SubRegion | None, tol: float | None,
+               max_sweeps: int, linear: bool) -> GridFunction:
+    """The chord loop of the module docstring, from u = g with zero interior.
 
-    max_sweeps bounds the outer (chord or Newton) iterations.  Raises
-    SolverError on non-finite iterates, an exhausted budget, or a residual
-    that keeps growing.  meta["factor_nnz"] is the largest number of entries
-    stored by the chord factor or any Newton refactor.
+    linear: stop at 0.05 of the contract, after max_sweeps steps or once a step
+    fails to halve the residual, keep the best iterate, and raise unless its
+    residual meets the contract, meta["tol"].  Otherwise stop at tol, refactor
+    L with DF(D^2_h u) after a slow step, raise on an exhausted budget or growth.
     """
     region = region or grid.region
     interior, boundary = region.interior, region.boundary
-    if operators.effective_bounds(spec).lam <= 0:
-        raise SolverError("operator is not elliptic after perturbation")
-    gfull = _boundary_values(g, grid, boundary)
+    v = _boundary_values(g, grid, boundary)
     ffull = _field_values(f, grid, interior)
-    scale = float(np.max(np.abs(gfull[boundary]), initial=0.0)
-                  + np.max(np.abs(ffull[interior]), initial=0.0) + 1.0)
-    if tol is None:
-        tol = 1e-8 * scale
+    g_max = float(np.max(np.abs(v[boundary]), initial=0.0))
+    f_max = float(np.max(np.abs(ffull[interior]), initial=0.0))
+    if linear:
+        scale = max(g_max, f_max) or 1.0
+        tol = _RESIDUAL_TOL * scale
+        target = 0.05 * tol
+    else:
+        target = tol = 1e-8 * (g_max + f_max + 1.0) if tol is None else tol
     h = grid.h
     f_int = ffull[interior]
-    v = gfull.copy()
     lu = _factor_stencil(_assemble(spec.w11, spec.w12, spec.w22, h, region),
                          spec.w11, spec.w12, spec.w22, region)
     factor_nnz = lu.nnz
@@ -400,14 +351,21 @@ def solve_fully_nonlinear(spec, f, g, grid: Grid2, region: SubRegion | None = No
             raise SolverError("iteration produced non-finite values")
         if len(history) < _HISTORY_CAP:
             history.append(res)
-        if res <= tol:
+        if res <= target:
+            break
+        if linear and (res > 0.5 * prev or sweeps >= max_sweeps):
+            # past the rounding floor a step trades one rounding error for another
+            if res >= prev:
+                v[interior], res = best, prev
             break
         if sweeps >= max_sweeps:
             raise SolverError(f"no convergence in {max_sweeps} sweeps (residual {res:.3e})")
         grow = grow + 1 if res > prev * (1.0 + 1e-12) else 0
         if grow >= _GROWTH_LIMIT:
             raise SolverError(f"residual diverging (grew for {grow} consecutive sweeps)")
-        if res > _SLOW_CONTRACTION * prev:
+        if linear:
+            best = v[interior]
+        elif res > _SLOW_CONTRACTION * prev:
             lu = None  # release the old factor before the new one is built
             coeffs = operators.gradient_batch(spec, *H)
             lu = _factor_stencil(_assemble(*coeffs, h, region), *coeffs, region)
@@ -416,12 +374,46 @@ def solve_fully_nonlinear(spec, f, g, grid: Grid2, region: SubRegion | None = No
         prev = res
         v[interior] -= lu.solve(resid)
         sweeps += 1
+    if linear and res > tol:
+        raise SolverError(f"direct solve residual {res:.3e} exceeds {_RESIDUAL_TOL:.1e} * {scale:.3e}")
 
     out = GridFunction(grid, np.where(region.defined, v, np.nan), region.defined.copy())
     out.meta.update(residual=res, sweeps=sweeps, h=h, tol=tol, converged=True,
                     residual_history=history, jacobian_refactors=refactors,
                     factor_nnz=factor_nnz)
     return out
+
+
+def solve_linear_dirichlet(W0, f, g, grid: Grid2,
+                           region: SubRegion | None = None) -> GridFunction:
+    """Direct solve of tr(W0 D^2_h u) = f, W0 symmetric positive definite,
+    with u = g on the region boundary, refined at most _REFINEMENTS times.
+
+    Raises SolverError if the stencil residual exceeds meta["tol"] =
+    _RESIDUAL_TOL * max(|g|, |f|).  meta["factor_nnz"] is the number of entries
+    the LU factor stores, summed over its class factors when it is split.
+    """
+    return _dirichlet(operators.make_spec(W0), f, g, grid, region, None,
+                      1 + _REFINEMENTS, linear=True)
+
+
+def solve_laplace_dirichlet(g, grid: Grid2, region: SubRegion | None = None) -> GridFunction:
+    """Discrete-harmonic extension of boundary data (5-point Laplacian)."""
+    return solve_linear_dirichlet(np.eye(2), None, g, grid, region)
+
+
+def solve_fully_nonlinear(spec, f, g, grid: Grid2, region: SubRegion | None = None,
+                          tol: float | None = None, max_sweeps: int = 1_000_000) -> GridFunction:
+    """Solve F(D^2_h u) = f with u = g on the region boundary.
+
+    max_sweeps bounds the outer (chord or Newton) iterations.  Raises
+    SolverError on non-finite iterates, an exhausted budget, or a residual
+    that keeps growing.  meta["factor_nnz"] is the largest number of entries
+    stored by the chord factor or any Newton refactor.
+    """
+    if operators.effective_bounds(spec).lam <= 0:
+        raise SolverError("operator is not elliptic after perturbation")
+    return _dirichlet(spec, f, g, grid, region, tol, max_sweeps, linear=False)
 
 
 # ---------------------------------------------------------------------------

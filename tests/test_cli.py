@@ -350,7 +350,10 @@ def test_unknown_config_keys_exit_2(tmp_path, capsys):
     for argv, text, named in (
             (["constants"], "[constants]\nlamda = 0.5\n", "[constants] lamda"),
             (["cordes", "--csv-output", str(tmp_path / "c.csv")], "[operator]\nw_22 = 2\n",
-             "[operator] w_22")):
+             "[operator] w_22"),
+            # [DEFAULT] keys reach every section, so none is read
+            (["constants"], "[DEFAULT]\nlamda = 0.5\n", "[DEFAULT] lamda"),
+            (["constants"], "[DEFAULT]\neps = 0.05\n\n[grid]\nn = 65\n", "[DEFAULT] eps")):
         cfgfile.write_text(text)
         code, out, err = run_cli([*argv, "--config", str(cfgfile)], capsys)
         assert code == cli.EXIT_USAGE and out == ""
@@ -386,6 +389,22 @@ def test_analyze_inhomogeneous_in_process(tmp_path, capsys):
     code2, out2, _ = run_cli(argv, capsys)
     assert code2 == code and out2 == out
     assert (tmp_path / "d.csv").read_text() == csv_text
+    # analyze --input of the same solve reads the same source
+    u_file = tmp_path / "u.grid"
+    code, _, err = run_cli(["solve", "-N", "129", "--boundary", "cubic_harmonic",
+                            "--source", "poisson_quartic", "-o", str(u_file)], capsys)
+    assert code == cli.EXIT_OK, err
+    (tmp_path / "d.csv").unlink()
+    code3, out3, _ = run_cli(["analyze", "--input", str(u_file), "--source", "poisson_quartic",
+                              "--csv-output", str(tmp_path / "d.csv")], capsys)
+    assert code3 == code2 and out3 == out
+    assert (tmp_path / "d.csv").read_text() == csv_text
+    # a source file off the input's lattice is a usage error
+    f_file = tmp_path / "f65.grid"
+    save_grid(f_file, GridFunction.from_callable(Grid2.disk(65), lambda x, y: 12.0 * x**2))
+    code, _, err = run_cli(["analyze", "--input", str(u_file), "--source-file", str(f_file),
+                            "--csv-output", str(tmp_path / "d.csv")], capsys)
+    assert code == cli.EXIT_USAGE and "does not match the run lattice" in err
 
 
 # every [section] key a subcommand reads, a value other than its fallback, its

@@ -316,6 +316,15 @@ def test_class_factor_on_thin_regions(radius_h):
     assert np.max(np.abs(lu.solve(b) - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+def test_class_factor_solves_an_integer_vector():
+    g = Grid2.disk(33)
+    A = sv._assemble(1.0, 0.0, 1.0, g.h, g.region)
+    lu = sv._factor_stencil(A, 1.0, 0.0, 1.0, g.region)
+    assert isinstance(lu, sv._ClassFactor)
+    b = philox(10).integers(-5, 6, A.shape[0])
+    assert np.array_equal(lu.solve(b), lu.solve(b.astype(float)))
+
+
 def _one_class_case(N=33, coeffs=(1.0, 0.0, 1.0), centre=None):
     g = Grid2.disk(N)
     region = g.region if centre is None else g.subregion(0.5, center=(centre * g.h, 0.0))
@@ -347,30 +356,47 @@ def test_replacement_class_factor_stores_at_most_60_percent():
     assert sv._factor_stencil(A, 1.0, 0.0, 1.0, sub).nnz <= 0.6 * plain
 
 
-def test_refinement_stops_once_a_step_fails_to_halve(monkeypatch):
-    # 9-point N=129 with this boundary: the second refinement step does not
-    # halve the residual, so the solve stops after it instead of running all three
-    rhs_norms = []
-    build = sv._factor_stencil
-
-    class Counting:
-        def __init__(self, lu):
-            self.lu, self.nnz = lu, lu.nnz
-
-        def solve(self, r):
-            rhs_norms.append(float(np.max(np.abs(r))))
-            return self.lu.solve(r)
-
-    monkeypatch.setattr(sv, "_factor_stencil", lambda *a: Counting(build(*a)))
-    g = Grid2.disk(129)
+def test_refinement_stops_once_a_step_fails_to_halve():
+    # 9-point N=257 with this boundary: the second refinement leaves the
+    # residual above the first one's, so the solve stops there instead of
+    # running all three and keeps the iterate before it
+    g = Grid2.disk(257)
     u = sv.solve_linear_dirichlet([[1.25, 0.15], [0.15, 1.0]], None,
                                   lambda x, y: np.sin(2.0 * x) * np.cos(y), g)
-    assert len(rhs_norms) < 4
-    # the first solve gets b, every later one the residual of the iterate before it
-    residuals = rhs_norms[1:]
-    assert all(b <= 0.5 * a for a, b in zip(residuals, residuals[1:]))
-    assert u.meta["residual"] > 0.5 * residuals[-1]
-    assert u.meta["residual"] <= min(residuals)
+    # the residual of the boundary data, then one entry per step
+    history = u.meta["residual_history"]
+    assert len(history) == u.meta["sweeps"] + 1 < 2 + sv._REFINEMENTS
+    assert all(b <= 0.5 * a for a, b in zip(history, history[1:-1]))
+    assert history[-1] > history[-2] > 0.05 * u.meta["tol"]
+    assert u.meta["residual"] == history[-2] == min(history)
+
+
+@st.composite
+def _linear_problems(draw):
+    g = Grid2(draw(st.sampled_from(("disk", "square"))), draw(st.integers(17, 65)))
+    radius = draw(st.one_of(st.none(), st.floats(0.3, 0.9)))
+    region = g.region if radius is None else g.subregion(radius)
+    w11, w22 = draw(st.floats(0.5, 2.0)), draw(st.floats(0.5, 2.0))
+    w12 = draw(st.one_of(st.just(0.0), st.floats(-0.9, 0.9))) * np.sqrt(w11 * w22)
+    rng = philox(draw(st.integers(0, 2**32 - 1)))
+    gb, f = (rng.standard_normal((g.N, g.N)) for _ in range(2))
+    return g, region, op.OperatorSpec(w11, w12, w22), f, gb
+
+
+@settings(max_examples=60, deadline=None)
+@given(_linear_problems())
+def test_linear_solve_reports_its_measured_residual(case):
+    g, region, spec, f, gb = case
+    u = sv.solve_linear_dirichlet(spec.W0, f, gb, g, region)
+    m = region.interior
+    H = sv.hessian(u, m)
+    res = float(np.max(np.abs(op.evaluate_batch(spec, H.h11[m], H.h12[m], H.h22[m]) - f[m])))
+    assert res == u.meta["residual"]
+    scale = max(np.max(np.abs(gb[region.boundary])), np.max(np.abs(f[m])))
+    assert res <= u.meta["tol"] == sv._RESIDUAL_TOL * scale
+    v = sv.solve_linear_dirichlet(spec.W0, f, gb, g, region)
+    assert np.array_equal(u.values, v.values, equal_nan=True)
+    assert u.meta == v.meta
 
 
 def test_solvers_report_factor_nnz():
