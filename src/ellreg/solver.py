@@ -3,15 +3,17 @@
 Second derivatives use the central stencils exact on quadratics: the 3-point
 stencil for u_xx/u_yy and the 4-point cross stencil for u_xy.  One sparse
 assembly builds the Jacobian of tr(C D^2_h v) in the interior unknowns
-(5-point for diagonal C, 9-point with cross terms), factored by sparse LU.
-Every factor comes from one builder, given the assembled matrix A.  A stencil
-with scalar coefficients and no cross term, on an odd-N region whose masks
-both axis reflections leave unchanged, maps each parity class (the signs of v
-under x -> -x and y -> -y) into itself; the builder then factors one block per
-class, the rows of A at the class's quadrant nodes times the map that mirrors
-them onto the region, and with c11 == c22 on a region symmetric under x <-> y
-one factor serves two classes.  Any other stencil, a Newton Jacobian among
-them, is factored whole.
+(5-point for diagonal C, 9-point with cross terms), written straight into
+compressed-column arrays and factored by sparse LU.  Every factor comes from
+one builder, which assembles the matrix A itself and keeps no reference to it
+once the factor exists.  A stencil with scalar coefficients and no cross
+term, on an odd-N region whose masks both axis reflections leave unchanged,
+maps each parity class (the signs of v under x -> -x and y -> -y) into
+itself; the builder then cuts one block per class from A, the rows of A at
+the class's quadrant nodes folded onto them by the map that mirrors them onto
+the region, drops A and factors the blocks one at a time, and with
+c11 == c22 on a region symmetric under x <-> y one factor serves two
+classes.  Any other stencil, a Newton Jacobian among them, is factored whole.
 
 Both Dirichlet solves run one chord loop with boundary values fixed,
 
@@ -109,31 +111,33 @@ def hessian(u: GridFunction, mask: np.ndarray | None = None) -> HessianField:
 # boundary / source data normalization
 
 
-def _boundary_values(g, grid: Grid2, mask: np.ndarray) -> np.ndarray:
-    """Full lattice array carrying boundary data on ``mask`` (zero elsewhere)."""
+def _lattice_values(data, grid: Grid2, mask: np.ndarray, name: str, nodes: str) -> np.ndarray:
+    """Full lattice array carrying data on ``mask`` (zero elsewhere); errors
+    call the data ``name`` and the nodes of mask ``nodes`` nodes."""
     out = np.zeros((grid.N, grid.N))
-    if callable(g):
-        out[mask] = np.asarray(g(grid.X[mask], grid.Y[mask]), dtype=float)
-    elif isinstance(g, GridFunction):
-        if (mask & ~g.defined).any():
-            raise ValueError("boundary data not defined on every boundary node")
-        out[mask] = g.values[mask]
-    elif np.isscalar(g):
-        out[mask] = float(g)
+    if callable(data):
+        out[mask] = np.asarray(data(grid.X[mask], grid.Y[mask]), dtype=float)
+    elif isinstance(data, GridFunction):
+        if (mask & ~data.defined).any():
+            raise ValueError(f"{name} not defined on every {nodes} node")
+        out[mask] = data.values[mask]
+    elif np.isscalar(data):
+        out[mask] = float(data)
     else:
-        arr = np.asarray(g, dtype=float)
+        arr = np.asarray(data, dtype=float)
         if arr.shape != (grid.N, grid.N):
-            raise ValueError("boundary array must cover the full lattice")
+            raise ValueError(f"{name} array must cover the full lattice")
         out[mask] = arr[mask]
     if not np.isfinite(out[mask]).all():
-        raise ValueError("boundary data must be finite on the boundary mask")
+        raise ValueError(f"{name} must be finite on every {nodes} node")
     return out
 
 
 def _field_values(f, grid: Grid2, mask: np.ndarray) -> np.ndarray:
+    """The source on the interior nodes mask; None is zero."""
     if f is None:
         return np.zeros((grid.N, grid.N))
-    return _boundary_values(f, grid, mask)
+    return _lattice_values(f, grid, mask, "source", "interior")
 
 
 # ---------------------------------------------------------------------------
@@ -142,36 +146,47 @@ def _field_values(f, grid: Grid2, mask: np.ndarray) -> np.ndarray:
 
 def _assemble(c11, c12, c22, h: float, region: SubRegion):
     """Sparse matrix of v -> tr(C D^2_h v) in the interior unknowns of region,
-    for scalar or per-interior-node coefficients; boundary neighbours drop out."""
-    from scipy.sparse import coo_matrix  # deferred: constants and cordes runs never assemble
+    for scalar or per-interior-node coefficients; boundary neighbours drop out.
+
+    The compressed-column arrays are written directly (T. Davis, Direct
+    Methods for Sparse Linear Systems, 2006, ch. 2), with int32 indices: an
+    (m, T) block holds, for each of the m columns and T stencil terms, the
+    row whose term reaches that column's node and its coefficient.  With the
+    terms in descending offset order those rows ascend, so every column comes
+    out sorted and the matrix is canonical."""
+    from scipy.sparse import csc_matrix  # deferred: constants and cordes runs never assemble
 
     interior, boundary = region.interior, region.boundary
     m = int(interior.sum())
     if m == 0:
         raise SolverError("region has no interior nodes")
-    idx = np.full(interior.shape, -1, dtype=np.int64)
-    idx[interior] = np.arange(m)
-    ii, jj = np.nonzero(interior)
     inv = 1.0 / (h * h)
     a, b, c = (np.broadcast_to(np.asarray(x, dtype=float) * inv, (m,)) for x in (c11, c12, c22))
-    terms = [((0, 0), -2.0 * (a + c)), ((1, 0), a), ((-1, 0), a), ((0, 1), c), ((0, -1), c)]
+    terms = {(0, 0): -2.0 * (a + c), (1, 0): a, (-1, 0): a, (0, 1): c, (0, -1): c}
     if np.any(b != 0.0):
         q = 0.5 * b
-        terms += [((1, 1), q), ((-1, -1), q), ((1, -1), -q), ((-1, 1), -q)]
-    defined = interior | boundary
-    rows, cols, vals = [], [], []
-    for (di, dj), coeff in terms:
-        ni, nj = ii + di, jj + dj
-        if not defined[ni, nj].all():
+        terms.update({(1, 1): q, (-1, -1): q, (1, -1): -q, (-1, 1): -q})
+    # padded by one node, so a shift by an offset stays on the arrays
+    n = interior.shape[0]
+    idx = np.full((n + 2, n + 2), -1, dtype=np.int32)
+    idx[1:-1, 1:-1][interior] = np.arange(m, dtype=np.int32)
+    defined = np.zeros((n + 2, n + 2), dtype=bool)
+    defined[1:-1, 1:-1] = interior | boundary
+    rows = np.empty((m, len(terms)), dtype=np.int32)
+    vals = np.empty((m, len(terms)))
+    for t, (di, dj) in enumerate(sorted(terms, reverse=True)):
+        if not defined[1 + di:n + 1 + di, 1 + dj:n + 1 + dj][interior].all():
             raise SolverError("interior stencil reaches an undefined node")
-        nbr = idx[ni, nj]
-        is_int = nbr >= 0
-        rows.append(np.flatnonzero(is_int))
-        cols.append(nbr[is_int])
-        vals.append(coeff[is_int])
-    return coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(m, m),
-    ).tocsc()
+        # the row at (i - di, j - dj) reaches the column's node (i, j); -1
+        # (no interior row there) picks a value the mask below drops
+        rows[:, t] = idx[1 - di:n + 1 - di, 1 - dj:n + 1 - dj][interior]
+        vals[:, t] = terms[di, dj][rows[:, t]]
+    keep = rows >= 0
+    indptr = np.zeros(m + 1, dtype=np.int32)
+    np.cumsum(keep.sum(axis=1, dtype=np.int32), out=indptr[1:])
+    indices = rows[keep]
+    del rows  # the peak then holds one block of row indices, not two
+    return csc_matrix((vals[keep], indices, indptr), shape=(m, m))
 
 
 # SuperLU's default relaxed supernodes (relax=20) amalgamate small subtrees of
@@ -220,25 +235,36 @@ _PARITY_CLASSES = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 def _class_map(idx: np.ndarray, sx: int, sy: int):
     """On a region numbered by idx (-1 off the interior) that both axis
-    reflections leave unchanged: a class's unknowns, its interior nodes with
+    reflections leave unchanged: a class's q unknowns, its interior nodes with
     x, y >= 0 (an odd sign forces v to zero on its axis), as indices of the
-    stencil matrix; the sparse map E copying each one to its mirror images
-    times the class's signs; and the number of those images."""
-    from scipy.sparse import csr_matrix
-
+    stencil matrix; and for every interior node the class unknown it mirrors,
+    q where the class vanishes, and the class's sign there."""
     mid = idx.shape[0] // 2
     quad = np.s_[mid + (sx < 0):, mid + (sy < 0):]
     rows = idx[quad][idx[quad] >= 0]
-    col = np.full(idx.shape, -1, dtype=np.int64)
+    col = np.full(idx.shape, rows.size, dtype=np.int32)
     col[quad][idx[quad] >= 0] = np.arange(rows.size)
     # a node across an axis is its mirror image times the sign
-    sign = np.ones(idx.shape)
+    sign = np.ones(idx.shape, dtype=np.int8)  # +-1, exact in every product
     col[:mid], sign[:mid] = col[:mid:-1], sx
     col[:, :mid], sign[:, :mid] = col[:, :mid:-1], sy * sign[:, :mid]
-    c, s = col[idx >= 0], sign[idx >= 0]
-    on = c >= 0
-    E = csr_matrix((s[on], (np.flatnonzero(on), c[on])), shape=(c.size, rows.size))
-    return rows, E, np.bincount(c[on], minlength=rows.size)
+    return rows, col[idx >= 0], sign[idx >= 0]
+
+
+def _class_block(A, rows, col, sign):
+    """The stencil matrix of one class on its unknowns: the rows of A at the
+    class's unknowns (A's columns there, A being symmetric), each entry folded
+    onto the unknown its node mirrors with the class's sign."""
+    from scipy.sparse import csr_matrix
+
+    S = A[:, rows]
+    c = col[S.indices]
+    keep = c < rows.size
+    indptr = np.concatenate(([0], np.cumsum(keep)))[S.indptr]
+    data = S.data[keep] * sign[S.indices[keep]]
+    B = csr_matrix((data, c[keep], indptr), shape=(rows.size, rows.size)).tocsc()
+    B.sum_duplicates()  # a row meeting two mirror images of one node
+    return B
 
 
 def _reflection_symmetric(c11, c12, c22, region: SubRegion) -> bool:
@@ -254,48 +280,60 @@ def _reflection_symmetric(c11, c12, c22, region: SubRegion) -> bool:
 
 class _ClassFactor:
     """Solves A x = r for a reflection-symmetric stencil matrix A from one LU
-    factor per parity class: with _class_map's rows, E and image counts mult,
-    the block A[rows] @ E, and x = sum over classes of E lu.solve(E^T r / mult).
-    When c11 == c22 and the masks are also symmetric under x <-> y, the (-, +)
-    class is the (+, -) one with x and y swapped: it reuses that factor with the
-    rows of E permuted by the swap.  nnz sums the distinct factors' entries."""
+    factor per parity class.  Each class is (col, sign, lu) as _class_map and
+    _factor_stencil give them; with E copying each class unknown to its mirror
+    images times the sign and mult the number of those images,
+    x = sum over classes of E lu.solve(E^T r / mult): E^T r is a signed
+    np.bincount over the nodes and E z a signed gather.  The extra unknown q
+    of the nodes where a class vanishes collects a sum that is dropped and
+    gives back zero.  nnz is the number of entries the distinct factors store."""
 
-    def __init__(self, A, c11, c22, region: SubRegion):
-        interior = region.interior
-        idx = np.full(interior.shape, -1, dtype=np.int64)
-        idx[interior] = np.arange(A.shape[0])
-        share = c11 == c22 and all(np.array_equal(m, m.T)
-                                   for m in (interior, region.boundary))
-        self._blocks = {}  # class -> (E, E^T, image counts, LU factor of its block)
-        self.nnz = 0
-        for sx, sy in _PARITY_CLASSES:
-            if share and (sx, sy) == (-1, 1):
-                if (1, -1) in self._blocks:
-                    E, _, mult, lu = self._blocks[1, -1]
-                    E = E[idx.T[interior]]
-                    self._blocks[sx, sy] = (E, E.T, mult, lu)
-                continue
-            rows, E, mult = _class_map(idx, sx, sy)
-            if rows.size:  # on a region a node wide the odd classes are empty
-                # A is symmetric here, so its columns at rows are the rows A[rows]
-                lu = _factor((A[:, rows].T @ E).tocsc())
-                self._blocks[sx, sy] = (E, E.T, mult, lu)
-                self.nnz += lu.nnz
+    def __init__(self, classes, nnz: int):
+        self._classes = [(col, sign, np.bincount(col, minlength=lu.shape[0] + 1)[:-1], lu)
+                         for col, sign, lu in classes]
+        self.nnz = nnz
 
     def solve(self, r: np.ndarray) -> np.ndarray:
         x = np.zeros(r.shape)  # float, whatever the dtype of r
-        for E, ET, mult, lu in self._blocks.values():
-            x += E @ lu.solve((ET @ r) / mult)
+        for col, sign, mult, lu in self._classes:
+            y = np.bincount(col, weights=sign * r, minlength=mult.size + 1)[:-1] / mult
+            x += sign * np.append(lu.solve(y), 0.0)[col]
         return x
 
 
-def _factor_stencil(A, c11, c12, c22, region: SubRegion):
-    """Factor of A, the stencil matrix of tr(C D^2_h) on region that _assemble
-    built, with .solve(r) and .nnz: split by parity class when
-    _reflection_symmetric holds, else one LU factor of A."""
-    if _reflection_symmetric(c11, c12, c22, region):
-        return _ClassFactor(A, c11, c22, region)
-    return _factor(A)
+def _factor_stencil(c11, c12, c22, h: float, region: SubRegion):
+    """Factor of the stencil matrix A of tr(C D^2_h) on region, with .solve(r)
+    and .nnz; it assembles A itself and keeps no reference to it.
+
+    When _reflection_symmetric holds it factors one block per parity class:
+    every block is cut from A and A dropped before the first factorization,
+    and each block is dropped once it is factored.  When c11 == c22 and the
+    masks are also symmetric under x <-> y, the (-, +) class is the (+, -) one
+    with x and y swapped: it reuses that factor, its nodes permuted by the
+    swap.  Any other stencil is one LU factor of A."""
+    A = _assemble(c11, c12, c22, h, region)
+    if not _reflection_symmetric(c11, c12, c22, region):
+        return _factor(A)
+    interior = region.interior
+    idx = np.full(interior.shape, -1, dtype=np.int32)
+    idx[interior] = np.arange(A.shape[0])
+    share = c11 == c22 and all(np.array_equal(m, m.T) for m in (interior, region.boundary))
+    maps, blocks = {}, {}
+    for sx, sy in _PARITY_CLASSES:
+        if share and (sx, sy) == (-1, 1):
+            continue
+        rows, col, sign = _class_map(idx, sx, sy)
+        if rows.size:  # on a region a node wide the odd classes are empty
+            maps[sx, sy] = col, sign
+            blocks[sx, sy] = _class_block(A, rows, col, sign)
+    del A
+    factors = {p: _factor(blocks.pop(p)) for p in list(blocks)}
+    nnz = sum(lu.nnz for lu in factors.values())
+    if share and (1, -1) in maps:
+        swap = idx.T[interior]
+        maps[-1, 1] = tuple(a[swap] for a in maps[1, -1])
+        factors[-1, 1] = factors[1, -1]
+    return _ClassFactor([(*maps[p], factors[p]) for p in _PARITY_CLASSES if p in maps], nnz)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +362,7 @@ def _dirichlet(spec, f, g, grid: Grid2, region: SubRegion | None, tol: float | N
     """
     region = region or grid.region
     interior, boundary = region.interior, region.boundary
-    v = _boundary_values(g, grid, boundary)
+    v = _lattice_values(g, grid, boundary, "boundary data", "boundary")
     ffull = _field_values(f, grid, interior)
     g_max = float(np.max(np.abs(v[boundary]), initial=0.0))
     f_max = float(np.max(np.abs(ffull[interior]), initial=0.0))
@@ -336,8 +374,7 @@ def _dirichlet(spec, f, g, grid: Grid2, region: SubRegion | None, tol: float | N
         target = tol = 1e-8 * (g_max + f_max + 1.0) if tol is None else tol
     h = grid.h
     f_int = ffull[interior]
-    lu = _factor_stencil(_assemble(spec.w11, spec.w12, spec.w22, h, region),
-                         spec.w11, spec.w12, spec.w22, region)
+    lu = _factor_stencil(spec.w11, spec.w12, spec.w22, h, region)
     factor_nnz = lu.nnz
 
     history: list[float] = []
@@ -368,7 +405,7 @@ def _dirichlet(spec, f, g, grid: Grid2, region: SubRegion | None, tol: float | N
         elif res > _SLOW_CONTRACTION * prev:
             lu = None  # release the old factor before the new one is built
             coeffs = operators.gradient_batch(spec, *H)
-            lu = _factor_stencil(_assemble(*coeffs, h, region), *coeffs, region)
+            lu = _factor_stencil(*coeffs, h, region)
             factor_nnz = max(factor_nnz, lu.nnz)
             refactors += 1
         prev = res

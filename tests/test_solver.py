@@ -209,6 +209,18 @@ def test_linear_solve_square_grid():
     assert np.max(np.abs(sol.values[g.interior] - exact[g.interior])) <= 1e-10
 
 
+def test_source_errors_name_the_source():
+    g = Grid2.disk(17)
+    with pytest.raises(ValueError, match="^source array must cover the full lattice"):
+        sv.solve_linear_dirichlet(np.eye(2), np.zeros((5, 5)), 0.0, g)
+    f = np.zeros((17, 17))
+    f[8, 8] = np.inf
+    with pytest.raises(ValueError, match="^source must be finite on every interior node"):
+        sv.solve_linear_dirichlet(np.eye(2), f, 0.0, g)
+    with pytest.raises(ValueError, match="^boundary data array must cover the full lattice"):
+        sv.solve_linear_dirichlet(np.eye(2), None, np.zeros((5, 5)), g)
+
+
 # ---------------------------------------------------------------------------
 # sparse factorization
 
@@ -233,6 +245,141 @@ def _newton_jacobian():
     v = np.where(g.defined, _contract_boundary(g.X, g.Y), 0.0)
     H = sv._hessian_arrays(v, g.h, g.interior)
     return sv._assemble(*op.gradient_batch(spec, *H), g.h, g.region)
+
+
+def _reference_assembly(c11, c12, c22, h, region):
+    """The stencil matrix as COO lists, one per term, converted to CSC."""
+    from scipy.sparse import coo_matrix
+
+    interior = region.interior
+    m = int(interior.sum())
+    idx = np.full(interior.shape, -1, dtype=np.int64)
+    idx[interior] = np.arange(m)
+    ii, jj = np.nonzero(interior)
+    inv = 1.0 / (h * h)
+    a, b, c = (np.broadcast_to(np.asarray(x, dtype=float) * inv, (m,)) for x in (c11, c12, c22))
+    terms = [((0, 0), -2.0 * (a + c)), ((1, 0), a), ((-1, 0), a), ((0, 1), c), ((0, -1), c)]
+    if np.any(b != 0.0):
+        q = 0.5 * b
+        terms += [((1, 1), q), ((-1, -1), q), ((1, -1), -q), ((-1, 1), -q)]
+    rows, cols, vals = [], [], []
+    for (di, dj), coeff in terms:
+        nbr = idx[ii + di, jj + dj]
+        rows.append(np.flatnonzero(nbr >= 0))
+        cols.append(nbr[nbr >= 0])
+        vals.append(coeff[nbr >= 0])
+    return coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(m, m)).tocsc()
+
+
+@st.composite
+def _stencil_coefficients(draw):
+    g = Grid2(draw(st.sampled_from(("disk", "square"))), draw(st.integers(17, 40)))
+    radius = draw(st.one_of(st.none(), st.floats(0.2, 0.9)))
+    region = g.region if radius is None else g.subregion(radius)
+    m = int(region.interior.sum())
+    cross = draw(st.booleans())
+    if draw(st.booleans()):  # per node, as in a Newton Jacobian
+        rng = philox(draw(st.integers(0, 2**32 - 1)))
+        w11, w22 = rng.uniform(0.5, 2.0, (2, m))
+        w12 = rng.uniform(-0.4, 0.4, m) * (rng.random(m) < 0.8) if cross else np.zeros(m)
+    else:
+        w11, w22 = draw(st.floats(0.5, 2.0)), draw(st.floats(0.5, 2.0))
+        w12 = draw(st.floats(-0.4, 0.4).filter(bool)) if cross else 0.0
+    return g, region, (w11, w12, w22)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_stencil_coefficients())
+def test_assembly_matches_reference_coo_assembly(case):
+    g, region, coeffs = case
+    A = sv._assemble(*coeffs, g.h, region)
+    ref = _reference_assembly(*coeffs, g.h, region)
+    assert A.format == "csc" and A.shape == ref.shape
+    assert A.indptr.dtype == A.indices.dtype == np.int32
+    assert A.has_canonical_format
+    assert np.array_equal(A.indptr, ref.indptr) and np.array_equal(A.indices, ref.indices)
+    assert np.array_equal(A.data.view(np.int64), ref.data.view(np.int64))
+
+
+@pytest.mark.parametrize("stencil", ["5pt_scalar", "9pt_per_node"])
+def test_assembly_traced_peak_at_most_3x_its_matrix(stencil):
+    import tracemalloc
+
+    g = Grid2.disk(257)
+    m = int(g.interior.sum())
+    coeffs = (1.0, 0.0, 1.0) if stencil == "5pt_scalar" else tuple(philox(11).uniform(0.1, 1.0, (3, m)))
+    sv._assemble(*coeffs, g.h, g.region)  # the deferred scipy import is not assembly
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        A = sv._assemble(*coeffs, g.h, g.region)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * (A.data.nbytes + A.indices.nbytes + A.indptr.nbytes)
+
+
+def _track_matrices(monkeypatch):
+    """Weak references to every matrix _assemble returns and every one _factor
+    is given; before each factorization, whether every assembled matrix other
+    than the one factored was already collected."""
+    import weakref
+
+    assembled, factored, collected = [], [], []
+    assemble, factor = sv._assemble, sv._factor
+
+    def tracked_assemble(*args):
+        A = assemble(*args)
+        assembled.append(weakref.ref(A))
+        return A
+
+    def tracked_factor(B):
+        collected.append(all(ref() is None or ref() is B for ref in assembled))
+        factored.append(weakref.ref(B))
+        return factor(B)
+
+    monkeypatch.setattr(sv, "_assemble", tracked_assemble)
+    monkeypatch.setattr(sv, "_factor", tracked_factor)
+    return assembled, factored, collected
+
+
+@pytest.fixture
+def no_cycle_collection():
+    # memory is released by reference counting alone, not by a later collection
+    import gc
+
+    gc.disable()
+    yield
+    gc.enable()
+
+
+def test_class_split_drops_the_matrix_before_factoring(monkeypatch, no_cycle_collection):
+    assembled, factored, collected = _track_matrices(monkeypatch)
+    g = Grid2.disk(65)
+    lu = sv._factor_stencil(1.0, 0.0, 1.0, g.h, g.subregion(0.8))
+    assert isinstance(lu, sv._ClassFactor)
+    assert len(assembled) == 1 and len(factored) == 3
+    # the assembled matrix is gone when the first class block is factored ...
+    assert collected[0] and assembled[0]() is None
+    # ... and no block outlives the builder
+    assert all(ref() is None for ref in factored)
+
+
+@pytest.mark.parametrize("solve", ["linear_cross_term", "replacement", "newton"])
+def test_solves_hold_no_assembled_matrix(monkeypatch, no_cycle_collection, solve):
+    assembled, factored, collected = _track_matrices(monkeypatch)
+    g = Grid2.disk(65)
+    if solve == "linear_cross_term":
+        sv.solve_linear_dirichlet([[1.25, 0.15], [0.15, 1.0]], None, _contract_boundary, g)
+    elif solve == "replacement":
+        sv.solve_laplace_dirichlet(_contract_boundary, g, region=g.subregion(0.8))
+    else:
+        sol = sv.solve_fully_nonlinear(op.OperatorSpec(1.0, 0.0, 1.0, 0.9, "sine"), None,
+                                       _contract_boundary, g)
+        assert sol.meta["jacobian_refactors"] >= 1
+    assert assembled and all(collected)
+    assert all(ref() is None for ref in assembled + factored)
 
 
 @pytest.mark.parametrize("build", [_subdisk_laplacian, _square_chord_matrix, _newton_jacobian],
@@ -268,18 +415,29 @@ def _numbering(region):
     return idx
 
 
+def _class_map_E(idx, sx, sy):
+    """_class_map's unknowns, the sparse map E copying each one to its mirror
+    images times the class's sign, and the number of those images."""
+    from scipy.sparse import csr_matrix
+
+    rows, col, sign = sv._class_map(idx, sx, sy)
+    on = col < rows.size
+    E = csr_matrix((sign[on], (np.flatnonzero(on), col[on])), shape=(col.size, rows.size))
+    return rows, E, np.bincount(col[on], minlength=rows.size)
+
+
 @settings(max_examples=60, deadline=None)
 @given(_symmetric_stencils())
 def test_class_factor_matches_plain_factor(case):
     g, region, w11, w22, seed = case
     A = sv._assemble(w11, 0.0, w22, g.h, region)
-    lu = sv._factor_stencil(A, w11, 0.0, w22, region)
+    lu = sv._factor_stencil(w11, 0.0, w22, g.h, region)
     assert isinstance(lu, sv._ClassFactor)
     b = philox(seed).standard_normal(A.shape[0])
     want = sv._factor(A).solve(b)
     assert np.max(np.abs(lu.solve(b) - want)) <= 1e-12 * np.max(np.abs(want))
     # nnz sums the distinct factors: with w11 == w22, (-, +) reuses (+, -)'s
-    maps = [sv._class_map(_numbering(region), *p) for p in sv._PARITY_CLASSES
+    maps = [_class_map_E(_numbering(region), *p) for p in sv._PARITY_CLASSES
             if not (w11 == w22 and p == (-1, 1))]
     assert lu.nnz == sum(sv._factor((A[rows] @ E).tocsc()).nnz for rows, E, _ in maps if rows.size)
 
@@ -291,7 +449,7 @@ def test_class_maps_resolve_the_identity(case):
 
     _, region, *_ = case
     idx = _numbering(region)
-    maps = {p: sv._class_map(idx, *p)[1:] for p in sv._PARITY_CLASSES}
+    maps = {p: _class_map_E(idx, *p)[1:] for p in sv._PARITY_CLASSES}
     projector = {p: E @ diags(1.0 / mult) @ E.T for p, (E, mult) in maps.items()}
     total = sum(projector.values())
     assert abs(total - identity(idx.max() + 1)).max() == 0.0
@@ -309,7 +467,7 @@ def test_class_factor_on_thin_regions(radius_h):
     region = g.subregion(radius_h * g.h)
     A = sv._assemble(1.0, 0.0, 1.0, g.h, region)
     assert A.shape[0] == (1 if radius_h < 1 else 5)
-    lu = sv._factor_stencil(A, 1.0, 0.0, 1.0, region)
+    lu = sv._factor_stencil(1.0, 0.0, 1.0, g.h, region)
     assert isinstance(lu, sv._ClassFactor)
     b = philox(9).standard_normal(A.shape[0])
     want = sv._factor(A).solve(b)
@@ -318,10 +476,9 @@ def test_class_factor_on_thin_regions(radius_h):
 
 def test_class_factor_solves_an_integer_vector():
     g = Grid2.disk(33)
-    A = sv._assemble(1.0, 0.0, 1.0, g.h, g.region)
-    lu = sv._factor_stencil(A, 1.0, 0.0, 1.0, g.region)
+    lu = sv._factor_stencil(1.0, 0.0, 1.0, g.h, g.region)
     assert isinstance(lu, sv._ClassFactor)
-    b = philox(10).integers(-5, 6, A.shape[0])
+    b = philox(10).integers(-5, 6, int(g.interior.sum()))
     assert np.array_equal(lu.solve(b), lu.solve(b.astype(float)))
 
 
@@ -340,7 +497,7 @@ def _one_class_case(N=33, coeffs=(1.0, 0.0, 1.0), centre=None):
 def test_asymmetric_stencils_factor_as_one_class(case):
     g, region, coeffs = _one_class_case(**case)
     A = sv._assemble(*coeffs, g.h, region)
-    lu = sv._factor_stencil(A, *coeffs, region)
+    lu = sv._factor_stencil(*coeffs, g.h, region)
     ref = sv._factor(A)
     assert not isinstance(lu, sv._ClassFactor)
     b = philox(8).standard_normal(int(region.interior.sum()))
@@ -353,7 +510,7 @@ def test_replacement_class_factor_stores_at_most_60_percent():
     sub = g.subregion(0.8)
     A = sv._assemble(1.0, 0.0, 1.0, g.h, sub)
     plain = sv._factor(A).nnz  # 316,822
-    assert sv._factor_stencil(A, 1.0, 0.0, 1.0, sub).nnz <= 0.6 * plain
+    assert sv._factor_stencil(1.0, 0.0, 1.0, g.h, sub).nnz <= 0.6 * plain
 
 
 def test_refinement_stops_once_a_step_fails_to_halve():
@@ -404,12 +561,11 @@ def test_solvers_report_factor_nnz():
     sub = g.subregion(0.8)
     lin = sv.solve_laplace_dirichlet(_contract_boundary, g, region=sub)
     A = sv._assemble(1.0, 0.0, 1.0, g.h, sub)
-    assert lin.meta["factor_nnz"] == sv._factor_stencil(A, 1.0, 0.0, 1.0, sub).nnz
+    assert lin.meta["factor_nnz"] == sv._factor_stencil(1.0, 0.0, 1.0, g.h, sub).nnz
     assert lin.meta["factor_nnz"] < sv._factor(A).nnz
     spec = op.OperatorSpec(1.0, 0.0, 1.0, 0.9, "sine")
     sol = sv.solve_fully_nonlinear(spec, None, _contract_boundary, g)
-    chord = sv._factor_stencil(sv._assemble(1.0, 0.0, 1.0, g.h, g.region),
-                               1.0, 0.0, 1.0, g.region).nnz
+    chord = sv._factor_stencil(1.0, 0.0, 1.0, g.h, g.region).nnz
     assert sol.meta["jacobian_refactors"] >= 1
     # the Newton Jacobian carries cross terms, so its 9-point factor is the largest
     assert isinstance(sol.meta["factor_nnz"], int) and sol.meta["factor_nnz"] > chord
