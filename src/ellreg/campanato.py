@@ -34,7 +34,7 @@ import numpy as np
 
 from . import operators
 from .constants import ConstantsReport, EllipticityBounds, pointwise_factor
-from .grid import GridFunction
+from .grid import GridFunction, ball_reach
 from .mollifier import mollify
 from .solver import SolverError, _hessian_arrays, hessian, solve_laplace_dirichlet
 
@@ -131,7 +131,7 @@ def fit_quadratic(u: GridFunction, center, r: float):
     polynomial in physical coordinates and the max node deviation."""
     g = u.grid
     cx, cy = float(center[0]), float(center[1])
-    mask = u.defined & (np.hypot(g.X - cx, g.Y - cy) <= r * (1.0 + 1e-12))
+    mask = u.defined & g.ball(r, (cx, cy))
     count = int(mask.sum())
     if count < 12:
         raise ValueError(f"ball of radius {r} holds {count} nodes; need at least 12")
@@ -372,7 +372,7 @@ def check_f_decay(f: GridFunction, alpha: float) -> float:
     jmax = (g.N - 1) // 2
     for j in range(4, jmax + 1):
         r = j * g.h
-        count = int(np.searchsorted(rr, r * (1.0 + 1e-12), side="right"))
+        count = int(np.searchsorted(rr, ball_reach(r), side="right"))
         if count == 0:
             continue
         avg = csum[count - 1] / count
@@ -405,7 +405,7 @@ def pointwise_fit_constants(u: GridFunction, alpha: float, region_radius: float 
     K_c = max_x |u(x) - P_c(x)| / |x - c|^(2+alpha) over the whole domain.
 
     Centers are lattice nodes, so ball membership is decided in integer
-    offsets, (di^2 + dj^2) h^2 <= (_FIT_RADIUS (1 + 1e-12))^2, and every center
+    offsets, (di^2 + dj^2) h^2 <= ball_reach(_FIT_RADIUS)^2, and every center
     whose offset ball lies on defined nodes shares one design matrix: those
     centers are fitted by one multi-column least-squares solve per chunk of
     at most 256 centers.  A center whose ball is clipped by the domain is
@@ -420,13 +420,12 @@ def pointwise_fit_constants(u: GridFunction, alpha: float, region_radius: float 
     """
     g = u.grid
     n = g.N
-    centers_mask = u.defined & (np.hypot(g.X, g.Y) <= region_radius * (1.0 + 1e-12))
-    ii, jj = np.nonzero(centers_mask)
+    ii, jj = np.nonzero(u.defined & g.ball(region_radius))
     keep = (ii % _FIT_STRIDE == 0) & (jj % _FIT_STRIDE == 0)
     ii, jj = ii[keep], jj[keep]
     if not len(ii):
         raise ValueError("no fit centers inside the requested region")
-    reach = _FIT_RADIUS * (1.0 + 1e-12)
+    reach = ball_reach(_FIT_RADIUS)
     m = int(reach / g.h) + 1
     di, dj = np.mgrid[-m:m + 1, -m:m + 1]
     ball = (di * di + dj * dj) * g.h**2 <= reach**2
@@ -480,11 +479,15 @@ def pointwise_fit_constants(u: GridFunction, alpha: float, region_radius: float 
 def _pairwise_holder(g, mask: np.ndarray, fields, alpha: float, max_nodes: int) -> float:
     """Max over distinct node pairs of max_k |v_k(x) - v_k(y)| / |x - y|^alpha,
     with v_k the lattice arrays in fields, over the nodes of mask kept by the
-    lattice stride that leaves at most about max_nodes of them."""
+    lattice stride that leaves at most about max_nodes of them; fewer than 2 is an error."""
+    if max_nodes < 2:
+        raise ValueError(f"a pairwise seminorm needs a node cap of at least 2, got {max_nodes}")
     ii, jj = np.nonzero(mask)
     stride = max(1, math.ceil(math.sqrt(len(ii) / max_nodes)))
     keep = (ii % stride == 0) & (jj % stride == 0)
     ii, jj = ii[keep], jj[keep]
+    if len(ii) < 2:
+        raise ValueError("ball under-resolved for a pairwise seminorm")
     x, y = g.X[ii, jj], g.Y[ii, jj]
     cols = [v[ii, jj] for v in fields]
     worst = 0.0
@@ -506,10 +509,7 @@ def discrete_hessian_seminorm(u: GridFunction, alpha: float, radius: float = 0.2
     entrywise max metric on the Hessian difference."""
     H = hessian(u)
     g = u.grid
-    mask = H.mask & (np.hypot(g.X, g.Y) <= radius * (1.0 + 1e-12))
-    if int(mask.sum()) < 2:
-        raise ValueError("ball under-resolved for a pairwise seminorm")
-    return _pairwise_holder(g, mask, (H.h11, H.h12, H.h22), alpha, max_nodes)
+    return _pairwise_holder(g, H.mask & g.ball(radius), (H.h11, H.h12, H.h22), alpha, max_nodes)
 
 
 @dataclass
@@ -520,7 +520,6 @@ class CertificateReport:
     informational: bool
     ball_radius: float
     alpha_used: float
-    constants_used: ConstantsReport | None = None
 
 
 def certificate_check(u: GridFunction, spec, f: GridFunction | None,
@@ -542,7 +541,7 @@ def certificate_check(u: GridFunction, spec, f: GridFunction | None,
         measured = discrete_hessian_seminorm(u, ab, radius=ball_radius, max_nodes=subsample)
         bound = float(constants.C1) * sup_u
         return CertificateReport(measured, bound, bool(measured <= bound), False,
-                                 ball_radius, ab, constants)
+                                 ball_radius, ab)
     if constants.pair.alpha is None or constants.delta is None:
         raise ValueError("inhomogeneous certificate needs a full (alpha, alpha_bar) report")
     a = constants.pair.alpha
@@ -551,4 +550,4 @@ def certificate_check(u: GridFunction, spec, f: GridFunction | None,
     T = float(1.0 / float(constants.delta)) * f_semi + sup_u
     bound = float(pointwise_factor(a)) * 2.0**a * float(constants.C4) * T
     return CertificateReport(measured, bound, bool(measured <= bound), True,
-                             ball_radius, a, constants)
+                             ball_radius, a)

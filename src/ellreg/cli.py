@@ -118,12 +118,12 @@ def cmd_constants(args) -> int:
 
 
 def _source(args, grid: Grid2):
-    """The source on grid's lattice: --source-file, else --source (None for zero)."""
+    """The source on grid's lattice (--source-file, else --source); None when it is zero."""
     if args.source_file:
         f = load_grid(args.source_file)
         if f.grid.N != grid.N or f.grid.extent != grid.extent:
             raise ValueError("source grid file does not match the run lattice")
-        return f
+        return f if np.any(f.values[f.defined]) else None
     return None if args.source == "zero" else GridFunction.from_callable(grid, _profile(args.source))
 
 
@@ -198,9 +198,8 @@ def cmd_analyze(args) -> int:
         }
 
     step_payload = None
-    gamma = args.gamma if args.gamma is not None else 4.0 * grid.h
     try:
-        _, step = campanato.improvement_step(u, spec, report, gamma_used=gamma)
+        _, step = campanato.improvement_step(u, spec, report, gamma_used=args.gamma)
         step_payload = {
             "gamma_used": step.gamma_used,
             "r_used": step.r_used,

@@ -20,6 +20,12 @@ with ``nan`` for undefined nodes (whatever the in-memory values there are).
 Values are written with shortest round-trip formatting, so save/load
 reproduces the values and the defined mask exactly and deterministically.
 An ``inf`` token is rejected on load.
+
+Every shifted read of a lattice array goes through neighbours(): one padded
+copy, and per offset (di, dj) a view b[i, j] = a[i + di, j + dj] holding a
+fill value past the frame.  A node lies in the closed ball of radius r when
+its distance from the centre is at most ball_reach(r) = r (1 + 1e-12), so a
+rim node whose coordinates round outward still counts.
 """
 
 from __future__ import annotations
@@ -35,31 +41,31 @@ __all__ = [
     "Grid2",
     "GridFunction",
     "SubRegion",
+    "ball_reach",
     "load_grid",
+    "neighbours",
     "save_grid",
-    "shift_array",
 ]
 
 _NEIGHBORS8 = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1) if (di, dj) != (0, 0)]
 
 
-def shift_array(a: np.ndarray, di: int, dj: int, fill=0):
-    """Return b with b[i, j] = a[i - di, j - dj], padding with ``fill``."""
-    out = np.full_like(a, fill)
+def neighbours(a: np.ndarray, offsets, fill) -> list:
+    """For each (di, dj) in offsets a view b of a padded copy of a, with
+    b[i, j] = a[i + di, j + dj] on the lattice and ``fill`` past its frame."""
+    pad = max((max(abs(int(di)), abs(int(dj))) for di, dj in offsets), default=0)
+    padded = np.pad(a, pad, constant_values=fill)
     n0, n1 = a.shape
-    rs = slice(max(di, 0), n0 + min(di, 0))
-    cs = slice(max(dj, 0), n1 + min(dj, 0))
-    rs_src = slice(max(-di, 0), n0 + min(-di, 0))
-    cs_src = slice(max(-dj, 0), n1 + min(-dj, 0))
-    out[rs, cs] = a[rs_src, cs_src]
-    return out
+    return [padded[pad + di:pad + di + n0, pad + dj:pad + dj + n1] for di, dj in offsets]
+
+
+def ball_reach(radius: float) -> float:
+    """Largest distance from the centre of a node in the closed ball of this radius."""
+    return radius * (1.0 + 1e-12)
 
 
 def _collar(interior: np.ndarray) -> np.ndarray:
-    grown = np.zeros_like(interior)
-    for di, dj in _NEIGHBORS8:
-        grown |= shift_array(interior, di, dj, fill=False)
-    return grown & ~interior
+    return np.logical_or.reduce(neighbours(interior, _NEIGHBORS8, False)) & ~interior
 
 
 @dataclass(frozen=True)
@@ -83,8 +89,8 @@ class Grid2:
         N = int(N)
         if N < 17:
             raise ValueError("grid needs at least 17 nodes per axis")
-        if not extent > 0:
-            raise ValueError("extent must be positive")
+        if not 0 < extent < np.inf:
+            raise ValueError(f"extent must be positive and finite, got {extent!r}")
         self.shape = shape
         self.N = N
         self.extent = float(extent)
@@ -92,12 +98,11 @@ class Grid2:
         self.xs = np.linspace(-self.extent, self.extent, N)
         self.X, self.Y = np.meshgrid(self.xs, self.xs, indexing="ij")
         if shape == "disk":
-            rr = np.hypot(self.X, self.Y)
-            interior = rr < self.extent * (1.0 - 1e-12)
+            self.region = self.subregion(self.extent)
         else:
             interior = np.zeros((N, N), dtype=bool)
             interior[1:-1, 1:-1] = True
-        self.region = SubRegion(interior, _collar(interior))
+            self.region = SubRegion(interior, _collar(interior))
 
     @classmethod
     def disk(cls, N: int, radius: float = 1.0) -> "Grid2":
@@ -119,14 +124,17 @@ class Grid2:
     def defined(self) -> np.ndarray:
         return self.region.defined
 
-    def ball_mask(self, radius: float, center=(0.0, 0.0)) -> np.ndarray:
-        """Defined nodes within the closed ball of the given radius."""
-        rr = np.hypot(self.X - center[0], self.Y - center[1])
-        return self.defined & (rr <= radius * (1.0 + 1e-12))
+    def ball(self, radius: float, center=(0.0, 0.0)) -> np.ndarray:
+        """Lattice nodes, defined or not, in the closed ball of the given radius."""
+        return np.hypot((self.xs - center[0])[:, None], self.xs - center[1]) <= ball_reach(radius)
+
+    def ball_mask(self, radius: float) -> np.ndarray:
+        """Defined nodes in the closed ball of the given radius about the origin."""
+        return self.defined & self.ball(radius)
 
     def subregion(self, radius: float, center=(0.0, 0.0)) -> SubRegion:
         """Disk sub-domain on this lattice (interior strictly inside, 8-collar boundary)."""
-        rr = np.hypot(self.X - center[0], self.Y - center[1])
+        rr = np.hypot((self.xs - center[0])[:, None], self.xs - center[1])  # no N^2 temporaries
         interior = rr < radius * (1.0 - 1e-12)
         return SubRegion(interior, _collar(interior))
 
@@ -168,12 +176,11 @@ class GridFunction:
         out[~self.defined] = fill
         return out
 
-    def sup(self, mask: np.ndarray | None = None) -> float:
-        """Max of |values| over defined nodes (optionally intersected with mask)."""
-        m = self.defined if mask is None else (self.defined & mask)
-        if not m.any():
+    def sup(self) -> float:
+        """Max of |values| over defined nodes."""
+        if not self.defined.any():
             raise ValueError("empty evaluation mask")
-        return float(np.max(np.abs(self.values[m])))
+        return float(np.max(np.abs(self.values[self.defined])))
 
 
 def save_grid(path, gf: GridFunction) -> None:
@@ -190,8 +197,8 @@ def load_grid(path) -> GridFunction:
         head = header.split()
         if len(head) != 4 or head[0] != "grid":
             raise ValueError(f"{path}: malformed grid header {header!r}")
-        grid = Grid2(head[1], int(head[2]), float(head[3]))
         try:
+            grid = Grid2(head[1], int(head[2]), float(head[3]))
             with warnings.catch_warnings():
                 # a file without value rows fails the shape check below
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")

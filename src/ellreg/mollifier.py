@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridFunction, shift_array
+from .grid import GridFunction, neighbours
 
 __all__ = [
     "BumpKernel",
@@ -208,14 +208,13 @@ def mollify(u: GridFunction, gamma: float) -> GridFunction:
         raise ValueError("gamma must lie in (0, extent/5)")
     offsets, w = discrete_kernel(g.h, gamma)
     out_defined = u.defined.copy()
-    for di, dj in offsets:
-        out_defined &= shift_array(u.defined, -int(di), -int(dj), fill=False)
+    for b in neighbours(u.defined, offsets, False):
+        out_defined &= b
     if not out_defined.any():
         raise ValueError("domain too small after gamma-shrinking")
     vals = np.zeros((g.N, g.N))
-    src = u.filled(0.0)
-    for (di, dj), wk in zip(offsets, w):
-        vals += wk * shift_array(src, -int(di), -int(dj))
+    for b, wk in zip(neighbours(u.filled(0.0), offsets, 0.0), w):
+        vals += wk * b
     values = np.full((g.N, g.N), np.nan)
     values[out_defined] = vals[out_defined]
     out = GridFunction(g, values, out_defined)

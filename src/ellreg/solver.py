@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import operators
-from .grid import Grid2, GridFunction, SubRegion, shift_array
+from .grid import Grid2, GridFunction, SubRegion, neighbours
 
 __all__ = [
     "ComparisonResult",
@@ -94,11 +94,8 @@ def _hessian_arrays(v: np.ndarray, h: float, mask: np.ndarray):
 def hessian(u: GridFunction, mask: np.ndarray | None = None) -> HessianField:
     """Central second differences wherever the full 9-node stencil is defined."""
     g = u.grid
-    support = u.defined.copy()
-    for di in (-1, 0, 1):
-        for dj in (-1, 0, 1):
-            support &= shift_array(u.defined, -di, -dj)
-    support[0, :] = support[-1, :] = support[:, 0] = support[:, -1] = False
+    stencil = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)]
+    support = np.logical_and.reduce(neighbours(u.defined, stencil, False))
     if mask is not None and (mask & ~support).any():
         raise StencilError("requested node lacks full stencil support")
     v = u.filled(0.0)
@@ -156,7 +153,7 @@ def _assemble(c11, c12, c22, h: float, region: SubRegion):
     out sorted and the matrix is canonical."""
     from scipy.sparse import csc_matrix  # deferred: constants and cordes runs never assemble
 
-    interior, boundary = region.interior, region.boundary
+    interior = region.interior
     m = int(interior.sum())
     if m == 0:
         raise SolverError("region has no interior nodes")
@@ -166,20 +163,18 @@ def _assemble(c11, c12, c22, h: float, region: SubRegion):
     if np.any(b != 0.0):
         q = 0.5 * b
         terms.update({(1, 1): q, (-1, -1): q, (1, -1): -q, (-1, 1): -q})
-    # padded by one node, so a shift by an offset stays on the arrays
-    n = interior.shape[0]
-    idx = np.full((n + 2, n + 2), -1, dtype=np.int32)
-    idx[1:-1, 1:-1][interior] = np.arange(m, dtype=np.int32)
-    defined = np.zeros((n + 2, n + 2), dtype=bool)
-    defined[1:-1, 1:-1] = interior | boundary
+    offsets = sorted(terms, reverse=True)
+    idx = np.full(interior.shape, -1, dtype=np.int32)
+    idx[interior] = np.arange(m, dtype=np.int32)
+    if not np.logical_and.reduce(neighbours(region.defined, offsets, False))[interior].all():
+        raise SolverError("interior stencil reaches an undefined node")
+    # the row at (i - di, j - dj) reaches the column's node (i, j); -1 (no
+    # interior row there) picks a value the mask below drops
+    row_of = neighbours(idx, [(-di, -dj) for di, dj in offsets], -1)
     rows = np.empty((m, len(terms)), dtype=np.int32)
     vals = np.empty((m, len(terms)))
-    for t, (di, dj) in enumerate(sorted(terms, reverse=True)):
-        if not defined[1 + di:n + 1 + di, 1 + dj:n + 1 + dj][interior].all():
-            raise SolverError("interior stencil reaches an undefined node")
-        # the row at (i - di, j - dj) reaches the column's node (i, j); -1
-        # (no interior row there) picks a value the mask below drops
-        rows[:, t] = idx[1 - di:n + 1 - di, 1 - dj:n + 1 - dj][interior]
+    for t, (di, dj) in enumerate(offsets):
+        rows[:, t] = row_of[t][interior]
         vals[:, t] = terms[di, dj][rows[:, t]]
     keep = rows >= 0
     indptr = np.zeros(m + 1, dtype=np.int32)

@@ -16,6 +16,25 @@ def saddle(x, y):
     return x**2 - y**2
 
 
+def shifted(a: np.ndarray, di: int, dj: int, fill=0) -> np.ndarray:
+    """Reference shift: a fresh array b with b[i, j] = a[i - di, j - dj],
+    ``fill`` where that node lies off the lattice."""
+    out = np.full_like(a, fill)
+    n0, n1 = a.shape
+    out[max(di, 0):n0 + min(di, 0), max(dj, 0):n1 + min(dj, 0)] = \
+        a[max(-di, 0):n0 + min(-di, 0), max(-dj, 0):n1 + min(-dj, 0)]
+    return out
+
+
+def holey_field(g: Grid2, seed: int) -> GridFunction:
+    """Random values on the defined nodes of g less an off-centre disk and a
+    sprinkle of single nodes."""
+    rng = philox(seed)
+    defined = g.defined & (np.hypot(g.X - 0.3 * g.extent, g.Y + 0.2 * g.extent) > 0.15 * g.extent)
+    defined &= rng.random((g.N, g.N)) > 0.02
+    return GridFunction(g, np.where(defined, rng.standard_normal((g.N, g.N)), np.nan), defined)
+
+
 def philox(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed))
 

@@ -14,7 +14,7 @@ import pytest
 from ellreg import checks, cli
 from ellreg.grid import Grid2, GridFunction, load_grid, save_grid
 
-from conftest import saddle
+from conftest import cubic_harmonic, saddle
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -223,6 +223,57 @@ def test_analyze_rejects_infinite_grid_file(tmp_path, capsys):
                             "--csv-output", str(tmp_path / "d.csv")], capsys)
     assert code == cli.EXIT_USAGE
     assert f"{grid_file}: infinite value" in err
+
+
+def test_non_finite_extent_exits_2(tmp_path, capsys):
+    code, _, err = run_cli(["solve", "-N", "33", "--extent", "inf",
+                            "-o", str(tmp_path / "u.grid")], capsys)
+    assert code == cli.EXIT_USAGE
+    assert "extent must be positive and finite, got inf" in err
+    grid_file = tmp_path / "inf_extent.grid"
+    grid_file.write_text("grid disk 65 inf\n" + (" ".join(["0.0"] * 65) + "\n") * 65)
+    code, _, err = run_cli(["analyze", "--input", str(grid_file),
+                            "--csv-output", str(tmp_path / "d.csv")], capsys)
+    assert code == cli.EXIT_USAGE
+    assert f"{grid_file}: extent must be positive and finite, got inf" in err
+    assert not (tmp_path / "u.grid").exists() and not (tmp_path / "d.csv").exists()
+
+
+def _cubic65(tmp_path):
+    grid_file = tmp_path / "cubic65.grid"
+    save_grid(grid_file, GridFunction.from_callable(Grid2.disk(65), cubic_harmonic))
+    return grid_file
+
+
+def test_analyze_rejects_a_subsample_cap_below_two_nodes(tmp_path, capsys):
+    base = ["analyze", "--input", str(_cubic65(tmp_path)), "--csv-output", str(tmp_path / "d.csv")]
+    for cap, message in (("0", "node cap of at least 2, got 0"),
+                         ("-4", "node cap of at least 2, got -4"),
+                         ("1", "node cap of at least 2, got 1"),
+                         ("2", "ball under-resolved")):  # one node survives the stride
+        code, out, err = run_cli(base + ["--subsample", cap], capsys)
+        assert code == cli.EXIT_USAGE, (cap, err)
+        assert message in err and out == ""
+    code, out, err = run_cli(base + ["--subsample", "12"], capsys)
+    assert code == cli.EXIT_OK, err
+    assert json.loads(out)["certificate"]["measured_seminorm"] > 0
+
+
+def test_analyze_with_a_zero_source_file_is_homogeneous(tmp_path, capsys):
+    u_file = _cubic65(tmp_path)
+    zero_file = tmp_path / "zero65.grid"
+    save_grid(zero_file, GridFunction.zeros(Grid2.disk(65)))
+    runs = []
+    for extra in ([], ["--source-file", str(zero_file)]):
+        csv_file = tmp_path / f"d{len(runs)}.csv"
+        code, out, err = run_cli(["analyze", "--input", str(u_file), *extra,
+                                  "--csv-output", str(csv_file)], capsys)
+        assert code == cli.EXIT_OK, err
+        payload = json.loads(out)
+        assert payload.pop("csv_output") == str(csv_file)
+        runs.append((json.dumps(payload), csv_file.read_bytes()))
+    assert runs[0] == runs[1]
+    assert json.loads(runs[1][0])["mode"] == "homogeneous"
 
 
 def test_cordes_identity_spec(tmp_path, capsys):

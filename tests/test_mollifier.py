@@ -13,7 +13,7 @@ from scipy import integrate
 from ellreg import mollifier as mo
 from ellreg.grid import Grid2, GridFunction
 
-from conftest import philox, random_field
+from conftest import holey_field, philox, random_field, shifted
 
 # frozen oracle values (mpmath, 40 digits):
 #   int_{-1}^{1} exp(1/(x^2-1)) dx        = 0.44399381616807943782
@@ -124,6 +124,28 @@ def test_mollify_shrinks_domain_and_validates():
     thin = GridFunction.from_callable(g, lambda x, y: x, mask=ring)
     with pytest.raises(ValueError, match="domain too small"):
         mo.mollify(thin, 0.19)
+
+
+@pytest.mark.parametrize("holes", [False, True], ids=["full", "holes"])
+@pytest.mark.parametrize("N", [41, 42])
+@pytest.mark.parametrize("shape", ["disk", "square"])
+def test_mollify_matches_shifted_copy_reference(shape, N, holes):
+    g = Grid2(shape, N)
+    u = holey_field(g, N) if holes else random_field(g, philox(N))
+    gamma = 3 * g.h
+    offsets, w = mo.discrete_kernel(g.h, gamma)
+    defined = u.defined.copy()
+    for di, dj in offsets:
+        defined &= shifted(u.defined, -int(di), -int(dj), fill=False)
+    vals = np.zeros((g.N, g.N))
+    src = u.filled(0.0)
+    for (di, dj), wk in zip(offsets, w):
+        vals += wk * shifted(src, -int(di), -int(dj))
+    out = mo.mollify(u, gamma)
+    assert np.array_equal(out.defined, defined)
+    # bit for bit: the same products summed in the same order
+    assert np.array_equal(out.values[defined].view(np.int64), vals[defined].view(np.int64))
+    assert np.isnan(out.values[~defined]).all()
 
 
 def test_mollify_holder_rate_sqrt_profile():

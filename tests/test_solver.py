@@ -12,12 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ellreg import constants as C
+from ellreg import grid as gr
 from ellreg import mollifier as mo
 from ellreg import operators as op
 from ellreg import solver as sv
 from ellreg.grid import Grid2, GridFunction, load_grid, save_grid
 
-from conftest import cubic_harmonic, philox, saddle
+from conftest import cubic_harmonic, holey_field, philox, random_field, saddle, shifted
 
 
 # ---------------------------------------------------------------------------
@@ -37,6 +38,82 @@ def test_grid_invariants(disk65):
         Grid2.disk(15)
     with pytest.raises(ValueError):
         Grid2("triangle", 33)
+
+
+def test_grid_rejects_a_non_finite_extent():
+    for extent in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match=f"extent must be positive and finite, got {extent}"):
+            Grid2("disk", 33, extent)
+
+
+def _neighbour_arrays(dtype, shape, rng):
+    if dtype is bool:
+        return rng.random(shape) < 0.5
+    if dtype is np.int32:
+        return rng.integers(-100, 100, shape).astype(np.int32)
+    return rng.standard_normal(shape)
+
+
+_FILLS = {bool: (False, True), np.int32: (-1, 0, 7), float: (0.0, -1.5, np.nan)}
+
+
+@st.composite
+def _neighbour_cases(draw):
+    dtype = draw(st.sampled_from(list(_FILLS)))
+    shape = (draw(st.integers(1, 9)), draw(st.integers(1, 9)))
+    a = _neighbour_arrays(dtype, shape, philox(draw(st.integers(0, 2**32 - 1))))
+    offsets = draw(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), max_size=8))
+    return a, offsets, draw(st.sampled_from(_FILLS[dtype]))
+
+
+@settings(deadline=None, max_examples=100)
+@given(_neighbour_cases())
+def test_neighbours_match_an_index_loop(case):
+    a, offsets, fill = case
+    views = gr.neighbours(a, offsets, fill)
+    assert len(views) == len(offsets)
+    n0, n1 = a.shape
+    for (di, dj), b in zip(offsets, views):
+        want = np.full_like(a, fill)
+        for i in range(n0):
+            for j in range(n1):
+                if 0 <= i + di < n0 and 0 <= j + dj < n1:
+                    want[i, j] = a[i + di, j + dj]
+        assert b.dtype == a.dtype and b.shape == a.shape
+        assert np.array_equal(b, want, equal_nan=a.dtype.kind == "f")
+        assert b.base is not None and b.base is views[0].base  # views of one padded copy
+
+
+def _collar_reference(interior):
+    grown = np.zeros_like(interior)
+    for di in (-1, 0, 1):
+        for dj in (-1, 0, 1):
+            if (di, dj) != (0, 0):
+                grown |= shifted(interior, di, dj, fill=False)
+    return grown & ~interior
+
+
+@pytest.mark.parametrize("N", [33, 34])
+@pytest.mark.parametrize("shape", ["disk", "square"])
+def test_regions_and_balls_match_shifted_copy_references(shape, N):
+    g = Grid2(shape, N, 1.5)
+    if shape == "disk":
+        interior = np.hypot(g.X, g.Y) < g.extent * (1.0 - 1e-12)
+    else:
+        interior = np.zeros((N, N), dtype=bool)
+        interior[1:-1, 1:-1] = True
+    cases = [(g.region, interior)]
+    for radius, center in ((0.8, (0.0, 0.0)), (0.5, (3 * g.h, -g.h)), (0.55 * g.h, (0.0, 0.0))):
+        sub = np.hypot(g.X - center[0], g.Y - center[1]) < radius * (1.0 - 1e-12)
+        cases.append((g.subregion(radius, center), sub))
+        ball = np.hypot(g.X - center[0], g.Y - center[1]) <= radius * (1.0 + 1e-12)
+        assert np.array_equal(g.ball(radius, center), ball)
+    assert np.array_equal(g.ball_mask(0.8), g.defined & g.ball(0.8))
+    holey = holey_field(g, N).defined & interior  # holes inside the interior
+    cases.append((gr.SubRegion(holey, gr._collar(holey)), holey))
+    for region, inner in cases:
+        assert np.array_equal(region.interior, inner)
+        assert np.array_equal(region.boundary, _collar_reference(inner))
 
 
 def test_grid_io_round_trip(tmp_path, disk33):
@@ -156,6 +233,20 @@ def test_hessian_linearity(disk33):
     m = Hc.mask
     scale = max(np.max(np.abs(Ha.h11[m])), np.max(np.abs(Hb.h11[m])))
     assert np.max(np.abs(Hc.h11[m] - (2.0 * Ha.h11[m] - 0.5 * Hb.h11[m]))) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("holes", [False, True], ids=["full", "holes"])
+@pytest.mark.parametrize("N", [33, 34])
+@pytest.mark.parametrize("shape", ["disk", "square"])
+def test_hessian_support_matches_shifted_copy_reference(shape, N, holes):
+    g = Grid2(shape, N)
+    u = holey_field(g, N) if holes else random_field(g, philox(N))
+    support = u.defined.copy()
+    for di in (-1, 0, 1):
+        for dj in (-1, 0, 1):
+            support &= shifted(u.defined, -di, -dj)
+    support[0, :] = support[-1, :] = support[:, 0] = support[:, -1] = False
+    assert np.array_equal(sv.hessian(u).mask, support)
 
 
 def test_hessian_mask_error(disk33):
