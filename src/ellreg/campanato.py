@@ -11,6 +11,10 @@ and records the sup deviation on each ball, the pointwise-to-uniform Hoelder
 upgrade with its explicit factor (2 + 2^(2+alpha))^2, and the certificate
 comparison of a measured Hessian seminorm against the constants chain.
 
+A quadratic is one coefficient vector (a, b1, b2, c11, c12, c22) against the
+monomial basis (1, x, y, x^2/2, xy, y^2/2); every fit solves for that vector,
+and QuadraticPolynomial holds it.
+
 Scale fits are taken on the exact lattice nodes inside each ball, with
 coordinates rescaled to the unit frame for conditioning; values are never
 interpolated, so quadratic inputs are reproduced to rounding accuracy at
@@ -56,45 +60,39 @@ __all__ = [
 ]
 
 
-@dataclass
 class QuadraticPolynomial:
-    """P(x) = a + b . x + (1/2) x^T c x with symmetric c."""
+    """P(x, y) = coef . _monomials(x, y) = a + b . x + (1/2) x^T c x, with the
+    read-only coefficient vector coef, b = (b1, b2) and c = [[c11, c12], [c12, c22]]."""
 
-    a: float
-    b: np.ndarray
-    c: np.ndarray
+    def __init__(self, coef):
+        self.coef = np.array(coef, dtype=float).reshape(6)
+        self.coef.flags.writeable = False
 
-    def __post_init__(self):
-        self.b = np.asarray(self.b, dtype=float).reshape(2)
-        self.c = np.asarray(self.c, dtype=float).reshape(2, 2)
-        c12, c21 = float(self.c[0, 1]), float(self.c[1, 0])
-        # np.allclose(c, c.T, atol=0) on the one off-diagonal pair, without its overhead
-        if not (c12 == c21 or abs(c12 - c21) <= 1e-5 * min(abs(c12), abs(c21))):
-            raise ValueError("c must be symmetric")
+    @property
+    def a(self) -> float:
+        return float(self.coef[0])
 
-    @classmethod
-    def zero(cls) -> "QuadraticPolynomial":
-        return cls(0.0, np.zeros(2), np.zeros((2, 2)))
+    @property
+    def b(self) -> np.ndarray:
+        return self.coef[1:3]
+
+    @property
+    def c(self) -> np.ndarray:
+        return self.coef[[3, 4, 4, 5]].reshape(2, 2)
 
     def __call__(self, x, y):
+        a, b1, b2, c11, c12, c22 = self.coef
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        return (self.a + self.b[0] * x + self.b[1] * y
-                + 0.5 * (self.c[0, 0] * x * x + 2.0 * self.c[0, 1] * x * y + self.c[1, 1] * y * y))
+        return a + b1 * x + b2 * y + 0.5 * (c11 * x * x + 2.0 * c12 * x * y + c22 * y * y)
 
     def __add__(self, other: "QuadraticPolynomial") -> "QuadraticPolynomial":
-        return QuadraticPolynomial(self.a + other.a, self.b + other.b, self.c + other.c)
+        return QuadraticPolynomial(self.coef + other.coef)
 
 
-def _design(xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    return np.column_stack([np.ones_like(xi), xi, eta, 0.5 * xi * xi, xi * eta, 0.5 * eta * eta])
-
-
-def _coeffs_to_poly(coef: np.ndarray) -> QuadraticPolynomial:
-    a = float(coef[0])
-    b = np.array([coef[1], coef[2]])
-    c = np.array([[coef[3], coef[4]], [coef[4], coef[5]]])
-    return QuadraticPolynomial(a, b, c)
+def _monomials(x, y) -> tuple:
+    """The monomial basis at the points (x, y), one array per monomial."""
+    return np.ones_like(x), x, y, 0.5 * x * x, x * y, 0.5 * y * y
 
 
 def _physical(coef: np.ndarray, r: float, cx, cy) -> np.ndarray:
@@ -121,7 +119,7 @@ def _fit_ball(xi: np.ndarray, eta: np.ndarray, vals: np.ndarray):
     """Least-squares quadratic in the unit-frame coordinates (xi, eta) for one
     value column or a (nodes, k) stack of columns; returns the coefficients
     and the max node deviation of each column."""
-    A = _design(xi, eta)
+    A = np.column_stack(_monomials(xi, eta))
     coef = _lstsq6(A, vals)
     return coef, np.max(np.abs(vals - A @ coef), axis=0)
 
@@ -136,7 +134,7 @@ def fit_quadratic(u: GridFunction, center, r: float):
     if count < 12:
         raise ValueError(f"ball of radius {r} holds {count} nodes; need at least 12")
     coef, sup_dev = _fit_ball((g.X[mask] - cx) / r, (g.Y[mask] - cy) / r, u.values[mask])
-    return _coeffs_to_poly(_physical(coef, r, cx, cy)), float(sup_dev)
+    return QuadraticPolynomial(_physical(coef, r, cx, cy)), float(sup_dev)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +158,8 @@ class StepReport:
     factor_nnz: int  # entries stored by the harmonic replacement's LU factor
 
 
-def _taylor_at_center(h_fun: GridFunction) -> QuadraticPolynomial:
+def _taylor_at_center(h_fun: GridFunction) -> np.ndarray:
+    """Coefficients of the second-order Taylor polynomial of h_fun at the origin."""
     g = h_fun.grid
     if g.N % 2 == 0:
         raise ValueError("grid must have a center node (odd N)")
@@ -172,8 +171,8 @@ def _taylor_at_center(h_fun: GridFunction) -> QuadraticPolynomial:
     center = np.zeros((3, 3), dtype=bool)
     center[1, 1] = True
     c11, c12, c22 = (float(c[0]) for c in _hessian_arrays(v, g.h, center))
-    b = np.array([(v[2, 1] - v[0, 1]) / (2 * g.h), (v[1, 2] - v[1, 0]) / (2 * g.h)])
-    return QuadraticPolynomial(float(v[1, 1]), b, np.array([[c11, c12], [c12, c22]]))
+    b1, b2 = (v[2, 1] - v[0, 1]) / (2 * g.h), (v[1, 2] - v[1, 0]) / (2 * g.h)
+    return np.array([v[1, 1], b1, b2, c11, c12, c22])
 
 
 _REPLACE_RADIUS = 0.8  # radius of the harmonic-replacement disk
@@ -203,22 +202,22 @@ def improvement_step(u: GridFunction, spec, constants: ConstantsReport | None = 
     if (sub.defined & ~u_moll.defined).any():
         raise ValueError("mollified data does not cover the replacement disk")
     h_fun = solve_laplace_dirichlet(u_moll, g, region=sub)
-    P0 = _taylor_at_center(h_fun)
+    coef = _taylor_at_center(h_fun)
 
     M = u.sup()
-    d2h_norm = float(operators.op_norm_sym2(P0.c[0, 0], P0.c[0, 1], P0.c[1, 1]))
+    d2h_norm = float(operators.op_norm_sym2(*coef[3:]))
     d2h_bound = 25.0 / 4.0 * 4.0 * M  # (25/4) n^2 with n = 2
     eff = operators.effective_bounds(spec)
 
     if spec.eps == 0.0 or d2h_norm <= 1e-12 * max(M, 1.0):
         # a correction proportional to ||D^2 h(0)|| cannot move F at rounding level
         c_corr = 0.0
-        P = P0
+        P = QuadraticPolynomial(coef)
     else:
-        shift = d2h_norm / eff.lam * np.eye(2)
+        shift = d2h_norm / eff.lam * np.array([0.0, 0.0, 0.0, 1.0, 0.0, 1.0])
 
         def fval(t):
-            return operators.evaluate(spec, P0.c + t * shift)
+            return operators.evaluate(spec, QuadraticPolynomial(coef + t * shift).c)
 
         lo, hi = -spec.eps, spec.eps
         flo, fhi = fval(lo), fval(hi)
@@ -233,15 +232,16 @@ def improvement_step(u: GridFunction, spec, constants: ConstantsReport | None = 
             else:
                 hi = mid
         c_corr = 0.5 * (lo + hi)
-        P = QuadraticPolynomial(P0.a, P0.b, P0.c + c_corr * shift)
+        P = QuadraticPolynomial(coef + c_corr * shift)
 
     ball = g.ball_mask(_DEVIATION_RADIUS)
     both = sub.defined & u.defined
     diff_uh = np.abs(u.values - h_fun.values)
     sup_u_minus_h = float(np.max(diff_uh[both]))
-    hp = np.abs(h_fun.values - P(g.X, g.Y))
+    p_vals = P(g.X, g.Y)
+    hp = np.abs(h_fun.values - p_vals)
     sup_h_minus_p = float(np.max(hp[both & ball]))
-    up = np.abs(u.values - P(g.X, g.Y))
+    up = np.abs(u.values - p_vals)
     sup_u_minus_p = float(np.max(up[u.defined & ball]))
     report = StepReport(
         gamma_used=gamma_used, r_used=_DEVIATION_RADIUS, replace_radius=_REPLACE_RADIUS,
@@ -286,10 +286,8 @@ class DecayTable:
     def to_csv(self) -> str:
         lines = [self.CSV_HEADER]
         for r in self.records:
-            p = r.poly
             lines.append(",".join(repr(float(v)) for v in
-                                  (r.k, r.radius, r.sup_dev, p.a, p.b[0], p.b[1],
-                                   p.c[0, 0], p.c[0, 1], p.c[1, 1])))
+                                  (r.k, r.radius, r.sup_dev, *r.poly.coef)))
         return "\n".join(lines) + "\n"
 
 
@@ -306,7 +304,7 @@ def _iterate(u: GridFunction, spec, ratio: float, kmax: int, f: GridFunction | N
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
     g = u.grid
-    P = QuadraticPolynomial.zero()
+    P = QuadraticPolynomial(np.zeros(6))
     records = []
     truncated = False
     for k in range(kmax + 1):
@@ -317,7 +315,7 @@ def _iterate(u: GridFunction, spec, ratio: float, kmax: int, f: GridFunction | N
         mask = u.defined & g.ball_mask(radius)
         resid = u.values[mask] - P(g.X[mask], g.Y[mask])
         coef, sup_dev = _fit_ball(g.X[mask] / radius, g.Y[mask] / radius, resid)
-        P = P + _coeffs_to_poly(_physical(coef, radius, 0.0, 0.0))
+        P = P + QuadraticPolynomial(_physical(coef, radius, 0.0, 0.0))
         amplitude = ratio ** (2 * k) if mode == "homogeneous" else ratio ** (k * (2 + alpha))
         f_check = None
         if f is not None:
@@ -326,8 +324,8 @@ def _iterate(u: GridFunction, spec, ratio: float, kmax: int, f: GridFunction | N
                 mean_n = float(np.mean(np.abs(f.values[fmask]) ** 2))
                 f_check = math.sqrt(mean_n) / radius ** (alpha if alpha is not None else 0.0)
         records.append(DecayRecord(
-            k=k, radius=radius, poly=QuadraticPolynomial(P.a, P.b.copy(), P.c.copy()),
-            sup_dev=float(sup_dev), correction=_coeffs_to_poly(coef / amplitude),
+            k=k, radius=radius, poly=P,
+            sup_dev=float(sup_dev), correction=QuadraticPolynomial(coef / amplitude),
             amplitude=amplitude, operator_residual=abs(operators.evaluate(spec, P.c)),
             f_check=f_check))
     floor = 1e-13 * max(u.sup(), 1.0)
@@ -437,12 +435,11 @@ def pointwise_fit_constants(u: GridFunction, alpha: float, region_radius: float 
     padded = np.pad(values, m, constant_values=np.nan)
     offsets = di * padded.shape[1] + dj
     flat = (ii + m) * padded.shape[1] + (jj + m)
-    design = _design(di * g.h / _FIT_RADIUS, dj * g.h / _FIT_RADIUS)
+    design = np.column_stack(_monomials(di * g.h / _FIT_RADIUS, dj * g.h / _FIT_RADIUS))
     cx, cy = g.X[ii, jj], g.Y[ii, jj]
 
-    # physical coefficient rows (a, b1, b2, c11, c12, c22), one column per center
+    # physical coefficients, one column per center
     coef = np.empty((6, len(ii)))
-    clipped = {}
     for lo in range(0, len(ii), _CENTER_CHUNK):
         hi = min(lo + _CENTER_CHUNK, len(ii))
         vals = padded.ravel()[flat[lo:hi] + offsets[:, None]]
@@ -452,15 +449,12 @@ def pointwise_fit_constants(u: GridFunction, alpha: float, region_radius: float 
             coef[:, cols] = _physical(_lstsq6(design, vals[:, full]), _FIT_RADIUS,
                                       cx[cols], cy[cols])
         for c in np.flatnonzero(~full) + lo:
-            poly = fit_quadratic(u, (cx[c], cy[c]), _FIT_RADIUS)[0]
-            coef[:, c] = poly.a, poly.b[0], poly.b[1], poly.c[0, 0], poly.c[0, 1], poly.c[1, 1]
-            clipped[c] = poly
+            coef[:, c] = fit_quadratic(u, (cx[c], cy[c]), _FIT_RADIUS)[0].coef
 
     off = np.arange(1 - n, n)
     denom = ((off[:, None] ** 2 + off[None, :] ** 2) * g.h**2) ** (1.0 + 0.5 * alpha)
     denom[n - 1, n - 1] = np.inf
-    x, y = g.X.ravel(), g.Y.ravel()
-    basis = np.stack([np.ones_like(x), x, y, 0.5 * x * x, x * y, 0.5 * y * y])
+    basis = np.stack(_monomials(g.X.ravel(), g.Y.ravel()))
     values = values.ravel()
     kc = np.empty(len(ii))
     for lo in range(0, len(ii), _RESIDUAL_BLOCK):
@@ -472,8 +466,7 @@ def pointwise_fit_constants(u: GridFunction, alpha: float, region_radius: float 
             ratio = resid[t].reshape(n, n)
             np.divide(ratio, denom[n - 1 - i:2 * n - 1 - i, n - 1 - j:2 * n - 1 - j], out=ratio)
             kc[lo + t] = np.fmax.reduce(ratio, axis=None)  # skips the NaN off the defined nodes
-    return [(clipped[c] if c in clipped else _coeffs_to_poly(coef[:, c]), float(kc[c]))
-            for c in range(len(ii))]
+    return [(QuadraticPolynomial(coef[:, c]), float(kc[c])) for c in range(len(ii))]
 
 
 def _pairwise_holder(g, mask: np.ndarray, fields, alpha: float, max_nodes: int) -> float:

@@ -12,7 +12,10 @@ Exit codes: 0 success / condition satisfied; 1 condition not satisfied;
 2 usage or validation error (including an unknown config key, a config value
 its type rejects, analyze on an even N, which has no center node, analyze
 with an operator whose ellipticity bounds fall outside the [constants]
-lambda/Lambda, and a grid file with an infinite value); 3 numerical failure.
+lambda/Lambda, a grid file with an infinite value, a non-finite operator
+weight or eps, a tol that is not positive and finite, a negative max_sweeps,
+a --gamma that is not positive and finite, and an eps_slack or f_bound that
+cordes cannot use); 3 numerical failure.
 
 selftest runs the acceptance check registry (ellreg.checks) at its reduced
 scale, with every Philox key set to the run seed.
@@ -156,6 +159,9 @@ def cmd_solve(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    # improvement_step's own gamma errors become warnings, so a meaningless value stops here
+    if args.gamma is not None and not 0 < args.gamma < math.inf:
+        raise ValueError(f"--gamma must be positive and finite, got {args.gamma!r}")
     spec = _build_spec(args)
     n, bounds, pair, ext, variant = _build_constants_inputs(args)
     eff = operators.effective_bounds(spec)
@@ -247,29 +253,10 @@ def cmd_analyze(args) -> int:
 
 def cmd_cordes(args) -> int:
     spec = _build_spec(args)
-
-    if args.input:
-        field = cordes.linearized_field(spec, load_grid(args.input))
-        xs, ys, entries = field.x, field.y, (field.g11, field.g12, field.g22)
-        keps, cdel, zero_nodes = field.keps, field.cordesdelta, field.zero_trace_nodes
-    else:  # DF at the zero Hessian, one node at the origin
-        entries = operators.gradient_batch(spec, *np.zeros((3, 1)))
-        xs = ys = np.array([0.0])
-        keps, cdel, _ = cordes.margins_2x2(*entries)
-        zero_nodes = []
-    a_stack = np.empty((xs.size, 2, 2))
-    a_stack[:, 0, 0], a_stack[:, 1, 1] = entries[0], entries[2]
-    a_stack[:, 0, 1] = a_stack[:, 1, 0] = entries[1]
-
-    # in 2-D the trace-form margin k'_eps equals k_eps, so keps fills both columns
-    lines = ["x,y,keps,kepsprime,cordesdelta"]
-    lines += [f"{x},{y},{k},{k},{d}" for x, y, k, d in
-              zip(*(map(repr, np.asarray(a, dtype=float).tolist()) for a in (xs, ys, keps, cdel)))]
-    with open(args.csv_output, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-    nirenberg = None
-    deviation_ok = True
+    field = cordes.linearized_field(spec, load_grid(args.input) if args.input else None)
+    a_stack = np.empty((field.x.size, 2, 2))
+    a_stack[:, 0, 0], a_stack[:, 1, 1] = field.g11, field.g22
+    a_stack[:, 0, 1] = a_stack[:, 1, 0] = field.g12
     try:
         nres = cordes.nirenberg_constants(a_stack, args.f_bound, args.eps_slack)
         nirenberg = {
@@ -280,22 +267,28 @@ def cmd_cordes(args) -> int:
             "threshold_ok": nres.threshold_ok,
             "note": nres.note,
         }
-    except ValueError as exc:
-        deviation_ok = False
+    except cordes.DeviationError as exc:
         nirenberg = {"error": str(exc)}
 
-    min_keps = float(np.nanmin(keps))
+    # in 2-D the trace-form margin k'_eps equals k_eps, so keps fills both columns
+    lines = ["x,y,keps,kepsprime,cordesdelta"]
+    lines += [f"{x},{y},{k},{k},{d}" for x, y, k, d in
+              zip(*(map(repr, a.tolist()) for a in
+                    (field.x, field.y, field.keps, field.cordesdelta)))]
+    with open(args.csv_output, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
     summary = {
-        "min_keps": min_keps,
-        "min_kepsprime": min_keps,
-        "min_cordes_delta": float(np.nanmin(cdel)),
-        "nodes": int(len(xs)),
-        "zero_trace_nodes": [list(t) for t in zero_nodes],
+        "min_keps": field.min_keps,
+        "min_kepsprime": field.min_keps,
+        "min_cordes_delta": field.min_cordes_delta,
+        "nodes": int(len(field.x)),
+        "zero_trace_nodes": [list(t) for t in field.zero_trace_nodes],
         "nirenberg": nirenberg,
         "csv_output": args.csv_output,
     }
     _emit(_json_dump(summary), args.output)
-    ok = min_keps > 0.0 and deviation_ok and not zero_nodes
+    ok = field.min_keps > 0.0 and "error" not in nirenberg and not field.zero_trace_nodes
     return EXIT_OK if ok else EXIT_UNSATISFIED
 
 

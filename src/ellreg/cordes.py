@@ -36,6 +36,7 @@ from .solver import hessian
 
 __all__ = [
     "CordesFieldReport",
+    "DeviationError",
     "NirenbergResult",
     "UNPROVEN_THRESHOLD_NOTE",
     "cordes_delta",
@@ -96,6 +97,10 @@ def cordes_delta(A) -> float:
     return tr**2 / hs2 - (n - 1)
 
 
+class DeviationError(ValueError):
+    """The coefficients lie too far from the identity for the small-deviation constants."""
+
+
 @dataclass
 class NirenbergResult:
     k: float
@@ -117,10 +122,10 @@ def nirenberg_constants(a_field, f_bound: float, eps_slack: float) -> NirenbergR
     a_field is a single symmetric 2x2 matrix or a stack (..., 2, 2); the max
     nodewise squared deviation ||I - a||_HS^2 drives both constants.
     """
-    if eps_slack <= 0:
-        raise ValueError("eps_slack must be positive")
-    if f_bound < 0:
-        raise ValueError("f_bound must be nonnegative")
+    if not 0 < eps_slack < math.inf:
+        raise ValueError(f"eps_slack must be positive and finite, got {eps_slack!r}")
+    if not 0 <= f_bound < math.inf:
+        raise ValueError(f"f_bound must be nonnegative and finite, got {f_bound!r}")
     a = np.asarray(a_field, dtype=float)
     if a.shape[-2:] != (2, 2):
         raise ValueError("coefficient field must consist of 2x2 matrices")
@@ -130,7 +135,7 @@ def nirenberg_constants(a_field, f_bound: float, eps_slack: float) -> NirenbergR
     worst = int(np.argmax(dev_sq))
     max_dev_sq = float(dev_sq[worst])
     if (1.0 + eps_slack) * max_dev_sq >= 1.0:
-        raise ValueError(
+        raise DeviationError(
             f"deviation too large at node {worst}: (1+eps) * ||I - a||^2 = "
             f"{(1.0 + eps_slack) * max_dev_sq:.6g} >= 1")
     k = 2.0 / (1.0 - (1.0 + eps_slack) * max_dev_sq)
@@ -186,13 +191,17 @@ def margins_2x2(g11, g12, g22):
     return keps, cdelta, zero
 
 
-def linearized_field(spec, u: GridFunction) -> CordesFieldReport:
-    """Evaluate DF at the discrete Hessian of u and audit every node."""
-    H = hessian(u)
-    m = H.mask
-    g11, g12, g22 = operators.gradient_batch(spec, H.h11[m], H.h12[m], H.h22[m])
+def linearized_field(spec, u: GridFunction | None = None) -> CordesFieldReport:
+    """Evaluate DF at the discrete Hessian of u and audit every node; without
+    u, audit one node at the origin at the zero Hessian."""
+    if u is None:
+        g11, g12, g22 = operators.gradient_batch(spec, *np.zeros((3, 1)))
+    else:
+        H = hessian(u)
+        m = H.mask
+        g11, g12, g22 = operators.gradient_batch(spec, H.h11[m], H.h12[m], H.h22[m])
     keps, cdelta, zero = margins_2x2(g11, g12, g22)
-    xs, ys = u.grid.X[m], u.grid.Y[m]
+    xs, ys = (np.zeros(1), np.zeros(1)) if u is None else (u.grid.X[m], u.grid.Y[m])
     return CordesFieldReport(
         x=xs, y=ys, g11=g11, g12=g12, g22=g22,
         keps=keps, cordesdelta=cdelta,

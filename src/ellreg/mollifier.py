@@ -113,14 +113,15 @@ def _f_derivs(s, k):
     raise ValueError(k)
 
 
+def _third_deriv_xxx(x, f2, f3):
+    # d^3/dx^3 of f(|x|^2), given f'' and f''' at |x|^2
+    return 8.0 * x**3 * f3 + 12.0 * x * f2
+
+
 def _third_deriv_1d(x):
-    # eta'''/C with g = 1/(x^2-1):  e^g (g'^3 + 3 g' g'' + g''')
+    # eta'''/C in one dimension, where |x|^2 = x^2
     x = np.asarray(x, dtype=float)
-    u = x * x - 1.0
-    gp = -2.0 * x / u**2
-    gpp = (6.0 * x * x + 2.0) / u**3
-    gppp = -24.0 * x * (x * x + 1.0) / u**4
-    return np.exp(1.0 / u) * (gp**3 + 3.0 * gp * gpp + gppp)
+    return _third_deriv_xxx(x, _f_derivs(x * x, 2), _f_derivs(x * x, 3))
 
 
 def _abs_mass_2d(which: str) -> float:
@@ -145,7 +146,7 @@ def _abs_mass_2d(which: str) -> float:
             X = r[:, None] * ct[None, :]
             Y = r[:, None] * st[None, :]
             if which == "xxx":
-                vals = 8.0 * X**3 * f3[:, None] + 12.0 * X * f2[:, None]
+                vals = _third_deriv_xxx(X, f2[:, None], f3[:, None])
             else:
                 vals = 8.0 * X**2 * Y * f3[:, None] + 4.0 * Y * f2[:, None]
             total += float(np.sum(np.abs(vals) * r[:, None]))
@@ -183,10 +184,7 @@ def discrete_kernel(h: float, gamma: float):
         raise ValueError("kernel under-resolved: need gamma >= 2h")
     m = int(math.floor(gamma / h))
     di, dj = np.meshgrid(np.arange(-m, m + 1), np.arange(-m, m + 1), indexing="ij")
-    s = (di**2 + dj**2) * (h / gamma) ** 2
-    inside = s < 1.0
-    w = np.zeros_like(s)
-    w[inside] = np.exp(1.0 / (s[inside] - 1.0))
+    w = bump_profile((di**2 + dj**2) * (h / gamma) ** 2)
     keep = w > 0.0  # rim offsets underflow to zero weight; drop them (symmetric in s)
     offsets = np.stack([di[keep], dj[keep]], axis=1)
     w = w[keep]

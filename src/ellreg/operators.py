@@ -116,6 +116,9 @@ class OperatorSpec:
     def __post_init__(self):
         if self.perturbation not in PERTURBATIONS:
             raise ValueError(f"unknown perturbation {self.perturbation!r}")
+        for name in ("w11", "w12", "w22", "eps"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.eps < 0:
             raise ValueError("eps must be nonnegative")
         if self.w11 <= 0 or self.w11 * self.w22 - self.w12**2 <= 0:

@@ -35,6 +35,7 @@ not monotone, so a residual that keeps growing is reported as divergence.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +47,6 @@ __all__ = [
     "ComparisonResult",
     "HessianField",
     "SolverError",
-    "StencilError",
     "comparison_check",
     "hessian",
     "solve_fully_nonlinear",
@@ -56,10 +56,6 @@ __all__ = [
 
 
 class SolverError(RuntimeError):
-    pass
-
-
-class StencilError(ValueError):
     pass
 
 
@@ -91,13 +87,11 @@ def _hessian_arrays(v: np.ndarray, h: float, mask: np.ndarray):
     return h11, h12, h22
 
 
-def hessian(u: GridFunction, mask: np.ndarray | None = None) -> HessianField:
+def hessian(u: GridFunction) -> HessianField:
     """Central second differences wherever the full 9-node stencil is defined."""
     g = u.grid
     stencil = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)]
     support = np.logical_and.reduce(neighbours(u.defined, stencil, False))
-    if mask is not None and (mask & ~support).any():
-        raise StencilError("requested node lacks full stencil support")
     v = u.filled(0.0)
     h11, h12, h22 = (np.full_like(v, np.nan) for _ in range(3))
     h11[support], h12[support], h22[support] = _hessian_arrays(v, g.h, support)
@@ -439,10 +433,15 @@ def solve_fully_nonlinear(spec, f, g, grid: Grid2, region: SubRegion | None = No
     """Solve F(D^2_h u) = f with u = g on the region boundary.
 
     max_sweeps bounds the outer (chord or Newton) iterations.  Raises
-    SolverError on non-finite iterates, an exhausted budget, or a residual
-    that keeps growing.  meta["factor_nnz"] is the largest number of entries
-    stored by the chord factor or any Newton refactor.
+    ValueError unless tol (when given) is positive and finite and max_sweeps
+    nonnegative, and SolverError on non-finite iterates, an exhausted budget,
+    or a residual that keeps growing.  meta["factor_nnz"] is the largest
+    number of entries stored by the chord factor or any Newton refactor.
     """
+    if tol is not None and not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    if max_sweeps < 0:
+        raise ValueError(f"max_sweeps must be nonnegative, got {max_sweeps!r}")
     if operators.effective_bounds(spec).lam <= 0:
         raise SolverError("operator is not elliptic after perturbation")
     return _dirichlet(spec, f, g, grid, region, tol, max_sweeps, linear=False)

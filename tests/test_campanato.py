@@ -17,7 +17,7 @@ from ellreg import operators as op
 from ellreg.grid import Grid2, GridFunction
 from ellreg.solver import hessian
 
-from conftest import cubic_harmonic, philox, saddle
+from conftest import cubic_harmonic, holey_field, philox, saddle
 
 FLAT = C.EllipticityBounds(1.0, 1.0)
 EXT1 = C.ExternalConstants(K1=1.0, alpha0=1.0, C_prime=1.0, K2=1.0, C3=1.0)
@@ -81,10 +81,49 @@ def test_fit_l2_optimality_beats_taylor_competitor(disk65):
     mask = disk65.defined & (np.hypot(disk65.X, disk65.Y) <= r)
     poly, _ = cp.fit_quadratic(u, (0.0, 0.0), r)
     # Taylor polynomial of sin(x + 0.3 y) at 0:  (x + 0.3 y) - 0 x^2 ...
-    taylor = cp.QuadraticPolynomial(0.0, np.array([1.0, 0.3]), np.zeros((2, 2)))
+    taylor = cp.QuadraticPolynomial([0.0, 1.0, 0.3, 0.0, 0.0, 0.0])
     dev_fit = u.values[mask] - poly(disk65.X[mask], disk65.Y[mask])
     dev_tay = u.values[mask] - taylor(disk65.X[mask], disk65.Y[mask])
     assert np.sum(dev_fit**2) <= np.sum(dev_tay**2) * (1 + 1e-12)
+
+
+_FORM_GRIDS = (Grid2.disk(33), Grid2.square(33, 0.5))
+_COEFS = st.lists(st.floats(-10.0, 10.0), min_size=6, max_size=6).map(np.array)
+
+
+@st.composite
+def _quadratic_inputs(draw):
+    g = draw(st.sampled_from(_FORM_GRIDS))
+    holes = draw(st.booleans())
+    defined = holey_field(g, draw(st.integers(0, 2**32))).defined if holes else g.defined
+    center = [draw(st.floats(-0.3, 0.3)) * g.extent for _ in range(2)]
+    return g, defined, draw(_COEFS), draw(_COEFS), center, draw(st.floats(0.3, 0.6)) * g.extent
+
+
+@settings(deadline=None)
+@given(_quadratic_inputs())
+def test_quadratic_is_one_coefficient_vector(inputs):
+    g, defined, coef, other, center, r = inputs
+    P, Q = cp.QuadraticPolynomial(coef), cp.QuadraticPolynomial(other)
+    scale = max(1.0, float(np.max(np.abs(coef))))
+    assert np.array_equal(P.c, [[coef[3], coef[4]], [coef[4], coef[5]]])
+    with pytest.raises(ValueError):
+        P.coef[0] = 1.0  # the vector is read-only, so polynomials can share it
+    # the fit of the sampled quadratic gives back its vector
+    u = GridFunction(g, np.where(defined, P(g.X, g.Y), np.nan), defined)
+    fit, dev = cp.fit_quadratic(u, center, r)
+    assert np.max(np.abs(fit.coef - coef)) <= 1e-9 * scale
+    assert dev <= 1e-10 * scale
+    # evaluation is the product with the monomial basis, up to rounding
+    basis = np.stack(cp._monomials(g.X, g.Y))
+    bound = np.tensordot(np.abs(coef), np.abs(basis), axes=1)
+    assert np.all(np.abs(P(g.X, g.Y) - np.tensordot(coef, basis, axes=1)) <= 1e-13 * bound)
+    assert np.array_equal((P + Q).coef, coef + other)
+    # a decay CSV row carries the vector's reprs
+    rec = cp.DecayRecord(k=0, radius=r, poly=P, sup_dev=dev, correction=Q, amplitude=1.0,
+                         operator_residual=0.0)
+    table = cp.DecayTable([rec], float("nan"), 0.5, False, False, "homogeneous")
+    assert table.to_csv().splitlines()[1].split(",")[3:] == [repr(float(v)) for v in coef]
 
 
 # ---------------------------------------------------------------------------

@@ -543,3 +543,52 @@ def test_every_parameter_reaches_the_output_from_config_and_flags(tmp_path, caps
     assert nirenberg["k"] == pytest.approx(2.0 / (1.0 - 1.5 * nirenberg["max_dev_sq"]), rel=1e-12)
     assert nirenberg["max_dev_sq"] > 0
     assert nirenberg["k1"] == pytest.approx(0.3, rel=1e-12)
+
+
+# Run settings no run can use: each exits 2 before any file is written, with a
+# message naming the parameter.
+_OUTPUTS = {
+    "solve": ["-o", "{d}/u.grid", "--summary", "{d}/s.json"],
+    "analyze": ["-o", "{d}/a.json", "--csv-output", "{d}/d.csv"],
+    "cordes": ["-o", "{d}/c.json", "--csv-output", "{d}/c.csv"],
+}
+_SOLVE_SINE = "solve -N 33 --eps 0.05 --perturbation sine"
+_ANALYZE_CUBIC = "analyze -N 65 --boundary cubic_harmonic"
+_REJECTED = [
+    ("cordes --eps nan --perturbation sine", None, "eps must be finite, got nan"),
+    ("cordes --w12 nan", None, "w12 must be finite, got nan"),
+    ("solve -N 33 --eps nan", None, "eps must be finite, got nan"),
+    ("solve -N 33 --w11 inf", None, "w11 must be finite, got inf"),
+    ("cordes --eps-slack nan", None, "eps_slack must be positive and finite, got nan"),
+    ("cordes --eps-slack 0", None, "eps_slack must be positive and finite, got 0.0"),
+    ("cordes --f-bound nan", None, "f_bound must be nonnegative and finite, got nan"),
+    ("cordes --f-bound inf", None, "f_bound must be nonnegative and finite, got inf"),
+    ("cordes --f-bound -1", None, "f_bound must be nonnegative and finite, got -1.0"),
+    (_SOLVE_SINE + " --tol 0", None, "tol must be positive and finite, got 0.0"),
+    (_SOLVE_SINE + " --tol -1", None, "tol must be positive and finite, got -1.0"),
+    (_SOLVE_SINE + " --tol nan", None, "tol must be positive and finite, got nan"),
+    (_SOLVE_SINE, "[solve]\ntol = 0\n", "tol must be positive and finite, got 0.0"),
+    (_SOLVE_SINE + " --max-sweeps -5", None, "max_sweeps must be nonnegative, got -5"),
+    (_ANALYZE_CUBIC + " --gamma -0.1", None, "--gamma must be positive and finite, got -0.1"),
+    (_ANALYZE_CUBIC + " --gamma 0", None, "--gamma must be positive and finite, got 0.0"),
+    (_ANALYZE_CUBIC + " --gamma nan", None, "--gamma must be positive and finite, got nan"),
+]
+
+
+@pytest.mark.parametrize("command,config,message", _REJECTED,
+                         ids=[c + (" and " + k.replace("\n", " ").strip() if k else "")
+                              for c, k, _ in _REJECTED])
+def test_settings_that_cannot_work_exit_2_and_write_nothing(tmp_path, capsys, command, config,
+                                                           message):
+    argv = command.split()
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    extra = [a.format(d=out_dir) for a in _OUTPUTS[argv[0]]]
+    if config is not None:
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(config)
+        extra += ["--config", str(cfgfile)]
+    code, out, err = run_cli(argv + extra, capsys)
+    assert code == cli.EXIT_USAGE, err
+    assert message in err and out == ""
+    assert not any(out_dir.iterdir())
