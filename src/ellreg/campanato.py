@@ -279,7 +279,6 @@ class DecayTable:
     truncated: bool
     exponent_defined: bool
     mode: str
-    alpha: float | None = None
 
     CSV_HEADER = "k,radius,sup_dev,a,b1,b2,c11,c12,c22"
 
@@ -339,8 +338,7 @@ def _iterate(u: GridFunction, spec, ratio: float, kmax: int, f: GridFunction | N
         slope = float("nan")
         exponent_defined = False
     return DecayTable(records=records, fitted_exponent=slope, rho=ratio,
-                      truncated=truncated, exponent_defined=exponent_defined,
-                      mode=mode, alpha=alpha)
+                      truncated=truncated, exponent_defined=exponent_defined, mode=mode)
 
 
 def campanato_iterate(u: GridFunction, spec, rho: float = 0.5, kmax: int = 4) -> DecayTable:

@@ -14,8 +14,10 @@ its type rejects, analyze on an even N, which has no center node, analyze
 with an operator whose ellipticity bounds fall outside the [constants]
 lambda/Lambda, a grid file with an infinite value, a non-finite operator
 weight or eps, a tol that is not positive and finite, a negative max_sweeps,
-a --gamma that is not positive and finite, and an eps_slack or f_bound that
-cordes cannot use); 3 numerical failure.
+a --gamma that is not positive and finite, a --rho outside (0,1), a negative
+--kmax, constants inputs the chain rejects, and an eps_slack or f_bound that
+cordes cannot use); 3 numerical failure.  analyze checks its settings and
+builds its one constants report before it loads or solves anything.
 
 selftest runs the acceptance check registry (ellreg.checks) at its reduced
 scale, with every Philox key set to the run seed.
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import json
 import math
 import sys
@@ -102,11 +105,13 @@ def _build_spec(args) -> operators.OperatorSpec:
     return operators.OperatorSpec(args.w11, args.w12, args.w22, args.eps, args.perturbation)
 
 
-def _build_constants_inputs(args):
-    return (args.n, constants.EllipticityBounds(args.lam, args.Lam),
-            constants.HolderPair(args.alpha_bar, args.alpha),
-            constants.ExternalConstants(args.K1, args.alpha0, args.C_prime, args.K2, args.C3),
-            args.c0_variant)
+def _constants_report(args) -> constants.ConstantsReport:
+    """The run's one constants report, from its [constants] parameters."""
+    return constants.build_report(
+        args.n, constants.EllipticityBounds(args.lam, args.Lam),
+        constants.HolderPair(args.alpha_bar, args.alpha),
+        constants.ExternalConstants(args.K1, args.alpha0, args.C_prime, args.K2, args.C3),
+        args.c0_variant)
 
 
 # ---------------------------------------------------------------------------
@@ -114,8 +119,7 @@ def _build_constants_inputs(args):
 
 
 def cmd_constants(args) -> int:
-    n, bounds, pair, ext, variant = _build_constants_inputs(args)
-    report = constants.build_report(n, bounds, pair, ext, variant)
+    report = _constants_report(args)
     _emit(constants.report_to_json(report), args.output)
     return EXIT_OK if report.all_checks_pass() else EXIT_UNSATISFIED
 
@@ -159,11 +163,17 @@ def cmd_solve(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    # every setting is checked, and the report built, before anything is loaded or solved;
     # improvement_step's own gamma errors become warnings, so a meaningless value stops here
     if args.gamma is not None and not 0 < args.gamma < math.inf:
         raise ValueError(f"--gamma must be positive and finite, got {args.gamma!r}")
+    if not 0 < args.rho < 1:
+        raise ValueError(f"--rho must lie in (0,1), got {args.rho!r}")
+    if args.kmax < 0:
+        raise ValueError(f"--kmax must be nonnegative, got {args.kmax!r}")
     spec = _build_spec(args)
-    n, bounds, pair, ext, variant = _build_constants_inputs(args)
+    report = _constants_report(args)
+    bounds = report.bounds
     eff = operators.effective_bounds(spec)
     if eff.lam < bounds.lam * (1.0 - 1e-12) or eff.Lam > bounds.Lam * (1.0 + 1e-12):
         raise ValueError(
@@ -190,7 +200,6 @@ def cmd_analyze(args) -> int:
     if table.truncated:
         warnings.append(f"decay table truncated: scale {len(table.records)} under-resolved")
 
-    report = constants.build_report(n, bounds, pair, ext, variant)
     cert = campanato.certificate_check(u, spec, f, report, bounds, subsample=args.subsample)
 
     pointwise_payload = None
@@ -229,14 +238,7 @@ def cmd_analyze(args) -> int:
         "scales": len(table.records),
         "rho": table.rho,
         "mode": table.mode,
-        "certificate": {
-            "measured_seminorm": cert.measured_seminorm,
-            "bound": cert.bound,
-            "satisfied": cert.satisfied,
-            "informational": cert.informational,
-            "ball_radius": cert.ball_radius,
-            "alpha_used": cert.alpha_used,
-        },
+        "certificate": dataclasses.asdict(cert),
         "subsample_cap": args.subsample,
         "pointwise": pointwise_payload,
         "step_report": step_payload,

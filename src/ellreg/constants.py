@@ -9,16 +9,21 @@ The chain, for dimension n, ellipticity lam <= Lam, and exponents
     eps0_tilde  = min( lam * (2 / (25 n^2)) * r0^alpha_bar,
                        (1/2)^(1 + 6/alpha0) * (lam / K2) * K1^(-3/alpha0)
                            * r0^((2 + alpha_bar)(1 + 3/alpha0)) )
-    eps0        = eps0_tilde(n, lam/Lam, Lam/lam, alpha_bar) / Lam
     C0          = 1 + n + (25/4) n^2 + (1/(2 lam)) eps0_tilde (25/4) n^2
     C0'         = C0 (1 + 3/(1 - r0^ab)) / r0^(1+ab)
     C1~         = C0' * 2^ab * (2 + 2^(2+ab))^2
-    C1          = [C0 at rescaled ellipticity] * (1 + 3/(1 - r0^ab))
-                    * 2^ab / r0^(1+ab) * (2 + 2^(2+ab))^2 * Lam^(2+ab)
+    eps0        = [eps0_tilde at lam/Lam, Lam/lam] / Lam
+    C1          = [C1~ at lam/Lam, Lam/lam] * Lam^(2+ab)
     gamma       = ((1/4) r0^(2+ab) / K1)^(1/alpha0)
     mu          = min( (2 C1)^(-1/(ab - alpha)), (3/7)^(1/alpha) )
     delta       = C1 mu^(2+ab) / (omega_n^(1/n) C3)
     C4          = 1 + 3 C1 / (1 - mu^alpha)
+
+eps0_tilde, C0, C0' and C1~ are the near-Laplacian chain at the given bounds.
+eps0 and C1 hold at general ellipticity: normalize F so that DF(0) = I, run
+the same chain at the rescaled bounds [lam/Lam, Lam/lam], and pull the result
+back by 1/Lam and Lam^(2+ab).  build_report, eps0 and c1_chain read both
+from one private evaluation of the chain and one of the pullback.
 
 C0 is printed in two inconsistent forms in the source derivation; the
 "proof" form above is canonical here and the "statement" form
@@ -27,7 +32,7 @@ C0 is printed in two inconsistent forms in the source derivation; the
 K1, alpha0 (interior Hoelder estimate), C_prime (harmonic boundary estimate),
 K2 (mollifier derivative mass) and C3 (inhomogeneous approximation) come from
 cited literature and have no closed form; they are configuration inputs with
-illustrative defaults, and every report records the values used.
+illustrative defaults, and every constants report records the values used.
 
 Everything is evaluated in binary floating point with 50 significant digits
 (mpmath), because the second eps0_tilde branch underflows IEEE doubles
@@ -66,16 +71,9 @@ __all__ = [
 ]
 
 _DPS = 50
-# keeps chosen constants strictly inside their feasible region (see module docstring)
-_INSIDE = None
-
-
-def _shave():
-    global _INSIDE
-    if _INSIDE is None:
-        with mp.workdps(_DPS):
-            _INSIDE = 1 - mp.mpf(10) ** -40
-    return _INSIDE
+with mp.workdps(_DPS):
+    # keeps chosen constants strictly inside their feasible region (see module docstring)
+    _INSIDE = 1 - mp.mpf(10) ** -40
 
 
 @dataclass(frozen=True)
@@ -169,16 +167,11 @@ def _validate_n(n) -> int:
     return int(n)
 
 
-def _validate_alpha_bar(alpha_bar):
-    if not 0 < alpha_bar < 1:
-        raise ValueError("alpha_bar must lie in (0,1)")
-    return alpha_bar
-
-
 def r0(n: int, alpha_bar: float):
     """(3/(250 n^3))^(1/(1-alpha_bar)); always below 1/5."""
     n = _validate_n(n)
-    _validate_alpha_bar(alpha_bar)
+    if not 0 < alpha_bar < 1:
+        raise ValueError("alpha_bar must lie in (0,1)")
     with mp.workdps(_DPS):
         ab = mp.mpf(alpha_bar)
         return (mp.mpf(3) / (250 * n**3)) ** (1 / (1 - ab))
@@ -198,12 +191,14 @@ def pointwise_factor(alpha: float):
         return (2 + 2 ** (2 + a)) ** 2
 
 
-def _eps0_tilde_branches(n, lam, alpha_bar, ext):
+def eps0_tilde(n: int, bounds: EllipticityBounds, alpha_bar: float, ext: ExternalConstants):
+    """Smaller of the two admissible closeness caps, shaved strictly inside."""
+    n = _validate_n(n)
     with mp.workdps(_DPS):
-        lam = mp.mpf(lam)
+        r = r0(n, alpha_bar)
+        lam = mp.mpf(bounds.lam)
         ab = mp.mpf(alpha_bar)
         a0 = mp.mpf(ext.alpha0)
-        r = r0(n, alpha_bar)
         branch1 = lam * 2 / (25 * n**2) * r**ab
         branch2 = (
             mp.mpf(2) ** -(1 + 6 / a0)
@@ -211,22 +206,12 @@ def _eps0_tilde_branches(n, lam, alpha_bar, ext):
             * mp.mpf(ext.K1) ** (-3 / a0)
             * r ** ((2 + ab) * (1 + 3 / a0))
         )
-        return branch1, branch2
-
-
-def eps0_tilde(n: int, bounds: EllipticityBounds, alpha_bar: float, ext: ExternalConstants):
-    """Smaller of the two admissible closeness caps, shaved strictly inside."""
-    n = _validate_n(n)
-    _validate_alpha_bar(alpha_bar)
-    with mp.workdps(_DPS):
-        b1, b2 = _eps0_tilde_branches(n, bounds.lam, alpha_bar, ext)
-        return min(b1, b2) * _shave()
+        return min(branch1, branch2) * _INSIDE
 
 
 def eps0(n: int, bounds: EllipticityBounds, alpha_bar: float, ext: ExternalConstants):
     """Closeness threshold at general ellipticity: the rescaled cap divided by Lam."""
-    with mp.workdps(_DPS):
-        return eps0_tilde(n, bounds.rescaled(), alpha_bar, ext) / mp.mpf(bounds.Lam)
+    return _pullback(n, bounds, alpha_bar, ext, "proof")[0]  # no C0 variant enters eps0
 
 
 def c0(n: int, lam: float, eps0_tilde_val, variant: str = "proof"):
@@ -250,30 +235,39 @@ def c0(n: int, lam: float, eps0_tilde_val, variant: str = "proof"):
         return 1 + n + 4 * n**2 + eps / lam * mp.mpf(25) / 8 * mp.mpf(n) ** mp.mpf("2.5")
 
 
+def _chain(n: int, bounds: EllipticityBounds, alpha_bar: float, ext: ExternalConstants,
+           c0_variant: str):
+    """(eps0_tilde, C0, C0', C1~): the near-Laplacian chain at the given bounds."""
+    with mp.workdps(_DPS):
+        r = r0(n, alpha_bar)
+        ab = mp.mpf(alpha_bar)
+        eps_t = eps0_tilde(n, bounds, alpha_bar, ext)
+        C0 = c0(n, bounds.lam, eps_t, c0_variant)
+        # the tail is formed first: a regrouped C0' may round differently at 50 digits
+        tail = (1 + 3 / (1 - r**ab)) / r ** (1 + ab)
+        C0_prime = C0 * tail
+        return eps_t, C0, C0_prime, C0_prime * 2**ab * pointwise_factor(alpha_bar)
+
+
+def _pullback(n: int, bounds: EllipticityBounds, alpha_bar: float, ext: ExternalConstants,
+              c0_variant: str):
+    """(eps0, C1) at general ellipticity: the chain at bounds.rescaled(), pulled
+    back as eps0 = eps0_tilde / Lam and C1 = C1~ * Lam^(2+alpha_bar)."""
+    with mp.workdps(_DPS):
+        eps_t, _, _, C1_tilde = _chain(n, bounds.rescaled(), alpha_bar, ext, c0_variant)
+        Lam = mp.mpf(bounds.Lam)
+        return eps_t / Lam, C1_tilde * Lam ** (2 + mp.mpf(alpha_bar))
+
+
 def c1_chain(n: int, bounds: EllipticityBounds, alpha_bar: float, ext: ExternalConstants, c0_variant: str = "proof"):
     """(C0', C1~, C1): the accumulated-iteration constants.
 
-    C0' and C1~ are the near-Laplacian constants at the given lam; C1 is the
-    general-ellipticity constant, whose leading factor is C0 (configured
-    variant) evaluated at the rescaled ellipticity lam/Lam, times
+    C0' and C1~ are the near-Laplacian constants at the given bounds; C1 is
+    the general-ellipticity constant, C1~ at the rescaled bounds times
     Lam^(2+alpha_bar).
     """
-    n = _validate_n(n)
-    _validate_alpha_bar(alpha_bar)
-    with mp.workdps(_DPS):
-        ab = mp.mpf(alpha_bar)
-        r = r0(n, alpha_bar)
-        tail = (1 + 3 / (1 - r**ab)) / r ** (1 + ab)
-        factor = pointwise_factor(alpha_bar)
-        eps_t = eps0_tilde(n, bounds, alpha_bar, ext)
-        C0_val = c0(n, bounds.lam, eps_t, c0_variant)
-        C0_prime = C0_val * tail
-        C1_tilde = C0_prime * 2**ab * factor
-        rescaled = bounds.rescaled()
-        eps_t_resc = eps0_tilde(n, rescaled, alpha_bar, ext)
-        C0_resc = c0(n, rescaled.lam, eps_t_resc, c0_variant)
-        C1 = C0_resc * tail * 2**ab * factor * mp.mpf(bounds.Lam) ** (2 + ab)
-        return C0_prime, C1_tilde, C1
+    _, _, C0_prime, C1_tilde = _chain(n, bounds, alpha_bar, ext, c0_variant)
+    return C0_prime, C1_tilde, _pullback(n, bounds, alpha_bar, ext, c0_variant)[1]
 
 
 def gamma_moll(r0_val, alpha_bar: float, K1: float, alpha0: float):
@@ -306,16 +300,17 @@ def iteration_params(C1_val, alpha: float, alpha_bar: float, n: int, C3: float):
             raise ValueError("C1 must be positive")
         a = mp.mpf(alpha)
         ab = mp.mpf(alpha_bar)
-        mu = min((2 * C1) ** (-1 / (ab - a)), (mp.mpf(3) / 7) ** (1 / a)) * _shave()
-        delta = C1 * mu ** (2 + ab) / (omega_n(n) ** (mp.mpf(1) / n) * mp.mpf(C3)) * _shave()
+        mu = min((2 * C1) ** (-1 / (ab - a)), (mp.mpf(3) / 7) ** (1 / a)) * _INSIDE
+        delta = C1 * mu ** (2 + ab) / (omega_n(n) ** (mp.mpf(1) / n) * mp.mpf(C3)) * _INSIDE
         C4 = 1 + 3 * C1 / (1 - mu**a)
         return mu, delta, C4
 
 
-def validate_constraint_chain(report: "ConstantsReport", ext: ExternalConstants,
-                              bounds: EllipticityBounds, pair: HolderPair) -> list:
-    """Evaluate each named inequality; slack = RHS - LHS, satisfied literal."""
+def validate_constraint_chain(report: ConstantsReport) -> list:
+    """Evaluate each named inequality on the report's own inputs; slack = RHS - LHS,
+    satisfied literal."""
     checks = []
+    ext, bounds, pair = report.ext, report.bounds, report.pair
     with mp.workdps(_DPS):
         n = report.n
         lam = mp.mpf(bounds.lam)
@@ -352,12 +347,10 @@ def build_report(n: int, bounds: EllipticityBounds, pair: HolderPair,
     n = _validate_n(n)
     with mp.workdps(_DPS):
         r = r0(n, pair.alpha_bar)
-        eps_t = eps0_tilde(n, bounds, pair.alpha_bar, ext)
-        eps_0 = eps0(n, bounds, pair.alpha_bar, ext)
-        C0_proof = c0(n, bounds.lam, eps_t, "proof")
-        C0_statement = c0(n, bounds.lam, eps_t, "statement")
-        C0 = C0_proof if c0_variant == "proof" else C0_statement
-        C0_prime, C1_tilde, C1 = c1_chain(n, bounds, pair.alpha_bar, ext, c0_variant)
+        eps_t, C0, C0_prime, C1_tilde = _chain(n, bounds, pair.alpha_bar, ext, c0_variant)
+        eps_0, C1 = _pullback(n, bounds, pair.alpha_bar, ext, c0_variant)
+        other = c0(n, bounds.lam, eps_t, "statement" if c0_variant == "proof" else "proof")
+        C0_proof, C0_statement = (C0, other) if c0_variant == "proof" else (other, C0)
         gamma = gamma_moll(r, pair.alpha_bar, ext.K1, ext.alpha0)
         if not gamma < mp.mpf(1) / 5:
             raise ValueError("gamma must stay below 1/5; K1/alpha0 inputs out of range")
@@ -379,7 +372,7 @@ def build_report(n: int, bounds: EllipticityBounds, pair: HolderPair,
             if not value > 0:
                 raise ValueError(f"{name} must be strictly positive")
         assert r < mp.mpf(1) / 5
-        report.chain_checks = validate_constraint_chain(report, ext, bounds, pair)
+        report.chain_checks = validate_constraint_chain(report)
     return report
 
 

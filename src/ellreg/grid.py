@@ -167,9 +167,6 @@ class GridFunction:
     def zeros(cls, grid: Grid2, mask: np.ndarray | None = None) -> "GridFunction":
         return cls.from_callable(grid, lambda x, y: np.zeros_like(x), mask)
 
-    def copy(self) -> "GridFunction":
-        return GridFunction(self.grid, self.values.copy(), self.defined.copy(), dict(self.meta))
-
     def filled(self, fill: float = 0.0) -> np.ndarray:
         """Values array with undefined nodes replaced by ``fill`` (for stencil work)."""
         out = self.values.copy()

@@ -140,6 +140,17 @@ class OperatorSpec:
     def W0(self) -> np.ndarray:
         return sym2(self.w11, self.w12, self.w22)
 
+    def evaluate(self, M) -> float:
+        """F(M) for a single symmetric 2x2 matrix; F(0) == 0."""
+        M = np.asarray(M, dtype=float)
+        return float(evaluate_batch(self, M[0, 0], M[0, 1], M[1, 1]))
+
+    def gradient(self, M) -> np.ndarray:
+        """DF(M), the symmetric matrix G with dF = tr(G dM)."""
+        M = np.asarray(M, dtype=float)
+        g11, g12, g22 = gradient_batch(self, M[0, 0], M[0, 1], M[1, 1])
+        return sym2(float(g11), float(g12), float(g22))
+
 
 def make_spec(W0, eps: float = 0.0, perturbation: str = "none") -> OperatorSpec:
     W0 = np.asarray(W0, dtype=float)
@@ -167,10 +178,10 @@ def evaluate_batch(spec, h11, h12, h22):
     return lin + spec.eps * _PHI[spec.perturbation](np.asarray(h11), np.asarray(h12), np.asarray(h22))
 
 
-def evaluate(spec, M) -> float:
-    """F(M) for a single symmetric 2x2 matrix; evaluate(spec, 0) == 0."""
-    M = np.asarray(M, dtype=float)
-    return float(evaluate_batch(spec, M[0, 0], M[0, 1], M[1, 1]))
+def evaluate(op, M) -> float:
+    """F(M) for a single symmetric 2x2 matrix, for a catalog spec or a
+    transformed operator; evaluate(op, 0) == 0."""
+    return op.evaluate(M)
 
 
 def gradient_batch(spec, h11, h12, h22):
@@ -179,10 +190,9 @@ def gradient_batch(spec, h11, h12, h22):
     return (spec.w11 + spec.eps * g11, spec.w12 + spec.eps * g12, spec.w22 + spec.eps * g22)
 
 
-def gradient(spec, M) -> np.ndarray:
-    M = np.asarray(M, dtype=float)
-    g11, g12, g22 = gradient_batch(spec, M[0, 0], M[0, 1], M[1, 1])
-    return sym2(float(g11), float(g12), float(g22))
+def gradient(op, M) -> np.ndarray:
+    """DF(M) for a catalog spec or a transformed operator."""
+    return op.gradient(M)
 
 
 def fd_gradient(op, M, step: float = 1e-6) -> np.ndarray:
@@ -193,7 +203,7 @@ def fd_gradient(op, M, step: float = 1e-6) -> np.ndarray:
     for (i, j) in ((0, 0), (0, 1), (1, 1)):
         E = np.zeros((2, 2))
         E[i, j] = E[j, i] = 1.0
-        d = (_op_evaluate(op, M + step * E) - _op_evaluate(op, M - step * E)) / (2.0 * step)
+        d = (evaluate(op, M + step * E) - evaluate(op, M - step * E)) / (2.0 * step)
         # dF along the symmetrized direction is tr(G E) = (2 - delta_ij) * g_ij
         out[i, j] = out[j, i] = d / (2.0 - (i == j))
     return out
@@ -265,24 +275,12 @@ class TransformedOperator:
 
     def evaluate(self, M) -> float:
         M = np.asarray(M, dtype=float)
-        return _op_evaluate(self.base, self.A @ M @ self.A.T)
+        return self.base.evaluate(self.A @ M @ self.A.T)
 
     def gradient(self, M) -> np.ndarray:
         M = np.asarray(M, dtype=float)
-        G = _op_gradient(self.base, self.A @ M @ self.A.T)
+        G = self.base.gradient(self.A @ M @ self.A.T)
         return self.A.T @ G @ self.A
-
-
-def _op_evaluate(op, M) -> float:
-    if isinstance(op, TransformedOperator):
-        return op.evaluate(M)
-    return evaluate(op, M)
-
-
-def _op_gradient(op, M) -> np.ndarray:
-    if isinstance(op, TransformedOperator):
-        return op.gradient(M)
-    return gradient(op, M)
 
 
 @dataclass
@@ -298,7 +296,7 @@ def df_at_zero(op) -> np.ndarray:
     """The actual gradient W = DF(0).  For perturbations whose gradient does
     not vanish at the origin (sine does not) this differs from the intended
     linear part W0 by eps * Dphi(0)."""
-    return _op_gradient(op, np.zeros((2, 2)))
+    return gradient(op, np.zeros((2, 2)))
 
 
 def normalize(op) -> NormalizationResult:

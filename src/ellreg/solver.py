@@ -442,8 +442,6 @@ def solve_fully_nonlinear(spec, f, g, grid: Grid2, region: SubRegion | None = No
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
     if max_sweeps < 0:
         raise ValueError(f"max_sweeps must be nonnegative, got {max_sweeps!r}")
-    if operators.effective_bounds(spec).lam <= 0:
-        raise SolverError("operator is not elliptic after perturbation")
     return _dirichlet(spec, f, g, grid, region, tol, max_sweeps, linear=False)
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ellreg import checks, cli
+from ellreg import checks, cli, solver
 from ellreg.grid import Grid2, GridFunction, load_grid, save_grid
 
 from conftest import cubic_harmonic, saddle
@@ -572,15 +572,24 @@ _REJECTED = [
     (_ANALYZE_CUBIC + " --gamma -0.1", None, "--gamma must be positive and finite, got -0.1"),
     (_ANALYZE_CUBIC + " --gamma 0", None, "--gamma must be positive and finite, got 0.0"),
     (_ANALYZE_CUBIC + " --gamma nan", None, "--gamma must be positive and finite, got nan"),
+    (_ANALYZE_CUBIC + " --rho 1.5", None, "--rho must lie in (0,1), got 1.5"),
+    (_ANALYZE_CUBIC + " --rho nan", None, "--rho must lie in (0,1), got nan"),
+    (_ANALYZE_CUBIC + " --rho 0", None, "--rho must lie in (0,1), got 0.0"),
+    (_ANALYZE_CUBIC + " --kmax -1", None, "--kmax must be nonnegative, got -1"),
+    (_ANALYZE_CUBIC + " --K1 1e-40", None, "gamma must stay below 1/5"),
 ]
 
 
 @pytest.mark.parametrize("command,config,message", _REJECTED,
                          ids=[c + (" and " + k.replace("\n", " ").strip() if k else "")
                               for c, k, _ in _REJECTED])
-def test_settings_that_cannot_work_exit_2_and_write_nothing(tmp_path, capsys, command, config,
-                                                           message):
+def test_settings_that_cannot_work_exit_2_and_write_nothing(tmp_path, capsys, monkeypatch,
+                                                           command, config, message):
     argv = command.split()
+    if argv[0] == "analyze":  # analyze rejects its settings before it solves
+        def no_solve(*args, **kwargs):
+            raise AssertionError("analyze solved before rejecting its settings")
+        monkeypatch.setattr(solver, "solve_fully_nonlinear", no_solve)
     out_dir = tmp_path / "out"
     out_dir.mkdir()
     extra = [a.format(d=out_dir) for a in _OUTPUTS[argv[0]]]

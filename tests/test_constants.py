@@ -235,10 +235,51 @@ def test_report_detects_forced_violation():
     rep = C.build_report(2, FLAT, C.HolderPair(0.5, 0.25), EXT1)
     b1, _ = _branches_oracle(2, 1.0, 0.5, 1.0, 1.0, 1.0)
     rep.eps0_tilde = 2 * b1  # beyond the admissible cap
-    checks = {c.name: c for c in C.validate_constraint_chain(
-        rep, EXT1, FLAT, C.HolderPair(0.5, 0.25))}
+    checks = {c.name: c for c in C.validate_constraint_chain(rep)}
     assert not checks["closeness_cap"].satisfied
     assert checks["closeness_cap"].slack < 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(min_value=1, max_value=4),
+       lam=st.floats(min_value=0.05, max_value=20.0),
+       spread=st.floats(min_value=1.0, max_value=20.0),
+       alpha_bar=st.floats(min_value=0.05, max_value=0.95),
+       alpha_frac=st.one_of(st.none(), st.floats(min_value=0.05, max_value=0.95)),
+       K1=st.floats(min_value=0.5, max_value=5.0),
+       alpha0=st.floats(min_value=0.05, max_value=1.0),
+       C_prime=st.floats(min_value=0.1, max_value=10.0),
+       K2=st.floats(min_value=0.1, max_value=10.0),
+       C3=st.floats(min_value=0.1, max_value=10.0),
+       variant=st.sampled_from(["proof", "statement"]))
+def test_report_fields_equal_the_public_helpers(n, lam, spread, alpha_bar, alpha_frac, K1,
+                                                alpha0, C_prime, K2, C3, variant):
+    bounds = C.EllipticityBounds(lam, lam * spread)
+    alpha = None if alpha_frac is None else alpha_frac * alpha_bar
+    ext = C.ExternalConstants(K1, alpha0, C_prime, K2, C3)
+    rep = C.build_report(n, bounds, C.HolderPair(alpha_bar, alpha), ext, variant)
+    eps_t = C.eps0_tilde(n, bounds, alpha_bar, ext)
+    C0s = {v: C.c0(n, lam, eps_t, v) for v in ("proof", "statement")}
+    assert rep.r0 == C.r0(n, alpha_bar)
+    assert rep.eps0_tilde == eps_t
+    assert rep.eps0 == C.eps0(n, bounds, alpha_bar, ext)
+    assert (rep.C0_proof, rep.C0_statement, rep.C0) == (C0s["proof"], C0s["statement"],
+                                                        C0s[variant])
+    assert (rep.C0_prime, rep.C1_tilde, rep.C1) == C.c1_chain(n, bounds, alpha_bar, ext, variant)
+    assert rep.gamma == C.gamma_moll(rep.r0, alpha_bar, K1, alpha0)
+    assert rep.omega_n == C.omega_n(n)
+    if alpha is None:
+        assert (rep.mu, rep.delta, rep.C4) == (None, None, None)
+    else:
+        assert (rep.mu, rep.delta, rep.C4) == C.iteration_params(rep.C1, alpha, alpha_bar, n, C3)
+    # eps0 and C1 are the chain at the rescaled bounds, pulled back
+    rescaled = bounds.rescaled()
+    with mp.workdps(50):
+        Lam = mpf(bounds.Lam)
+        assert rep.eps0 == C.eps0_tilde(n, rescaled, alpha_bar, ext) / Lam
+        assert rep.C1 == (C.c1_chain(n, rescaled, alpha_bar, ext, variant)[1]
+                          * Lam ** (2 + mpf(alpha_bar)))
+    assert rep.all_checks_pass()
 
 
 def test_report_positivity_and_range_invariants():
