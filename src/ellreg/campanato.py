@@ -40,13 +40,14 @@ from . import operators
 from .constants import ConstantsReport, EllipticityBounds, pointwise_factor
 from .grid import GridFunction, ball_reach
 from .mollifier import mollify
-from .solver import SolverError, _hessian_arrays, hessian, solve_laplace_dirichlet
+from .solver import SolverError, hessian, solve_laplace_dirichlet
 
 __all__ = [
     "CertificateReport",
     "DecayRecord",
     "DecayTable",
     "QuadraticPolynomial",
+    "SEMINORM_NODE_CAP",
     "StepReport",
     "campanato_iterate",
     "certificate_check",
@@ -54,7 +55,6 @@ __all__ = [
     "discrete_hessian_seminorm",
     "fit_quadratic",
     "improvement_step",
-    "inhomogeneous_iterate",
     "pointwise_fit_constants",
     "pointwise_to_holder",
 ]
@@ -164,15 +164,12 @@ def _taylor_at_center(h_fun: GridFunction) -> np.ndarray:
     if g.N % 2 == 0:
         raise ValueError("grid must have a center node (odd N)")
     i0 = (g.N - 1) // 2
-    window = np.s_[i0 - 1:i0 + 2, i0 - 1:i0 + 2]
-    if not h_fun.defined[window].all():
+    H = hessian(h_fun)
+    if not H.mask[i0, i0]:
         raise ValueError("center node lacks full stencil support")
-    v = h_fun.values[window]
-    center = np.zeros((3, 3), dtype=bool)
-    center[1, 1] = True
-    c11, c12, c22 = (float(c[0]) for c in _hessian_arrays(v, g.h, center))
+    v = h_fun.values[i0 - 1:i0 + 2, i0 - 1:i0 + 2]
     b1, b2 = (v[2, 1] - v[0, 1]) / (2 * g.h), (v[1, 2] - v[1, 0]) / (2 * g.h)
-    return np.array([v[1, 1], b1, b2, c11, c12, c22])
+    return np.array([v[1, 1], b1, b2, H.h11[i0, i0], H.h12[i0, i0], H.h22[i0, i0]])
 
 
 _REPLACE_RADIUS = 0.8  # radius of the harmonic-replacement disk
@@ -217,7 +214,7 @@ def improvement_step(u: GridFunction, spec, constants: ConstantsReport | None = 
         shift = d2h_norm / eff.lam * np.array([0.0, 0.0, 0.0, 1.0, 0.0, 1.0])
 
         def fval(t):
-            return operators.evaluate(spec, QuadraticPolynomial(coef + t * shift).c)
+            return spec.evaluate(QuadraticPolynomial(coef + t * shift).c)
 
         lo, hi = -spec.eps, spec.eps
         flo, fhi = fval(lo), fval(hi)
@@ -249,7 +246,7 @@ def improvement_step(u: GridFunction, spec, constants: ConstantsReport | None = 
         sup_u_minus_p=sup_u_minus_p, d2h_norm=d2h_norm, d2h_bound=d2h_bound,
         d2h_bound_ok=bool(d2h_norm <= d2h_bound * (1 + 1e-12)),
         c_correction=float(c_corr),
-        operator_residual=abs(operators.evaluate(spec, P.c)),
+        operator_residual=abs(spec.evaluate(P.c)),
         factor_nnz=h_fun.meta["factor_nnz"],
     )
     return P, report
@@ -296,10 +293,15 @@ def _resolvable(grid, radius: float) -> bool:
     return int(grid.ball_mask(radius).sum()) >= 12
 
 
-def _iterate(u: GridFunction, spec, ratio: float, kmax: int, f: GridFunction | None,
-             alpha: float | None, mode: str) -> DecayTable:
-    if not 0 < ratio < 1:
-        raise ValueError("ratio must lie in (0,1)")
+def campanato_iterate(u: GridFunction, spec, rho: float = 0.5, kmax: int = 4,
+                      f: GridFunction | None = None, alpha: float = 0.25) -> DecayTable:
+    """Fit and accumulate quadratics on balls of radius rho^k; the regression
+    slope of log sup-deviation against log radius estimates the decay order.
+    Corrections are normalized by rho^(2k), or with a source f by the
+    source-aware rho^(k(2+alpha)), and f adds its decay check at every scale;
+    the fits never read f, so with f zero they match the sourceless ones bit for bit."""
+    if not 0 < rho < 1:
+        raise ValueError("rho must lie in (0,1)")
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
     g = u.grid
@@ -307,7 +309,7 @@ def _iterate(u: GridFunction, spec, ratio: float, kmax: int, f: GridFunction | N
     records = []
     truncated = False
     for k in range(kmax + 1):
-        radius = ratio**k * g.extent
+        radius = rho**k * g.extent
         if not _resolvable(g, radius):
             truncated = True
             break
@@ -315,17 +317,17 @@ def _iterate(u: GridFunction, spec, ratio: float, kmax: int, f: GridFunction | N
         resid = u.values[mask] - P(g.X[mask], g.Y[mask])
         coef, sup_dev = _fit_ball(g.X[mask] / radius, g.Y[mask] / radius, resid)
         P = P + QuadraticPolynomial(_physical(coef, radius, 0.0, 0.0))
-        amplitude = ratio ** (2 * k) if mode == "homogeneous" else ratio ** (k * (2 + alpha))
+        amplitude = rho ** (2 * k) if f is None else rho ** (k * (2 + alpha))
         f_check = None
         if f is not None:
             fmask = f.defined & g.ball_mask(radius)
             if fmask.any():
                 mean_n = float(np.mean(np.abs(f.values[fmask]) ** 2))
-                f_check = math.sqrt(mean_n) / radius ** (alpha if alpha is not None else 0.0)
+                f_check = math.sqrt(mean_n) / radius**alpha
         records.append(DecayRecord(
             k=k, radius=radius, poly=P,
             sup_dev=float(sup_dev), correction=QuadraticPolynomial(coef / amplitude),
-            amplitude=amplitude, operator_residual=abs(operators.evaluate(spec, P.c)),
+            amplitude=amplitude, operator_residual=abs(spec.evaluate(P.c)),
             f_check=f_check))
     floor = 1e-13 * max(u.sup(), 1.0)
     pts = [(math.log(r.radius), math.log(r.sup_dev)) for r in records if r.sup_dev > floor]
@@ -337,22 +339,9 @@ def _iterate(u: GridFunction, spec, ratio: float, kmax: int, f: GridFunction | N
     else:
         slope = float("nan")
         exponent_defined = False
-    return DecayTable(records=records, fitted_exponent=slope, rho=ratio,
-                      truncated=truncated, exponent_defined=exponent_defined, mode=mode)
-
-
-def campanato_iterate(u: GridFunction, spec, rho: float = 0.5, kmax: int = 4) -> DecayTable:
-    """Fit and accumulate quadratics on balls of radius rho^k; the regression
-    slope of log sup-deviation against log radius estimates the decay order."""
-    return _iterate(u, spec, rho, kmax, None, None, "homogeneous")
-
-
-def inhomogeneous_iterate(u: GridFunction, spec, f: GridFunction, mu: float = 0.5,
-                          kmax: int = 4, alpha: float = 0.25) -> DecayTable:
-    """Same accumulation with the source-aware normalization mu^(k(2+alpha));
-    records the source decay check at every scale.  With f identically zero
-    this reproduces campanato_iterate bit for bit."""
-    return _iterate(u, spec, mu, kmax, f, alpha, "inhomogeneous")
+    return DecayTable(records=records, fitted_exponent=slope, rho=rho,
+                      truncated=truncated, exponent_defined=exponent_defined,
+                      mode="homogeneous" if f is None else "inhomogeneous")
 
 
 def check_f_decay(f: GridFunction, alpha: float) -> float:
@@ -467,6 +456,9 @@ def pointwise_fit_constants(u: GridFunction, alpha: float, region_radius: float 
     return [(QuadraticPolynomial(coef[:, c]), float(kc[c])) for c in range(len(ii))]
 
 
+SEMINORM_NODE_CAP = 1089  # default cap on the nodes a pairwise seminorm compares (33^2)
+
+
 def _pairwise_holder(g, mask: np.ndarray, fields, alpha: float, max_nodes: int) -> float:
     """Max over distinct node pairs of max_k |v_k(x) - v_k(y)| / |x - y|^alpha,
     with v_k the lattice arrays in fields, over the nodes of mask kept by the
@@ -495,7 +487,7 @@ def _pairwise_holder(g, mask: np.ndarray, fields, alpha: float, max_nodes: int) 
 
 
 def discrete_hessian_seminorm(u: GridFunction, alpha: float, radius: float = 0.25,
-                              max_nodes: int = 1089) -> float:
+                              max_nodes: int = SEMINORM_NODE_CAP) -> float:
     """Brute-force pairwise [D^2 u]_alpha over a subsample of ball nodes,
     entrywise max metric on the Hessian difference."""
     H = hessian(u)
@@ -515,7 +507,7 @@ class CertificateReport:
 
 def certificate_check(u: GridFunction, spec, f: GridFunction | None,
                       constants: ConstantsReport, bounds: EllipticityBounds,
-                      subsample: int = 1089) -> CertificateReport:
+                      subsample: int = SEMINORM_NODE_CAP) -> CertificateReport:
     """Homogeneous: measured [D^2 u]_alpha_bar over B_(1/(4 Lam)) against
     C1 ||u||_inf (pass/fail).  Inhomogeneous: the accumulated-decay bound
     assembled from C4, delta and the pointwise factor; the full closed-form
@@ -537,7 +529,7 @@ def certificate_check(u: GridFunction, spec, f: GridFunction | None,
         raise ValueError("inhomogeneous certificate needs a full (alpha, alpha_bar) report")
     a = constants.pair.alpha
     measured = discrete_hessian_seminorm(u, a, radius=ball_radius, max_nodes=subsample)
-    f_semi = _pairwise_holder(f.grid, f.defined, (f.values,), a, 1089)
+    f_semi = _pairwise_holder(f.grid, f.defined, (f.values,), a, SEMINORM_NODE_CAP)
     T = float(1.0 / float(constants.delta)) * f_semi + sup_u
     bound = float(pointwise_factor(a)) * 2.0**a * float(constants.C4) * T
     return CertificateReport(measured, bound, bool(measured <= bound), True,

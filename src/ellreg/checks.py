@@ -166,8 +166,8 @@ def campanato_suite(scale: dict, seed: int) -> list:
     gf = Grid2.disk(scale["fine_n"])
     cubic = GridFunction.from_callable(gf, _cubic)
     tc = campanato.campanato_iterate(cubic, IDENTITY, rho=0.5, kmax=4)
-    th = campanato.inhomogeneous_iterate(cubic, IDENTITY, GridFunction.zeros(gf),
-                                         mu=0.5, kmax=4, alpha=0.25)
+    th = campanato.campanato_iterate(cubic, IDENTITY, rho=0.5, kmax=4,
+                                     f=GridFunction.zeros(gf), alpha=0.25)
     same = len(tc.records) == len(th.records) and all(
         a.sup_dev == b.sup_dev and a.poly.a == b.poly.a for a, b in zip(tc.records, th.records))
     cert = campanato.certificate_check(cubic, IDENTITY, None, _flat_report(), FLAT)

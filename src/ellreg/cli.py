@@ -192,11 +192,8 @@ def cmd_analyze(args) -> int:
     else:
         f, u = _solve_from_args(args, spec, grid)
 
-    if f is None:
-        table = campanato.campanato_iterate(u, spec, rho=args.rho, kmax=args.kmax)
-    else:
-        table = campanato.inhomogeneous_iterate(u, spec, f, mu=args.rho, kmax=args.kmax,
-                                                alpha=args.alpha)
+    table = campanato.campanato_iterate(u, spec, rho=args.rho, kmax=args.kmax, f=f,
+                                        alpha=args.alpha)
     if table.truncated:
         warnings.append(f"decay table truncated: scale {len(table.records)} under-resolved")
 
@@ -362,7 +359,7 @@ _CONSTANTS = ("constants", (
 _ANALYZE = ("analyze", (
     _p("--rho", default=0.5),
     _p("--kmax", default=4, type=int),
-    _p("--subsample", default=1089, type=int),
+    _p("--subsample", default=campanato.SEMINORM_NODE_CAP, type=int),
 ))
 _CORDES = ("analyze", (  # cordes reads its two bounds from [analyze]
     _p("--eps-slack", default=1.0),

@@ -111,10 +111,6 @@ class NirenbergResult:
     threshold_ok: bool
     note: str = UNPROVEN_THRESHOLD_NOTE
 
-    def __iter__(self):
-        yield self.k
-        yield self.k1
-
 
 def nirenberg_constants(a_field, f_bound: float, eps_slack: float) -> NirenbergResult:
     """Small-deviation constants for coefficients near the identity.

@@ -13,10 +13,11 @@ use a composite midpoint rule in polar coordinates with Richardson-style
 doubling until two refinement levels agree.
 
 mollify() convolves a grid function with the kernel sampled on the lattice
-and renormalized to discrete mass exactly 1, so constants are preserved
-bit for bit and the max norm never grows.  The output lives on the
-kernel-eroded domain (the gamma-shrunk domain); nothing is ever padded or
-extrapolated.
+and renormalized to discrete mass exactly 1 under exact summation.  The
+convolution itself rounds: away from underflow a constant c comes back within
+len(w) * eps * |c| for the len(w) kernel weights, not bit for bit, and the max
+norm can grow by that much.  The output lives on the kernel-eroded domain (the
+gamma-shrunk domain); nothing is ever padded or extrapolated.
 """
 
 from __future__ import annotations

@@ -44,10 +44,8 @@ __all__ = [
     "catalog_specs",
     "derivative_oscillation",
     "effective_bounds",
-    "evaluate",
     "evaluate_batch",
     "fd_gradient",
-    "gradient",
     "gradient_batch",
     "normalize",
     "op_norm_sym2",
@@ -178,21 +176,10 @@ def evaluate_batch(spec, h11, h12, h22):
     return lin + spec.eps * _PHI[spec.perturbation](np.asarray(h11), np.asarray(h12), np.asarray(h22))
 
 
-def evaluate(op, M) -> float:
-    """F(M) for a single symmetric 2x2 matrix, for a catalog spec or a
-    transformed operator; evaluate(op, 0) == 0."""
-    return op.evaluate(M)
-
-
 def gradient_batch(spec, h11, h12, h22):
     """Entries of DF(M) (symmetric matrix G with dF = tr(G dM)) on arrays."""
     g11, g12, g22 = _DPHI[spec.perturbation](np.asarray(h11), np.asarray(h12), np.asarray(h22))
     return (spec.w11 + spec.eps * g11, spec.w12 + spec.eps * g12, spec.w22 + spec.eps * g22)
-
-
-def gradient(op, M) -> np.ndarray:
-    """DF(M) for a catalog spec or a transformed operator."""
-    return op.gradient(M)
 
 
 def fd_gradient(op, M, step: float = 1e-6) -> np.ndarray:
@@ -203,7 +190,7 @@ def fd_gradient(op, M, step: float = 1e-6) -> np.ndarray:
     for (i, j) in ((0, 0), (0, 1), (1, 1)):
         E = np.zeros((2, 2))
         E[i, j] = E[j, i] = 1.0
-        d = (evaluate(op, M + step * E) - evaluate(op, M - step * E)) / (2.0 * step)
+        d = (op.evaluate(M + step * E) - op.evaluate(M - step * E)) / (2.0 * step)
         # dF along the symmetrized direction is tr(G E) = (2 - delta_ij) * g_ij
         out[i, j] = out[j, i] = d / (2.0 - (i == j))
     return out
@@ -296,7 +283,7 @@ def df_at_zero(op) -> np.ndarray:
     """The actual gradient W = DF(0).  For perturbations whose gradient does
     not vanish at the origin (sine does not) this differs from the intended
     linear part W0 by eps * Dphi(0)."""
-    return gradient(op, np.zeros((2, 2)))
+    return op.gradient(np.zeros((2, 2)))
 
 
 def normalize(op) -> NormalizationResult:

@@ -67,7 +67,6 @@ class SolverError(RuntimeError):
 class HessianField:
     """Per-node symmetric 2x2 second differences; NaN off the support mask."""
 
-    grid: Grid2
     h11: np.ndarray
     h12: np.ndarray
     h22: np.ndarray
@@ -89,13 +88,12 @@ def _hessian_arrays(v: np.ndarray, h: float, mask: np.ndarray):
 
 def hessian(u: GridFunction) -> HessianField:
     """Central second differences wherever the full 9-node stencil is defined."""
-    g = u.grid
     stencil = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)]
     support = np.logical_and.reduce(neighbours(u.defined, stencil, False))
     v = u.filled(0.0)
     h11, h12, h22 = (np.full_like(v, np.nan) for _ in range(3))
-    h11[support], h12[support], h22[support] = _hessian_arrays(v, g.h, support)
-    return HessianField(g, h11, h12, h22, support)
+    h11[support], h12[support], h22[support] = _hessian_arrays(v, u.grid.h, support)
+    return HessianField(h11, h12, h22, support)
 
 
 # ---------------------------------------------------------------------------

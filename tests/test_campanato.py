@@ -158,6 +158,23 @@ def test_step_with_perturbed_operator(disk65, sine_spec):
     assert rep.d2h_bound_ok
 
 
+def test_step_d2h_bound_is_25_sup_u(disk65, identity_spec):
+    # ||D^2 h(0)|| <= (25/4) n^2 M with n = 2 and M = sup|u| = 3 exactly
+    u = GridFunction.from_callable(disk65, lambda x, y: np.full_like(x, -3.0))
+    _, rep = cp.improvement_step(u, identity_spec)
+    assert rep.sup_u == 3.0
+    assert rep.d2h_bound == 75.0
+
+
+def test_taylor_at_center_needs_full_stencil_support(disk33):
+    u = GridFunction.from_callable(disk33, saddle)
+    defined = u.defined.copy()
+    defined[17, 16] = False  # a neighbour of the centre node (16, 16)
+    hole = GridFunction(disk33, np.where(defined, u.values, np.nan), defined)
+    with pytest.raises(ValueError, match="center node lacks full stencil support"):
+        cp._taylor_at_center(hole)
+
+
 def test_step_bisection_moves_onto_zero_set(disk65, sine_spec):
     # harmonic quadratic part with a nonzero Hessian forces a genuine correction
     u = GridFunction.from_callable(
@@ -166,7 +183,7 @@ def test_step_bisection_moves_onto_zero_set(disk65, sine_spec):
     assert rep.d2h_norm > 1.0
     assert 0 < abs(rep.c_correction) <= sine_spec.eps
     assert rep.operator_residual <= 1e-10  # bisection landed on the zero set
-    assert abs(op.evaluate(sine_spec, P.c)) <= 1e-10
+    assert abs(sine_spec.evaluate(P.c)) <= 1e-10
 
 
 def test_step_validation(disk65, identity_spec):
@@ -242,7 +259,8 @@ def test_inhomogeneous_reduces_to_homogeneous_for_zero_source(disk129, identity_
     u = GridFunction.from_callable(disk129, cubic_harmonic)
     zero = GridFunction.zeros(disk129)
     hom = cp.campanato_iterate(u, identity_spec, rho=0.5, kmax=4)
-    inh = cp.inhomogeneous_iterate(u, identity_spec, zero, mu=0.5, kmax=4, alpha=0.25)
+    inh = cp.campanato_iterate(u, identity_spec, rho=0.5, kmax=4, f=zero, alpha=0.25)
+    assert (hom.mode, inh.mode) == ("homogeneous", "inhomogeneous")
     for a, b in zip(hom.records, inh.records):
         assert a.sup_dev == b.sup_dev
         assert a.poly.a == b.poly.a
@@ -257,7 +275,7 @@ def test_inhomogeneous_decay_with_radial_source(disk257, identity_spec):
         disk257, lambda x, y: saddle(x, y) + kappa * np.hypot(x, y) ** (2 + alpha))
     f = GridFunction.from_callable(
         disk257, lambda x, y: kappa * (2 + alpha) ** 2 * np.hypot(x, y) ** alpha)
-    table = cp.inhomogeneous_iterate(u, identity_spec, f, mu=0.5, kmax=4, alpha=alpha)
+    table = cp.campanato_iterate(u, identity_spec, rho=0.5, kmax=4, f=f, alpha=alpha)
     assert table.exponent_defined
     assert table.fitted_exponent >= 2 + alpha - 0.2
     assert all(rec.f_check is not None for rec in table.records)

@@ -78,8 +78,7 @@ def test_cordes_delta_orthogonal_invariance_100_rotations():
 
 def test_nirenberg_constants():
     res = cd.nirenberg_constants(np.eye(2), f_bound=3.0, eps_slack=1.0)
-    k, k1 = res
-    assert k == 2.0 and k1 == 6.0
+    assert res.k == 2.0 and res.k1 == 6.0
     assert res.threshold_ok
     res2 = cd.nirenberg_constants(np.diag([1.5, 1.0]), f_bound=0.0, eps_slack=1.0)
     assert res2.k == pytest.approx(4.0, rel=1e-14)

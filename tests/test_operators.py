@@ -13,12 +13,12 @@ from conftest import philox
 
 
 def test_evaluate_trivial_cases():
-    assert op.evaluate(op.OperatorSpec(1, 0, 1), op.sym2(2, 0, -2)) == 0.0
-    assert op.evaluate(op.OperatorSpec(1, 0, 4), np.eye(2)) == 5.0
+    assert op.OperatorSpec(1, 0, 1).evaluate(op.sym2(2, 0, -2)) == 0.0
+    assert op.OperatorSpec(1, 0, 4).evaluate(np.eye(2)) == 5.0
     sine = op.OperatorSpec(1, 0, 1, 0.1, "sine")
-    assert op.evaluate(sine, np.zeros((2, 2))) == 0.0
+    assert sine.evaluate(np.zeros((2, 2))) == 0.0
     smax = op.OperatorSpec(1, 0, 1, 0.1, "smooth_max")
-    assert op.evaluate(smax, np.zeros((2, 2))) == pytest.approx(0.0, abs=1e-16)
+    assert smax.evaluate(np.zeros((2, 2))) == pytest.approx(0.0, abs=1e-16)
 
 
 def test_spec_validation():
@@ -69,7 +69,7 @@ def test_gradient_matches_finite_differences():
     for spec in op.catalog_specs(0.05):
         for _ in range(20):
             M = op.sym2(*rng.uniform(-2, 2, size=3))
-            G = op.gradient(spec, M)
+            G = spec.gradient(M)
             G_fd = op.fd_gradient(spec, M)
             assert np.max(np.abs(G - G_fd)) <= 1e-5 * (1 + np.max(np.abs(G)))
 
@@ -79,7 +79,7 @@ def test_gradient_fd_over_100_random_matrices():
     spec = op.OperatorSpec(1.4, 0.3, 1.1, 0.05, "sine")
     for _ in range(100):
         M = op.sym2(*rng.standard_normal(3))
-        rel = np.max(np.abs(op.gradient(spec, M) - op.fd_gradient(spec, M)))
+        rel = np.max(np.abs(spec.gradient(M) - op.fd_gradient(spec, M)))
         assert rel <= 1e-5
 
 
@@ -92,7 +92,7 @@ def test_sampled_ellipticity_bracket():
             B = rng.standard_normal((2, 2))
             P = B @ B.T * rng.uniform(0.1, 2.0)
             trP = np.trace(P)
-            dF = op.evaluate(spec, M + P) - op.evaluate(spec, M)
+            dF = spec.evaluate(M + P) - spec.evaluate(M)
             assert dF >= eff.lam * trP - 1e-10
             assert dF <= eff.Lam * trP + 1e-10
 
@@ -138,7 +138,7 @@ def test_transformed_chain_rule_identity():
     for _ in range(10):
         M = op.sym2(*rng.uniform(-1, 1, size=3))
         direct = res.transformed.gradient(M)
-        via_base = A.T @ op.gradient(spec, A @ M @ A.T) @ A
+        via_base = A.T @ spec.gradient(A @ M @ A.T) @ A
         assert np.max(np.abs(direct - via_base)) <= 1e-12
         fd = op.fd_gradient(res.transformed, M)
         assert np.max(np.abs(direct - fd)) <= 1e-5

@@ -294,6 +294,17 @@ def test_linear_solve_square_grid():
     assert np.max(np.abs(sol.values[g.interior] - exact[g.interior])) <= 1e-10
 
 
+def test_linear_solve_rejects_an_interior_on_the_lattice_frame():
+    # the interior's top row lies on the frame, so its stencil leaves the lattice
+    g = Grid2.square(17)
+    interior = np.zeros((17, 17), dtype=bool)
+    interior[:-1, 1:-1] = True
+    region = gr.SubRegion(interior, g.defined & ~interior)
+    for W0 in (np.eye(2), op.sym2(1.0, 0.2, 1.0)):
+        with pytest.raises(sv.SolverError, match="interior stencil reaches an undefined node"):
+            sv.solve_linear_dirichlet(W0, None, 0.0, g, region=region)
+
+
 def test_source_errors_name_the_source():
     g = Grid2.disk(17)
     with pytest.raises(ValueError, match="^source array must cover the full lattice"):
@@ -698,7 +709,7 @@ def test_nonlinear_perturbed_quadratic_zero_set(disk65):
     spec = op.OperatorSpec(1.0, 0.0, 1.0, 0.05, "sine")
 
     def F_of_diag(b):
-        return op.evaluate(spec, op.sym2(1.0, 0.0, b))
+        return spec.evaluate(op.sym2(1.0, 0.0, b))
 
     lo, hi = -1.2, -0.8
     assert F_of_diag(lo) < 0 < F_of_diag(hi)
@@ -838,3 +849,14 @@ def test_comparison_detects_violation(disk33, identity_spec):
     shifted = GridFunction(disk33, h.values - 0.5, h.defined.copy())
     res = sv.comparison_check(h, shifted, identity_spec, slack=1.0)
     assert res.outcome == "not_ordered"
+
+
+def test_comparison_flags_disorder_on_the_boundary_alone(disk33, identity_spec):
+    # raising the lower function's boundary keeps it a subsolution and leaves
+    # the interior ordered, so only the boundary check can catch the pair
+    h = sv.solve_laplace_dirichlet(saddle, disk33)
+    raised = GridFunction(disk33, np.where(disk33.boundary, h.values + 0.5, h.values),
+                          h.defined.copy())
+    res = sv.comparison_check(raised, h, identity_spec)
+    assert (res.outcome, res.detail) == ("precondition_failed", "boundary ordering")
+    assert res.max_violation == pytest.approx(0.5, rel=1e-12)
