@@ -50,7 +50,6 @@ __all__ = [
     "normalize",
     "op_norm_sym2",
     "residual_audit",
-    "rescale_hessian_seminorm",
     "spec_to_config",
     "sym2",
 ]
@@ -198,14 +197,7 @@ def fd_gradient(op, M, step: float = 1e-6) -> np.ndarray:
 
 def effective_bounds(spec) -> EllipticityBounds:
     """Catalog-derived ellipticity bounds (trace-norm pairing, see module docstring)."""
-    if isinstance(spec, TransformedOperator):
-        W0 = spec.W0
-        ev = np.linalg.eigvalsh(W0)
-        lam_min, lam_max = float(ev[0]), float(ev[-1])
-        eps = spec.eps
-    else:
-        lam_min, lam_max, eps = spec._lam_min(), spec._lam_max(), spec.eps
-    return EllipticityBounds(lam_min - eps, lam_max + _SQRT2 * eps)
+    return EllipticityBounds(spec._lam_min() - spec.eps, spec._lam_max() + _SQRT2 * spec.eps)
 
 
 def residual_audit(spec, samples: int = 10_000, seed: int = 0) -> float:
@@ -260,6 +252,12 @@ class TransformedOperator:
     def eps(self) -> float:
         return float(self.base.eps * np.linalg.norm(self.A.T @ self.A, 2))
 
+    def _lam_min(self) -> float:
+        return float(np.linalg.eigvalsh(self.W0)[0])
+
+    def _lam_max(self) -> float:
+        return float(np.linalg.eigvalsh(self.W0)[-1])
+
     def evaluate(self, M) -> float:
         M = np.asarray(M, dtype=float)
         return self.base.evaluate(self.A @ M @ self.A.T)
@@ -311,14 +309,6 @@ def normalize(op) -> NormalizationResult:
         new_eps=new_eps,
         paper_eps_bound=eps * eff.Lam,
     )
-
-
-def rescale_hessian_seminorm(value: float, bounds: EllipticityBounds, alpha_bar: float) -> float:
-    """Pullback factor Lam^(2+alpha_bar) for Hessian Hoelder seminorms under
-    the normalization map x -> sqrt(Lam) A^T x."""
-    if value < 0:
-        raise ValueError("seminorm must be nonnegative")
-    return value * float(bounds.Lam) ** (2.0 + alpha_bar)
 
 
 def spec_to_config(spec: OperatorSpec) -> dict:

@@ -186,6 +186,23 @@ def test_step_bisection_moves_onto_zero_set(disk65, sine_spec):
     assert abs(sine_spec.evaluate(P.c)) <= 1e-10
 
 
+@pytest.mark.parametrize("b", [-0.9, -0.8])
+def test_step_correction_shift_is_scaled_by_lam(disk65, b):
+    # F is linear along the shift, so the bisection's zero has a closed form:
+    # tr(W0 (C_T + c s I)) = 0 with s = ||D^2 h(0)|| / lam, C_T the Taylor Hessian
+    spec = op.OperatorSpec(1.5, 0.25, 1.0, 0.1, "none")
+    u = GridFunction.from_callable(
+        disk65, lambda x, y: 0.5 * saddle(x, y) + b * x * y + 0.2 * cubic_harmonic(x, y)
+        + 0.05 * np.sin(2 * x) * np.cos(y))
+    _, rep = cp.improvement_step(u, spec)
+    taylor, _ = cp.improvement_step(u, dataclasses.replace(spec, eps=0.0))
+    W0 = spec.W0
+    lam = np.linalg.eigvalsh(W0)[0] - spec.eps
+    expected = -np.trace(W0 @ taylor.c) / (rep.d2h_norm / lam * np.trace(W0))
+    assert rep.c_correction != 0.0
+    assert rep.c_correction == pytest.approx(expected, rel=1e-10)
+
+
 def test_step_validation(disk65, identity_spec):
     u = GridFunction.from_callable(disk65, saddle)
     with pytest.raises(ValueError, match="domain too small"):
@@ -238,6 +255,25 @@ def test_iterate_telescoping_identity(disk129, identity_spec):
     direct = last.poly(xs, ys)
     scale = max(1.0, float(np.max(np.abs(direct))))
     assert np.max(np.abs(acc - direct)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("extent", [1.0, 0.7])
+@pytest.mark.parametrize("with_source", [False, True])
+def test_iterate_correction_is_the_rescaled_fit_increment(extent, with_source, identity_spec):
+    # correction k is the fit on B_(r_k) in the unit frame over its amplitude:
+    # its Hessian is extent^2 (P_k.c - P_(k-1).c), over rho^(k alpha) with a source
+    rho, alpha = 0.5, 0.25
+    g = Grid2.disk(257, extent)
+    u = GridFunction.from_callable(
+        g, lambda x, y: np.exp(0.8 * x + 0.3 * y) + np.sin(2 * x) * np.cos(y))
+    f = GridFunction.from_callable(g, lambda x, y: 1.0 + x * y) if with_source else None
+    table = cp.campanato_iterate(u, identity_spec, rho=rho, kmax=4, f=f, alpha=alpha)
+    assert len(table.records) == 5
+    for prev, rec in zip(table.records, table.records[1:]):
+        expected = extent**2 * (rec.poly.c - prev.poly.c)
+        if with_source:
+            expected = expected / rho ** (rec.k * alpha)
+        assert np.max(np.abs(rec.correction.c - expected)) <= 1e-10 * np.max(np.abs(expected))
 
 
 def test_iterate_truncation_flagged():
@@ -497,6 +533,21 @@ def test_certificate_inhomogeneous_informational(disk129, identity_spec):
     assert cert.informational
     assert cert.bound > 0
     assert cert.alpha_used == 0.25
+
+
+@pytest.mark.parametrize("cap", [64, 300])
+def test_certificate_source_seminorm_follows_the_node_cap(disk65, identity_spec, cap):
+    rep = report()
+    u = GridFunction.from_callable(disk65, lambda x, y: saddle(x, y) + np.hypot(x, y) ** 2.5)
+    f = GridFunction.from_callable(disk65, lambda x, y: 6.25 * np.hypot(x, y) ** 0.5)
+    cert = cp.certificate_check(u, identity_spec, f, rep, FLAT, subsample=cap)
+    a = rep.pair.alpha
+    f_semi = cp._pairwise_holder(disk65, f.defined, (f.values,), a, cap)
+    T = float(1.0 / float(rep.delta)) * f_semi + u.sup()
+    assert cert.bound == pytest.approx(
+        float(C.pointwise_factor(a)) * 2.0**a * float(rep.C4) * T, rel=1e-12)
+    assert cert.measured_seminorm == cp.discrete_hessian_seminorm(
+        u, a, radius=cert.ball_radius, max_nodes=cap)
 
 
 def test_certificate_under_resolved_ball(identity_spec):

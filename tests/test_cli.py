@@ -56,6 +56,20 @@ def test_constants_config_file_with_flag_override(tmp_path, capsys):
     assert json.loads(out2)["alpha0"] == 0.5
 
 
+def test_readme_config_example_lists_every_key_and_runs(tmp_path, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = readme.split("```ini\n")
+    assert len(blocks) == 2, "README holds one INI example"
+    cfgfile = tmp_path / "readme.cfg"
+    cfgfile.write_text(blocks[1].split("```")[0])
+    cfg = cli._load_config(str(cfgfile))
+    keys = {(section, key) for section in cfg.sections() for key in cfg[section]}
+    assert keys == cli._CONFIG_KEYS
+    code, out, err = run_cli(["constants", "--config", str(cfgfile)], capsys)
+    assert code == cli.EXIT_OK, err
+    assert json.loads(out)["Lambda"] == 1.08
+
+
 def test_solve_quadratic_and_determinism(tmp_path, capsys):
     out1 = tmp_path / "a.grid"
     out2 = tmp_path / "b.grid"

@@ -7,7 +7,6 @@ import pytest
 
 from ellreg import cli
 from ellreg import operators as op
-from ellreg.constants import EllipticityBounds
 
 from conftest import philox
 
@@ -130,6 +129,14 @@ def test_normalize_involution():
     assert np.max(np.abs(twice.A - np.eye(2))) <= 1e-10
 
 
+def test_effective_bounds_of_a_transformed_operator():
+    # the transformed operator answers for its own W0 eigenvalues, as a spec does
+    t = op.normalize(op.OperatorSpec(1.7, 0.3, 1.1, 0.03, "smooth_max")).transformed
+    ev = np.linalg.eigvalsh(t.W0)
+    eff = op.effective_bounds(t)
+    assert (eff.lam, eff.Lam) == (ev[0] - t.eps, ev[-1] + np.sqrt(2.0) * t.eps)
+
+
 def test_transformed_chain_rule_identity():
     spec = op.OperatorSpec(1.5, 0.25, 1.0, 0.05, "sine")
     res = op.normalize(spec)
@@ -142,15 +149,6 @@ def test_transformed_chain_rule_identity():
         assert np.max(np.abs(direct - via_base)) <= 1e-12
         fd = op.fd_gradient(res.transformed, M)
         assert np.max(np.abs(direct - fd)) <= 1e-5
-
-
-def test_rescale_hessian_seminorm():
-    b1 = EllipticityBounds(1.0, 1.0)
-    assert op.rescale_hessian_seminorm(3.7, b1, 0.5) == 3.7
-    b4 = EllipticityBounds(1.0, 4.0)
-    assert op.rescale_hessian_seminorm(1.0, b4, 0.5) == pytest.approx(32.0, rel=1e-14)
-    with pytest.raises(ValueError):
-        op.rescale_hessian_seminorm(-1.0, b1, 0.5)
 
 
 def test_spec_config_round_trip(tmp_path):
