@@ -19,6 +19,12 @@ a --gamma that is not positive and finite, a --rho outside (0,1), a negative
 cordes cannot use); 3 numerical failure.  analyze checks its settings and
 builds its one constants report before it loads or solves anything.
 
+Start-up: this module imports only the standard library, and each cmd_*
+imports the ellreg modules it runs, so constants loads mpmath and no numpy,
+and solve and cordes load no mpmath.  The parser reads no numpy module: the
+operator checks --perturbation, and analyze takes its --subsample fallback
+from campanato.
+
 selftest runs the acceptance check registry (ellreg.checks) at its reduced
 scale, with every Philox key set to the run seed.
 
@@ -34,30 +40,28 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import functools
 import json
 import math
 import sys
-
-import numpy as np
-
-from . import campanato, checks, constants, cordes, operators, solver
-from .grid import Grid2, GridFunction, load_grid, save_grid
 
 EXIT_OK = 0
 EXIT_UNSATISFIED = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
+# Field profiles (x, y) -> values for --boundary and --source, each taking
+# numpy first: _profile hands it in, so the parser lists the names without it.
 PROFILES = {
-    "zero": lambda x, y: np.zeros_like(x),
-    "one": lambda x, y: np.ones_like(x),
-    "quadratic_saddle": lambda x, y: x**2 - y**2,
-    "quadratic_bowl": lambda x, y: x**2 + y**2,
-    "cubic_harmonic": lambda x, y: x**3 - 3.0 * x * y**2,
-    "quartic": lambda x, y: x**4,
-    "sine": lambda x, y: np.sin(2.0 * x) * np.cos(y),
-    "radial_sqrt": lambda x, y: np.hypot(x, y) ** 0.5,
-    "poisson_quartic": lambda x, y: 12.0 * x**2,
+    "zero": lambda np, x, y: np.zeros_like(x),
+    "one": lambda np, x, y: np.ones_like(x),
+    "quadratic_saddle": lambda np, x, y: x**2 - y**2,
+    "quadratic_bowl": lambda np, x, y: x**2 + y**2,
+    "cubic_harmonic": lambda np, x, y: x**3 - 3.0 * x * y**2,
+    "quartic": lambda np, x, y: x**4,
+    "sine": lambda np, x, y: np.sin(2.0 * x) * np.cos(y),
+    "radial_sqrt": lambda np, x, y: np.hypot(x, y) ** 0.5,
+    "poisson_quartic": lambda np, x, y: 12.0 * x**2,
 }
 
 
@@ -98,15 +102,21 @@ def canonical_config(cfg: configparser.ConfigParser) -> str:
 def _profile(name: str):
     if name not in PROFILES:
         raise ValueError(f"unknown field profile {name!r}; choose from {sorted(PROFILES)}")
-    return PROFILES[name]
+    import numpy  # deferred: only a run that builds a field needs it
+
+    return functools.partial(PROFILES[name], numpy)
 
 
-def _build_spec(args) -> operators.OperatorSpec:
+def _build_spec(args):
+    from . import operators
+
     return operators.OperatorSpec(args.w11, args.w12, args.w22, args.eps, args.perturbation)
 
 
-def _constants_report(args) -> constants.ConstantsReport:
+def _constants_report(args):
     """The run's one constants report, from its [constants] parameters."""
+    from . import constants
+
     return constants.build_report(
         args.n, constants.EllipticityBounds(args.lam, args.Lam),
         constants.HolderPair(args.alpha_bar, args.alpha),
@@ -119,22 +129,28 @@ def _constants_report(args) -> constants.ConstantsReport:
 
 
 def cmd_constants(args) -> int:
+    from . import constants
+
     report = _constants_report(args)
     _emit(constants.report_to_json(report), args.output)
     return EXIT_OK if report.all_checks_pass() else EXIT_UNSATISFIED
 
 
-def _source(args, grid: Grid2):
+def _source(args, grid):
     """The source on grid's lattice (--source-file, else --source); None when it is zero."""
+    from .grid import GridFunction, load_grid
+
     if args.source_file:
         f = load_grid(args.source_file)
         if f.grid.N != grid.N or f.grid.extent != grid.extent:
             raise ValueError("source grid file does not match the run lattice")
-        return f if np.any(f.values[f.defined]) else None
+        return f if f.values[f.defined].any() else None
     return None if args.source == "zero" else GridFunction.from_callable(grid, _profile(args.source))
 
 
-def _solve_from_args(args, spec, grid: Grid2):
+def _solve_from_args(args, spec, grid):
+    from . import solver
+
     g = _profile(args.boundary)
     f = _source(args, grid)
     u = solver.solve_fully_nonlinear(spec, f, g, grid, tol=args.tol, max_sweeps=args.max_sweeps)
@@ -142,6 +158,9 @@ def _solve_from_args(args, spec, grid: Grid2):
 
 
 def cmd_solve(args) -> int:
+    from . import operators
+    from .grid import Grid2, save_grid
+
     grid = Grid2(args.grid_shape, args.grid_n, args.extent)
     spec = _build_spec(args)
     f, u = _solve_from_args(args, spec, grid)
@@ -171,6 +190,9 @@ def cmd_analyze(args) -> int:
         raise ValueError(f"--rho must lie in (0,1), got {args.rho!r}")
     if args.kmax < 0:
         raise ValueError(f"--kmax must be nonnegative, got {args.kmax!r}")
+    from . import campanato, operators, solver
+    from .grid import Grid2, load_grid
+
     spec = _build_spec(args)
     report = _constants_report(args)
     bounds = report.bounds
@@ -197,7 +219,8 @@ def cmd_analyze(args) -> int:
     if table.truncated:
         warnings.append(f"decay table truncated: scale {len(table.records)} under-resolved")
 
-    cert = campanato.certificate_check(u, spec, f, report, bounds, subsample=args.subsample)
+    subsample = campanato.SEMINORM_NODE_CAP if args.subsample is None else args.subsample
+    cert = campanato.certificate_check(u, spec, f, report, bounds, subsample=subsample)
 
     pointwise_payload = None
     if args.pointwise:
@@ -236,7 +259,7 @@ def cmd_analyze(args) -> int:
         "rho": table.rho,
         "mode": table.mode,
         "certificate": dataclasses.asdict(cert),
-        "subsample_cap": args.subsample,
+        "subsample_cap": subsample,
         "pointwise": pointwise_payload,
         "step_report": step_payload,
         "csv_output": args.csv_output,
@@ -251,6 +274,11 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_cordes(args) -> int:
+    import numpy as np
+
+    from . import cordes
+    from .grid import load_grid
+
     spec = _build_spec(args)
     field = cordes.linearized_field(spec, load_grid(args.input) if args.input else None)
     a_stack = np.empty((field.x.size, 2, 2))
@@ -296,6 +324,8 @@ def cmd_cordes(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from . import checks
+
     seed = args.seed if args.seed is not None else 12345
     records = [rec for criterion in checks.CRITERIA.values()
                for rec in criterion(checks.REDUCED, seed)]
@@ -332,7 +362,8 @@ _OPERATOR = ("operator", (
     _p("--w12", default=0.0),
     _p("--w22", default=1.0),
     _p("--eps", default=0.0),
-    _p("--perturbation", default="none", type=str, choices=operators.PERTURBATIONS),
+    _p("--perturbation", default="none", type=str,
+       help="perturbation phi of the operator catalog (ellreg.operators.PERTURBATIONS)"),
 ))
 _SOLVE = ("solve", (
     _p("--boundary", default="quadratic_saddle", type=str,
@@ -359,7 +390,8 @@ _CONSTANTS = ("constants", (
 _ANALYZE = ("analyze", (
     _p("--rho", default=0.5),
     _p("--kmax", default=4, type=int),
-    _p("--subsample", default=campanato.SEMINORM_NODE_CAP, type=int),
+    _p("--subsample", default=None, type=int,
+       help="node cap of the pairwise seminorms (default ellreg.campanato.SEMINORM_NODE_CAP)"),
 ))
 _CORDES = ("analyze", (  # cordes reads its two bounds from [analyze]
     _p("--eps-slack", default=1.0),
@@ -457,7 +489,11 @@ def main(argv=None) -> int:
     except (ValueError, configparser.Error, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except solver.SolverError as exc:
+    except RuntimeError as exc:
+        from .solver import SolverError  # deferred: only a run that solves can raise it
+
+        if not isinstance(exc, SolverError):
+            raise
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -31,10 +31,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .constants import EllipticityBounds
+if TYPE_CHECKING:
+    from .constants import EllipticityBounds
 
 __all__ = [
     "OperatorSpec",
@@ -197,6 +199,8 @@ def fd_gradient(op, M, step: float = 1e-6) -> np.ndarray:
 
 def effective_bounds(spec) -> EllipticityBounds:
     """Catalog-derived ellipticity bounds (trace-norm pairing, see module docstring)."""
+    from .constants import EllipticityBounds  # deferred: solve and cordes runs never need mpmath
+
     return EllipticityBounds(spec._lam_min() - spec.eps, spec._lam_max() + _SQRT2 * spec.eps)
 
 

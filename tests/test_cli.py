@@ -102,6 +102,33 @@ def test_solve_divergence_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_analyze_in_process_divergence_exits_3_and_writes_nothing(tmp_path, capsys):
+    out, csv = tmp_path / "a.json", tmp_path / "d.csv"
+    code, _, err = run_cli(
+        ["analyze", "-N", "33", "--perturbation", "sine", "--eps", "0.05", "--max-sweeps", "2",
+         "--lambda", "0.95", "--Lambda", "1.08", "--output", str(out), "--csv-output", str(csv)],
+        capsys)
+    assert code == cli.EXIT_NUMERICAL
+    assert "numerical failure" in err
+    assert not out.exists() and not csv.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "analyze", "cordes"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_unknown_perturbation_exits_2(tmp_path, capsys, command, source):
+    if source == "flag":
+        given = ["--perturbation", "bogus"]
+    else:
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("[operator]\nperturbation = bogus\n")
+        given = ["--config", str(cfgfile)]
+    out = tmp_path / "out"
+    code, _, err = run_cli([command, *given, "--output", str(out)], capsys)
+    assert code == cli.EXIT_USAGE
+    assert "unknown perturbation 'bogus'" in err
+    assert not out.exists()
+
+
 def test_solve_perturbed_with_source_from_file(tmp_path, capsys):
     g = Grid2.disk(33)
     f = GridFunction.from_callable(g, lambda x, y: 12.0 * x**2)
@@ -324,22 +351,37 @@ def test_cordes_with_solution_grid(tmp_path, capsys):
     assert payload["min_kepsprime"] > 0
 
 
-def test_import_and_light_runs_leave_scipy_sparse_unloaded(tmp_path):
-    probe = (
-        "import sys\n"
-        "from ellreg import cli\n"
-        "loaded = ['scipy.sparse' in sys.modules]\n"
-        "cli.main(['constants', '-o', 'k.json'])\n"
-        "loaded.append('scipy.sparse' in sys.modules)\n"
-        "cli.main(['cordes', '-o', 'c.json', '--csv-output', 'c.csv'])\n"
-        "loaded.append('scipy.sparse' in sys.modules)\n"
-        "print(loaded)\n"
-    )
+# Each run starts a fresh interpreter and reads sys.modules after cli.main returns;
+# an empty argv only imports the CLI.
+_IMPORT_PROBE = (
+    "import json, sys\n"
+    "from ellreg import cli\n"
+    "argv = json.loads(sys.argv[1])\n"
+    "code = cli.main(argv) if argv else 0\n"
+    "print(json.dumps([code, sorted(sys.modules)]))\n"
+)
+
+
+@pytest.mark.parametrize("argv, unloaded", [
+    ([], ["numpy"]),
+    (["constants", "-o", "k.json"], ["numpy", "scipy"]),
+    (["cordes", "-o", "c.json", "--csv-output", "c.csv"],
+     ["scipy", "mpmath", "ellreg.campanato", "ellreg.checks", "ellreg.mollifier"]),
+    (["solve", "-N", "33", "-o", "u.grid", "--summary", "s.json"],
+     ["mpmath", "scipy.integrate", "ellreg.campanato", "ellreg.checks", "ellreg.mollifier",
+      "ellreg.cordes"]),
+    (["analyze", "-N", "33", "-o", "a.json", "--csv-output", "d.csv"], ["ellreg.checks"]),
+], ids=["import", "constants", "cordes", "solve", "analyze"])
+def test_each_subcommand_loads_only_what_it_runs(tmp_path, argv, unloaded):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "[False, False, False]"
-    assert json.loads((tmp_path / "c.json").read_text())["nodes"] == 1
+    done = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(argv)], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, check=True)
+    code, modules = json.loads(done.stdout.splitlines()[-1])
+    assert code == cli.EXIT_OK
+    assert "ellreg.cli" in modules
+    assert [m for m in unloaded if m in modules] == []
+    if argv and argv[0] == "cordes":
+        assert json.loads((tmp_path / "c.json").read_text())["nodes"] == 1
 
 
 def test_analyze_pointwise_bound(tmp_path, capsys):

@@ -1,12 +1,18 @@
-"""Each ellreg module owns its private names: no module imports or reads
-another package module's ``_``-prefixed name."""
+"""Module boundaries: each ellreg module owns its private names (no module
+imports or reads another package module's ``_``-prefixed name), and start-up
+stays light (the CLI module imports only the standard library, no module
+imports scipy when it loads, and the package exports load on first access)."""
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import ellreg
+from ellreg import constants, grid, operators
 
 SRC = Path(ellreg.__file__).parent
 
@@ -38,3 +44,61 @@ def test_no_module_reaches_into_another_modules_private_names():
     assert len(modules) >= 10
     found = [use for path in modules for use in _foreign_private_uses(path)]
     assert not found, found
+
+
+def _load_time_imports(path: Path) -> list[tuple[int, str]]:
+    """(line, top-level package) of every import outside function bodies,
+    that is every import that can run when the module loads; a relative
+    import reads ``ellreg``."""
+    todo, found = list(ast.parse(path.read_text(), filename=str(path)).body), []
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name.partition(".")[0]) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            found.append((node.lineno, "ellreg" if node.level else node.module.partition(".")[0]))
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            todo.extend(ast.iter_child_nodes(node))
+    return sorted(found)
+
+
+def test_cli_loads_only_the_standard_library():
+    found = _load_time_imports(SRC / "cli.py")
+    assert {"argparse", "configparser"} <= {name for _, name in found}
+    assert [(line, name) for line, name in found if name not in sys.stdlib_module_names] == []
+
+
+def test_no_module_imports_scipy_when_it_loads():
+    found = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+             for line, name in _load_time_imports(path) if name == "scipy"]
+    assert not found, found
+
+
+EXPORTS = {
+    "ConstantsReport": constants.ConstantsReport,
+    "EllipticityBounds": constants.EllipticityBounds,
+    "ExternalConstants": constants.ExternalConstants,
+    "HolderPair": constants.HolderPair,
+    "build_report": constants.build_report,
+    "Grid2": grid.Grid2,
+    "GridFunction": grid.GridFunction,
+    "load_grid": grid.load_grid,
+    "save_grid": grid.save_grid,
+    "OperatorSpec": operators.OperatorSpec,
+}
+
+
+def test_package_exports_are_the_submodules_objects():
+    assert set(ellreg.__all__) == set(EXPORTS) | {"__version__"}
+    for name, obj in EXPORTS.items():
+        assert getattr(ellreg, name) is obj, name
+    assert set(ellreg.__all__) <= set(dir(ellreg))
+    assert not hasattr(ellreg, "no_such_export")
+
+
+def test_importing_the_package_loads_no_numpy():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, ellreg; print(sorted({'numpy', 'mpmath'} & set(sys.modules)))"],
+        env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
