@@ -155,7 +155,7 @@ class StepReport:
     d2h_bound_ok: bool
     c_correction: float
     operator_residual: float
-    factor_nnz: int  # entries stored by the harmonic replacement's LU factor
+    mg_iterations: list[int]  # PCG iterations of each sweep of the harmonic replacement
 
 
 def _taylor_at_center(h_fun: GridFunction) -> np.ndarray:
@@ -247,7 +247,7 @@ def improvement_step(u: GridFunction, spec, constants: ConstantsReport | None = 
         d2h_bound_ok=bool(d2h_norm <= d2h_bound * (1 + 1e-12)),
         c_correction=float(c_corr),
         operator_residual=abs(spec.evaluate(P.c)),
-        factor_nnz=h_fun.meta["factor_nnz"],
+        mg_iterations=h_fun.meta["mg_iterations"],
     )
     return P, report
 

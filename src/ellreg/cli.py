@@ -244,7 +244,7 @@ def cmd_analyze(args) -> int:
             "d2h_norm": step.d2h_norm,
             "d2h_bound_ok": step.d2h_bound_ok,
             "c_correction": step.c_correction,
-            "factor_nnz": step.factor_nnz,
+            "mg_iterations": step.mg_iterations,
         }
     except (ValueError, solver.SolverError) as exc:
         warnings.append(f"improvement step skipped: {exc}")

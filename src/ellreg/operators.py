@@ -114,7 +114,8 @@ class OperatorSpec:
 
     def __post_init__(self):
         if self.perturbation not in PERTURBATIONS:
-            raise ValueError(f"unknown perturbation {self.perturbation!r}")
+            raise ValueError(f"unknown perturbation {self.perturbation!r}; "
+                             f"choose from {sorted(PERTURBATIONS)}")
         for name in ("w11", "w12", "w22", "eps"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")

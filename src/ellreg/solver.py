@@ -1,23 +1,34 @@
 """Finite-difference Dirichlet solvers on masked 2-D grids.
 
 Second derivatives use the central stencils exact on quadratics: the 3-point
-stencil for u_xx/u_yy and the 4-point cross stencil for u_xy.  One sparse
-assembly builds the Jacobian of tr(C D^2_h v) in the interior unknowns
-(5-point for diagonal C, 9-point with cross terms), written straight into
-compressed-column arrays and factored by sparse LU.  Every factor comes from
-one builder, which assembles the matrix A itself and keeps no reference to it
-once the factor exists.  A stencil with scalar coefficients and no cross
-term, on an odd-N region whose masks both axis reflections leave unchanged,
-maps each parity class (the signs of v under x -> -x and y -> -y) into
-itself; the builder then cuts one block per class from A, the rows of A at
-the class's quadrant nodes folded onto them by the map that mirrors them onto
-the region, drops A and factors the blocks one at a time, and with
-c11 == c22 on a region symmetric under x <-> y one factor serves two
-classes.  Any other stencil, a Newton Jacobian among them, is factored whole.
+stencil for u_xx/u_yy and the 4-point cross stencil for u_xy.
+
+A linear solve with an isotropic stencil, c (u_xx + u_yy) (the Laplace
+solves and the harmonic replacement among them), inverts it by conjugate
+gradients preconditioned with one multigrid V-cycle on the lattice arrays
+themselves: red-black Gauss-Seidel on masked levels of the interior's
+bounding box, full weighting, bilinear interpolation and a dense solve on
+the coarsest level.  It assembles no matrix, takes O(n) work and memory per
+iteration, and needs numpy alone.
+
+Every other stencil (an anisotropic or cross-term W0, the chord matrix and
+the Newton Jacobian of the nonlinear solve) is assembled as the sparse
+Jacobian of tr(C D^2_h v) in the interior unknowns (5-point for diagonal C,
+9-point with cross terms), written straight into compressed-column arrays
+and factored by sparse LU.  Every factor comes from one builder, which
+assembles the matrix A itself and keeps no reference to it once the factor
+exists.  A stencil with scalar coefficients and no cross term, on an odd-N
+region whose masks both axis reflections leave unchanged, maps each parity
+class (the signs of v under x -> -x and y -> -y) into itself; the builder
+then cuts one block per class from A, the rows of A at the class's quadrant
+nodes folded onto them by the map that mirrors them onto the region, drops A
+and factors the blocks one at a time, and with c11 == c22 on a region
+symmetric under x <-> y one factor serves two classes.  Any other stencil, a
+Newton Jacobian among them, is factored whole.
 
 Both Dirichlet solves run one chord loop with boundary values fixed,
 
-    u <- u - L^{-1} (F(D^2_h u) - f),     L = tr(W0 D^2_h) factored once,
+    u <- u - L^{-1} (F(D^2_h u) - f),     L = tr(W0 D^2_h) inverted once,
 
 from the boundary data with zero interior values.  The residual is measured
 by differences (the second differences of u, then F) on the iterate before
@@ -133,6 +144,20 @@ def _field_values(f, grid: Grid2, mask: np.ndarray) -> np.ndarray:
 # stencil assembly and factorization
 
 
+def _interior_count(region: SubRegion) -> int:
+    m = int(region.interior.sum())
+    if m == 0:
+        raise SolverError("region has no interior nodes")
+    return m
+
+
+def _check_reach(region: SubRegion, offsets) -> None:
+    """SolverError unless the stencil of these offsets reaches only defined
+    nodes from every interior node."""
+    if not np.logical_and.reduce(neighbours(region.defined, offsets, False))[region.interior].all():
+        raise SolverError("interior stencil reaches an undefined node")
+
+
 def _assemble(c11, c12, c22, h: float, region: SubRegion):
     """Sparse matrix of v -> tr(C D^2_h v) in the interior unknowns of region,
     for scalar or per-interior-node coefficients; boundary neighbours drop out.
@@ -146,9 +171,7 @@ def _assemble(c11, c12, c22, h: float, region: SubRegion):
     from scipy.sparse import csc_matrix  # deferred: constants and cordes runs never assemble
 
     interior = region.interior
-    m = int(interior.sum())
-    if m == 0:
-        raise SolverError("region has no interior nodes")
+    m = _interior_count(region)
     inv = 1.0 / (h * h)
     a, b, c = (np.broadcast_to(np.asarray(x, dtype=float) * inv, (m,)) for x in (c11, c12, c22))
     terms = {(0, 0): -2.0 * (a + c), (1, 0): a, (-1, 0): a, (0, 1): c, (0, -1): c}
@@ -156,10 +179,9 @@ def _assemble(c11, c12, c22, h: float, region: SubRegion):
         q = 0.5 * b
         terms.update({(1, 1): q, (-1, -1): q, (1, -1): -q, (-1, 1): -q})
     offsets = sorted(terms, reverse=True)
+    _check_reach(region, offsets)
     idx = np.full(interior.shape, -1, dtype=np.int32)
     idx[interior] = np.arange(m, dtype=np.int32)
-    if not np.logical_and.reduce(neighbours(region.defined, offsets, False))[interior].all():
-        raise SolverError("interior stencil reaches an undefined node")
     # the row at (i - di, j - dj) reaches the column's node (i, j); -1 (no
     # interior row there) picks a value the mask below drops
     row_of = neighbours(idx, [(-di, -dj) for di, dj in offsets], -1)
@@ -324,6 +346,235 @@ def _factor_stencil(c11, c12, c22, h: float, region: SubRegion):
 
 
 # ---------------------------------------------------------------------------
+# multigrid-preconditioned conjugate gradients (isotropic 5-point stencil)
+
+# The coarsest level spans at most _COARSEST_INTERVALS lattice intervals per
+# side, so its dense matrix has at most 7^2 unknowns.  A solve stops after
+# _PCG_MAX_ITERATIONS iterations whatever its residual; the chord loop then
+# judges the iterate like any other.  _PCG_TOL is the solve's stopping
+# residual as a fraction of the chord loop's target.
+_COARSEST_INTERVALS = 8
+_PCG_MAX_ITERATIONS = 100
+_PCG_TOL = 0.1
+_FIVE_POINT = ((1, 0), (-1, 0), (0, 1), (0, -1))
+
+
+def _boundary_steps(mask: np.ndarray) -> list:
+    """For each offset of _FIVE_POINT, the number of steps of that offset from
+    each node to the first node off mask (mask must be false on its frame)."""
+
+    def along_rows(m):
+        n = m.shape[0]
+        pos = np.arange(n)[:, None]
+        ahead = np.minimum.accumulate(np.where(m, n, pos)[::-1], axis=0)[::-1]
+        behind = np.maximum.accumulate(np.where(m, -1, pos), axis=0)
+        fwd, back = np.full(m.shape, n), np.full(m.shape, n)
+        fwd[:-1], back[1:] = ahead[1:] - pos[:-1], pos[1:] - behind[:-1]
+        return [fwd, back]
+
+    return along_rows(mask) + [a.T for a in along_rows(mask.T)]
+
+
+def _dense_inverse(level: "_Level") -> np.ndarray:
+    """Inverse of the level's operator as a dense matrix on its mask's nodes."""
+    mask = level.mask
+    n = int(mask.sum())
+    idx = np.full(mask.shape, -1)
+    idx[mask] = np.arange(n)
+    M = np.diag(level.diag[mask])
+    for nb in neighbours(idx, _FIVE_POINT, -1):
+        j = nb[mask]
+        M[np.flatnonzero(j >= 0), j[j >= 0]] = -1.0
+    return np.linalg.inv(M)
+
+
+class _Level:
+    """One level of the hierarchy on the padded box: its interior mask, the
+    mask as 0/1 floats, the diagonal of its operator, and work arrays that
+    live as long as the level: the iterate x, the right-hand side b, and r,
+    which holds the residual until it is restricted and then the
+    interpolated correction; all are zero off the mask.
+
+    The box has an odd number of columns n1 = 2 q + 1, so in row-major order
+    the node (i, j) is red (i + j even) exactly when its flat index is even.
+    Red node 2 t then has the black neighbours t - 1, t (left and right) and
+    t - q - 1, t + q (up and down) in the black nodes' own order, and black
+    node 2 t + 1 the red neighbours t, t + 1, t - q, t + q + 1.  A colour's
+    Gauss-Seidel step is thus four shifted slices of the other colour; it
+    covers the rows off the frame, and frame columns keep x zero because the
+    inverse diagonal held for the step is zero off the mask."""
+
+    def __init__(self, mask: np.ndarray, diag: np.ndarray):
+        self.mask = mask
+        self.weight = mask.astype(float)
+        self.diag = diag * self.weight
+        self.x, self.b, self.r = (np.zeros(mask.shape) for _ in range(3))
+        self.coarse: _Level | None = None
+        self.inverse: np.ndarray | None = None  # the coarsest level's dense inverse
+        n0, n1 = mask.shape
+        self._diag_rows, self._weight_rows = (a.ravel()[n1:-n1] for a in (self.diag, self.weight))
+        inv = (self.weight / diag).ravel()
+        q = n1 // 2
+        x, b = self.x.ravel(), self.b.ravel()
+        red, black = x[0::2], x[1::2]
+        colours = []
+        for p, (own, other, shifts) in enumerate(((red, black, (0, -1, q, -q - 1)),
+                                                  (black, red, (1, 0, q + 1, -q)))):
+            lo, hi = (n1 + 1 - p) // 2, ((n0 - 1) * n1 + 1 - p) // 2
+            near = tuple(other[lo + d:hi + d] for d in shifts)
+            colours.append((near, b[p::2][lo:hi], inv[p::2][lo:hi].copy(), own[lo:hi],
+                            np.empty(hi - lo)))
+        self.colours = tuple(colours)
+
+    def apply(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """out = diag v minus the neighbour sum at the interior nodes, zero
+        elsewhere, for v zero off the mask; out's frame rows must be zero."""
+        n1 = v.shape[1]
+        lo, hi = n1, v.size - n1
+        v, o = v.ravel(), out.ravel()[lo:hi]
+        np.multiply(self._diag_rows, v[lo:hi], out=o)
+        for d in (-1, 1, -n1, n1):
+            o -= v[lo + d:hi + d]
+        o *= self._weight_rows
+        return out
+
+    def smooth(self, colours) -> None:
+        """Gauss-Seidel on x for b, in place, one colour after the other."""
+        for near, b, inv, x, sum_ in colours:
+            np.add(near[0], near[1], out=sum_)
+            sum_ += near[2]
+            sum_ += near[3]
+            sum_ += b
+            np.multiply(sum_, inv, out=x)
+
+    def link(self, coarse: "_Level") -> None:
+        """Make coarse the next level down, with the views its transfers use:
+        restriction writes the full weighting of r onto the even-index nodes,
+        times 4 (the transpose of bilinear interpolation), into coarse.b on
+        its mask, by a row pass into a buffer and a column pass; interpolation
+        writes coarse.x onto the even-index nodes of r, averages it onto the
+        odd rows, then onto the odd columns."""
+        self.coarse = coarse
+        r, c = self.r, coarse.x
+        t = np.empty(((r.shape[0] - 1) // 2 - 1, r.shape[1]))
+        self._restrict = ((r[2:-1:2], r[1:-2:2], r[3::2], t),
+                          (t[:, 2:-1:2], t[:, 1:-2:2], t[:, 3::2], coarse.b[1:-1, 1:-1]),
+                          0.25 * coarse.weight[1:-1, 1:-1])
+        self._prolong = ((c, r[::2, ::2]), (c[:-1], c[1:], r[1::2, ::2]),
+                         (r[:, :-1:2], r[:, 2::2], r[:, 1::2]))
+
+    def cycle(self) -> None:
+        """One V-cycle from zero for b, into x; the coarsest level applies
+        its dense inverse instead."""
+        if self.coarse is None:
+            self.x[self.mask] = self.inverse @ self.b[self.mask]
+            return
+        self.x.fill(0.0)
+        self.smooth(self.colours)
+        np.subtract(self.b, self.apply(self.x, self.r), out=self.r)
+        self.restrict()
+        self.coarse.cycle()
+        self.prolong()
+        self.r *= self.weight
+        self.x += self.r
+        self.smooth(self.colours[::-1])
+
+    def restrict(self) -> None:
+        """coarse.b = 4 times the full weighting of r, on coarse's mask."""
+        rows, cols, weight = self._restrict
+        for mid, low, high, out in (rows, cols):
+            np.multiply(mid, 2.0, out=out)
+            out += low
+            out += high
+        out *= weight
+
+    def prolong(self) -> None:
+        """r = the bilinear interpolation of coarse.x."""
+        (c, even), *halves = self._prolong
+        np.copyto(even, c)
+        for low, high, out in halves:
+            np.add(low, high, out=out)
+            out *= 0.5
+
+
+class _Multigrid:
+    """Solves A x = r for A the stencil matrix of c (u_xx + u_yy) on region,
+    c > 0, by conjugate gradients on -h^2/c A (4 at the node, -1 at each
+    interior neighbour) preconditioned by one V-cycle (A. Brandt, Math. Comp.
+    31, 1977; O. Tatebe, Copper Mountain Conf. on Multigrid Methods, 1993).
+
+    The levels live on the interior's bounding box with a one-node frame,
+    padded to m 2^k + 1 nodes per side with m <= _COARSEST_INTERVALS; a coarse
+    interior node is a fine interior node at even indices of the box, and a
+    level with none ends the hierarchy.  A coarse level's operator is the
+    5-point stencil of its spacing H, with the Dirichlet condition placed
+    where the finest level has it: a missing neighbour whose boundary lies
+    t H away, t <= 1, adds 1/t - 1 to the diagonal (the linear extrapolation
+    of G. H. Shortley and R. Weller, J. Appl. Phys. 9, 1938), which keeps
+    the operator symmetric.  A V-cycle smooths with red-black Gauss-Seidel
+    (red then black going down, black then red coming up), restricts by full
+    weighting, interpolates bilinearly and solves the coarsest level by the
+    inverse of its dense matrix, so the preconditioner is symmetric positive
+    definite.  A solve stops once the max-node residual of A x = r, as CG
+    updates it, is at most atol; iterations holds the iteration count of
+    every solve."""
+
+    def __init__(self, c: float, h: float, region: SubRegion, atol: float):
+        _interior_count(region)
+        _check_reach(region, ((0, 0), *_FIVE_POINT))
+        interior = region.interior
+        rows, cols = (np.flatnonzero(interior.any(axis=a)) for a in (1, 0))
+        lo = (rows[0] - 1, cols[0] - 1)
+        span = (rows[-1] + 1 - lo[0], cols[-1] + 1 - lo[1])
+        k = 0
+        while max(span) > _COARSEST_INTERVALS << k:
+            k += 1
+        mask = np.zeros(tuple((-(-s >> k) << k) + 1 for s in span), dtype=bool)
+        mask[:span[0], :span[1]] = interior[lo[0]:lo[0] + span[0], lo[1]:lo[1] + span[1]]
+        self._top = level = _Level(mask, np.full(mask.shape, 4.0))
+        steps = _boundary_steps(mask) if k else []
+        for depth in range(1, k + 1):
+            stride = 1 << depth
+            coarse = mask[::stride, ::stride]
+            if not coarse.any():
+                break
+            diag = np.full(coarse.shape, 4.0)
+            for t, missing in zip(steps, neighbours(~coarse, _FIVE_POINT, True)):
+                diag += np.where(missing, stride / t[::stride, ::stride] - 1.0, 0.0)
+            level.link(_Level(coarse, diag))
+            level = level.coarse
+        level.inverse = _dense_inverse(level)
+        self._scale = h * h / c  # -h^2/c A is the finest level's operator
+        self._atol = atol * self._scale
+        self.iterations: list[int] = []
+
+    def solve(self, r: np.ndarray) -> np.ndarray:
+        top = self._top
+        res = np.zeros(top.mask.shape)
+        res[top.mask] = -self._scale * r
+        x, p, q = np.zeros_like(res), np.zeros_like(res), np.zeros_like(res)
+        it, rz_old = 0, None
+        while np.max(np.abs(res)) > self._atol and it < _PCG_MAX_ITERATIONS:
+            np.copyto(top.b, res)
+            top.cycle()
+            z = top.x
+            rz = np.einsum("ij,ij->", res, z)
+            if rz_old is not None:
+                p *= rz / rz_old
+            p += z
+            top.apply(p, q)
+            alpha = rz / np.einsum("ij,ij->", p, q)
+            q *= alpha
+            res -= q
+            np.multiply(p, alpha, out=q)
+            x += q
+            rz_old = rz
+            it += 1
+        self.iterations.append(it)
+        return x[top.mask]
+
+
+# ---------------------------------------------------------------------------
 # Dirichlet solves: one chord loop
 
 # A linear solve returns a residual of at most _RESIDUAL_TOL * max(|g|, |f|)
@@ -361,8 +612,12 @@ def _dirichlet(spec, f, g, grid: Grid2, region: SubRegion | None, tol: float | N
         target = tol = 1e-8 * (g_max + f_max + 1.0) if tol is None else tol
     h = grid.h
     f_int = ffull[interior]
-    lu = _factor_stencil(spec.w11, spec.w12, spec.w22, h, region)
-    factor_nnz = lu.nnz
+    multigrid = linear and spec.w11 == spec.w22 and spec.w12 == 0.0
+    if multigrid:
+        inverse = _Multigrid(spec.w11, h, region, _PCG_TOL * target)
+    else:
+        inverse = _factor_stencil(spec.w11, spec.w12, spec.w22, h, region)
+        factor_nnz = inverse.nnz
 
     history: list[float] = []
     prev = np.inf
@@ -390,21 +645,24 @@ def _dirichlet(spec, f, g, grid: Grid2, region: SubRegion | None, tol: float | N
         if linear:
             best = v[interior]
         elif res > _SLOW_CONTRACTION * prev:
-            lu = None  # release the old factor before the new one is built
+            inverse = None  # release the old factor before the new one is built
             coeffs = operators.gradient_batch(spec, *H)
-            lu = _factor_stencil(*coeffs, h, region)
-            factor_nnz = max(factor_nnz, lu.nnz)
+            inverse = _factor_stencil(*coeffs, h, region)
+            factor_nnz = max(factor_nnz, inverse.nnz)
             refactors += 1
         prev = res
-        v[interior] -= lu.solve(resid)
+        v[interior] -= inverse.solve(resid)
         sweeps += 1
     if linear and res > tol:
         raise SolverError(f"direct solve residual {res:.3e} exceeds {_RESIDUAL_TOL:.1e} * {scale:.3e}")
 
     out = GridFunction(grid, np.where(region.defined, v, np.nan), region.defined.copy())
     out.meta.update(residual=res, sweeps=sweeps, h=h, tol=tol, converged=True,
-                    residual_history=history, jacobian_refactors=refactors,
-                    factor_nnz=factor_nnz)
+                    residual_history=history, jacobian_refactors=refactors)
+    if multigrid:
+        out.meta["mg_iterations"] = inverse.iterations
+    else:
+        out.meta["factor_nnz"] = factor_nnz
     return out
 
 
@@ -414,8 +672,11 @@ def solve_linear_dirichlet(W0, f, g, grid: Grid2,
     with u = g on the region boundary, refined at most _REFINEMENTS times.
 
     Raises SolverError if the stencil residual exceeds meta["tol"] =
-    _RESIDUAL_TOL * max(|g|, |f|).  meta["factor_nnz"] is the number of entries
-    the LU factor stores, summed over its class factors when it is split.
+    _RESIDUAL_TOL * max(|g|, |f|).  An isotropic W0 = c I runs multigrid-
+    preconditioned CG, and meta["mg_iterations"] lists its iteration count
+    per sweep; any other W0 is factored by sparse LU, and meta["factor_nnz"]
+    is the number of entries the factor stores, summed over its class factors
+    when it is split.
     """
     return _dirichlet(operators.make_spec(W0), f, g, grid, region, None,
                       1 + _REFINEMENTS, linear=True)

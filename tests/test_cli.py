@@ -125,7 +125,7 @@ def test_unknown_perturbation_exits_2(tmp_path, capsys, command, source):
     out = tmp_path / "out"
     code, _, err = run_cli([command, *given, "--output", str(out)], capsys)
     assert code == cli.EXIT_USAGE
-    assert "unknown perturbation 'bogus'" in err
+    assert "unknown perturbation 'bogus'; choose from ['none', 'sine', 'smooth_max']" in err
     assert not out.exists()
 
 
@@ -158,8 +158,10 @@ def test_analyze_quadratic_input(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["certificate"]["satisfied"]
     assert payload["step_report"] is not None
-    nnz = payload["step_report"]["factor_nnz"]
-    assert isinstance(nnz, int) and nnz > 0
+    # one PCG solve per sweep of the harmonic replacement, each iterating at least once
+    iterations = payload["step_report"]["mg_iterations"]
+    assert iterations and all(isinstance(n, int) and n > 0 for n in iterations)
+    assert "factor_nnz" not in payload["step_report"]
     code2, out2, _ = run_cli(argv, capsys)
     assert code2 == code and out2 == out
     assert not payload["truncated"]
@@ -371,8 +373,13 @@ _IMPORT_PROBE = (
      ["mpmath", "scipy.integrate", "ellreg.campanato", "ellreg.checks", "ellreg.mollifier",
       "ellreg.cordes"]),
     (["analyze", "-N", "33", "-o", "a.json", "--csv-output", "d.csv"], ["ellreg.checks"]),
-], ids=["import", "constants", "cordes", "solve", "analyze"])
+    (["analyze", "--input", "u.grid", "-o", "a.json", "--csv-output", "d.csv"],
+     ["scipy", "ellreg.checks"]),
+], ids=["import", "constants", "cordes", "solve", "analyze", "analyze_input"])
 def test_each_subcommand_loads_only_what_it_runs(tmp_path, argv, unloaded):
+    if "--input" in argv:
+        g = Grid2.disk(65)
+        save_grid(tmp_path / "u.grid", GridFunction.from_callable(g, saddle))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(argv)], cwd=tmp_path,
                           env=env, capture_output=True, text=True, check=True)

@@ -265,12 +265,18 @@ def test_laplace_constant_boundary(disk33):
     assert np.max(np.abs(sol.values[sol.defined] - 3.25)) <= 1e-10
 
 
+def _exp_cos(x, y):
+    return np.exp(x) * np.cos(y)
+
+
 def test_laplace_two_grid_convergence_order():
+    # exp(x) cos(y) is harmonic but not a cubic, on which the 5-point stencil
+    # is exact and the ratio below would compare rounding errors
     errs = []
     for N in (65, 129):
         g = Grid2.disk(N)
-        sol = sv.solve_laplace_dirichlet(cubic_harmonic, g)
-        exact = cubic_harmonic(g.X, g.Y)
+        sol = sv.solve_laplace_dirichlet(_exp_cos, g)
+        exact = _exp_cos(g.X, g.Y)
         errs.append(float(np.max(np.abs(sol.values[g.interior] - exact[g.interior]))))
     order = np.log2(errs[0] / errs[1])
     assert order >= 1.8
@@ -474,7 +480,11 @@ def test_solves_hold_no_assembled_matrix(monkeypatch, no_cycle_collection, solve
         sol = sv.solve_fully_nonlinear(op.OperatorSpec(1.0, 0.0, 1.0, 0.9, "sine"), None,
                                        _contract_boundary, g)
         assert sol.meta["jacobian_refactors"] >= 1
-    assert assembled and all(collected)
+    if solve == "replacement":
+        # the isotropic linear solve runs multigrid-preconditioned CG on the grid
+        assert assembled == [] and factored == []
+    else:
+        assert assembled and all(collected)
     assert all(ref() is None for ref in assembled + factored)
 
 
@@ -655,17 +665,106 @@ def test_linear_solve_reports_its_measured_residual(case):
 
 def test_solvers_report_factor_nnz():
     g = Grid2.disk(65)
-    sub = g.subregion(0.8)
-    lin = sv.solve_laplace_dirichlet(_contract_boundary, g, region=sub)
-    A = sv._assemble(1.0, 0.0, 1.0, g.h, sub)
-    assert lin.meta["factor_nnz"] == sv._factor_stencil(1.0, 0.0, 1.0, g.h, sub).nnz
-    assert lin.meta["factor_nnz"] < sv._factor(A).nnz
-    spec = op.OperatorSpec(1.0, 0.0, 1.0, 0.9, "sine")
-    sol = sv.solve_fully_nonlinear(spec, None, _contract_boundary, g)
     chord = sv._factor_stencil(1.0, 0.0, 1.0, g.h, g.region).nnz
+    mild = sv.solve_fully_nonlinear(op.OperatorSpec(1.0, 0.0, 1.0, 0.05, "sine"), None,
+                                    _contract_boundary, g)
+    assert mild.meta["jacobian_refactors"] == 0 and mild.meta["factor_nnz"] == chord
+    sol = sv.solve_fully_nonlinear(op.OperatorSpec(1.0, 0.0, 1.0, 0.9, "sine"), None,
+                                   _contract_boundary, g)
     assert sol.meta["jacobian_refactors"] >= 1
     # the Newton Jacobian carries cross terms, so its 9-point factor is the largest
     assert isinstance(sol.meta["factor_nnz"], int) and sol.meta["factor_nnz"] > chord
+    # a linear solve with a cross term is factored too
+    W0 = [[1.25, 0.15], [0.15, 1.0]]
+    lin = sv.solve_linear_dirichlet(W0, None, _contract_boundary, g)
+    assert lin.meta["factor_nnz"] == sv._factor_stencil(1.25, 0.15, 1.0, g.h, g.region).nnz
+    assert all("mg_iterations" not in u.meta for u in (mild, sol, lin))
+
+
+@pytest.mark.parametrize("W0", [np.eye(2), 2.5 * np.eye(2)], ids=["laplace", "scaled"])
+def test_isotropic_linear_solves_report_mg_iterations(W0):
+    g = Grid2.disk(129)
+    u = sv.solve_linear_dirichlet(W0, None, _contract_boundary, g, region=g.subregion(0.8))
+    iterations = u.meta["mg_iterations"]
+    assert "factor_nnz" not in u.meta
+    # one PCG solve per sweep; the last one starts near the rounding floor
+    assert len(iterations) == u.meta["sweeps"] >= 2
+    assert all(isinstance(n, int) for n in iterations)
+    assert 0 < iterations[-1] < iterations[0] <= 30
+
+
+@pytest.mark.parametrize("shape, N, radius", [("disk", 65, None), ("square", 50, None),
+                                               ("disk", 129, 0.8), ("disk", 64, 0.37)])
+def test_multigrid_preconditioner_is_symmetric(shape, N, radius):
+    # CG needs a symmetric preconditioner: the V-cycle smooths red-black going
+    # down and black-red coming up, and restricts by the transpose of its
+    # bilinear interpolation
+    g = Grid2(shape, N)
+    top = sv._Multigrid(1.0, g.h, g.region if radius is None else g.subregion(radius), 1.0)._top
+    coarse = top.coarse
+    assert coarse is not None and coarse.coarse is not None
+    rng = philox(N)
+    r, e = rng.standard_normal(top.mask.shape), rng.standard_normal(coarse.mask.shape)
+    top.r[...], coarse.x[...] = r * top.weight, e * coarse.weight
+    top.restrict()
+    top.prolong()
+    assert np.vdot(top.r, r * top.weight) == pytest.approx(np.vdot(coarse.b, e * coarse.weight),
+                                                           rel=1e-13)
+
+    def cycle(b):
+        top.b[...] = b * top.weight
+        top.cycle()
+        return top.x.copy()
+
+    a, b = rng.standard_normal((2, *top.mask.shape))
+    assert np.vdot(cycle(a), b * top.weight) == pytest.approx(np.vdot(a * top.weight, cycle(b)),
+                                                              rel=1e-12)
+
+
+@st.composite
+def _laplace_problems(draw):
+    g = Grid2(draw(st.sampled_from(("disk", "square"))), draw(st.integers(17, 129)))
+    radius = draw(st.one_of(st.none(), st.floats(0.2, 0.9)))
+    region = g.region if radius is None else g.subregion(radius)
+    rng = philox(draw(st.integers(0, 2**32 - 1)))
+    gb = rng.standard_normal((g.N, g.N))
+    f = rng.standard_normal((g.N, g.N)) if draw(st.booleans()) else None
+    return g, region, gb, f
+
+
+@settings(max_examples=40, deadline=None)
+@given(_laplace_problems())
+def test_multigrid_solve_matches_the_sparse_lu(case):
+    g, region, gb, f = case
+    mg = sv.solve_linear_dirichlet(np.eye(2), f, gb, g, region)
+    tol = mg.meta["tol"]
+    # the chord loop on the identity operator factors it by sparse LU
+    lu = sv.solve_fully_nonlinear(op.OperatorSpec(1.0, 0.0, 1.0), f, gb, g, region,
+                                  tol=tol, max_sweeps=10)
+    assert "mg_iterations" in mg.meta and "factor_nnz" in lu.meta
+    res_mg, res_lu = mg.meta["residual"], lu.meta["residual"]
+    assert res_mg <= tol and res_lu <= tol
+    inner, defined = region.interior, region.defined
+    # (R^2 - |x|^2) / 4 is nonnegative on the region and its 5-point Laplacian
+    # is exactly -1, so the discrete maximum principle bounds the difference of
+    # two solutions, equal on the boundary, by R^2/4 times their residuals; the
+    # allowance covers rounding of the residuals measured by differences (a
+    # few ulps of the solution over h^2 per node) and of the difference itself
+    R2 = float(np.max((g.X**2 + g.Y**2)[defined]))
+    U = max(float(np.max(np.abs(mg.values[defined]))), float(np.max(np.abs(lu.values[defined]))))
+    eps = np.finfo(float).eps
+    allowance = R2 / 4 * 64 * eps * U / g.h**2 + 4 * eps * U
+    diff = float(np.max(np.abs(mg.values[inner] - lu.values[inner])))
+    assert diff <= R2 / 4 * (res_mg + res_lu) + allowance
+    # discrete maximum principle for Laplace u = f up to the residual: the
+    # interior stays within the boundary range widened by R^2/4 times the
+    # source's excess of each sign
+    fi = np.zeros(int(inner.sum())) if f is None else f[inner]
+    lo, hi = gb[region.boundary].min(), gb[region.boundary].max()
+    above = R2 / 4 * (max(float(np.max(-fi)), 0.0) + res_mg) + allowance
+    below = R2 / 4 * (max(float(np.max(fi)), 0.0) + res_mg) + allowance
+    assert mg.values[inner].max() <= hi + above
+    assert mg.values[inner].min() >= lo - below
 
 
 # ---------------------------------------------------------------------------
