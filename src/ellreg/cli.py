@@ -169,6 +169,7 @@ def cmd_solve(args) -> int:
         "final_residual": u.meta["residual"],
         "sweeps": u.meta["sweeps"],
         "jacobian_refactors": u.meta["jacobian_refactors"],
+        "mg_iterations": u.meta["mg_iterations"],
         "factor_nnz": u.meta["factor_nnz"],
         "residual_history": u.meta["residual_history"],
         "h": grid.h,

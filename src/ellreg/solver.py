@@ -3,29 +3,6 @@
 Second derivatives use the central stencils exact on quadratics: the 3-point
 stencil for u_xx/u_yy and the 4-point cross stencil for u_xy.
 
-A linear solve with an isotropic stencil, c (u_xx + u_yy) (the Laplace
-solves and the harmonic replacement among them), inverts it by conjugate
-gradients preconditioned with one multigrid V-cycle on the lattice arrays
-themselves: red-black Gauss-Seidel on masked levels of the interior's
-bounding box, full weighting, bilinear interpolation and a dense solve on
-the coarsest level.  It assembles no matrix, takes O(n) work and memory per
-iteration, and needs numpy alone.
-
-Every other stencil (an anisotropic or cross-term W0, the chord matrix and
-the Newton Jacobian of the nonlinear solve) is assembled as the sparse
-Jacobian of tr(C D^2_h v) in the interior unknowns (5-point for diagonal C,
-9-point with cross terms), written straight into compressed-column arrays
-and factored by sparse LU.  Every factor comes from one builder, which
-assembles the matrix A itself and keeps no reference to it once the factor
-exists.  A stencil with scalar coefficients and no cross term, on an odd-N
-region whose masks both axis reflections leave unchanged, maps each parity
-class (the signs of v under x -> -x and y -> -y) into itself; the builder
-then cuts one block per class from A, the rows of A at the class's quadrant
-nodes folded onto them by the map that mirrors them onto the region, drops A
-and factors the blocks one at a time, and with c11 == c22 on a region
-symmetric under x <-> y one factor serves two classes.  Any other stencil, a
-Newton Jacobian among them, is factored whole.
-
 Both Dirichlet solves run one chord loop with boundary values fixed,
 
     u <- u - L^{-1} (F(D^2_h u) - f),     L = tr(W0 D^2_h) inverted once,
@@ -42,6 +19,21 @@ frozen Jacobian stays close to DF and the step contracts.  An iteration that
 cuts the max-node residual by less than a fixed factor refactors L with
 DF(D^2_h u) at the current iterate (a Newton step).  The 9-point stencil is
 not monotone, so a residual that keeps growing is reported as divergence.
+
+L^{-1} is chosen by the stencil alone.  A W0 without cross term,
+w11 u_xx + w22 u_yy (every Laplace solve, the harmonic replacement, and the
+chord matrix of such a W0, linear or not), is inverted by conjugate gradients
+preconditioned with one multigrid V-cycle on the lattice arrays themselves:
+red-black Gauss-Seidel on masked levels of the interior's bounding box, full
+weighting, bilinear interpolation and a dense solve on the coarsest level.
+It assembles no matrix, takes O(n) work and memory per iteration, and needs
+numpy alone.
+
+A W0 with cross term and every Newton Jacobian are assembled as the sparse
+Jacobian of tr(C D^2_h v) in the interior unknowns (5-point for diagonal C,
+9-point with cross terms), written straight into compressed-column arrays
+and factored whole by sparse LU.  The factor builder assembles the matrix A
+itself and keeps no reference to it once the factor exists.
 """
 
 from __future__ import annotations
@@ -233,120 +225,14 @@ def _factor(A):
         raise SolverError(f"stencil factorization failed: {exc}") from None
 
 
-# Parity classes (sx, sy): the signs of v under x -> -x and under y -> -y.
-# A stencil without cross term on a region that both axis reflections leave
-# unchanged maps each class into itself, so its matrix splits into one block
-# per class on a quadrant of the lattice (Bossavit, CMAME 56, 1986).  The four
-# blocks of the 5-point Laplacian on the N=513, r=0.8 replacement disk store
-# 4.70M entries in three factors, against 8.05M for the whole matrix.
-_PARITY_CLASSES = ((1, 1), (1, -1), (-1, 1), (-1, -1))
-
-
-def _class_map(idx: np.ndarray, sx: int, sy: int):
-    """On a region numbered by idx (-1 off the interior) that both axis
-    reflections leave unchanged: a class's q unknowns, its interior nodes with
-    x, y >= 0 (an odd sign forces v to zero on its axis), as indices of the
-    stencil matrix; and for every interior node the class unknown it mirrors,
-    q where the class vanishes, and the class's sign there."""
-    mid = idx.shape[0] // 2
-    quad = np.s_[mid + (sx < 0):, mid + (sy < 0):]
-    rows = idx[quad][idx[quad] >= 0]
-    col = np.full(idx.shape, rows.size, dtype=np.int32)
-    col[quad][idx[quad] >= 0] = np.arange(rows.size)
-    # a node across an axis is its mirror image times the sign
-    sign = np.ones(idx.shape, dtype=np.int8)  # +-1, exact in every product
-    col[:mid], sign[:mid] = col[:mid:-1], sx
-    col[:, :mid], sign[:, :mid] = col[:, :mid:-1], sy * sign[:, :mid]
-    return rows, col[idx >= 0], sign[idx >= 0]
-
-
-def _class_block(A, rows, col, sign):
-    """The stencil matrix of one class on its unknowns: the rows of A at the
-    class's unknowns (A's columns there, A being symmetric), each entry folded
-    onto the unknown its node mirrors with the class's sign."""
-    from scipy.sparse import csr_matrix
-
-    S = A[:, rows]
-    c = col[S.indices]
-    keep = c < rows.size
-    indptr = np.concatenate(([0], np.cumsum(keep)))[S.indptr]
-    data = S.data[keep] * sign[S.indices[keep]]
-    B = csr_matrix((data, c[keep], indptr), shape=(rows.size, rows.size)).tocsc()
-    B.sum_duplicates()  # a row meeting two mirror images of one node
-    return B
-
-
-def _reflection_symmetric(c11, c12, c22, region: SubRegion) -> bool:
-    """Whether both axis reflections leave the stencil of tr(C D^2_h) and the
-    region unchanged: scalar coefficients without cross term, a centre node
-    (odd N) and masks equal to their flips."""
-    if any(np.ndim(x) for x in (c11, c12, c22)) or c12 != 0.0:
-        return False
-    masks = (region.interior, region.boundary)
-    return masks[0].shape[0] % 2 == 1 and all(
-        np.array_equal(m, m[::-1]) and np.array_equal(m, m[:, ::-1]) for m in masks)
-
-
-class _ClassFactor:
-    """Solves A x = r for a reflection-symmetric stencil matrix A from one LU
-    factor per parity class.  Each class is (col, sign, lu) as _class_map and
-    _factor_stencil give them; with E copying each class unknown to its mirror
-    images times the sign and mult the number of those images,
-    x = sum over classes of E lu.solve(E^T r / mult): E^T r is a signed
-    np.bincount over the nodes and E z a signed gather.  The extra unknown q
-    of the nodes where a class vanishes collects a sum that is dropped and
-    gives back zero.  nnz is the number of entries the distinct factors store."""
-
-    def __init__(self, classes, nnz: int):
-        self._classes = [(col, sign, np.bincount(col, minlength=lu.shape[0] + 1)[:-1], lu)
-                         for col, sign, lu in classes]
-        self.nnz = nnz
-
-    def solve(self, r: np.ndarray) -> np.ndarray:
-        x = np.zeros(r.shape)  # float, whatever the dtype of r
-        for col, sign, mult, lu in self._classes:
-            y = np.bincount(col, weights=sign * r, minlength=mult.size + 1)[:-1] / mult
-            x += sign * np.append(lu.solve(y), 0.0)[col]
-        return x
-
-
 def _factor_stencil(c11, c12, c22, h: float, region: SubRegion):
-    """Factor of the stencil matrix A of tr(C D^2_h) on region, with .solve(r)
-    and .nnz; it assembles A itself and keeps no reference to it.
-
-    When _reflection_symmetric holds it factors one block per parity class:
-    every block is cut from A and A dropped before the first factorization,
-    and each block is dropped once it is factored.  When c11 == c22 and the
-    masks are also symmetric under x <-> y, the (-, +) class is the (+, -) one
-    with x and y swapped: it reuses that factor, its nodes permuted by the
-    swap.  Any other stencil is one LU factor of A."""
-    A = _assemble(c11, c12, c22, h, region)
-    if not _reflection_symmetric(c11, c12, c22, region):
-        return _factor(A)
-    interior = region.interior
-    idx = np.full(interior.shape, -1, dtype=np.int32)
-    idx[interior] = np.arange(A.shape[0])
-    share = c11 == c22 and all(np.array_equal(m, m.T) for m in (interior, region.boundary))
-    maps, blocks = {}, {}
-    for sx, sy in _PARITY_CLASSES:
-        if share and (sx, sy) == (-1, 1):
-            continue
-        rows, col, sign = _class_map(idx, sx, sy)
-        if rows.size:  # on a region a node wide the odd classes are empty
-            maps[sx, sy] = col, sign
-            blocks[sx, sy] = _class_block(A, rows, col, sign)
-    del A
-    factors = {p: _factor(blocks.pop(p)) for p in list(blocks)}
-    nnz = sum(lu.nnz for lu in factors.values())
-    if share and (1, -1) in maps:
-        swap = idx.T[interior]
-        maps[-1, 1] = tuple(a[swap] for a in maps[1, -1])
-        factors[-1, 1] = factors[1, -1]
-    return _ClassFactor([(*maps[p], factors[p]) for p in _PARITY_CLASSES if p in maps], nnz)
+    """LU factor of the stencil matrix of tr(C D^2_h) on region, with .solve(r)
+    and .nnz; the matrix it assembles is dropped once the factor exists."""
+    return _factor(_assemble(c11, c12, c22, h, region))
 
 
 # ---------------------------------------------------------------------------
-# multigrid-preconditioned conjugate gradients (isotropic 5-point stencil)
+# multigrid-preconditioned conjugate gradients (5-point stencil, no cross term)
 
 # The coarsest level spans at most _COARSEST_INTERVALS lattice intervals per
 # side, so its dense matrix has at most 7^2 unknowns.  A solve stops after
@@ -375,25 +261,28 @@ def _boundary_steps(mask: np.ndarray) -> list:
     return along_rows(mask) + [a.T for a in along_rows(mask.T)]
 
 
-def _dense_inverse(level: "_Level") -> np.ndarray:
-    """Inverse of the level's operator as a dense matrix on its mask's nodes."""
+def _dense_inverse(level: "_Level", weights) -> np.ndarray:
+    """Inverse of the level's operator as a dense matrix on its mask's nodes,
+    weights being the neighbour weights of _FIVE_POINT's offsets."""
     mask = level.mask
     n = int(mask.sum())
     idx = np.full(mask.shape, -1)
     idx[mask] = np.arange(n)
-    M = np.diag(level.diag[mask])
-    for nb in neighbours(idx, _FIVE_POINT, -1):
+    M = np.diag(level.diag[mask] * level.ratio)
+    for w, nb in zip(weights, neighbours(idx, _FIVE_POINT, -1)):
         j = nb[mask]
-        M[np.flatnonzero(j >= 0), j[j >= 0]] = -1.0
+        M[np.flatnonzero(j >= 0), j[j >= 0]] = -w
     return np.linalg.inv(M)
 
 
 class _Level:
     """One level of the hierarchy on the padded box: its interior mask, the
-    mask as 0/1 floats, the diagonal of its operator, and work arrays that
-    live as long as the level: the iterate x, the right-hand side b, and r,
-    which holds the residual until it is restricted and then the
-    interpolated correction; all are zero off the mask.
+    mask as 0/1 floats, the weight ratio of a y-neighbour to an x-neighbour
+    (which weighs 1), the diagonal of its operator divided by that ratio (the
+    factor apply takes), and work arrays that live as long as the level: the
+    iterate x, the right-hand side b, and r, which holds the residual until
+    it is restricted and then the interpolated correction; all are zero off
+    the mask.
 
     The box has an odd number of columns n1 = 2 q + 1, so in row-major order
     the node (i, j) is red (i + j even) exactly when its flat index is even.
@@ -404,10 +293,11 @@ class _Level:
     covers the rows off the frame, and frame columns keep x zero because the
     inverse diagonal held for the step is zero off the mask."""
 
-    def __init__(self, mask: np.ndarray, diag: np.ndarray):
+    def __init__(self, mask: np.ndarray, diag: np.ndarray, ratio: float):
         self.mask = mask
         self.weight = mask.astype(float)
-        self.diag = diag * self.weight
+        self.diag = diag * self.weight / ratio
+        self.ratio = ratio
         self.x, self.b, self.r = (np.zeros(mask.shape) for _ in range(3))
         self.coarse: _Level | None = None
         self.inverse: np.ndarray | None = None  # the coarsest level's dense inverse
@@ -427,13 +317,18 @@ class _Level:
         self.colours = tuple(colours)
 
     def apply(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """out = diag v minus the neighbour sum at the interior nodes, zero
-        elsewhere, for v zero off the mask; out's frame rows must be zero."""
+        """out = diag v minus the weighted neighbour sum at the interior nodes,
+        zero elsewhere, for v zero off the mask; out's frame rows must be zero.
+        It forms ((diag / ratio) v - the y-neighbours) ratio - the x-neighbours:
+        with ratio 1 every product is exact, and the sum keeps one order."""
         n1 = v.shape[1]
         lo, hi = n1, v.size - n1
         v, o = v.ravel(), out.ravel()[lo:hi]
         np.multiply(self._diag_rows, v[lo:hi], out=o)
-        for d in (-1, 1, -n1, n1):
+        for d in (-1, 1):
+            o -= v[lo + d:hi + d]
+        o *= self.ratio
+        for d in (-n1, n1):
             o -= v[lo + d:hi + d]
         o *= self._weight_rows
         return out
@@ -441,7 +336,8 @@ class _Level:
     def smooth(self, colours) -> None:
         """Gauss-Seidel on x for b, in place, one colour after the other."""
         for near, b, inv, x, sum_ in colours:
-            np.add(near[0], near[1], out=sum_)
+            np.add(near[0], near[1], out=sum_)  # the y-neighbours
+            sum_ *= self.ratio
             sum_ += near[2]
             sum_ += near[3]
             sum_ += b
@@ -498,10 +394,14 @@ class _Level:
 
 
 class _Multigrid:
-    """Solves A x = r for A the stencil matrix of c (u_xx + u_yy) on region,
-    c > 0, by conjugate gradients on -h^2/c A (4 at the node, -1 at each
-    interior neighbour) preconditioned by one V-cycle (A. Brandt, Math. Comp.
-    31, 1977; O. Tatebe, Copper Mountain Conf. on Multigrid Methods, 1993).
+    """Solves A x = r for A the stencil matrix of w11 u_xx + w22 u_yy on
+    region, w11, w22 > 0, by conjugate gradients on -h^2/w11 A (2 + 2 r at
+    the node, -1 at each interior x-neighbour and -r at each y-neighbour,
+    r = w22/w11) preconditioned by one V-cycle (A. Brandt, Math. Comp. 31,
+    1977; O. Tatebe, Copper Mountain Conf. on Multigrid Methods, 1993).  An
+    x-neighbour weighs exactly 1, so a smoothing step and an operator product
+    cost one multiplication more than for the Laplacian, and with w11 == w22
+    (r = 1) every product by a weight is exact.
 
     The levels live on the interior's bounding box with a one-node frame,
     padded to m 2^k + 1 nodes per side with m <= _COARSEST_INTERVALS; a coarse
@@ -509,17 +409,17 @@ class _Multigrid:
     level with none ends the hierarchy.  A coarse level's operator is the
     5-point stencil of its spacing H, with the Dirichlet condition placed
     where the finest level has it: a missing neighbour whose boundary lies
-    t H away, t <= 1, adds 1/t - 1 to the diagonal (the linear extrapolation
-    of G. H. Shortley and R. Weller, J. Appl. Phys. 9, 1938), which keeps
-    the operator symmetric.  A V-cycle smooths with red-black Gauss-Seidel
-    (red then black going down, black then red coming up), restricts by full
-    weighting, interpolates bilinearly and solves the coarsest level by the
-    inverse of its dense matrix, so the preconditioner is symmetric positive
-    definite.  A solve stops once the max-node residual of A x = r, as CG
-    updates it, is at most atol; iterations holds the iteration count of
-    every solve."""
+    t H away, t <= 1, adds its weight times 1/t - 1 to the diagonal (the
+    linear extrapolation of G. H. Shortley and R. Weller, J. Appl. Phys. 9,
+    1938), which keeps the operator symmetric.  A V-cycle smooths with
+    red-black Gauss-Seidel (red then black going down, black then red coming
+    up), restricts by full weighting, interpolates bilinearly and solves the
+    coarsest level by the inverse of its dense matrix, so the preconditioner
+    is symmetric positive definite.  A solve stops once the max-node residual
+    of A x = r, as CG updates it, is at most atol; iterations holds the
+    iteration count of every solve."""
 
-    def __init__(self, c: float, h: float, region: SubRegion, atol: float):
+    def __init__(self, w11: float, w22: float, h: float, region: SubRegion, atol: float):
         _interior_count(region)
         _check_reach(region, ((0, 0), *_FIVE_POINT))
         interior = region.interior
@@ -531,20 +431,22 @@ class _Multigrid:
             k += 1
         mask = np.zeros(tuple((-(-s >> k) << k) + 1 for s in span), dtype=bool)
         mask[:span[0], :span[1]] = interior[lo[0]:lo[0] + span[0], lo[1]:lo[1] + span[1]]
-        self._top = level = _Level(mask, np.full(mask.shape, 4.0))
+        ratio = w22 / w11
+        weights = (1.0, 1.0, ratio, ratio)  # of _FIVE_POINT's offsets
+        self._top = level = _Level(mask, np.full(mask.shape, 2.0 + 2.0 * ratio), ratio)
         steps = _boundary_steps(mask) if k else []
         for depth in range(1, k + 1):
             stride = 1 << depth
             coarse = mask[::stride, ::stride]
             if not coarse.any():
                 break
-            diag = np.full(coarse.shape, 4.0)
-            for t, missing in zip(steps, neighbours(~coarse, _FIVE_POINT, True)):
-                diag += np.where(missing, stride / t[::stride, ::stride] - 1.0, 0.0)
-            level.link(_Level(coarse, diag))
+            diag = np.full(coarse.shape, 2.0 + 2.0 * ratio)
+            for w, t, missing in zip(weights, steps, neighbours(~coarse, _FIVE_POINT, True)):
+                diag += np.where(missing, w * (stride / t[::stride, ::stride] - 1.0), 0.0)
+            level.link(_Level(coarse, diag, ratio))
             level = level.coarse
-        level.inverse = _dense_inverse(level)
-        self._scale = h * h / c  # -h^2/c A is the finest level's operator
+        level.inverse = _dense_inverse(level, weights)
+        self._scale = h * h / w11  # -h^2/w11 A is the finest level's operator
         self._atol = atol * self._scale
         self.iterations: list[int] = []
 
@@ -612,9 +514,10 @@ def _dirichlet(spec, f, g, grid: Grid2, region: SubRegion | None, tol: float | N
         target = tol = 1e-8 * (g_max + f_max + 1.0) if tol is None else tol
     h = grid.h
     f_int = ffull[interior]
-    multigrid = linear and spec.w11 == spec.w22 and spec.w12 == 0.0
-    if multigrid:
-        inverse = _Multigrid(spec.w11, h, region, _PCG_TOL * target)
+    mg_iterations = factor_nnz = None
+    if spec.w12 == 0.0:
+        inverse = _Multigrid(spec.w11, spec.w22, h, region, _PCG_TOL * target)
+        mg_iterations = inverse.iterations
     else:
         inverse = _factor_stencil(spec.w11, spec.w12, spec.w22, h, region)
         factor_nnz = inverse.nnz
@@ -645,10 +548,10 @@ def _dirichlet(spec, f, g, grid: Grid2, region: SubRegion | None, tol: float | N
         if linear:
             best = v[interior]
         elif res > _SLOW_CONTRACTION * prev:
-            inverse = None  # release the old factor before the new one is built
+            inverse = None  # release the old inverse before the new one is built
             coeffs = operators.gradient_batch(spec, *H)
             inverse = _factor_stencil(*coeffs, h, region)
-            factor_nnz = max(factor_nnz, inverse.nnz)
+            factor_nnz = max(factor_nnz or 0, inverse.nnz)
             refactors += 1
         prev = res
         v[interior] -= inverse.solve(resid)
@@ -658,11 +561,8 @@ def _dirichlet(spec, f, g, grid: Grid2, region: SubRegion | None, tol: float | N
 
     out = GridFunction(grid, np.where(region.defined, v, np.nan), region.defined.copy())
     out.meta.update(residual=res, sweeps=sweeps, h=h, tol=tol, converged=True,
-                    residual_history=history, jacobian_refactors=refactors)
-    if multigrid:
-        out.meta["mg_iterations"] = inverse.iterations
-    else:
-        out.meta["factor_nnz"] = factor_nnz
+                    residual_history=history, jacobian_refactors=refactors,
+                    mg_iterations=mg_iterations, factor_nnz=factor_nnz)
     return out
 
 
@@ -672,11 +572,11 @@ def solve_linear_dirichlet(W0, f, g, grid: Grid2,
     with u = g on the region boundary, refined at most _REFINEMENTS times.
 
     Raises SolverError if the stencil residual exceeds meta["tol"] =
-    _RESIDUAL_TOL * max(|g|, |f|).  An isotropic W0 = c I runs multigrid-
+    _RESIDUAL_TOL * max(|g|, |f|).  A W0 without cross term runs multigrid-
     preconditioned CG, and meta["mg_iterations"] lists its iteration count
-    per sweep; any other W0 is factored by sparse LU, and meta["factor_nnz"]
-    is the number of entries the factor stores, summed over its class factors
-    when it is split.
+    per sweep; a W0 with cross term is factored by sparse LU, and
+    meta["factor_nnz"] is the number of entries the factor stores.  The key
+    of the inverse that did not run holds None.
     """
     return _dirichlet(operators.make_spec(W0), f, g, grid, region, None,
                       1 + _REFINEMENTS, linear=True)
@@ -694,8 +594,11 @@ def solve_fully_nonlinear(spec, f, g, grid: Grid2, region: SubRegion | None = No
     max_sweeps bounds the outer (chord or Newton) iterations.  Raises
     ValueError unless tol (when given) is positive and finite and max_sweeps
     nonnegative, and SolverError on non-finite iterates, an exhausted budget,
-    or a residual that keeps growing.  meta["factor_nnz"] is the largest
-    number of entries stored by the chord factor or any Newton refactor.
+    or a residual that keeps growing.  meta["mg_iterations"] lists the
+    multigrid-preconditioned CG iterations of each chord sweep when W0 has no
+    cross term, and meta["factor_nnz"] is the largest number of entries
+    stored by a sparse LU factor: the chord factor of a W0 with cross term or
+    any Newton refactor.  Each is None when that inverse never ran.
     """
     if tol is not None and not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")

@@ -456,19 +456,8 @@ def no_cycle_collection():
     gc.enable()
 
 
-def test_class_split_drops_the_matrix_before_factoring(monkeypatch, no_cycle_collection):
-    assembled, factored, collected = _track_matrices(monkeypatch)
-    g = Grid2.disk(65)
-    lu = sv._factor_stencil(1.0, 0.0, 1.0, g.h, g.subregion(0.8))
-    assert isinstance(lu, sv._ClassFactor)
-    assert len(assembled) == 1 and len(factored) == 3
-    # the assembled matrix is gone when the first class block is factored ...
-    assert collected[0] and assembled[0]() is None
-    # ... and no block outlives the builder
-    assert all(ref() is None for ref in factored)
-
-
-@pytest.mark.parametrize("solve", ["linear_cross_term", "replacement", "newton"])
+@pytest.mark.parametrize("solve", ["linear_cross_term", "replacement", "isotropic_chord",
+                                   "newton"])
 def test_solves_hold_no_assembled_matrix(monkeypatch, no_cycle_collection, solve):
     assembled, factored, collected = _track_matrices(monkeypatch)
     g = Grid2.disk(65)
@@ -477,11 +466,12 @@ def test_solves_hold_no_assembled_matrix(monkeypatch, no_cycle_collection, solve
     elif solve == "replacement":
         sv.solve_laplace_dirichlet(_contract_boundary, g, region=g.subregion(0.8))
     else:
-        sol = sv.solve_fully_nonlinear(op.OperatorSpec(1.0, 0.0, 1.0, 0.9, "sine"), None,
+        eps = 0.05 if solve == "isotropic_chord" else 0.9
+        sol = sv.solve_fully_nonlinear(op.OperatorSpec(1.0, 0.0, 1.0, eps, "sine"), None,
                                        _contract_boundary, g)
-        assert sol.meta["jacobian_refactors"] >= 1
-    if solve == "replacement":
-        # the isotropic linear solve runs multigrid-preconditioned CG on the grid
+        assert (sol.meta["jacobian_refactors"] >= 1) == (solve == "newton")
+    if solve in ("replacement", "isotropic_chord"):
+        # a stencil without cross term runs multigrid-preconditioned CG on the grid
         assert assembled == [] and factored == []
     else:
         assert assembled and all(collected)
@@ -503,120 +493,6 @@ def test_factor_stores_exactly_its_fill(build):
     # unit source and zero boundary: solve_linear_dirichlet's bound is 1e-10
     b = np.ones(A.shape[0])
     assert float(np.max(np.abs(b - A @ lu.solve(b)))) <= 1e-10
-
-
-@st.composite
-def _symmetric_stencils(draw):
-    g = Grid2(draw(st.sampled_from(("disk", "square"))), 2 * draw(st.integers(8, 32)) + 1)
-    radius = draw(st.one_of(st.none(), st.floats(0.2, 0.9)))
-    region = g.region if radius is None else g.subregion(radius)
-    w11 = draw(st.floats(0.5, 2.0))
-    w22 = draw(st.one_of(st.just(w11), st.floats(0.5, 2.0)))
-    return g, region, w11, w22, draw(st.integers(0, 2**32 - 1))
-
-
-def _numbering(region):
-    idx = np.full(region.interior.shape, -1, dtype=np.int64)
-    idx[region.interior] = np.arange(int(region.interior.sum()))
-    return idx
-
-
-def _class_map_E(idx, sx, sy):
-    """_class_map's unknowns, the sparse map E copying each one to its mirror
-    images times the class's sign, and the number of those images."""
-    from scipy.sparse import csr_matrix
-
-    rows, col, sign = sv._class_map(idx, sx, sy)
-    on = col < rows.size
-    E = csr_matrix((sign[on], (np.flatnonzero(on), col[on])), shape=(col.size, rows.size))
-    return rows, E, np.bincount(col[on], minlength=rows.size)
-
-
-@settings(max_examples=60, deadline=None)
-@given(_symmetric_stencils())
-def test_class_factor_matches_plain_factor(case):
-    g, region, w11, w22, seed = case
-    A = sv._assemble(w11, 0.0, w22, g.h, region)
-    lu = sv._factor_stencil(w11, 0.0, w22, g.h, region)
-    assert isinstance(lu, sv._ClassFactor)
-    b = philox(seed).standard_normal(A.shape[0])
-    want = sv._factor(A).solve(b)
-    assert np.max(np.abs(lu.solve(b) - want)) <= 1e-12 * np.max(np.abs(want))
-    # nnz sums the distinct factors: with w11 == w22, (-, +) reuses (+, -)'s
-    maps = [_class_map_E(_numbering(region), *p) for p in sv._PARITY_CLASSES
-            if not (w11 == w22 and p == (-1, 1))]
-    assert lu.nnz == sum(sv._factor((A[rows] @ E).tocsc()).nnz for rows, E, _ in maps if rows.size)
-
-
-@settings(max_examples=30, deadline=None)
-@given(_symmetric_stencils())
-def test_class_maps_resolve_the_identity(case):
-    from scipy.sparse import diags, identity
-
-    _, region, *_ = case
-    idx = _numbering(region)
-    maps = {p: _class_map_E(idx, *p)[1:] for p in sv._PARITY_CLASSES}
-    projector = {p: E @ diags(1.0 / mult) @ E.T for p, (E, mult) in maps.items()}
-    total = sum(projector.values())
-    assert abs(total - identity(idx.max() + 1)).max() == 0.0
-    # the shared (-, +) map, (+, -)'s with its rows swapped by x <-> y, spans
-    # the same class
-    E, mult = maps[1, -1]
-    swapped = E[idx.T[region.interior]]
-    assert abs(swapped @ diags(1.0 / mult) @ swapped.T - projector[-1, 1]).max() == 0.0
-
-
-@pytest.mark.parametrize("radius_h", [0.5, 1.2], ids=["single_node", "plus_sign"])
-def test_class_factor_on_thin_regions(radius_h):
-    # one interior node leaves three classes empty, a plus sign leaves (-, -) empty
-    g = Grid2.disk(33)
-    region = g.subregion(radius_h * g.h)
-    A = sv._assemble(1.0, 0.0, 1.0, g.h, region)
-    assert A.shape[0] == (1 if radius_h < 1 else 5)
-    lu = sv._factor_stencil(1.0, 0.0, 1.0, g.h, region)
-    assert isinstance(lu, sv._ClassFactor)
-    b = philox(9).standard_normal(A.shape[0])
-    want = sv._factor(A).solve(b)
-    assert np.max(np.abs(lu.solve(b) - want)) <= 1e-12 * np.max(np.abs(want))
-
-
-def test_class_factor_solves_an_integer_vector():
-    g = Grid2.disk(33)
-    lu = sv._factor_stencil(1.0, 0.0, 1.0, g.h, g.region)
-    assert isinstance(lu, sv._ClassFactor)
-    b = philox(10).integers(-5, 6, int(g.interior.sum()))
-    assert np.array_equal(lu.solve(b), lu.solve(b.astype(float)))
-
-
-def _one_class_case(N=33, coeffs=(1.0, 0.0, 1.0), centre=None):
-    g = Grid2.disk(N)
-    region = g.region if centre is None else g.subregion(0.5, center=(centre * g.h, 0.0))
-    if coeffs is None:  # per-node coefficients, as in a Newton Jacobian
-        ones = np.ones(int(region.interior.sum()))
-        coeffs = (ones, 0.0 * ones, ones)
-    return g, region, coeffs
-
-
-@pytest.mark.parametrize("case", [dict(coeffs=(1.0, 0.3, 1.0)), dict(N=34), dict(centre=1),
-                                  dict(coeffs=None)],
-                         ids=["cross_term", "even_N", "off_centre_subdisk", "per_node_coefficients"])
-def test_asymmetric_stencils_factor_as_one_class(case):
-    g, region, coeffs = _one_class_case(**case)
-    A = sv._assemble(*coeffs, g.h, region)
-    lu = sv._factor_stencil(*coeffs, g.h, region)
-    ref = sv._factor(A)
-    assert not isinstance(lu, sv._ClassFactor)
-    b = philox(8).standard_normal(int(region.interior.sum()))
-    assert lu.nnz == ref.nnz
-    assert np.array_equal(lu.solve(b), ref.solve(b))
-
-
-def test_replacement_class_factor_stores_at_most_60_percent():
-    g = Grid2.disk(129)
-    sub = g.subregion(0.8)
-    A = sv._assemble(1.0, 0.0, 1.0, g.h, sub)
-    plain = sv._factor(A).nnz  # 316,822
-    assert sv._factor_stencil(1.0, 0.0, 1.0, g.h, sub).nnz <= 0.6 * plain
 
 
 def test_refinement_stops_once_a_step_fails_to_halve():
@@ -665,20 +541,25 @@ def test_linear_solve_reports_its_measured_residual(case):
 
 def test_solvers_report_factor_nnz():
     g = Grid2.disk(65)
-    chord = sv._factor_stencil(1.0, 0.0, 1.0, g.h, g.region).nnz
+    # an isotropic chord loop runs multigrid alone: one PCG count per sweep
     mild = sv.solve_fully_nonlinear(op.OperatorSpec(1.0, 0.0, 1.0, 0.05, "sine"), None,
                                     _contract_boundary, g)
-    assert mild.meta["jacobian_refactors"] == 0 and mild.meta["factor_nnz"] == chord
+    assert mild.meta["jacobian_refactors"] == 0 and mild.meta["factor_nnz"] is None
+    assert len(mild.meta["mg_iterations"]) == mild.meta["sweeps"] >= 1
+    # a Newton refactor adds a sparse LU factor to the chord sweeps' multigrid;
+    # the Jacobian carries cross terms, so its 9-point factor outgrows the
+    # 5-point chord matrix's
     sol = sv.solve_fully_nonlinear(op.OperatorSpec(1.0, 0.0, 1.0, 0.9, "sine"), None,
                                    _contract_boundary, g)
     assert sol.meta["jacobian_refactors"] >= 1
-    # the Newton Jacobian carries cross terms, so its 9-point factor is the largest
+    assert sol.meta["mg_iterations"] and all(n > 0 for n in sol.meta["mg_iterations"])
+    chord = sv._factor_stencil(1.0, 0.0, 1.0, g.h, g.region).nnz
     assert isinstance(sol.meta["factor_nnz"], int) and sol.meta["factor_nnz"] > chord
-    # a linear solve with a cross term is factored too
+    # a linear solve with a cross term is factored alone
     W0 = [[1.25, 0.15], [0.15, 1.0]]
     lin = sv.solve_linear_dirichlet(W0, None, _contract_boundary, g)
     assert lin.meta["factor_nnz"] == sv._factor_stencil(1.25, 0.15, 1.0, g.h, g.region).nnz
-    assert all("mg_iterations" not in u.meta for u in (mild, sol, lin))
+    assert lin.meta["mg_iterations"] is None
 
 
 @pytest.mark.parametrize("W0", [np.eye(2), 2.5 * np.eye(2)], ids=["laplace", "scaled"])
@@ -686,21 +567,23 @@ def test_isotropic_linear_solves_report_mg_iterations(W0):
     g = Grid2.disk(129)
     u = sv.solve_linear_dirichlet(W0, None, _contract_boundary, g, region=g.subregion(0.8))
     iterations = u.meta["mg_iterations"]
-    assert "factor_nnz" not in u.meta
+    assert u.meta["factor_nnz"] is None
     # one PCG solve per sweep; the last one starts near the rounding floor
     assert len(iterations) == u.meta["sweeps"] >= 2
     assert all(isinstance(n, int) for n in iterations)
     assert 0 < iterations[-1] < iterations[0] <= 30
 
 
+@pytest.mark.parametrize("w11, w22", [(1.0, 1.0), (1.0, 2.0)])
 @pytest.mark.parametrize("shape, N, radius", [("disk", 65, None), ("square", 50, None),
                                                ("disk", 129, 0.8), ("disk", 64, 0.37)])
-def test_multigrid_preconditioner_is_symmetric(shape, N, radius):
+def test_multigrid_preconditioner_is_symmetric(shape, N, radius, w11, w22):
     # CG needs a symmetric preconditioner: the V-cycle smooths red-black going
     # down and black-red coming up, and restricts by the transpose of its
     # bilinear interpolation
     g = Grid2(shape, N)
-    top = sv._Multigrid(1.0, g.h, g.region if radius is None else g.subregion(radius), 1.0)._top
+    region = g.region if radius is None else g.subregion(radius)
+    top = sv._Multigrid(w11, w22, g.h, region, 1.0)._top
     coarse = top.coarse
     assert coarse is not None and coarse.coarse is not None
     rng = philox(N)
@@ -719,44 +602,103 @@ def test_multigrid_preconditioner_is_symmetric(shape, N, radius):
     a, b = rng.standard_normal((2, *top.mask.shape))
     assert np.vdot(cycle(a), b * top.weight) == pytest.approx(np.vdot(a * top.weight, cycle(b)),
                                                               rel=1e-12)
+    # the coarsest level's dense inverse inverts that level's own weighted operator
+    bottom = coarse
+    while bottom.coarse is not None:
+        bottom = bottom.coarse
+    c, x = rng.standard_normal(bottom.mask.shape), np.zeros(bottom.mask.shape)
+    x[bottom.mask] = bottom.inverse @ c[bottom.mask]
+    assert np.max(np.abs(bottom.apply(x, np.zeros_like(x)) - c * bottom.weight)) <= 1e-12
+
+
+@pytest.mark.parametrize("radius_h", [0.5, 1.2], ids=["single_node", "plus_sign"])
+def test_multigrid_on_thin_regions(radius_h):
+    # one interior node or a plus sign: a hierarchy of one level, whose dense
+    # inverse is the whole preconditioner
+    g = Grid2.disk(33)
+    region = g.subregion(radius_h * g.h)
+    b = philox(9).standard_normal(int(region.interior.sum()))
+    assert b.size == (1 if radius_h < 1 else 5)
+    want = sv._factor_stencil(1.0, 0.0, 2.0, g.h, region).solve(b)
+    mg = sv._Multigrid(1.0, 2.0, g.h, region, 1e-12 * np.max(np.abs(b)))
+    assert mg._top.coarse is None
+    assert np.max(np.abs(mg.solve(b) - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("N, centre, w22", [(34, None, 1.0), (33, 1, 1.0), (33, 1, 2.0)],
+                         ids=["even_N", "off_centre_subdisk", "anisotropic"])
+def test_multigrid_matches_the_whole_factor(N, centre, w22):
+    # an even side and a sub-disk off the lattice's centre give interiors
+    # without the reflection symmetry of the odd-N disk
+    g = Grid2.disk(N)
+    region = g.region if centre is None else g.subregion(0.5, center=(centre * g.h, 0.0))
+    b = philox(8).standard_normal(int(region.interior.sum()))
+    want = sv._factor_stencil(1.0, 0.0, w22, g.h, region).solve(b)
+    mg = sv._Multigrid(1.0, w22, g.h, region, 1e-13 * np.max(np.abs(b)))
+    assert mg._top.coarse is not None
+    assert np.max(np.abs(mg.solve(b) - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_multigrid_solves_an_integer_vector():
+    g = Grid2.disk(33)
+    b = philox(10).integers(-5, 6, int(g.interior.sum()))
+    mg = sv._Multigrid(1.0, 1.0, g.h, g.region, 1e-12 * np.max(np.abs(b)))
+    assert np.array_equal(mg.solve(b), mg.solve(b.astype(float)))
+    assert mg.iterations[0] == mg.iterations[1] > 0
 
 
 @st.composite
-def _laplace_problems(draw):
+def _diagonal_problems(draw):
     g = Grid2(draw(st.sampled_from(("disk", "square"))), draw(st.integers(17, 129)))
     radius = draw(st.one_of(st.none(), st.floats(0.2, 0.9)))
     region = g.region if radius is None else g.subregion(radius)
+    w11, w22 = draw(st.floats(1.0, 2.0)), draw(st.floats(1.0, 2.0))
     rng = philox(draw(st.integers(0, 2**32 - 1)))
     gb = rng.standard_normal((g.N, g.N))
     f = rng.standard_normal((g.N, g.N)) if draw(st.booleans()) else None
-    return g, region, gb, f
+    return g, region, op.OperatorSpec(w11, 0.0, w22), gb, f
+
+
+def _whole_lu_solve(spec, f, gb, g, region, tol, max_sweeps=10):
+    """The chord loop on one whole sparse LU factor of the stencil, from the
+    boundary data with zero interior, until the residual meets tol; returns
+    the lattice array and its residual."""
+    inner = region.interior
+    lu = sv._factor_stencil(spec.w11, spec.w12, spec.w22, g.h, region)
+    v = np.where(region.boundary, gb, 0.0)
+    fi = 0.0 if f is None else f[inner]
+    for _ in range(max_sweeps):
+        resid = op.evaluate_batch(spec, *sv._hessian_arrays(v, g.h, inner)) - fi
+        if float(np.max(np.abs(resid))) <= tol:
+            break
+        v[inner] -= lu.solve(resid)
+    return v, float(np.max(np.abs(resid)))
 
 
 @settings(max_examples=40, deadline=None)
-@given(_laplace_problems())
+@given(_diagonal_problems())
 def test_multigrid_solve_matches_the_sparse_lu(case):
-    g, region, gb, f = case
-    mg = sv.solve_linear_dirichlet(np.eye(2), f, gb, g, region)
+    g, region, spec, gb, f = case
+    mg = sv.solve_linear_dirichlet(spec.W0, f, gb, g, region)
     tol = mg.meta["tol"]
-    # the chord loop on the identity operator factors it by sparse LU
-    lu = sv.solve_fully_nonlinear(op.OperatorSpec(1.0, 0.0, 1.0), f, gb, g, region,
-                                  tol=tol, max_sweeps=10)
-    assert "mg_iterations" in mg.meta and "factor_nnz" in lu.meta
-    res_mg, res_lu = mg.meta["residual"], lu.meta["residual"]
+    assert mg.meta["mg_iterations"] and mg.meta["factor_nnz"] is None
+    lu, res_lu = _whole_lu_solve(spec, f, gb, g, region, tol)
+    res_mg = mg.meta["residual"]
     assert res_mg <= tol and res_lu <= tol
     inner, defined = region.interior, region.defined
-    # (R^2 - |x|^2) / 4 is nonnegative on the region and its 5-point Laplacian
-    # is exactly -1, so the discrete maximum principle bounds the difference of
-    # two solutions, equal on the boundary, by R^2/4 times their residuals; the
-    # allowance covers rounding of the residuals measured by differences (a
-    # few ulps of the solution over h^2 per node) and of the difference itself
+    # (R^2 - |x|^2) / 4 is nonnegative on the region and its 5-point
+    # w11 u_xx + w22 u_yy is exactly -(w11 + w22)/2 <= -1, so the discrete
+    # maximum principle bounds the difference of two solutions, equal on the
+    # boundary, by R^2/4 times their residuals; the allowance covers rounding
+    # of the residuals measured by differences (a few ulps of the solution
+    # over h^2 per node) and of the difference itself
     R2 = float(np.max((g.X**2 + g.Y**2)[defined]))
-    U = max(float(np.max(np.abs(mg.values[defined]))), float(np.max(np.abs(lu.values[defined]))))
+    U = max(float(np.max(np.abs(mg.values[defined]))), float(np.max(np.abs(lu[defined]))))
     eps = np.finfo(float).eps
     allowance = R2 / 4 * 64 * eps * U / g.h**2 + 4 * eps * U
-    diff = float(np.max(np.abs(mg.values[inner] - lu.values[inner])))
+    diff = float(np.max(np.abs(mg.values[inner] - lu[inner])))
     assert diff <= R2 / 4 * (res_mg + res_lu) + allowance
-    # discrete maximum principle for Laplace u = f up to the residual: the
+    # discrete maximum principle for tr(W0 D^2 u) = f up to the residual: the
     # interior stays within the boundary range widened by R^2/4 times the
     # source's excess of each sign
     fi = np.zeros(int(inner.sum())) if f is None else f[inner]
