@@ -168,9 +168,8 @@ def cmd_solve(args) -> int:
     summary = {
         "final_residual": u.meta["residual"],
         "sweeps": u.meta["sweeps"],
-        "jacobian_refactors": u.meta["jacobian_refactors"],
+        "newton_steps": u.meta["newton_steps"],
         "mg_iterations": u.meta["mg_iterations"],
-        "factor_nnz": u.meta["factor_nnz"],
         "residual_history": u.meta["residual_history"],
         "h": grid.h,
         "tol": u.meta["tol"],

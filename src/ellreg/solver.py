@@ -5,7 +5,7 @@ stencil for u_xx/u_yy and the 4-point cross stencil for u_xy.
 
 Both Dirichlet solves run one chord loop with boundary values fixed,
 
-    u <- u - L^{-1} (F(D^2_h u) - f),     L = tr(W0 D^2_h) inverted once,
+    u <- u - L^{-1} (F(D^2_h u) - f),     L = tr(W0 D^2_h),
 
 from the boundary data with zero interior values.  The residual is measured
 by differences (the second differences of u, then F) on the iterate before
@@ -15,25 +15,22 @@ a linear F = tr(W0 M) the first step is the direct solve and later steps
 refine it until one fails to halve the residual; the best iterate is
 verified against the contract.  For the almost-linear F the perturbation
 derivative of every catalog operator is bounded by eps < lam_min(W0), so the
-frozen Jacobian stays close to DF and the step contracts.  An iteration that
-cuts the max-node residual by less than a fixed factor refactors L with
-DF(D^2_h u) at the current iterate (a Newton step).  The 9-point stencil is
-not monotone, so a residual that keeps growing is reported as divergence.
+frozen Jacobian stays close to DF and the step contracts.  After the first
+iteration that cuts the max-node residual by less than a fixed factor, every
+step is a Newton step, J d = F(D^2_h u) - f with J = tr(DF(D^2_h u) D^2_h .)
+at the current iterate (D. A. Knoll and D. E. Keyes, J. Comput. Phys. 193,
+2004).  The 9-point stencil is not monotone, so a residual that keeps
+growing is reported as divergence.
 
-L^{-1} is chosen by the stencil alone.  A W0 without cross term,
-w11 u_xx + w22 u_yy (every Laplace solve, the harmonic replacement, and the
-chord matrix of such a W0, linear or not), is inverted by conjugate gradients
-preconditioned with one multigrid V-cycle on the lattice arrays themselves:
-red-black Gauss-Seidel on masked levels of the interior's bounding box, full
-weighting, bilinear interpolation and a dense solve on the coarsest level.
-It assembles no matrix, takes O(n) work and memory per iteration, and needs
-numpy alone.
-
-A W0 with cross term and every Newton Jacobian are assembled as the sparse
-Jacobian of tr(C D^2_h v) in the interior unknowns (5-point for diagonal C,
-9-point with cross terms), written straight into compressed-column arrays
-and factored whole by sparse LU.  The factor builder assembles the matrix A
-itself and keeps no reference to it once the factor exists.
+No matrix is assembled.  Every stencil the loop meets stays within eps of
+L, so one inverse serves them all: a multigrid V-cycle of W0's diagonal part
+w11 u_xx + w22 u_yy on the lattice arrays themselves (red-black Gauss-Seidel
+on masked levels of the interior's bounding box, full weighting, bilinear
+interpolation and a dense solve on the coarsest level).  It preconditions
+conjugate gradients on L, whose operator product adds W0's cross term, and
+GMRES on each Newton Jacobian, whose product is the second differences
+weighted by DF node by node.  Each iteration takes O(n) work and memory, and
+the solver needs numpy alone.
 """
 
 from __future__ import annotations
@@ -133,116 +130,22 @@ def _field_values(f, grid: Grid2, mask: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# stencil assembly and factorization
-
-
-def _interior_count(region: SubRegion) -> int:
-    m = int(region.interior.sum())
-    if m == 0:
-        raise SolverError("region has no interior nodes")
-    return m
-
-
-def _check_reach(region: SubRegion, offsets) -> None:
-    """SolverError unless the stencil of these offsets reaches only defined
-    nodes from every interior node."""
-    if not np.logical_and.reduce(neighbours(region.defined, offsets, False))[region.interior].all():
-        raise SolverError("interior stencil reaches an undefined node")
-
-
-def _assemble(c11, c12, c22, h: float, region: SubRegion):
-    """Sparse matrix of v -> tr(C D^2_h v) in the interior unknowns of region,
-    for scalar or per-interior-node coefficients; boundary neighbours drop out.
-
-    The compressed-column arrays are written directly (T. Davis, Direct
-    Methods for Sparse Linear Systems, 2006, ch. 2), with int32 indices: an
-    (m, T) block holds, for each of the m columns and T stencil terms, the
-    row whose term reaches that column's node and its coefficient.  With the
-    terms in descending offset order those rows ascend, so every column comes
-    out sorted and the matrix is canonical."""
-    from scipy.sparse import csc_matrix  # deferred: constants and cordes runs never assemble
-
-    interior = region.interior
-    m = _interior_count(region)
-    inv = 1.0 / (h * h)
-    a, b, c = (np.broadcast_to(np.asarray(x, dtype=float) * inv, (m,)) for x in (c11, c12, c22))
-    terms = {(0, 0): -2.0 * (a + c), (1, 0): a, (-1, 0): a, (0, 1): c, (0, -1): c}
-    if np.any(b != 0.0):
-        q = 0.5 * b
-        terms.update({(1, 1): q, (-1, -1): q, (1, -1): -q, (-1, 1): -q})
-    offsets = sorted(terms, reverse=True)
-    _check_reach(region, offsets)
-    idx = np.full(interior.shape, -1, dtype=np.int32)
-    idx[interior] = np.arange(m, dtype=np.int32)
-    # the row at (i - di, j - dj) reaches the column's node (i, j); -1 (no
-    # interior row there) picks a value the mask below drops
-    row_of = neighbours(idx, [(-di, -dj) for di, dj in offsets], -1)
-    rows = np.empty((m, len(terms)), dtype=np.int32)
-    vals = np.empty((m, len(terms)))
-    for t, (di, dj) in enumerate(offsets):
-        rows[:, t] = row_of[t][interior]
-        vals[:, t] = terms[di, dj][rows[:, t]]
-    keep = rows >= 0
-    indptr = np.zeros(m + 1, dtype=np.int32)
-    np.cumsum(keep.sum(axis=1, dtype=np.int32), out=indptr[1:])
-    indices = rows[keep]
-    del rows  # the peak then holds one block of row indices, not two
-    return csc_matrix((vals[keep], indices, indptr), shape=(m, m))
-
-
-# SuperLU's default relaxed supernodes (relax=20) amalgamate small subtrees of
-# the elimination tree into dense blocks; on these 2-D stencil matrices that
-# stores explicit zeros, and the default panel_size=10 allocates wide panel
-# work arrays.  With relax=1 the factor stores exactly its fill
-# (lu.nnz == L.nnz + U.nnz of the default factor); the solutions move by
-# rounding only, at most 1.6e-14 of max|u| on the benchmark's solves and an
-# N=513 9-point solve.  Median factor seconds on a 2-core Xeon, BLAS on 1 thread:
-#
-#   matrix                               default  panel 2  panel 4  panel 8
-#   9-pt square N=65 (w12 = 0.15)         0.014    0.011    0.008    0.008
-#   5-pt disk N=81                        0.020    0.009    0.009    0.012
-#   5-pt replacement disk N=257, r=0.8    0.184    0.092    0.086    0.112
-#   5-pt replacement disk N=513, r=0.8    1.16     0.67     0.55     0.70
-#   9-pt disk N=513 (w12 = 0.15)          5.68     2.70     2.25     3.02
-#
-# At N=513 the stored entries fall from 10.2M to 8.05M (5-point) and from
-# 39.1M to 26.4M (9-point), and the peak resident memory of the factorization
-# falls by 65 MB and 191 MB; panel 8 costs 9 MB more than 4 on the 5-point
-# matrix.
-_SUPERNODE_RELAX = 1
-_PANEL_SIZE = 4
-
-
-def _factor(A):
-    # The stencil matrix is structurally symmetric, so a minimum-degree
-    # ordering of A^T + A keeps the LU fill well below the column ordering's.
-    from scipy.sparse.linalg import splu
-
-    try:
-        return splu(A, permc_spec="MMD_AT_PLUS_A", relax=_SUPERNODE_RELAX,
-                    panel_size=_PANEL_SIZE)
-    except RuntimeError as exc:
-        raise SolverError(f"stencil factorization failed: {exc}") from None
-
-
-def _factor_stencil(c11, c12, c22, h: float, region: SubRegion):
-    """LU factor of the stencil matrix of tr(C D^2_h) on region, with .solve(r)
-    and .nnz; the matrix it assembles is dropped once the factor exists."""
-    return _factor(_assemble(c11, c12, c22, h, region))
-
-
-# ---------------------------------------------------------------------------
-# multigrid-preconditioned conjugate gradients (5-point stencil, no cross term)
+# Krylov solves preconditioned by the multigrid V-cycle of W0's diagonal part
 
 # The coarsest level spans at most _COARSEST_INTERVALS lattice intervals per
-# side, so its dense matrix has at most 7^2 unknowns.  A solve stops after
-# _PCG_MAX_ITERATIONS iterations whatever its residual; the chord loop then
-# judges the iterate like any other.  _PCG_TOL is the solve's stopping
-# residual as a fraction of the chord loop's target.
+# side, so its dense matrix has at most 7^2 unknowns.  A Krylov solve stops
+# after _KRYLOV_MAX_ITERATIONS iterations whatever its residual; the chord
+# loop then judges the iterate like any other.  _PCG_TOL is a CG solve's
+# stopping residual as a fraction of the chord loop's target; a Newton step's
+# GMRES stops at _GMRES_RTOL of its right-hand side's 2-norm and restarts
+# every _GMRES_RESTART iterations.
 _COARSEST_INTERVALS = 8
-_PCG_MAX_ITERATIONS = 100
+_KRYLOV_MAX_ITERATIONS = 100
 _PCG_TOL = 0.1
+_GMRES_RTOL = 1e-2
+_GMRES_RESTART = 40
 _FIVE_POINT = ((1, 0), (-1, 0), (0, 1), (0, -1))
+_DIAGONALS = ((1, 1), (-1, -1), (1, -1), (-1, 1))
 
 
 def _boundary_steps(mask: np.ndarray) -> list:
@@ -394,14 +297,15 @@ class _Level:
 
 
 class _Multigrid:
-    """Solves A x = r for A the stencil matrix of w11 u_xx + w22 u_yy on
-    region, w11, w22 > 0, by conjugate gradients on -h^2/w11 A (2 + 2 r at
-    the node, -1 at each interior x-neighbour and -r at each y-neighbour,
-    r = w22/w11) preconditioned by one V-cycle (A. Brandt, Math. Comp. 31,
-    1977; O. Tatebe, Copper Mountain Conf. on Multigrid Methods, 1993).  An
-    x-neighbour weighs exactly 1, so a smoothing step and an operator product
-    cost one multiplication more than for the Laplacian, and with w11 == w22
-    (r = 1) every product by a weight is exact.
+    """Krylov solves on region for stencils close to tr(W0 D^2_h), W0 =
+    [[w11, w12], [w12, w22]] symmetric positive definite, each preconditioned
+    by one V-cycle of the 5-point stencil of W0's diagonal part, w11 u_xx +
+    w22 u_yy, scaled by -h^2/w11: 2 + 2 r at the node, -1 at each interior
+    x-neighbour and -r at each y-neighbour, r = w22/w11 (A. Brandt, Math.
+    Comp. 31, 1977; O. Tatebe, Copper Mountain Conf. on Multigrid Methods,
+    1993).  An x-neighbour weighs exactly 1, so a smoothing step and an
+    operator product cost one multiplication more than for the Laplacian, and
+    with w11 == w22 (r = 1) every product by a weight is exact.
 
     The levels live on the interior's bounding box with a one-node frame,
     padded to m 2^k + 1 nodes per side with m <= _COARSEST_INTERVALS; a coarse
@@ -415,14 +319,27 @@ class _Multigrid:
     red-black Gauss-Seidel (red then black going down, black then red coming
     up), restricts by full weighting, interpolates bilinearly and solves the
     coarsest level by the inverse of its dense matrix, so the preconditioner
-    is symmetric positive definite.  A solve stops once the max-node residual
-    of A x = r, as CG updates it, is at most atol; iterations holds the
-    iteration count of every solve."""
+    is symmetric positive definite.
 
-    def __init__(self, w11: float, w22: float, h: float, region: SubRegion, atol: float):
-        _interior_count(region)
-        _check_reach(region, ((0, 0), *_FIVE_POINT))
+    solve(r) solves A x = r for A the stencil matrix of tr(W0 D^2_h) by
+    conjugate gradients on -h^2/w11 A; a cross term adds -(w12 / (2 w11))
+    times the diagonal neighbours' cross sum to each operator product.  That
+    matrix is symmetric, and its quadratic form is at least 1 - rho times the
+    diagonal part's, rho = |w12| / sqrt(w11 w22) < 1, so the V-cycle stays an
+    equivalent preconditioner (O. Axelsson and J. Karatson, Acta Numerica
+    18, 2009).  A solve stops once the max-node residual of A x = r, as CG
+    updates it, is at most atol.  newton(coeffs, r) solves a Newton step's
+    J d = r by GMRES.  iterations holds the iteration count of every solve."""
+
+    def __init__(self, w11: float, w12: float, w22: float, h: float, region: SubRegion,
+                 atol: float):
         interior = region.interior
+        if not interior.any():
+            raise SolverError("region has no interior nodes")
+        # the stencil must reach only defined nodes from every interior node
+        offsets = (*_FIVE_POINT, *(_DIAGONALS if w12 else ()))
+        if not np.logical_and.reduce(neighbours(region.defined, offsets, False))[interior].all():
+            raise SolverError("interior stencil reaches an undefined node")
         rows, cols = (np.flatnonzero(interior.any(axis=a)) for a in (1, 0))
         lo = (rows[0] - 1, cols[0] - 1)
         span = (rows[-1] + 1 - lo[0], cols[-1] + 1 - lo[1])
@@ -446,6 +363,9 @@ class _Multigrid:
             level.link(_Level(coarse, diag, ratio))
             level = level.coarse
         level.inverse = _dense_inverse(level, weights)
+        # the cross term's weight at each node of the box's inner rows and columns
+        self._cross = None if w12 == 0.0 else -0.5 * w12 / w11 * self._top.weight[1:-1, 1:-1]
+        self._h = h
         self._scale = h * h / w11  # -h^2/w11 A is the finest level's operator
         self._atol = atol * self._scale
         self.iterations: list[int] = []
@@ -456,7 +376,7 @@ class _Multigrid:
         res[top.mask] = -self._scale * r
         x, p, q = np.zeros_like(res), np.zeros_like(res), np.zeros_like(res)
         it, rz_old = 0, None
-        while np.max(np.abs(res)) > self._atol and it < _PCG_MAX_ITERATIONS:
+        while np.max(np.abs(res)) > self._atol and it < _KRYLOV_MAX_ITERATIONS:
             np.copyto(top.b, res)
             top.cycle()
             z = top.x
@@ -465,6 +385,8 @@ class _Multigrid:
                 p *= rz / rz_old
             p += z
             top.apply(p, q)
+            if self._cross is not None:
+                q[1:-1, 1:-1] += self._cross * (p[2:, 2:] + p[:-2, :-2] - p[2:, :-2] - p[:-2, 2:])
             alpha = rz / np.einsum("ij,ij->", p, q)
             q *= alpha
             res -= q
@@ -475,15 +397,72 @@ class _Multigrid:
         self.iterations.append(it)
         return x[top.mask]
 
+    def newton(self, coeffs, r: np.ndarray) -> np.ndarray:
+        """d with |J d - r| <= _GMRES_RTOL |r| in the 2-norm, or the iterate
+        after _KRYLOV_MAX_ITERATIONS iterations, for J d = c11 d_xx + 2 c12
+        d_xy + c22 d_yy with the per-node coefficients coeffs = (c11, c12,
+        c22).  J is not symmetric, so it runs GMRES (Y. Saad and M. H.
+        Schultz, SIAM J. Sci. Stat. Comput. 7, 1986) right-preconditioned by
+        one V-cycle.  The Krylov basis grows one vector per iteration up to
+        _GMRES_RESTART, and each restart starts from the true residual."""
+        top, mask = self._top, self._top.mask
+        c11, c12, c22 = coeffs
+
+        def jacobian(z):  # z is a box array, zero off the mask
+            h11, h12, h22 = _hessian_arrays(z, self._h, mask)
+            return c11 * h11 + 2.0 * c12 * h12 + c22 * h22
+
+        def cycle(v):  # v times the V-cycle's inverse of W0's diagonal stencil
+            top.b[mask] = -self._scale * v
+            top.cycle()
+            return top.x
+
+        def norm(v):
+            return math.sqrt(np.einsum("i,i->", v, v))
+
+        x, res, it = np.zeros(mask.shape), r, 0
+        stop = _GMRES_RTOL * norm(r)
+        while True:
+            w, beta = res, norm(res)
+            basis, cols, rotations, g = [], [], [], [beta]
+            while abs(g[-1]) > stop and it < _KRYLOV_MAX_ITERATIONS and len(basis) < _GMRES_RESTART:
+                basis.append(w / beta)
+                w = jacobian(cycle(basis[-1]))
+                col = []
+                for v in basis:  # modified Gram-Schmidt
+                    col.append(np.einsum("i,i->", v, w))
+                    w -= col[-1] * v
+                beta = norm(w)
+                for k, (c, s) in enumerate(rotations):  # the Givens rotations so far
+                    col[k], col[k + 1] = c * col[k] + s * col[k + 1], c * col[k + 1] - s * col[k]
+                rho = math.hypot(col[-1], beta)
+                c, s = col[-1] / rho, beta / rho
+                col[-1] = rho
+                rotations.append((c, s))
+                g[-1:] = [c * g[-1], -s * g[-1]]
+                cols.append(col)
+                it += 1
+            if cols:
+                R = np.zeros((len(cols), len(cols)))
+                for j, col in enumerate(cols):
+                    R[:j + 1, j] = col
+                y = np.linalg.solve(R, g[:-1])
+                x += cycle(sum(yj * v for yj, v in zip(y, basis)))
+            if abs(g[-1]) <= stop or it >= _KRYLOV_MAX_ITERATIONS:
+                break
+            res = r - jacobian(x)
+        self.iterations.append(it)
+        return x[mask]
+
 
 # ---------------------------------------------------------------------------
 # Dirichlet solves: one chord loop
 
 # A linear solve returns a residual of at most _RESIDUAL_TOL * max(|g|, |f|)
 # and aims at 0.05 of that in at most _REFINEMENTS steps after the direct
-# solve.  A nonlinear step that cuts the residual by less than
-# _SLOW_CONTRACTION refactors the Jacobian; _GROWTH_LIMIT consecutive increases
-# mean divergence; meta["residual_history"] keeps the first _HISTORY_CAP residuals.
+# solve.  After the first nonlinear step that cuts the residual by less than
+# _SLOW_CONTRACTION every step is a Newton step; _GROWTH_LIMIT consecutive
+# increases mean divergence; meta["residual_history"] keeps the first _HISTORY_CAP residuals.
 _RESIDUAL_TOL = 1e-10
 _REFINEMENTS = 3
 _SLOW_CONTRACTION = 0.25
@@ -497,8 +476,9 @@ def _dirichlet(spec, f, g, grid: Grid2, region: SubRegion | None, tol: float | N
 
     linear: stop at 0.05 of the contract, after max_sweeps steps or once a step
     fails to halve the residual, keep the best iterate, and raise unless its
-    residual meets the contract, meta["tol"].  Otherwise stop at tol, refactor
-    L with DF(D^2_h u) after a slow step, raise on an exhausted budget or growth.
+    residual meets the contract, meta["tol"].  Otherwise stop at tol, take
+    Newton steps from the first slow step on, raise on an exhausted budget or
+    growth.
     """
     region = region or grid.region
     interior, boundary = region.interior, region.boundary
@@ -514,17 +494,11 @@ def _dirichlet(spec, f, g, grid: Grid2, region: SubRegion | None, tol: float | N
         target = tol = 1e-8 * (g_max + f_max + 1.0) if tol is None else tol
     h = grid.h
     f_int = ffull[interior]
-    mg_iterations = factor_nnz = None
-    if spec.w12 == 0.0:
-        inverse = _Multigrid(spec.w11, spec.w22, h, region, _PCG_TOL * target)
-        mg_iterations = inverse.iterations
-    else:
-        inverse = _factor_stencil(spec.w11, spec.w12, spec.w22, h, region)
-        factor_nnz = inverse.nnz
+    inverse = _Multigrid(spec.w11, spec.w12, spec.w22, h, region, _PCG_TOL * target)
 
     history: list[float] = []
     prev = np.inf
-    grow = refactors = sweeps = 0
+    grow = newton_steps = sweeps = 0
     while True:
         H = _hessian_arrays(v, h, interior)
         resid = operators.evaluate_batch(spec, *H) - f_int
@@ -547,22 +521,21 @@ def _dirichlet(spec, f, g, grid: Grid2, region: SubRegion | None, tol: float | N
             raise SolverError(f"residual diverging (grew for {grow} consecutive sweeps)")
         if linear:
             best = v[interior]
-        elif res > _SLOW_CONTRACTION * prev:
-            inverse = None  # release the old inverse before the new one is built
-            coeffs = operators.gradient_batch(spec, *H)
-            inverse = _factor_stencil(*coeffs, h, region)
-            factor_nnz = max(factor_nnz or 0, inverse.nnz)
-            refactors += 1
+        if not linear and (newton_steps or res > _SLOW_CONTRACTION * prev):
+            # from the first slow step on, every step is a Newton step
+            v[interior] -= inverse.newton(operators.gradient_batch(spec, *H), resid)
+            newton_steps += 1
+        else:
+            v[interior] -= inverse.solve(resid)
         prev = res
-        v[interior] -= inverse.solve(resid)
         sweeps += 1
     if linear and res > tol:
         raise SolverError(f"direct solve residual {res:.3e} exceeds {_RESIDUAL_TOL:.1e} * {scale:.3e}")
 
     out = GridFunction(grid, np.where(region.defined, v, np.nan), region.defined.copy())
     out.meta.update(residual=res, sweeps=sweeps, h=h, tol=tol, converged=True,
-                    residual_history=history, jacobian_refactors=refactors,
-                    mg_iterations=mg_iterations, factor_nnz=factor_nnz)
+                    residual_history=history, newton_steps=newton_steps,
+                    mg_iterations=inverse.iterations)
     return out
 
 
@@ -572,11 +545,10 @@ def solve_linear_dirichlet(W0, f, g, grid: Grid2,
     with u = g on the region boundary, refined at most _REFINEMENTS times.
 
     Raises SolverError if the stencil residual exceeds meta["tol"] =
-    _RESIDUAL_TOL * max(|g|, |f|).  A W0 without cross term runs multigrid-
-    preconditioned CG, and meta["mg_iterations"] lists its iteration count
-    per sweep; a W0 with cross term is factored by sparse LU, and
-    meta["factor_nnz"] is the number of entries the factor stores.  The key
-    of the inverse that did not run holds None.
+    _RESIDUAL_TOL * max(|g|, |f|).  Each sweep solves the stencil by
+    conjugate gradients preconditioned by the multigrid V-cycle of W0's
+    diagonal part, and meta["mg_iterations"] lists its iteration count per
+    sweep.
     """
     return _dirichlet(operators.make_spec(W0), f, g, grid, region, None,
                       1 + _REFINEMENTS, linear=True)
@@ -594,11 +566,10 @@ def solve_fully_nonlinear(spec, f, g, grid: Grid2, region: SubRegion | None = No
     max_sweeps bounds the outer (chord or Newton) iterations.  Raises
     ValueError unless tol (when given) is positive and finite and max_sweeps
     nonnegative, and SolverError on non-finite iterates, an exhausted budget,
-    or a residual that keeps growing.  meta["mg_iterations"] lists the
-    multigrid-preconditioned CG iterations of each chord sweep when W0 has no
-    cross term, and meta["factor_nnz"] is the largest number of entries
-    stored by a sparse LU factor: the chord factor of a W0 with cross term or
-    any Newton refactor.  Each is None when that inverse never ran.
+    or a residual that keeps growing.  meta["newton_steps"] counts the
+    Newton steps, and meta["mg_iterations"] lists the Krylov iterations of
+    every sweep: CG for a chord sweep, GMRES for a Newton step, each
+    preconditioned by the multigrid V-cycle of W0's diagonal part.
     """
     if tol is not None and not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")

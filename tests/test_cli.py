@@ -81,9 +81,7 @@ def test_solve_quadratic_and_determinism(tmp_path, capsys):
     assert summary["final_residual"] <= summary["tol"]
     assert summary["h"] == pytest.approx(2.0 / 32.0)
     assert summary["residual_history"][-1] == summary["final_residual"]
-    assert summary["jacobian_refactors"] == 0
-    # the isotropic chord matrix runs multigrid alone and builds no LU factor
-    assert summary["factor_nnz"] is None
+    assert summary["newton_steps"] == 0 and "factor_nnz" not in summary
     iterations = summary["mg_iterations"]
     assert len(iterations) == summary["sweeps"] >= 1
     assert all(isinstance(n, int) and n > 0 for n in iterations)
@@ -379,10 +377,19 @@ _IMPORT_PROBE = (
     (["solve", "-N", "33", "--perturbation", "sine", "--eps", "0.05", "-o", "u.grid"],
      ["mpmath", "scipy", "ellreg.campanato", "ellreg.checks", "ellreg.mollifier",
       "ellreg.cordes"]),
+    (["solve", "-N", "33", "--w11", "1.25", "--w12", "0.15", "-o", "u.grid"],
+     ["mpmath", "scipy", "ellreg.campanato", "ellreg.checks", "ellreg.mollifier",
+      "ellreg.cordes"]),
+    (["solve", "-N", "33", "--perturbation", "sine", "--eps", "0.9", "--boundary",
+      "cubic_harmonic", "--max-sweeps", "50", "-o", "u.grid", "--summary", "s.json"],
+     ["mpmath", "scipy", "ellreg.campanato", "ellreg.checks", "ellreg.mollifier",
+      "ellreg.cordes"]),
     (["analyze", "-N", "33", "-o", "a.json", "--csv-output", "d.csv"], ["ellreg.checks"]),
     (["analyze", "--input", "u.grid", "-o", "a.json", "--csv-output", "d.csv"],
      ["scipy", "ellreg.checks"]),
-], ids=["import", "constants", "cordes", "solve", "solve_chord", "analyze", "analyze_input"])
+    (["selftest", "-o", "t.json"], ["scipy"]),
+], ids=["import", "constants", "cordes", "solve", "solve_chord", "solve_cross_term",
+        "solve_newton", "analyze", "analyze_input", "selftest"])
 def test_each_subcommand_loads_only_what_it_runs(tmp_path, argv, unloaded):
     if "--input" in argv:
         g = Grid2.disk(65)
@@ -396,6 +403,8 @@ def test_each_subcommand_loads_only_what_it_runs(tmp_path, argv, unloaded):
     assert [m for m in unloaded if m in modules] == []
     if argv and argv[0] == "cordes":
         assert json.loads((tmp_path / "c.json").read_text())["nodes"] == 1
+    if "--eps" in argv and "0.9" in argv:  # the solve did reach its Newton steps
+        assert json.loads((tmp_path / "s.json").read_text())["newton_steps"] >= 1
 
 
 def test_analyze_pointwise_bound(tmp_path, capsys):
