@@ -6,11 +6,15 @@ over the unit ball; third_derivative_mass(n) returns
 
     C_prime * max_{|p|=3} integral |D^p eta|
 
-with the third derivatives of the kernel written out analytically (chain rule
-through s = |x|^2).  One-dimensional integrals go through adaptive QUADPACK
-and are re-verified on split subintervals; the 2-D absolute-value integrals
-use a composite midpoint rule in polar coordinates with Richardson-style
-doubling until two refinement levels agree.
+Both are computed by mpmath at 30 working digits, and each result is rounded
+to a double once.  The third derivatives are written out analytically through
+s = |x|^2 and u = s - 1, so every sign change of one is s = 1/2 or a root of
+a cubic in u, and no integrand is integrated across a kink.  In one dimension
+the mass is twice the total variation of eta'' on [0, 1] and takes no
+quadrature.  In two, each angular integral is exact, and one radial tanh-sinh
+quadrature (mp.quad) per multi-index is split at every kink.  Every
+quadrature, the ball integral behind C included, raises RuntimeError when its
+error estimate exceeds 1e-20 relative.
 
 mollify() convolves a grid function with the kernel sampled on the lattice
 and renormalized to discrete mass exactly 1 under exact summation.  The
@@ -26,6 +30,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from mpmath import mp
 
 from .grid import GridFunction, neighbours
 
@@ -48,33 +53,41 @@ def bump_profile(s):
     return out
 
 
-def _adaptive_integral(fn, a: float, b: float, points=None, tol: float = 1e-10) -> float:
-    """QUADPACK integral, re-verified by integrating the two halves separately."""
-    from scipy import integrate  # deferred: only the kernel constants need it
+_DPS = 30  # working digits of the kernel constants; each is rounded to a double once
+_REL_ERR = 1e-20  # largest relative error estimate a quadrature may report
 
-    kw = {"epsabs": tol * 1e-2, "epsrel": tol * 1e-2, "limit": 200}
-    if points:
-        kw["points"] = points
-    whole, err = integrate.quad(fn, a, b, **kw)
-    mid = 0.5 * (a + b)
-    left, _ = integrate.quad(fn, a, mid, **kw)
-    right, _ = integrate.quad(fn, mid, b, **kw)
-    if abs(whole - (left + right)) > tol or err > tol:
+
+def _quad(fn, points):
+    """mp.quad (tanh-sinh) over consecutive points, which must hold every kink
+    of fn; raises when the error estimate shows the rule has not converged."""
+    value, err = mp.quad(fn, points, error=True)
+    if err > _REL_ERR * abs(value):
         raise RuntimeError("quadrature failed to converge to the requested tolerance")
-    return whole
+    return value
+
+
+def _f(s):
+    """f(s) = exp(1/(s-1)) and its first three s-derivatives; zero for s >= 1."""
+    u = mp.mpf(s) - 1
+    if u >= 0:
+        return (mp.zero,) * 4
+    e = mp.exp(1 / u)
+    return e, -e / u**2, e * (1 + 2 * u) / u**4, -e * (1 + 6 * u + 6 * u**2) / u**6
+
+
+def _ball_integral(n: int):
+    """integral_{|x|<1} exp(1/(|x|^2-1)) dx at working precision."""
+    if n == 1:
+        return _quad(lambda x: _f(x * x)[0], [-1, 0, 1])
+    if n == 2:
+        return 2 * mp.pi * _quad(lambda r: r * _f(r * r)[0], [0, 0.5, 1])
+    raise ValueError("only dimensions 1 and 2 are supported")
 
 
 def normalize(n: int) -> float:
     """Normalizing constant: 1 / integral_{|x|<1} exp(1/(|x|^2-1)) dx."""
-    if n == 1:
-        total = _adaptive_integral(lambda x: float(bump_profile(np.array(x * x))), -1.0, 1.0,
-                                   points=[0.0])
-    elif n == 2:
-        total = 2.0 * math.pi * _adaptive_integral(
-            lambda r: r * float(bump_profile(np.array(r * r))), 0.0, 1.0, points=[0.5])
-    else:
-        raise ValueError("only dimensions 1 and 2 are supported")
-    return 1.0 / total
+    with mp.workdps(_DPS):
+        return float(1 / _ball_integral(n))
 
 
 @dataclass(frozen=True)
@@ -100,82 +113,55 @@ class BumpKernel:
         return self.C_norm * self.gamma ** (-self.n) * bump_profile(s)
 
 
-# analytic s-derivatives of f(s) = exp(1/(s-1)) on s < 1
-def _f_derivs(s, k):
-    u = s - 1.0
-    e = np.exp(1.0 / u)
-    v1 = -(u**-2.0)
-    v2 = 2.0 * u**-3.0
-    v3 = -6.0 * u**-4.0
-    if k == 2:
-        return e * (v1 * v1 + v2)
-    if k == 3:
-        return e * (v1**3 + 3.0 * v1 * v2 + v3)
-    raise ValueError(k)
+# For p = (3,0) and (2,1), D^p f(|x|^2) = r q (a + b t^2) in polar coordinates
+# (r, th), with (q, t) = (cos th, sin th) for (3,0) and (sin th, cos th) for
+# (2,1), and a, b functions of s = r^2.  a or a + b changes sign at s = 1/2,
+# where f'' does, or at a root of a cubic in u = s - 1: the cubic times
+# -4 exp(1/u) / u^6 is 8 s f''' + 12 f'' for (3,0), as for eta''' / x in one
+# dimension, and 4 f'' + 8 s f''' for (2,1).  Entries: (a, b) from (s, f'',
+# f'''), and the cubic's coefficients, highest first.
+_POLAR = (
+    (lambda s, f2, f3: (8 * s * f3 + 12 * f2, -8 * s * f3), (6, 21, 14, 2)),
+    (lambda s, f2, f3: (4 * f2, 8 * s * f3), (10, 23, 14, 2)),
+)
 
 
-def _third_deriv_xxx(x, f2, f3):
-    # d^3/dx^3 of f(|x|^2), given f'' and f''' at |x|^2
-    return 8.0 * x**3 * f3 + 12.0 * x * f2
+def _kinks(cubic) -> list:
+    """The s = 1 + u in (0, 1), ascending, at the real roots u of the cubic."""
+    return sorted(1 + u for u in mp.polyroots(cubic) if -1 < u < 0)
 
 
-def _third_deriv_1d(x):
-    # eta'''/C in one dimension, where |x|^2 = x^2
-    x = np.asarray(x, dtype=float)
-    return _third_deriv_xxx(x, _f_derivs(x * x, 2), _f_derivs(x * x, 3))
+def _angular(a, b):
+    """4 * integral_0^1 |a + b t^2| dt, from the antiderivative a t + b t^3 / 3
+    at t0, where a + b t^2 changes sign (t0 = 1 if it does not)."""
+    t0 = mp.sqrt(-a / b) if a * (a + b) < 0 else 1
+    g0 = a * t0 + b * t0**3 / 3
+    return 4 * (abs(g0) + abs(a + b / 3 - g0))
 
 
-def _abs_mass_2d(which: str) -> float:
-    """integral over the unit disk of |D^p (exp(1/(s-1)))| for |p| = 3.
-
-    which = "xxx" is the pure direction 8x^3 f''' + 12x f''; "xxy" is the
-    mixed one 8x^2 y f''' + 4y f''.  Composite midpoint in polar coordinates,
-    doubled until two levels agree to 1e-4 (the integrand is piecewise smooth;
-    the absolute value contributes one curve of kinks, so the rule converges
-    at second order with a small kink-line remainder).
-    """
-
-    def level(nr: int, nt: int) -> float:
-        r = (np.arange(nr) + 0.5) / nr
-        f2 = _f_derivs(r * r, 2)
-        f3 = _f_derivs(r * r, 3)
-        total = 0.0
-        chunk = 512
-        for lo in range(0, nt, chunk):
-            t = (np.arange(lo, min(lo + chunk, nt)) + 0.5) * (2.0 * np.pi / nt)
-            ct, st = np.cos(t), np.sin(t)
-            X = r[:, None] * ct[None, :]
-            Y = r[:, None] * st[None, :]
-            if which == "xxx":
-                vals = _third_deriv_xxx(X, f2[:, None], f3[:, None])
-            else:
-                vals = 8.0 * X**2 * Y * f3[:, None] + 4.0 * Y * f2[:, None]
-            total += float(np.sum(np.abs(vals) * r[:, None]))
-        return total * (1.0 / nr) * (2.0 * np.pi / nt)
-
-    nr = 500
-    prev = level(nr, nr)
-    for _ in range(5):
-        nr *= 2
-        cur = level(nr, nr)
-        if abs(cur - prev) <= 1e-4:
-            return cur
-        prev = cur
-    raise RuntimeError("2-D quadrature failed to converge")
+def _polar_mass(ab, cubic):
+    """integral over the unit disk of |r q (a + b t^2)|: the angular integral
+    in closed form (four quarter turns, dt = |q| dth), then one radial
+    quadrature split at every kink."""
+    kinks = sorted([mp.mpf(0.5)] + _kinks(cubic))
+    return _quad(lambda r: r * r * _angular(*ab(r * r, *_f(r * r)[2:])),
+                 [0] + [mp.sqrt(k) for k in kinks] + [1])
 
 
 def third_derivative_mass(n: int, c_prime: float = 1.0) -> float:
     """C' * max over third-order multi-indices of integral |D^p eta|."""
     if c_prime <= 0:
         raise ValueError("C_prime must be positive")
-    C = normalize(n)
-    if n == 1:
-        mass = _adaptive_integral(lambda x: abs(float(_third_deriv_1d(np.array(x)))),
-                                  -1.0, 1.0, points=[-0.9, -0.5, 0.0, 0.5, 0.9], tol=1e-8)
-        return c_prime * C * mass
-    if n == 2:
-        return c_prime * C * max(_abs_mass_2d("xxx"), _abs_mass_2d("xxy"))
-    raise ValueError("only dimensions 1 and 2 are supported")
+    with mp.workdps(_DPS):
+        total = _ball_integral(n)
+        if n == 1:
+            # eta''' is odd, so the mass is twice the total variation on [0, 1]
+            # of eta'' = 2 f' + 4 s f'', monotone between the zeros of eta'''
+            vals = [2 * _f(s)[1] + 4 * s * _f(s)[2] for s in [0, *_kinks(_POLAR[0][1]), 1]]
+            mass = 2 * sum(abs(b - a) for a, b in zip(vals, vals[1:]))
+        else:
+            mass = max(_polar_mass(*p) for p in _POLAR)
+        return float(c_prime * mass / total)
 
 
 def discrete_kernel(h: float, gamma: float):

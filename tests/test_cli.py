@@ -372,7 +372,7 @@ _IMPORT_PROBE = (
     (["cordes", "-o", "c.json", "--csv-output", "c.csv"],
      ["scipy", "mpmath", "ellreg.campanato", "ellreg.checks", "ellreg.mollifier"]),
     (["solve", "-N", "33", "-o", "u.grid", "--summary", "s.json"],
-     ["mpmath", "scipy.integrate", "ellreg.campanato", "ellreg.checks", "ellreg.mollifier",
+     ["mpmath", "scipy", "ellreg.campanato", "ellreg.checks", "ellreg.mollifier",
       "ellreg.cordes"]),
     (["solve", "-N", "33", "--perturbation", "sine", "--eps", "0.05", "-o", "u.grid"],
      ["mpmath", "scipy", "ellreg.campanato", "ellreg.checks", "ellreg.mollifier",

@@ -1,36 +1,40 @@
 """Bump kernel: normalization and derivative-mass oracles (frozen from
-independent mpmath / adaptive-quadrature runs), discrete mollification laws.
+independent 40-digit mpmath runs), discrete mollification laws.
 """
 
 from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from mpmath import mpf
 
 from ellreg import mollifier as mo
 from ellreg.grid import Grid2, GridFunction
 
 from conftest import holey_field, philox, random_field, shifted
 
-# frozen oracle values (mpmath, 40 digits):
+# frozen oracle values (mpmath, 40 digits); each result must be the correctly
+# rounded double of its oracle:
 #   int_{-1}^{1} exp(1/(x^2-1)) dx        = 0.44399381616807943782
 #   disk integral 2*pi*int r exp(..) dr   = 0.46651239317833006888
-#   int |eta'''| / C (n=1)                = 35.64722425130783
-#   n=2 |D^(3,0)| mass / C = 42.493506801927815, |D^(2,1)| / C = 20.664117821842147
-NORM_1D = 2.2522836210435810105
-NORM_2D = 2.1435657757922366
-K2_1D = 80.28765931688816
-K2_2D = 91.08762687400709
+#   int |eta'''| / C (n=1)                = 35.64721990968618203812714
+#   n=2 |D^(2,1)| mass / C                = 20.66411785610916878452
+# K2_1D was checked against the total variation of eta'' and K2_2D against a
+# nested quadrature in the angle, both at 40 digits.
+C1 = "2.252283621043581010499781255559830730074"
+C2 = "2.143565775792236601000889562877180604131"
+K2_1D = "80.28764953832482891967019986742059290813"
+K2_2D = "91.08762687402035549010856263101501302267"
 
 
 def test_normalize_frozen_values():
-    assert mo.normalize(1) == pytest.approx(NORM_1D, rel=1e-9)
-    assert mo.normalize(2) == pytest.approx(NORM_2D, rel=1e-9)
+    assert mo.normalize(1) == float(mpf(C1))
+    assert mo.normalize(2) == float(mpf(C2))
     with pytest.raises(ValueError):
         mo.normalize(3)
 
@@ -38,17 +42,18 @@ def test_normalize_frozen_values():
 def test_scaled_kernel_has_unit_mass():
     for gamma in (0.05, 0.1, 0.19):
         k1 = mo.BumpKernel.build(1, gamma)
-        total, _ = integrate.quad(lambda x: float(k1(np.array(x))), -gamma, gamma, limit=200)
-        assert total == pytest.approx(1.0, abs=1e-8)
+        total = mpmath.quad(lambda x: float(k1(float(x))), [-gamma, 0, gamma])
+        assert float(total) == pytest.approx(1.0, abs=1e-8)
     k2 = mo.BumpKernel.build(2, 0.1)
-    total, _ = integrate.quad(lambda r: 2 * math.pi * r * float(k2(np.array(r), np.array(0.0))),
-                              0, 0.1, limit=200)
-    assert total == pytest.approx(1.0, abs=1e-8)
+    total = mpmath.quad(lambda r: 2 * math.pi * float(r) * float(k2(float(r), 0.0)), [0, 0.1])
+    assert float(total) == pytest.approx(1.0, abs=1e-8)
 
 
 def test_third_derivative_mass_frozen_values():
-    assert mo.third_derivative_mass(1) == pytest.approx(K2_1D, rel=1e-6)
-    assert mo.third_derivative_mass(2) == pytest.approx(K2_2D, rel=1e-5)
+    assert mo.third_derivative_mass(1) == float(mpf(K2_1D))
+    assert mo.third_derivative_mass(2) == float(mpf(K2_2D))
+    with pytest.raises(ValueError):
+        mo.third_derivative_mass(3)
 
 
 def test_third_derivative_mass_scales_with_c_prime():
@@ -56,10 +61,13 @@ def test_third_derivative_mass_scales_with_c_prime():
     assert mo.third_derivative_mass(1, c_prime=2.0) == pytest.approx(2.0 * base, rel=1e-12)
 
 
-def test_third_derivative_magnitude_even_symmetric():
-    xs = np.linspace(0.05, 0.95, 40)
-    assert np.allclose(np.abs(mo._third_deriv_1d(xs)), np.abs(mo._third_deriv_1d(-xs)),
-                       rtol=1e-12, atol=0.0)
+@pytest.mark.parametrize("keep", [slice(1, None), slice(None, -1)], ids=["first", "last"])
+def test_third_derivative_mass_raises_when_a_kink_is_missed(monkeypatch, keep):
+    # a radial quadrature across a kink must fail its error check, not return
+    kinks = mo._kinks
+    monkeypatch.setattr(mo, "_kinks", lambda cubic: kinks(cubic)[keep])
+    with pytest.raises(RuntimeError, match="failed to converge"):
+        mo.third_derivative_mass(2)
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +146,26 @@ def test_mollify_never_grows_sup_norm():
         u = random_field(g, rng)
         m = mo.mollify(u, 4 * g.h)
         assert m.sup() <= u.sup()
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.sampled_from((33, 65, 129)), st.floats(0.0, 1.0), st.booleans(),
+       st.floats(1e-3, 1e3), st.floats(0.0, 4.0), st.integers(0, 2**16))
+def test_mollify_sup_norm_law(N, t, holes, size, spread, seed):
+    # the module docstring's bound: the sup norm grows by at most the
+    # rounding of a len(w)-term sum; spread 0 (a constant) makes it sharp
+    g = Grid2.disk(N)
+    gamma = 2.0 * g.h + t * (0.19 - 2.0 * g.h)
+    u = holey_field(g, seed) if holes else random_field(g, philox(seed))
+    u = GridFunction(g, size * (1.0 + spread * u.values), u.defined)
+    _, w = mo.discrete_kernel(g.h, gamma)
+    try:
+        m = mo.mollify(u, gamma)
+    except ValueError as err:
+        if holes and "domain too small" in str(err):
+            reject()  # a wide kernel meets a hole at every node
+        raise
+    assert m.sup() <= u.sup() * (1.0 + len(w) * np.finfo(float).eps)
 
 
 def test_mollify_shrinks_domain_and_validates():
