@@ -20,13 +20,17 @@ coordinates rescaled to the unit frame for conditioning; values are never
 interpolated, so quadratic inputs are reproduced to rounding accuracy at
 every scale.  Sup deviations are brute-force maxima over the ball nodes.
 
-One least-squares helper serves the scale fits, fit_quadratic and the
-pointwise fits; pointwise centers are lattice nodes with ball membership
-decided in integer offsets, so all centers with unclipped balls share one
-design matrix, and their constants K_c read the distance powers from one
-table over integer offsets.  One pairwise kernel measures every Hoelder
-seminorm over a subsampled node set (entrywise max metric on the Hessian,
-matching the pointwise-to-uniform statement), exact on the sample.
+One least-squares helper serves the scale fits and fit_quadratic.  Pointwise
+centers are lattice nodes with ball membership decided in integer offsets, so
+all centers with unclipped balls share one design matrix, factored once by a
+thin QR; a center with a clipped ball goes through fit_quadratic.  Their
+constants K_c read the distance powers from one table over integer offsets,
+and bounds on 8 x 8 tiles of the lattice leave only the tiles that may hold
+a center's max to be evaluated, node by node as a brute-force pass would.
+One pairwise kernel measures every Hoelder seminorm over a subsampled node
+set (entrywise max metric on the Hessian, matching the pointwise-to-uniform
+statement), exact on the sample.  These lattice sups work in blocks of at
+most _BLOCK entries, so their working memory does not grow with the lattice.
 """
 
 from __future__ import annotations
@@ -81,13 +85,17 @@ class QuadraticPolynomial:
         return self.coef[[3, 4, 4, 5]].reshape(2, 2)
 
     def __call__(self, x, y):
-        a, b1, b2, c11, c12, c22 = self.coef
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        return a + b1 * x + b2 * y + 0.5 * (c11 * x * x + 2.0 * c12 * x * y + c22 * y * y)
+        return _evaluate(self.coef, np.asarray(x, dtype=float), np.asarray(y, dtype=float))
 
     def __add__(self, other: "QuadraticPolynomial") -> "QuadraticPolynomial":
         return QuadraticPolynomial(self.coef + other.coef)
+
+
+def _evaluate(coef, x, y):
+    """The quadratic with coefficient vector coef at (x, y), in one fixed order
+    of elementwise operations; coef may stack arrays that broadcast against x."""
+    a, b1, b2, c11, c12, c22 = coef
+    return a + b1 * x + b2 * y + 0.5 * (c11 * x * x + 2.0 * c12 * x * y + c22 * y * y)
 
 
 def _monomials(x, y) -> tuple:
@@ -367,12 +375,19 @@ def pointwise_to_holder(fits, alpha: float) -> float:
     return float(pointwise_factor(alpha)) * max(ks)
 
 
-_CENTER_CHUNK = 256  # centers per multi-column solve; bounds the value block at N = 513
-# centers per residual product: 8 N^2 doubles, 4 MB at N = 257 and 17 MB at N = 513;
-# 4-16 centers ran equally fast at N = 257 and 4-8 at N = 513, fewer or more slower
-_RESIDUAL_BLOCK = 8
+# entries of one block array in the lattice-sup kernels (512 KB of doubles): the
+# pairwise seminorm's row blocks, the pointwise fits' gathered values, and the
+# tile bounds and exactly evaluated tile nodes of a block of centers
+_BLOCK = 1 << 16
 _FIT_STRIDE = 2  # centers on every second lattice row and column
 _FIT_RADIUS = 0.3
+_TILE = 8  # side of the lattice tiles that bound K_c
+# widening of a tile bound per unit of the magnitudes its rounded terms are
+# formed from (about 4500 double epsilons); those magnitudes bound every
+# residual in the tile too, so the widening covers the relative rounding of
+# the division as well
+_BOUND_ABS = 1e-12
+_INCUMBENT = 4  # tiles per center evaluated first, for the incumbent
 
 
 def pointwise_fit_constants(u: GridFunction, alpha: float, region_radius: float = 0.25):
@@ -381,20 +396,19 @@ def pointwise_fit_constants(u: GridFunction, alpha: float, region_radius: float 
 
     Centers are lattice nodes, so ball membership is decided in integer
     offsets, (di^2 + dj^2) h^2 <= ball_reach(_FIT_RADIUS)^2, and every center
-    whose offset ball lies on defined nodes shares one design matrix: those
-    centers are fitted by one multi-column least-squares solve per chunk of
-    at most 256 centers.  A center whose ball is clipped by the domain is
-    fitted alone by fit_quadratic on its own node set.
+    whose offset ball lies on defined nodes shares one design matrix.  That
+    design is factored once by a thin QR, its rank decided by lstsq's default
+    rcond on the singular values of R, and its solve is applied to the values
+    of each chunk of centers gathered in one block.  A center whose ball is
+    clipped by the domain is fitted alone by fit_quadratic on its own node set.
 
-    K_c is taken in integer offsets too: |x - c|^(2+alpha) is read from one
-    (2N-1)^2 table of ((di^2 + dj^2) h^2)^(1+alpha/2), whose zero offset holds
-    inf so the center itself drops out, and |u - P_c| for a block of centers
-    is one product of their coefficient rows with the monomial basis of the
-    lattice; it is NaN off the defined nodes, which the NaN-skipping max
-    ignores.  The result order is fixed by the center enumeration.
+    K_c is taken in integer offsets too, |x - c|^(2+alpha) read from one table
+    of ((di^2 + dj^2) h^2)^(1+alpha/2) whose zero offset holds inf, so the
+    center itself drops out; _tiles bounds it on tiles of the lattice, and
+    _pointwise_constants evaluates only the tiles those bounds leave.  The
+    result order is fixed by the center enumeration.
     """
     g = u.grid
-    n = g.N
     ii, jj = np.nonzero(u.defined & g.ball(region_radius))
     keep = (ii % _FIT_STRIDE == 0) & (jj % _FIT_STRIDE == 0)
     ii, jj = ii[keep], jj[keep]
@@ -407,43 +421,169 @@ def pointwise_fit_constants(u: GridFunction, alpha: float, region_radius: float 
     di, dj = di[ball], dj[ball]
     if len(di) < 12:
         raise ValueError(f"ball of radius {_FIT_RADIUS} holds {len(di)} nodes; need at least 12")
-    values = u.filled(np.nan)
     # NaN off the defined nodes and in a frame wide enough for every offset ball
-    padded = np.pad(values, m, constant_values=np.nan)
+    padded = np.pad(u.filled(np.nan), m, constant_values=np.nan)
     offsets = di * padded.shape[1] + dj
     flat = (ii + m) * padded.shape[1] + (jj + m)
     design = np.column_stack(_monomials(di * g.h / _FIT_RADIUS, dj * g.h / _FIT_RADIUS))
+    q, r = np.linalg.qr(design)
+    s = np.linalg.svd(r, compute_uv=False)
+    if np.count_nonzero(s > np.finfo(float).eps * len(design) * s[0]) < 6:
+        raise ValueError("degenerate node set: quadratic fit is rank-deficient")
+    solve = np.linalg.solve(r, q.T)
     cx, cy = g.X[ii, jj], g.Y[ii, jj]
 
     # physical coefficients, one column per center
     coef = np.empty((6, len(ii)))
-    for lo in range(0, len(ii), _CENTER_CHUNK):
-        hi = min(lo + _CENTER_CHUNK, len(ii))
-        vals = padded.ravel()[flat[lo:hi] + offsets[:, None]]
-        full = ~np.isnan(vals).any(axis=0)
+    step = max(1, _BLOCK // len(di))
+    for lo in range(0, len(ii), step):
+        cols = np.arange(lo, min(lo + step, len(ii)))
+        vals = padded.ravel()[flat[cols, None] + offsets]
+        full = ~np.isnan(vals).any(axis=1)
         if full.any():
-            cols = np.flatnonzero(full) + lo
-            coef[:, cols] = _physical(_lstsq6(design, vals[:, full]), _FIT_RADIUS,
-                                      cx[cols], cy[cols])
-        for c in np.flatnonzero(~full) + lo:
+            coef[:, cols[full]] = _physical(solve @ vals[full].T, _FIT_RADIUS,
+                                            cx[cols[full]], cy[cols[full]])
+        for c in cols[~full]:
             coef[:, c] = fit_quadratic(u, (cx[c], cy[c]), _FIT_RADIUS)[0].coef
-
-    off = np.arange(1 - n, n)
-    denom = ((off[:, None] ** 2 + off[None, :] ** 2) * g.h**2) ** (1.0 + 0.5 * alpha)
-    denom[n - 1, n - 1] = np.inf
-    basis = np.stack(_monomials(g.X.ravel(), g.Y.ravel()))
-    values = values.ravel()
-    kc = np.empty(len(ii))
-    for lo in range(0, len(ii), _RESIDUAL_BLOCK):
-        hi = min(lo + _RESIDUAL_BLOCK, len(ii))
-        resid = coef[:, lo:hi].T @ basis
-        np.subtract(values, resid, out=resid)
-        np.abs(resid, out=resid)
-        for t, (i, j) in enumerate(zip(ii[lo:hi], jj[lo:hi])):
-            ratio = resid[t].reshape(n, n)
-            np.divide(ratio, denom[n - 1 - i:2 * n - 1 - i, n - 1 - j:2 * n - 1 - j], out=ratio)
-            kc[lo + t] = np.fmax.reduce(ratio, axis=None)  # skips the NaN off the defined nodes
+    kc = _pointwise_constants(u, coef, ii, jj, alpha)
     return [(QuadraticPolynomial(coef[:, c]), float(kc[c])) for c in range(len(ii))]
+
+
+def _pointwise_constants(u: GridFunction, coef: np.ndarray, ii, jj, alpha: float) -> np.ndarray:
+    """K_c for the quadratics in the columns of coef centered at the nodes (ii, jj).
+
+    For each block of centers, the _INCUMBENT tiles of largest midpoint
+    estimate are evaluated exactly, then every tile whose bound (_tiles)
+    exceeds the best value so far, so the result is the max over all nodes
+    bit for bit.  The best-bounded tiles are the nearest ones, whose bound
+    the floor on dmin inflates, so they make a poor incumbent.
+    """
+    count, bound, exact = _tiles(u, coef, ii, jj, alpha)
+    kc = np.zeros(len(ii))
+
+    def visit(cols, rows, tids):
+        per = _BLOCK // _TILE**2
+        for p in range(0, len(rows), per):
+            sl = slice(p, p + per)
+            np.fmax.at(kc, cols[rows[sl]], exact(cols[rows[sl]], tids[sl]))
+
+    step, k = max(1, _BLOCK // count), min(_INCUMBENT, count)
+    for lo in range(0, len(ii), step):
+        cols = np.arange(lo, min(lo + step, len(ii)))
+        bounds, est = bound(cols)
+        top = np.argpartition(est, -k, axis=1)[:, -k:].ravel()
+        rows = np.repeat(np.arange(len(cols)), k)
+        visit(cols, rows, top)
+        bounds[rows, top] = -np.inf
+        visit(cols, *np.nonzero(bounds > kc[cols, None]))
+    return kc
+
+
+def _tiles(u: GridFunction, coef: np.ndarray, ii, jj, alpha: float):
+    """The tiles of the lattice for the K_c of the quadratics in the columns of
+    coef centered at the nodes (ii, jj): (count, bound, exact).
+
+    A node x contributes |u(x) - P_c(x)| / table[|i - i_c|, |j - j_c|], with
+    P_c evaluated by _evaluate and NaN off the defined nodes, which a max
+    skips.  The lattice is cut into _TILE x _TILE tiles, and the count tiles
+    with a defined node each get the box of their defined nodes, a
+    least-squares quadratic Q_t in index units about the box center and its
+    largest node residual e_t.  bound(cols) gives, for the centers cols, every
+    tile's (e_t + max over the box of |Q_t - P_c|) / dmin^(2+alpha), with
+    dmin the box's integer offset from c floored at h, widened by _BOUND_ABS
+    for rounding, and the estimate |Q_t - P_c| / |x - c|^(2+alpha) at the box
+    center; exact(cols, tids) gives the max contribution of center cols[p]
+    over tile tids[p].
+    """
+    g = u.grid
+    t = _TILE
+    nt = -(-g.N // t)
+    n = nt * t
+    values = np.pad(u.filled(np.nan), ((0, n - g.N),) * 2, constant_values=np.nan)
+    xs = np.pad(g.xs, (0, n - g.N))  # X[i, j] = xs[i] and Y[i, j] = xs[j]
+    off = np.arange(n)
+    table = ((off[:, None] ** 2 + off[None, :] ** 2) * g.h**2) ** (1.0 + 0.5 * alpha)
+    table[0, 0] = np.inf
+    flat = table.ravel()  # the entry of offset (di, dj) at di * n + dj
+
+    tiles = values.reshape(nt, t, nt, t).swapaxes(1, 2).reshape(nt * nt, t * t)
+    present = ~np.isnan(tiles)
+    live = np.flatnonzero(present.any(axis=1))
+    tiles, present = tiles[live], present[live]
+    count = len(live)
+    ti, tj = live // nt * t, live % nt * t  # first row and column of each tile
+    # the box of each tile's defined nodes: first and last row and column, center, half-width
+    box = []
+    for axis in (2, 1):
+        seen = present.reshape(-1, t, t).any(axis=axis)
+        first, last = np.argmax(seen, axis=1), t - 1 - np.argmax(seen[:, ::-1], axis=1)
+        box.append((first, last, 0.5 * (first + last), 0.5 * (last - first)))
+    (ra, rb, mr, wr), (ca, cb, mc, wc) = box
+    a, b = np.divmod(np.arange(t * t), t)
+    full = present.all(axis=1)
+    local = np.column_stack(_monomials(a - 0.5 * (t - 1), b - 0.5 * (t - 1)))
+    fits = np.empty((6, count))
+    fits[:, full] = np.linalg.lstsq(local, tiles[full].T, rcond=None)[0]
+    err = np.empty(count)
+    err[full] = np.max(np.abs(tiles[full] - fits[:, full].T @ local.T), axis=1)
+    for k in np.flatnonzero(~full):
+        on = present[k]
+        design = np.column_stack(_monomials(a[on] - mr[k], b[on] - mc[k]))
+        fits[:, k] = np.linalg.lstsq(design, tiles[k, on], rcond=None)[0]
+        err[k] = np.max(np.abs(tiles[k, on] - design @ fits[:, k]))
+
+    # P_c about each box center in index units: value and h times the gradient,
+    # each one product with coef; h^2 times the Hessian is h^2 coef[3:]
+    x0, y0 = xs[0] + (ti + mr) * g.h, xs[0] + (tj + mc) * g.h
+    zero, one = np.zeros_like(x0), np.ones_like(x0)
+    taylor = np.hstack([np.stack(_monomials(x0, y0)),
+                        g.h * np.stack([zero, one, zero, x0, y0, zero]),
+                        g.h * np.stack([zero, zero, one, zero, x0, y0])])
+    reach = np.stack([0.5 * wr * wr, wr * wc, 0.5 * wc * wc])  # of the Hessian monomials
+    # e_t plus the widening for the terms and values of each tile, and for the
+    # largest term of each P_c on the lattice
+    scale_t = (np.abs(fits[0]) + wr * np.abs(fits[1]) + wc * np.abs(fits[2])
+               + np.sum(reach * np.abs(fits[3:]), axis=0) + np.fmax.reduce(np.abs(tiles), axis=1))
+    const_t = err + _BOUND_ABS * scale_t
+    e = g.extent
+    scale_c = _BOUND_ABS * np.abs(coef).T @ np.array([1.0, e, e, 0.5 * e * e, e * e, 0.5 * e * e])
+    hess_c = g.h**2 * coef[3:]
+    rlo, rhi, clo, chi = ti + ra, ti + rb, tj + ca, tj + cb
+    rmid, cmid = ti + (ra + rb) // 2, tj + (ca + cb) // 2
+
+    def bound(cols):
+        ci, cj = ii[cols, None], jj[cols, None]
+        p = coef[:, cols].T @ taylor
+        mid = np.abs(np.subtract(fits[0], p[:, :count], out=p[:, :count]))
+        out = np.add.outer(scale_c[cols], const_t)
+        out += mid
+        for q, w, part in ((fits[1], wr, p[:, count:2 * count]), (fits[2], wc, p[:, 2 * count:])):
+            np.subtract(q, part, out=part)
+            np.abs(part, out=part)
+            part *= w
+            out += part
+        for q, w, c in zip(fits[3:], reach, hess_c[:, cols, None]):
+            part = np.abs(q - c)
+            part *= w
+            out += part
+        di = np.maximum(np.maximum(rlo - ci, ci - rhi), 0)
+        dj = np.maximum(np.maximum(clo - cj, cj - chi), 0)
+        di *= n
+        di += dj
+        out /= flat[np.maximum(di, 1, out=di)]  # offset (0, 1) for the center's own tile
+        est = flat[np.abs(rmid - ci) * n + np.abs(cmid - cj)]
+        return out, np.divide(mid, est, out=est)
+
+    def exact(cols, tids):
+        rows, lines = ti[tids, None] + np.arange(t), tj[tids, None] + np.arange(t)
+        ratio = _evaluate(coef[:, cols, None, None], xs[rows][:, :, None], xs[lines][:, None, :])
+        np.subtract(tiles[tids].reshape(-1, t, t), ratio, out=ratio)
+        np.abs(ratio, out=ratio)
+        ratio /= flat[(np.abs(rows - ii[cols, None]) * n)[:, :, None]
+                      + np.abs(lines - jj[cols, None])[:, None, :]]
+        return np.fmax.reduce(ratio.reshape(-1, t * t), axis=1)
+
+    return count, bound, exact
 
 
 SEMINORM_NODE_CAP = 1089  # default cap on the nodes a pairwise seminorm compares (33^2)
@@ -452,7 +592,8 @@ SEMINORM_NODE_CAP = 1089  # default cap on the nodes a pairwise seminorm compare
 def _pairwise_holder(g, mask: np.ndarray, fields, alpha: float, max_nodes: int) -> float:
     """Max over distinct node pairs of max_k |v_k(x) - v_k(y)| / |x - y|^alpha,
     with v_k the lattice arrays in fields, over the nodes of mask kept by the
-    lattice stride that leaves at most about max_nodes of them; fewer than 2 is an error."""
+    lattice stride that leaves at most about max_nodes of them; fewer than 2 is an error.
+    Each node is compared with all others in row blocks of at most _BLOCK pairs."""
     if max_nodes < 2:
         raise ValueError(f"a pairwise seminorm needs a node cap of at least 2, got {max_nodes}")
     ii, jj = np.nonzero(mask)
@@ -464,15 +605,17 @@ def _pairwise_holder(g, mask: np.ndarray, fields, alpha: float, max_nodes: int) 
     x, y = g.X[ii, jj], g.Y[ii, jj]
     cols = [v[ii, jj] for v in fields]
     worst = 0.0
-    chunk = 256
-    for lo in range(0, len(ii), chunk):
-        s = slice(lo, lo + chunk)
-        dist = np.hypot(x[s][:, None] - x[None, :], y[s][:, None] - y[None, :])
-        diff = np.abs(cols[0][s][:, None] - cols[0][None, :])
+    rows = max(1, _BLOCK // len(ii))
+    for lo in range(0, len(ii), rows):
+        s = slice(lo, lo + rows)
+        dist = np.hypot(x[s, None] - x, y[s, None] - y)
+        np.fill_diagonal(dist[:, lo:], np.inf)
+        dist **= alpha  # the same rounding as dist**alpha, in place
+        diff = np.abs(cols[0][s, None] - cols[0])
         for v in cols[1:]:
-            diff = np.maximum(diff, np.abs(v[s][:, None] - v[None, :]))
-        np.fill_diagonal(dist[:, lo:lo + diff.shape[0]], np.inf)
-        worst = max(worst, float(np.max(diff / dist**alpha)))
+            np.maximum(diff, np.abs(v[s, None] - v), out=diff)
+        diff /= dist
+        worst = max(worst, float(np.max(diff)))
     return worst
 
 

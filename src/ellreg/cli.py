@@ -29,10 +29,11 @@ selftest runs the acceptance check registry (ellreg.checks) at its reduced
 scale, with every Philox key set to the run seed.
 
 analyze --pointwise fits the quadratics of all centers whose fit ball lies on
-defined nodes together (one shared design matrix, ball membership decided in
-integer lattice offsets) and fits each center with a clipped ball alone; the
-per-center constants K_c read their distances from one table over integer
-lattice offsets.
+defined nodes together (one shared design matrix, factored once by a thin QR,
+ball membership decided in integer lattice offsets) and fits each center with
+a clipped ball alone; the per-center constants K_c read their distances from
+one table over integer lattice offsets, and only the 8 x 8 lattice tiles whose
+bound can beat a center's best value so far are evaluated node by node.
 """
 
 from __future__ import annotations

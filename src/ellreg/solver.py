@@ -405,7 +405,9 @@ class _Multigrid:
         c22).  J is not symmetric, so it runs GMRES (Y. Saad and M. H.
         Schultz, SIAM J. Sci. Stat. Comput. 7, 1986) right-preconditioned by
         one V-cycle.  The Krylov basis grows one vector per iteration up to
-        _GMRES_RESTART, and each restart starts from the true residual."""
+        _GMRES_RESTART, and each restart starts from the true residual.  A
+        residual estimate that is not finite ends the step with the iterate of
+        the restarts before it."""
         top, mask = self._top, self._top.mask
         c11, c12, c22 = coeffs
 
@@ -443,6 +445,8 @@ class _Multigrid:
                 g[-1:] = [c * g[-1], -s * g[-1]]
                 cols.append(col)
                 it += 1
+            if not (math.isfinite(g[-1]) and math.isfinite(beta)):
+                break  # a NaN stops no loop here; the chord loop's checks end the solve
             if cols:
                 R = np.zeros((len(cols), len(cols)))
                 for j, col in enumerate(cols):

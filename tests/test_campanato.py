@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -440,6 +441,109 @@ def test_pointwise_batched_fits_match_per_center_reference(shape, extent, hole, 
             coef = np.concatenate([[p.a], p.b, p.c.ravel()])
             coef_ref = np.concatenate([[q.a], q.b, q.c.ravel()])
             assert np.max(np.abs(coef - coef_ref)) <= 1e-10 * np.max(np.abs(coef_ref))
+
+
+def _fit_centers(u, region_radius):
+    """The lattice indices of the pointwise fit centers, in their order."""
+    ii, jj = np.nonzero(u.defined & u.grid.ball(region_radius))
+    keep = (ii % 2 == 0) & (jj % 2 == 0)
+    return ii[keep], jj[keep]
+
+
+def _kc_brute_force(u, fits, alpha, region_radius):
+    """Each center's K_c as the max over every defined node of the per-node
+    contribution |u - P_c| / ((di^2 + dj^2) h^2)^(1 + alpha/2), P_c the
+    returned polynomial, inf at the center itself."""
+    g = u.grid
+    off = np.arange(g.N)
+    table = ((off[:, None] ** 2 + off[None, :] ** 2) * g.h**2) ** (1.0 + 0.5 * alpha)
+    table[0, 0] = np.inf
+    out = []
+    for (poly, _), i, j in zip(fits, *_fit_centers(u, region_radius)):
+        ratio = np.abs(u.values - poly(g.X, g.Y)) / table[np.abs(off - i)][:, np.abs(off - j)]
+        out.append(np.max(ratio[u.defined]))
+    return out
+
+
+@st.composite
+def _pointwise_inputs(draw):
+    g = Grid2(draw(st.sampled_from(("disk", "square"))), draw(st.integers(17, 65)),
+              draw(st.sampled_from((0.5, 0.75, 1.0))))
+    seed = draw(st.integers(0, 2**32 - 1))
+    defined = holey_field(g, seed).defined if draw(st.booleans()) else g.defined
+    X, Y = g.X / g.extent, g.Y / g.extent
+    kind = draw(st.sampled_from(("random", "smooth", "quadratic")))
+    if kind == "random":
+        values = philox(seed).standard_normal((g.N, g.N))
+    elif kind == "smooth":
+        values = np.sin(3 * X) * np.cos(2 * Y) + np.hypot(X - 0.1, Y) ** 2.5
+    else:  # every residual is rounding, so the bounds live on their margins
+        values = cp.QuadraticPolynomial(philox(seed).uniform(-1, 1, 6))(X, Y)
+    u = GridFunction(g, np.where(defined, values, np.nan), defined)
+    alpha = draw(st.floats(0.0, 1.0, exclude_min=True))
+    region_radius = draw(st.sampled_from((0.2, 0.5, 0.8))) * g.extent
+    # one tile for the incumbent leaves more of the search to the bounds
+    return u, alpha, region_radius, draw(st.sampled_from((1, cp._INCUMBENT)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_pointwise_inputs())
+def test_tiled_pointwise_constants_equal_the_brute_force_max(inputs):
+    u, alpha, region_radius, incumbent = inputs
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cp, "_INCUMBENT", incumbent)
+            fits = cp.pointwise_fit_constants(u, alpha, region_radius=region_radius)
+    except ValueError as exc:  # a clipped ball with too few nodes, or no center
+        assert "need at least 12" in str(exc) or "no fit centers" in str(exc)
+        return
+    assert [k for _, k in fits] == _kc_brute_force(u, fits, alpha, region_radius)
+    # every tile's bound holds for every center, not only where the search looked
+    coef = np.stack([p.coef for p, _ in fits], axis=1)
+    count, bound, exact = cp._tiles(u, coef, *_fit_centers(u, region_radius), alpha)
+    cols = np.arange(len(fits))
+    bounds = bound(cols)[0]
+    assert np.all(exact(np.repeat(cols, count), np.tile(np.arange(count), len(cols)))
+                  <= bounds.ravel())
+
+
+def test_tile_bounds_are_their_widening_alone_on_a_quadratic():
+    # every tile of a square N = 8k + 1 lattice either pins a quadratic or is
+    # one row or column long, so Q_t is u up to rounding; with u itself as
+    # every P_c, a bound is its widening, about 1e-12 of the magnitudes, over
+    # a distance power of at least h^(2+alpha)
+    g = Grid2.square(65)
+    P = cp.QuadraticPolynomial([0.3, -1.2, 0.7, 2.0, -0.4, 1.1])
+    u = GridFunction.from_callable(g, P)
+    ii, jj = (a.ravel() for a in np.mgrid[0:65:7, 0:65:5])
+    coef = np.repeat(P.coef[:, None], len(ii), axis=1)
+    bounds = cp._tiles(u, coef, ii, jj, 0.5)[1](np.arange(len(ii)))[0]
+    scale = u.sup() + np.abs(P.coef) @ [1.0, 1.0, 1.0, 0.5, 1.0, 0.5]
+    assert np.all(bounds * g.h**2.5 <= 1e-10 * scale)
+
+
+def test_lattice_sup_kernels_work_in_bounded_blocks(disk257):
+    # a pairwise seminorm over 5,000 nodes compares 25 million pairs, and the
+    # pointwise fits at N = 257 gather 797 balls of 4,633 nodes
+    g = Grid2.disk(81)
+    ii, jj = np.nonzero(g.defined)
+    mask = np.zeros_like(g.defined)
+    mask[ii[:5000], jj[:5000]] = True
+    field = np.where(g.defined, np.sin(g.X + 2 * g.Y), np.nan)
+    u = GridFunction.from_callable(disk257, lambda x, y: np.sin(x + 2 * y) + x**4)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        cp._pairwise_holder(g, mask, (field, 2 * field), 0.5, 5000)
+        holder_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        fits = cp.pointwise_fit_constants(u, 0.25)
+        pointwise_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(fits) == 797
+    assert holder_peak < 4e6
+    assert pointwise_peak < 16e6
 
 
 def test_seminorm_zero_on_quadratic(disk65):

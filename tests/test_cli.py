@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+import configparser
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ellreg import checks, cli, solver
+from ellreg import checks, cli, operators, solver
 from ellreg.grid import Grid2, GridFunction, load_grid, save_grid
 
 from conftest import cubic_harmonic, saddle
@@ -396,7 +400,7 @@ def test_each_subcommand_loads_only_what_it_runs(tmp_path, argv, unloaded):
         save_grid(tmp_path / "u.grid", GridFunction.from_callable(g, saddle))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(argv)], cwd=tmp_path,
-                          env=env, capture_output=True, text=True, check=True)
+                          env=env, capture_output=True, text=True, check=True, timeout=120)
     code, modules = json.loads(done.stdout.splitlines()[-1])
     assert code == cli.EXIT_OK
     assert "ellreg.cli" in modules
@@ -473,6 +477,63 @@ def test_config_canonical_round_trip(tmp_path):
     again.write_text(canon)
     assert cli.canonical_config(cli._load_config(str(again))) == canon
     assert canon.index("[grid]") < canon.index("[operator]")
+
+
+_CONFIG_DECLS = {(section, key): (cast, kw)
+                 for section, params in (cli._GRID, cli._OPERATOR, cli._SOLVE, cli._CONSTANTS,
+                                         cli._ANALYZE, cli._CORDES)
+                 for _, key, cast, _, kw in params}
+
+
+def _config_values(key, cast, kw):
+    """Values a config file may give the parameter, as the text it holds."""
+    if "choices" in kw:
+        return st.sampled_from(kw["choices"])
+    if key == "perturbation":
+        return st.sampled_from(operators.PERTURBATIONS)
+    if key in ("boundary", "source"):
+        return st.sampled_from(sorted(cli.PROFILES))
+    if cast is int:
+        return st.integers(-10**6, 10**6).map(str)
+    if cast is float:
+        return st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    return st.text("abcdefghijklmnopqrstuvwxyz0123456789_./-", min_size=1, max_size=20)
+
+
+@st.composite
+def _configs(draw):
+    keys = draw(st.sets(st.sampled_from(sorted(_CONFIG_DECLS))))
+    cfg = {}
+    for section, key in sorted(keys):
+        cast, kw = _CONFIG_DECLS[section, key]
+        cfg.setdefault(section, {})[key] = draw(_config_values(key, cast, kw))
+    return cfg
+
+
+@settings(max_examples=60, deadline=None)
+@given(_configs())
+def test_canonical_config_round_trips_byte_for_byte(cfg):
+    assert {("constants", "lambda"), ("constants", "Lambda")} <= _CONFIG_DECLS.keys()
+    parser = configparser.ConfigParser()
+    parser.optionxform = str
+    parser.read_dict(cfg)
+    canon = cli.canonical_config(parser)
+    # the text does not depend on the order the sections and keys came in
+    reordered = configparser.ConfigParser()
+    reordered.optionxform = str
+    reordered.read_dict({s: dict(reversed(v.items())) for s, v in reversed(cfg.items())})
+    assert cli.canonical_config(reordered) == canon
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "canon.cfg"
+        path.write_text(canon)
+        parsed = cli._load_config(str(path))
+    assert cli.canonical_config(parsed) == canon
+    # every key keeps its case and its text, and each value still casts
+    assert {s: dict(parsed[s]) for s in parsed.sections()} == cfg
+    for section, values in cfg.items():
+        for key, text in values.items():
+            cast = _CONFIG_DECLS[section, key][0]
+            assert cast(parsed.get(section, key)) == cast(text)
 
 
 def test_unknown_config_keys_exit_2(tmp_path, capsys):

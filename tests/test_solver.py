@@ -3,6 +3,7 @@ iteration, and the discrete comparison check."""
 
 from __future__ import annotations
 
+import signal
 import tempfile
 from pathlib import Path
 
@@ -691,6 +692,39 @@ def test_gmres_restarts_from_the_true_residual():
         d = mg.newton(coeffs, r)
     assert mg.iterations == [2]
     assert np.max(np.abs(d - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+def test_a_nan_in_the_v_cycle_ends_the_solve(monkeypatch):
+    # every V-cycle of a Newton step returns NaN; the step must give up rather
+    # than restart GMRES forever, and the chord loop then raises
+    newton, calls = sv._Multigrid.newton, []
+
+    def poisoned(self, coeffs, r):
+        top, cycle = self._top, type(self._top).cycle
+        calls.append(None)
+
+        def nan_cycle():
+            cycle(top)
+            top.x[top.mask] = np.nan
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(top, "cycle", nan_cycle, raising=False)
+            return newton(self, coeffs, r)
+
+    def timeout(signum, frame):
+        raise TimeoutError("the poisoned Newton step did not return")
+
+    monkeypatch.setattr(sv._Multigrid, "newton", poisoned)
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(30)
+    try:
+        with pytest.raises(sv.SolverError):
+            sv.solve_fully_nonlinear(op.OperatorSpec(1.0, 0.0, 1.0, 0.9, "sine"), None,
+                                     cubic_harmonic, Grid2.disk(33), max_sweeps=20)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert calls  # the solve did reach a Newton step
 
 
 @pytest.mark.parametrize("N", [34, 36, 38])
