@@ -20,13 +20,12 @@ coordinates rescaled to the unit frame for conditioning; values are never
 interpolated, so quadratic inputs are reproduced to rounding accuracy at
 every scale.  Sup deviations are brute-force maxima over the ball nodes.
 
-One least-squares helper serves the scale fits and fit_quadratic.  Pointwise
-centers are lattice nodes with ball membership decided in integer offsets, so
-all centers with unclipped balls share one design matrix, factored once by a
-thin QR; a center with a clipped ball goes through fit_quadratic.  Their
-constants K_c read the distance powers from one table over integer offsets,
-and bounds on 8 x 8 tiles of the lattice leave only the tiles that may hold
-a center's max to be evaluated, node by node as a brute-force pass would.
+Every quadratic fit is one truncated-SVD least-squares solve with lstsq's rank
+rule.  Pointwise centers are lattice nodes, so all centers with unclipped balls
+share one design matrix, factored once, and a clipped ball goes through
+fit_quadratic.  Their constants K_c read distance powers from one table over
+integer offsets, and bounds on 8 x 8 lattice tiles leave only the tiles that
+may hold a center's max to be evaluated, node by node.
 One pairwise kernel measures every Hoelder seminorm over a subsampled node
 set (entrywise max metric on the Hessian, matching the pointwise-to-uniform
 statement), exact on the sample.  These lattice sups work in blocks of at
@@ -115,12 +114,14 @@ def _physical(coef: np.ndarray, r: float, cx, cy) -> np.ndarray:
     return np.array([a, b1 - g1, b2 - g2, c11, c12, c22])
 
 
-def _lstsq6(A: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """Least-squares coefficients for the six-column design A."""
-    coef, _, rank, _ = np.linalg.lstsq(A, vals, rcond=None)
-    if rank < 6:
-        raise ValueError("degenerate node set: quadratic fit is rank-deficient")
-    return coef
+def _lstsq(design: np.ndarray):
+    """Truncated-SVD least squares for one (m, 6) design or a (k, m, 6) stack, rank by
+    lstsq's default rcond: (solve, rank), with solve mapping values (m,) or (m, p), stacked
+    alike, to minimum-norm coefficients (6,) or (6, p).  A zeroed row drops out of its fit."""
+    u, s, vt = np.linalg.svd(design, full_matrices=False)
+    keep = s > np.finfo(float).eps * max(design.shape[-2:]) * s[..., :1]
+    w = np.swapaxes(vt, -1, -2) * np.divide(1.0, s, out=np.zeros_like(s), where=keep)[..., None, :]
+    return (lambda values: w @ (np.swapaxes(u, -1, -2) @ values)), np.count_nonzero(keep, axis=-1)
 
 
 def _fit_ball(g, mask: np.ndarray, vals: np.ndarray, r: float, cx: float, cy: float):
@@ -128,7 +129,10 @@ def _fit_ball(g, mask: np.ndarray, vals: np.ndarray, r: float, cx: float, cy: fl
     unit frame of the ball of radius r about (cx, cy); returns the unit-frame
     coefficients and the max node deviation."""
     A = np.column_stack(_monomials((g.X[mask] - cx) / r, (g.Y[mask] - cy) / r))
-    coef = _lstsq6(A, vals)
+    solve, rank = _lstsq(A)
+    if rank < 6:
+        raise ValueError("degenerate node set: quadratic fit is rank-deficient")
+    coef = solve(vals)
     return coef, np.max(np.abs(vals - A @ coef))
 
 
@@ -396,11 +400,10 @@ def pointwise_fit_constants(u: GridFunction, alpha: float, region_radius: float 
 
     Centers are lattice nodes, so ball membership is decided in integer
     offsets, (di^2 + dj^2) h^2 <= ball_reach(_FIT_RADIUS)^2, and every center
-    whose offset ball lies on defined nodes shares one design matrix.  That
-    design is factored once by a thin QR, its rank decided by lstsq's default
-    rcond on the singular values of R, and its solve is applied to the values
-    of each chunk of centers gathered in one block.  A center whose ball is
-    clipped by the domain is fitted alone by fit_quadratic on its own node set.
+    whose offset ball lies on defined nodes shares one design matrix, factored
+    once by _lstsq, which must find it of full rank; its solve is applied to
+    the values of each chunk of centers gathered in one block.  A center whose
+    ball is clipped by the domain is fitted alone by fit_quadratic.
 
     K_c is taken in integer offsets too, |x - c|^(2+alpha) read from one table
     of ((di^2 + dj^2) h^2)^(1+alpha/2) whose zero offset holds inf, so the
@@ -426,11 +429,9 @@ def pointwise_fit_constants(u: GridFunction, alpha: float, region_radius: float 
     offsets = di * padded.shape[1] + dj
     flat = (ii + m) * padded.shape[1] + (jj + m)
     design = np.column_stack(_monomials(di * g.h / _FIT_RADIUS, dj * g.h / _FIT_RADIUS))
-    q, r = np.linalg.qr(design)
-    s = np.linalg.svd(r, compute_uv=False)
-    if np.count_nonzero(s > np.finfo(float).eps * len(design) * s[0]) < 6:
+    solve, rank = _lstsq(design)
+    if rank < 6:
         raise ValueError("degenerate node set: quadratic fit is rank-deficient")
-    solve = np.linalg.solve(r, q.T)
     cx, cy = g.X[ii, jj], g.Y[ii, jj]
 
     # physical coefficients, one column per center
@@ -440,9 +441,8 @@ def pointwise_fit_constants(u: GridFunction, alpha: float, region_radius: float 
         cols = np.arange(lo, min(lo + step, len(ii)))
         vals = padded.ravel()[flat[cols, None] + offsets]
         full = ~np.isnan(vals).any(axis=1)
-        if full.any():
-            coef[:, cols[full]] = _physical(solve @ vals[full].T, _FIT_RADIUS,
-                                            cx[cols[full]], cy[cols[full]])
+        coef[:, cols[full]] = _physical(solve(vals[full].T), _FIT_RADIUS,
+                                        cx[cols[full]], cy[cols[full]])
         for c in cols[~full]:
             coef[:, c] = fit_quadratic(u, (cx[c], cy[c]), _FIT_RADIUS)[0].coef
     kc = _pointwise_constants(u, coef, ii, jj, alpha)
@@ -488,7 +488,8 @@ def _tiles(u: GridFunction, coef: np.ndarray, ii, jj, alpha: float):
     skips.  The lattice is cut into _TILE x _TILE tiles, and the count tiles
     with a defined node each get the box of their defined nodes, a
     least-squares quadratic Q_t in index units about the box center and its
-    largest node residual e_t.  bound(cols) gives, for the centers cols, every
+    largest node residual e_t (a minimum-norm fit of any rank: e_t bounds its
+    residual).  bound(cols) gives, for the centers cols, every
     tile's (e_t + max over the box of |Q_t - P_c|) / dmin^(2+alpha), with
     dmin the box's integer offset from c floored at h, widened by _BOUND_ABS
     for rounding, and the estimate |Q_t - P_c| / |x - c|^(2+alpha) at the box
@@ -521,16 +522,15 @@ def _tiles(u: GridFunction, coef: np.ndarray, ii, jj, alpha: float):
     (ra, rb, mr, wr), (ca, cb, mc, wc) = box
     a, b = np.divmod(np.arange(t * t), t)
     full = present.all(axis=1)
+    fits, err = np.empty((6, count)), np.empty(count)
     local = np.column_stack(_monomials(a - 0.5 * (t - 1), b - 0.5 * (t - 1)))
-    fits = np.empty((6, count))
-    fits[:, full] = np.linalg.lstsq(local, tiles[full].T, rcond=None)[0]
-    err = np.empty(count)
+    fits[:, full] = _lstsq(local)[0](tiles[full].T)
     err[full] = np.max(np.abs(tiles[full] - fits[:, full].T @ local.T), axis=1)
-    for k in np.flatnonzero(~full):
-        on = present[k]
-        design = np.column_stack(_monomials(a[on] - mr[k], b[on] - mc[k]))
-        fits[:, k] = np.linalg.lstsq(design, tiles[k, on], rcond=None)[0]
-        err[k] = np.max(np.abs(tiles[k, on] - design @ fits[:, k]))
+    on = present[~full, :, None]  # the partial tiles, the rows of undefined nodes zeroed
+    design = np.stack(_monomials(a - mr[~full, None], b - mc[~full, None]), axis=-1) * on
+    part = _lstsq(design)[0](np.where(on, tiles[~full, :, None], 0.0))
+    fits[:, ~full] = part[..., 0].T
+    err[~full] = np.fmax.reduce(np.abs(tiles[~full, :, None] - design @ part), axis=(1, 2))
 
     # P_c about each box center in index units: value and h times the gradient,
     # each one product with coef; h^2 times the Hessian is h^2 coef[3:]
@@ -593,7 +593,7 @@ def _pairwise_holder(g, mask: np.ndarray, fields, alpha: float, max_nodes: int) 
     """Max over distinct node pairs of max_k |v_k(x) - v_k(y)| / |x - y|^alpha,
     with v_k the lattice arrays in fields, over the nodes of mask kept by the
     lattice stride that leaves at most about max_nodes of them; fewer than 2 is an error.
-    Each node is compared with all others in row blocks of at most _BLOCK pairs."""
+    Each pair is compared once, in row blocks of at most _BLOCK pairs."""
     if max_nodes < 2:
         raise ValueError(f"a pairwise seminorm needs a node cap of at least 2, got {max_nodes}")
     ii, jj = np.nonzero(mask)
@@ -608,12 +608,12 @@ def _pairwise_holder(g, mask: np.ndarray, fields, alpha: float, max_nodes: int) 
     rows = max(1, _BLOCK // len(ii))
     for lo in range(0, len(ii), rows):
         s = slice(lo, lo + rows)
-        dist = np.hypot(x[s, None] - x, y[s, None] - y)
-        np.fill_diagonal(dist[:, lo:], np.inf)
+        dist = np.hypot(x[s, None] - x[lo:], y[s, None] - y[lo:])
+        np.fill_diagonal(dist, np.inf)
         dist **= alpha  # the same rounding as dist**alpha, in place
-        diff = np.abs(cols[0][s, None] - cols[0])
+        diff = np.abs(cols[0][s, None] - cols[0][lo:])
         for v in cols[1:]:
-            np.maximum(diff, np.abs(v[s, None] - v), out=diff)
+            np.maximum(diff, np.abs(v[s, None] - v[lo:]), out=diff)
         diff /= dist
         worst = max(worst, float(np.max(diff)))
     return worst

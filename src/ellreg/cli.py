@@ -29,7 +29,7 @@ selftest runs the acceptance check registry (ellreg.checks) at its reduced
 scale, with every Philox key set to the run seed.
 
 analyze --pointwise fits the quadratics of all centers whose fit ball lies on
-defined nodes together (one shared design matrix, factored once by a thin QR,
+defined nodes together (one shared design matrix, factored once by a thin SVD,
 ball membership decided in integer lattice offsets) and fits each center with
 a clipped ball alone; the per-center constants K_c read their distances from
 one table over integer lattice offsets, and only the 8 x 8 lattice tiles whose
@@ -459,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=float)
     p.add_argument("--pointwise", action="store_true",
                    help="add the per-center certified Hoelder bound (centers whose fit ball "
-                        "lies on defined nodes share one least-squares design)")
+                        "lies on defined nodes share one SVD-factored least-squares design)")
     p.add_argument("--strict", action="store_true", help="warnings become exit code 1")
     p.add_argument("--csv-output", dest="csv_output", default="decay.csv")
     p.add_argument("--output", "-o", default=None, help="certificate JSON (default stdout)")

@@ -127,6 +127,76 @@ def test_quadratic_is_one_coefficient_vector(inputs):
     assert table.to_csv().splitlines()[1].split(",")[3:] == [repr(float(v)) for v in coef]
 
 
+@st.composite
+def _lstsq_inputs(draw):
+    """A (k, m, 6) stack of monomial designs on integer nodes in [-4, 4]^2 with
+    p right-hand sides each: full-rank designs holding the 3 x 3 block about
+    the origin, some of their other rows masked to zero; designs on the line
+    y = c x, of rank at most 3; or fewer than 6 nodes."""
+    rng = philox(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("generic", "line", "few")))
+    k, p = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    m = draw(st.integers(1, 5)) if kind == "few" else draw(st.integers(9, 40))
+    x, y = rng.integers(-4, 5, (2, k, m)).astype(float)
+    on = np.ones((k, m), dtype=bool)
+    if kind == "generic":
+        x[:, :9], y[:, :9] = (v.ravel() for v in np.mgrid[-1:2, -1:2])
+        on[:, 9:] = rng.random((k, m - 9)) < 0.8
+    elif kind == "line":
+        y = draw(st.sampled_from((0.0, 1.0, -2.0, 0.5))) * x
+    design = np.stack(cp._monomials(x, y), axis=-1) * on[..., None]
+    return design, np.where(on[..., None], rng.standard_normal((k, m, p)), 0.0), on
+
+
+@settings(deadline=None)
+@given(_lstsq_inputs())
+def test_lstsq_matches_the_reference_minimum_norm_solve(inputs):
+    design, values, on = inputs
+    solve, rank = cp._lstsq(design)
+    coef = solve(values)
+    for d, v, keep, r, c in zip(design, values, on, rank, coef):
+        # the masked rows dropped, against numpy's reference solve
+        ref, _, ref_rank, _ = np.linalg.lstsq(d[keep], v[keep], rcond=None)
+        assert r == ref_rank
+        assert np.max(np.abs(c - ref)) <= 1e-12 * np.max(np.abs(ref))
+        # one design alone, with one or many right-hand sides, solves the same
+        one, one_rank = cp._lstsq(d)
+        assert one_rank == r
+        assert np.max(np.abs(one(v) - c)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.max(np.abs(one(v[:, 0]) - c[:, 0])) <= 1e-12 * np.max(np.abs(ref))
+        if r < 6:  # minimum norm: orthogonal to every null vector of the design
+            null = np.linalg.svd(d[keep])[2][r:]
+            assert np.max(np.abs(null @ c)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_lstsq_drops_singular_values_at_lstsqs_default_rcond():
+    # designs with set singular values, one 4 times above eps * m and one
+    # half of it: lstsq's rule keeps the first and drops the second
+    rng, m = philox(11), 40
+    tol = np.finfo(float).eps * m
+    left, right = (np.linalg.qr(rng.standard_normal(shape))[0] for shape in ((m, 6), (6, 6)))
+    spectra = np.array([[1.0, 0.5, 0.25, 0.125, 4 * tol, tol / 2],
+                        [1.0, 0.5, 0.25, 4 * tol, tol / 2, tol / 2]])
+    design = (left * spectra[:, None, :]) @ right.T
+    ranks = [np.linalg.lstsq(d, np.zeros(m), rcond=None)[2] for d in design]
+    assert ranks == [5, 4]
+    assert cp._lstsq(design)[1].tolist() == ranks
+    assert [cp._lstsq(d)[1] for d in design] == ranks
+
+
+def test_seminorm_of_the_cubic_harmonic_is_its_closed_form():
+    # D^2_h of x^3 - 3 x y^2 is exact and affine, (6x, -6y, -6x), so in the
+    # entrywise max metric the seminorm over a ball of radius r is
+    # 6 |x - y|^(1 - alpha), largest on a diameter along an axis
+    for n in (33, 65, 129):
+        u = GridFunction.from_callable(Grid2.disk(n), cubic_harmonic)
+        for r in (0.25, 0.5):
+            for alpha in (0.25, 0.5, 0.75):
+                want = 6.0 * (2.0 * r) ** (1.0 - alpha)
+                assert cp.discrete_hessian_seminorm(u, alpha, radius=r) == pytest.approx(
+                    want, rel=1e-15, abs=0.0)
+
+
 # ---------------------------------------------------------------------------
 # improvement step
 
@@ -594,14 +664,18 @@ def _holder_inputs(draw):
 
 
 @settings(deadline=None)
-@given(_holder_inputs())
-def test_pairwise_holder_kernel_equals_brute_force(inputs):
+@given(_holder_inputs(), st.one_of(st.just(cp._BLOCK), st.integers(1, 64)))
+def test_pairwise_holder_kernel_equals_brute_force(inputs, block):
+    # blocks of a few pairs split the rows into many blocks, each compared
+    # with the nodes from its first row on
     expected = _holder_brute_force(*inputs)
-    if expected is None:
-        with pytest.raises(ValueError, match="pairwise seminorm"):
-            cp._pairwise_holder(*inputs)
-    else:
-        assert cp._pairwise_holder(*inputs) == expected
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cp, "_BLOCK", block)
+        if expected is None:
+            with pytest.raises(ValueError, match="pairwise seminorm"):
+                cp._pairwise_holder(*inputs)
+        else:
+            assert cp._pairwise_holder(*inputs) == expected
 
 
 # ---------------------------------------------------------------------------
