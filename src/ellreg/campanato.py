@@ -24,12 +24,16 @@ Every quadratic fit is one truncated-SVD least-squares solve with lstsq's rank
 rule.  Pointwise centers are lattice nodes, so all centers with unclipped balls
 share one design matrix, factored once, and a clipped ball goes through
 fit_quadratic.  Their constants K_c read distance powers from one table over
-integer offsets, and bounds on 8 x 8 lattice tiles leave only the tiles that
+integer offsets, and bounds on 8 x 8 lattice tiles, taken after one common
+quadratic is subtracted from u and from every fit, leave only the tiles that
 may hold a center's max to be evaluated, node by node.
-One pairwise kernel measures every Hoelder seminorm over a subsampled node
-set (entrywise max metric on the Hessian, matching the pointwise-to-uniform
-statement), exact on the sample.  These lattice sups work in blocks of at
-most _BLOCK entries, so their working memory does not grow with the lattice.
+One pairwise kernel measures every Hoelder seminorm over every node of its
+mask (entrywise max metric on the Hessian, matching the pointwise-to-uniform
+statement): bounds on pairs of lattice tiles leave only the tile pairs that
+may hold the max to be evaluated, node by node, so the result is the max over
+all node pairs bit for bit.  _tiling cuts the lattice into tiles for both
+kinds of bound.  These lattice sups work in blocks of at most _BLOCK entries,
+so their working memory does not grow with the lattice.
 """
 
 from __future__ import annotations
@@ -50,7 +54,6 @@ __all__ = [
     "DecayRecord",
     "DecayTable",
     "QuadraticPolynomial",
-    "SEMINORM_NODE_CAP",
     "StepReport",
     "campanato_iterate",
     "certificate_check",
@@ -408,8 +411,11 @@ def pointwise_fit_constants(u: GridFunction, alpha: float, region_radius: float 
     K_c is taken in integer offsets too, |x - c|^(2+alpha) read from one table
     of ((di^2 + dj^2) h^2)^(1+alpha/2) whose zero offset holds inf, so the
     center itself drops out; _tiles bounds it on tiles of the lattice, and
-    _pointwise_constants evaluates only the tiles those bounds leave.  The
-    result order is fixed by the center enumeration.
+    _pointwise_constants evaluates only the tiles those bounds leave.  Both
+    take u and every P_c less Q0, the entrywise median of the P_c
+    coefficients, so the bounds' rounding widening scales with the
+    deviations and not with a quadratic the fits share.  The result order
+    is fixed by the center enumeration.
     """
     g = u.grid
     ii, jj = np.nonzero(u.defined & g.ball(region_radius))
@@ -445,7 +451,10 @@ def pointwise_fit_constants(u: GridFunction, alpha: float, region_radius: float 
                                         cx[cols[full]], cy[cols[full]])
         for c in cols[~full]:
             coef[:, c] = fit_quadratic(u, (cx[c], cy[c]), _FIT_RADIUS)[0].coef
-    kc = _pointwise_constants(u, coef, ii, jj, alpha)
+    # (u - Q0) - (P_c - Q0) is u - P_c in exact arithmetic
+    q0 = np.median(coef, axis=1)
+    shifted = GridFunction(g, u.values - _evaluate(q0, g.xs[:, None], g.xs), u.defined)
+    kc = _pointwise_constants(shifted, coef - q0[:, None], ii, jj, alpha)
     return [(QuadraticPolynomial(coef[:, c]), float(kc[c])) for c in range(len(ii))]
 
 
@@ -479,6 +488,34 @@ def _pointwise_constants(u: GridFunction, coef: np.ndarray, ii, jj, alpha: float
     return kc
 
 
+def _tiling(defined: np.ndarray, t: int):
+    """The t x t tiles of the lattice, padded past its frame to side n, that
+    hold a node of defined: (cut, ti, tj, box, n).  cut(a) gives the entries
+    of the lattice array a on those tiles, one row of t*t per tile in
+    row-major order, NaN off defined; (ti, tj) are each tile's first row and
+    column, and box = (ra, rb, ca, cb) the first and last row and column of
+    its defined nodes, counted from there."""
+    N = defined.shape[0]
+    nt = -(-N // t)
+    n = nt * t
+
+    def tiled(a, fill):
+        a = np.pad(a, ((0, n - N),) * 2, constant_values=fill)
+        return a.reshape(nt, t, nt, t).swapaxes(1, 2).reshape(nt * nt, t * t)
+
+    present = tiled(defined, False)
+    live = np.flatnonzero(present.any(axis=1))
+    box = []
+    for axis in (2, 1):
+        seen = present[live].reshape(-1, t, t).any(axis=axis)
+        box += [np.argmax(seen, axis=1), t - 1 - np.argmax(seen[:, ::-1], axis=1)]
+
+    def cut(a):
+        return tiled(np.where(defined, a, np.nan), np.nan)[live]
+
+    return cut, live // nt * t, live % nt * t, tuple(box), n
+
+
 def _tiles(u: GridFunction, coef: np.ndarray, ii, jj, alpha: float):
     """The tiles of the lattice for the K_c of the quadratics in the columns of
     coef centered at the nodes (ii, jj): (count, bound, exact).
@@ -498,28 +535,17 @@ def _tiles(u: GridFunction, coef: np.ndarray, ii, jj, alpha: float):
     """
     g = u.grid
     t = _TILE
-    nt = -(-g.N // t)
-    n = nt * t
-    values = np.pad(u.filled(np.nan), ((0, n - g.N),) * 2, constant_values=np.nan)
+    cut, ti, tj, (ra, rb, ca, cb), n = _tiling(u.defined, t)
+    tiles = cut(u.values)
+    present = ~np.isnan(tiles)
+    count = len(ti)
+    mr, wr, mc, wc = 0.5 * (ra + rb), 0.5 * (rb - ra), 0.5 * (ca + cb), 0.5 * (cb - ca)
     xs = np.pad(g.xs, (0, n - g.N))  # X[i, j] = xs[i] and Y[i, j] = xs[j]
     off = np.arange(n)
     table = ((off[:, None] ** 2 + off[None, :] ** 2) * g.h**2) ** (1.0 + 0.5 * alpha)
     table[0, 0] = np.inf
     flat = table.ravel()  # the entry of offset (di, dj) at di * n + dj
 
-    tiles = values.reshape(nt, t, nt, t).swapaxes(1, 2).reshape(nt * nt, t * t)
-    present = ~np.isnan(tiles)
-    live = np.flatnonzero(present.any(axis=1))
-    tiles, present = tiles[live], present[live]
-    count = len(live)
-    ti, tj = live // nt * t, live % nt * t  # first row and column of each tile
-    # the box of each tile's defined nodes: first and last row and column, center, half-width
-    box = []
-    for axis in (2, 1):
-        seen = present.reshape(-1, t, t).any(axis=axis)
-        first, last = np.argmax(seen, axis=1), t - 1 - np.argmax(seen[:, ::-1], axis=1)
-        box.append((first, last, 0.5 * (first + last), 0.5 * (last - first)))
-    (ra, rb, mr, wr), (ca, cb, mc, wc) = box
     a, b = np.divmod(np.arange(t * t), t)
     full = present.all(axis=1)
     fits, err = np.empty((6, count)), np.empty(count)
@@ -586,46 +612,120 @@ def _tiles(u: GridFunction, coef: np.ndarray, ii, jj, alpha: float):
     return count, bound, exact
 
 
-SEMINORM_NODE_CAP = 1089  # default cap on the nodes a pairwise seminorm compares (33^2)
+def _holder_tile(nodes: int) -> int:
+    """Side t of the tiles that bound a pairwise seminorm over this many nodes:
+    about nodes^(1/4) / 2 balances the (nodes / t^2)^2 / 2 tile-pair bounds
+    against the t^4 node pairs of each tile pair evaluated, and t^4 <= _BLOCK
+    keeps one tile pair within a block."""
+    return max(1, min(round(0.5 * nodes**0.25), math.isqrt(math.isqrt(_BLOCK))))
 
 
-def _pairwise_holder(g, mask: np.ndarray, fields, alpha: float, max_nodes: int) -> float:
-    """Max over distinct node pairs of max_k |v_k(x) - v_k(y)| / |x - y|^alpha,
-    with v_k the lattice arrays in fields, over the nodes of mask kept by the
-    lattice stride that leaves at most about max_nodes of them; fewer than 2 is an error.
-    Each pair is compared once, in row blocks of at most _BLOCK pairs."""
-    if max_nodes < 2:
-        raise ValueError(f"a pairwise seminorm needs a node cap of at least 2, got {max_nodes}")
-    ii, jj = np.nonzero(mask)
-    stride = max(1, math.ceil(math.sqrt(len(ii) / max_nodes)))
-    keep = (ii % stride == 0) & (jj % stride == 0)
-    ii, jj = ii[keep], jj[keep]
-    if len(ii) < 2:
-        raise ValueError("ball under-resolved for a pairwise seminorm")
-    x, y = g.X[ii, jj], g.Y[ii, jj]
-    cols = [v[ii, jj] for v in fields]
-    worst = 0.0
-    rows = max(1, _BLOCK // len(ii))
-    for lo in range(0, len(ii), rows):
-        s = slice(lo, lo + rows)
-        dist = np.hypot(x[s, None] - x[lo:], y[s, None] - y[lo:])
-        np.fill_diagonal(dist, np.inf)
+# relative widening of a tile-pair bound per node of a lattice axis: the
+# difference of two node coordinates rounds by up to about N double epsilons
+# of h, and the powers and quotients by a few more
+_SPREAD_WIDEN = 8.0 * np.finfo(float).eps
+
+
+def _holder_tiles(g, mask: np.ndarray, fields, alpha: float):
+    """The tiles of the lattice for the pairwise seminorm of the lattice arrays
+    in fields over the nodes of mask: (count, t, bound, exact).
+
+    A pair of distinct nodes (x, y) contributes max_k |v_k(x) - v_k(y)| /
+    |x - y|^alpha, its distance the hypot of the coordinate differences.
+    The lattice is cut into t x t tiles, t from the node count, and the count
+    tiles with a node each get the box of their nodes and every field's
+    NaN-aware min and max there.  bound(rows), for a slice of tiles A, gives
+    against every tile B from rows.start on the largest over the fields of
+    max(max_A v - min_B v, max_B v - min_A v) / (dmin h)^alpha, with dmin the
+    boxes' integer offset floored at 1, widened by 1 + _SPREAD_WIDEN N, and
+    -inf for B before A; exact(p, q) gives the max contribution of a node of
+    tile p[s] and a node of tile q[s], each pair in the same expression.
+    """
+    nodes = int(np.count_nonzero(mask))
+    if nodes < 2:
+        raise ValueError(f"a pairwise seminorm needs at least 2 nodes, got {nodes}")
+    t = _holder_tile(nodes)
+    cut, ti, tj, (ra, rb, ca, cb), _ = _tiling(mask, t)
+    count = len(ti)
+    x, y = cut(g.X), cut(g.Y)
+    vals = [cut(v) for v in fields]
+    lo = [np.fmin.reduce(v, axis=1) for v in vals]
+    hi = [np.fmax.reduce(v, axis=1) for v in vals]
+    rlo, rhi, clo, chi = ti + ra, ti + rb, tj + ca, tj + cb
+    widen = (1.0 + _SPREAD_WIDEN * g.N) / g.h**alpha
+
+    def bound(rows):
+        a, b = rows, slice(rows.start, count)
+        spread, other = np.full((2, a.stop - a.start, count - a.start), -np.inf)
+        for top, bottom in zip(hi, lo):
+            np.maximum(spread, np.subtract(top[a, None], bottom[b], out=other), out=spread)
+            np.maximum(spread, np.subtract(top[b], bottom[a, None], out=other), out=spread)
+        gap = np.zeros_like(spread)  # the boxes' squared integer offset
+        for first, last in ((rlo, rhi), (clo, chi)):
+            np.maximum(np.subtract(first[b], last[a, None], out=other),
+                       first[a, None] - last[b], out=other)
+            np.maximum(other, 0.0, out=other)
+            other *= other
+            gap += other
+        np.maximum(gap, 1.0, out=gap)
+        gap **= 0.5 * alpha
+        spread *= widen
+        spread /= gap
+        spread[np.tri(*spread.shape, -1, dtype=bool)] = -np.inf
+        return spread
+
+    def exact(p, q):
+        dist = np.subtract(x[p, :, None], x[q, None, :])
+        diff = np.subtract(y[p, :, None], y[q, None, :])
+        np.hypot(dist, diff, out=dist)
+        same = np.flatnonzero(p == q)
+        dist[same[:, None], np.arange(t * t), np.arange(t * t)] = np.inf
         dist **= alpha  # the same rounding as dist**alpha, in place
-        diff = np.abs(cols[0][s, None] - cols[0][lo:])
-        for v in cols[1:]:
-            np.maximum(diff, np.abs(v[s, None] - v[lo:]), out=diff)
+        np.abs(np.subtract(vals[0][p, :, None], vals[0][q, None, :], out=diff), out=diff)
+        other = np.empty_like(diff)
+        for v in vals[1:]:
+            np.abs(np.subtract(v[p, :, None], v[q, None, :], out=other), out=other)
+            np.maximum(diff, other, out=diff)
         diff /= dist
-        worst = max(worst, float(np.max(diff)))
-    return worst
+        return np.fmax.reduce(diff.reshape(len(p), -1), axis=1)
+
+    return count, t, bound, exact
 
 
-def discrete_hessian_seminorm(u: GridFunction, alpha: float, radius: float = 0.25,
-                              max_nodes: int = SEMINORM_NODE_CAP) -> float:
-    """Brute-force pairwise [D^2 u]_alpha over a subsample of ball nodes,
-    entrywise max metric on the Hessian difference."""
+def _pairwise_holder(g, mask: np.ndarray, fields, alpha: float) -> float:
+    """Max over distinct node pairs of mask of max_k |v_k(x) - v_k(y)| /
+    |x - y|^alpha, with v_k the lattice arrays in fields, finite on mask;
+    fewer than 2 nodes is an error.
+
+    In row blocks of at most _BLOCK tile pairs, the tile pairs whose bound
+    (_holder_tiles) beats the best value so far are evaluated node by node in
+    falling bound order, so the result is the max over all node pairs bit for bit.
+    """
+    count, t, bound, exact = _holder_tiles(g, mask, fields, alpha)
+    per = max(1, _BLOCK // t**4)  # tile pairs of one exact evaluation
+    rows = max(1, _BLOCK // count)
+    best = 0.0
+    for lo in range(0, count, rows):
+        width = count - lo
+        bounds = bound(slice(lo, min(lo + rows, count))).ravel()
+        pairs = np.flatnonzero(bounds > best)
+        pairs = pairs[np.argsort(bounds[pairs])[::-1]]
+        top = bounds[pairs]
+        del bounds  # not held through the exact evaluations
+        for s in range(0, len(top), per):
+            take = pairs[s:s + per][top[s:s + per] > best]
+            if not len(take):
+                break
+            best = max(best, float(np.max(exact(lo + take // width, lo + take % width))))
+    return best
+
+
+def discrete_hessian_seminorm(u: GridFunction, alpha: float, radius: float = 0.25) -> float:
+    """Pairwise [D^2 u]_alpha over every ball node with a Hessian, entrywise
+    max metric on the Hessian difference."""
     H = hessian(u)
     g = u.grid
-    return _pairwise_holder(g, H.mask & g.ball(radius), (H.h11, H.h12, H.h22), alpha, max_nodes)
+    return _pairwise_holder(g, H.mask & g.ball(radius), (H.h11, H.h12, H.h22), alpha)
 
 
 @dataclass
@@ -639,14 +739,13 @@ class CertificateReport:
 
 
 def certificate_check(u: GridFunction, spec, f: GridFunction | None,
-                      constants: ConstantsReport, bounds: EllipticityBounds,
-                      subsample: int = SEMINORM_NODE_CAP) -> CertificateReport:
+                      constants: ConstantsReport, bounds: EllipticityBounds) -> CertificateReport:
     """Homogeneous: measured [D^2 u]_alpha_bar over B_(1/(4 Lam)) against
     C1 ||u||_inf (pass/fail).  Inhomogeneous: the accumulated-decay bound
     assembled from C4, delta and the pointwise factor; the full closed-form
     constant is never stated explicitly, so the comparison is informational.
-    Both pairwise seminorms, [D^2 u] and the source's, keep at most about
-    subsample nodes.
+    Both pairwise seminorms, [D^2 u] over the ball and the source's over
+    every defined node, are exact maxima over all their node pairs.
     """
     g = u.grid
     ball_radius = g.extent / (4.0 * bounds.Lam)
@@ -657,11 +756,11 @@ def certificate_check(u: GridFunction, spec, f: GridFunction | None,
     if not homogeneous and (constants.pair.alpha is None or constants.delta is None):
         raise ValueError("inhomogeneous certificate needs a full (alpha, alpha_bar) report")
     a = constants.pair.alpha_bar if homogeneous else constants.pair.alpha
-    measured = discrete_hessian_seminorm(u, a, radius=ball_radius, max_nodes=subsample)
+    measured = discrete_hessian_seminorm(u, a, radius=ball_radius)
     if homogeneous:
         bound = float(constants.C1) * sup_u
     else:
-        f_semi = _pairwise_holder(f.grid, f.defined, (f.values,), a, subsample)
+        f_semi = _pairwise_holder(f.grid, f.defined, (f.values,), a)
         T = float(1.0 / float(constants.delta)) * f_semi + sup_u
         bound = float(pointwise_factor(a)) * 2.0**a * float(constants.C4) * T
     return CertificateReport(measured, bound, bool(measured <= bound), not homogeneous,

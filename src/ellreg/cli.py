@@ -22,8 +22,7 @@ builds its one constants report before it loads or solves anything.
 Start-up: this module imports only the standard library, and each cmd_*
 imports the ellreg modules it runs, so constants loads mpmath and no numpy,
 and solve and cordes load no mpmath.  The parser reads no numpy module: the
-operator checks --perturbation, and analyze takes its --subsample fallback
-from campanato.
+operator checks --perturbation.
 
 selftest runs the acceptance check registry (ellreg.checks) at its reduced
 scale, with every Philox key set to the run seed.
@@ -220,8 +219,7 @@ def cmd_analyze(args) -> int:
     if table.truncated:
         warnings.append(f"decay table truncated: scale {len(table.records)} under-resolved")
 
-    subsample = campanato.SEMINORM_NODE_CAP if args.subsample is None else args.subsample
-    cert = campanato.certificate_check(u, spec, f, report, bounds, subsample=subsample)
+    cert = campanato.certificate_check(u, spec, f, report, bounds)
 
     pointwise_payload = None
     if args.pointwise:
@@ -260,7 +258,6 @@ def cmd_analyze(args) -> int:
         "rho": table.rho,
         "mode": table.mode,
         "certificate": dataclasses.asdict(cert),
-        "subsample_cap": subsample,
         "pointwise": pointwise_payload,
         "step_report": step_payload,
         "csv_output": args.csv_output,
@@ -391,8 +388,6 @@ _CONSTANTS = ("constants", (
 _ANALYZE = ("analyze", (
     _p("--rho", default=0.5),
     _p("--kmax", default=4, type=int),
-    _p("--subsample", default=None, type=int,
-       help="node cap of the pairwise seminorms (default ellreg.campanato.SEMINORM_NODE_CAP)"),
 ))
 _CORDES = ("analyze", (  # cordes reads its two bounds from [analyze]
     _p("--eps-slack", default=1.0),

@@ -4,7 +4,6 @@ Hoelder upgrades, and certificates."""
 from __future__ import annotations
 
 import dataclasses
-import math
 import tracemalloc
 
 import numpy as np
@@ -520,17 +519,27 @@ def _fit_centers(u, region_radius):
     return ii[keep], jj[keep]
 
 
+def _shifted(u, coef):
+    """u and the quadratics in the columns of coef less Q0, the entrywise
+    median of those columns, as the pointwise kernel takes them."""
+    g = u.grid
+    q0 = np.median(coef, axis=1)
+    return GridFunction(g, u.values - cp._evaluate(q0, g.X, g.Y), u.defined), coef - q0[:, None]
+
+
 def _kc_brute_force(u, fits, alpha, region_radius):
-    """Each center's K_c as the max over every defined node of the per-node
-    contribution |u - P_c| / ((di^2 + dj^2) h^2)^(1 + alpha/2), P_c the
-    returned polynomial, inf at the center itself."""
+    """Each center's K_c as the max over every defined node of the kernel's
+    per-node contribution |(u - Q0) - (P_c - Q0)| / ((di^2 + dj^2) h^2)^(1 + alpha/2),
+    P_c the returned polynomial, Q0 the entrywise median of their coefficients,
+    inf at the center itself."""
     g = u.grid
     off = np.arange(g.N)
     table = ((off[:, None] ** 2 + off[None, :] ** 2) * g.h**2) ** (1.0 + 0.5 * alpha)
     table[0, 0] = np.inf
+    shifted, coef = _shifted(u, np.stack([p.coef for p, _ in fits], axis=1))
     out = []
-    for (poly, _), i, j in zip(fits, *_fit_centers(u, region_radius)):
-        ratio = np.abs(u.values - poly(g.X, g.Y)) / table[np.abs(off - i)][:, np.abs(off - j)]
+    for c, i, j in zip(coef.T, *_fit_centers(u, region_radius)):
+        ratio = np.abs(shifted.values - cp._evaluate(c, g.X, g.Y)) / table[np.abs(off - i)][:, np.abs(off - j)]
         out.append(np.max(ratio[u.defined]))
     return out
 
@@ -569,8 +578,8 @@ def test_tiled_pointwise_constants_equal_the_brute_force_max(inputs):
         return
     assert [k for _, k in fits] == _kc_brute_force(u, fits, alpha, region_radius)
     # every tile's bound holds for every center, not only where the search looked
-    coef = np.stack([p.coef for p, _ in fits], axis=1)
-    count, bound, exact = cp._tiles(u, coef, *_fit_centers(u, region_radius), alpha)
+    shifted, coef = _shifted(u, np.stack([p.coef for p, _ in fits], axis=1))
+    count, bound, exact = cp._tiles(shifted, coef, *_fit_centers(u, region_radius), alpha)
     cols = np.arange(len(fits))
     bounds = bound(cols)[0]
     assert np.all(exact(np.repeat(cols, count), np.tile(np.arange(count), len(cols)))
@@ -592,8 +601,38 @@ def test_tile_bounds_are_their_widening_alone_on_a_quadratic():
     assert np.all(bounds * g.h**2.5 <= 1e-10 * scale)
 
 
+def _counting(monkeypatch, name):
+    """Patch the tiles factory cp.<name> to count: returns a dict that each
+    call sets "count", its number of tiles, in, and that each exact evaluation
+    adds its number of tiles or tile pairs to under "evaluated"."""
+    seen, factory = {"evaluated": 0}, getattr(cp, name)
+
+    def counting(*args):
+        *head, exact = factory(*args)
+        seen["count"] = head[0]
+
+        def counted(p, q):
+            seen["evaluated"] += len(q)
+            return exact(p, q)
+
+        return (*head, counted)
+
+    monkeypatch.setattr(cp, name, counting)
+    return seen
+
+
+def test_tiles_evaluated_per_center_stay_few_on_a_rounded_quadratic(monkeypatch):
+    # every u - P_c is rounding of a quadratic; with the common quadratic out
+    # before the tiles, the widening scales with that rounding, and the tiles
+    # near each center, the incumbent's among them, hold its max
+    u = GridFunction.from_callable(Grid2.disk(129), saddle)
+    seen = _counting(monkeypatch, "_tiles")
+    fits = cp.pointwise_fit_constants(u, 0.25)
+    assert seen["evaluated"] <= 8 * len(fits)
+
+
 def test_lattice_sup_kernels_work_in_bounded_blocks(disk257):
-    # a pairwise seminorm over 5,000 nodes compares 25 million pairs, and the
+    # a pairwise seminorm over 5,000 nodes has 12.5 million pairs, and the
     # pointwise fits at N = 257 gather 797 balls of 4,633 nodes
     g = Grid2.disk(81)
     ii, jj = np.nonzero(g.defined)
@@ -604,7 +643,7 @@ def test_lattice_sup_kernels_work_in_bounded_blocks(disk257):
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        cp._pairwise_holder(g, mask, (field, 2 * field), 0.5, 5000)
+        cp._pairwise_holder(g, mask, (field, 2 * field), 0.5)
         holder_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         fits = cp.pointwise_fit_constants(u, 0.25)
@@ -631,26 +670,32 @@ def test_seminorm_matches_known_profile(disk129):
 _HOLDER_GRIDS = (Grid2.disk(17), Grid2.square(17, 0.5))
 
 
-def _holder_brute_force(g, mask, fields, alpha, max_nodes):
+def _holder_brute_force(g, mask, fields, alpha):
+    """The pairwise seminorm over every node pair of mask, each node against
+    the nodes after it in row-major order; None for fewer than 2 nodes."""
     ii, jj = np.nonzero(mask)
-    stride = max(1, math.ceil(math.sqrt(len(ii) / max_nodes)))
-    nodes = [(i, j) for i, j in zip(ii, jj) if i % stride == 0 and j % stride == 0]
-    if max_nodes < 2 or len(nodes) < 2:
+    if len(ii) < 2:
         return None  # no pair to measure
+    x, y = g.X[ii, jj], g.Y[ii, jj]
     worst = 0.0
-    for n, (i, j) in enumerate(nodes):
-        for k, l in nodes[n + 1:]:
-            # one-element arrays take the kernel's vectorised power, which may
-            # round differently from the scalar one
-            dist = np.hypot(np.array([g.X[i, j] - g.X[k, l]]), np.array([g.Y[i, j] - g.Y[k, l]]))
-            worst = max(worst, max(abs(v[i, j] - v[k, l]) for v in fields) / (dist**alpha)[0])
+    for n in range(len(ii) - 1):
+        # row arrays take the kernel's vectorised power, which may round
+        # differently from the scalar one
+        dist = np.hypot(x[n] - x[n + 1:], y[n] - y[n + 1:]) ** alpha
+        diff = np.max([np.abs(v[ii[n], jj[n]] - v[ii[n + 1:], jj[n + 1:]]) for v in fields], axis=0)
+        worst = max(worst, float(np.max(diff / dist)))
     return worst
 
 
 @st.composite
 def _holder_inputs(draw):
     g = draw(st.sampled_from(_HOLDER_GRIDS))
-    flat = sorted(draw(st.sets(st.integers(0, g.N * g.N - 1), max_size=40)))
+    if draw(st.booleans()):  # nodes scattered over the lattice
+        flat = sorted(draw(st.sets(st.integers(0, g.N * g.N - 1), max_size=40)))
+    else:  # a window of the lattice with holes, so tiles hold several nodes
+        i0, j0 = draw(st.integers(0, g.N - 9)), draw(st.integers(0, g.N - 9))
+        keep = draw(st.lists(st.booleans(), min_size=81, max_size=81))
+        flat = [(i0 + k // 9) * g.N + j0 + k % 9 for k in range(81) if keep[k]]
     mask = np.zeros((g.N, g.N), dtype=bool)
     mask.ravel()[flat] = True
     fields = []
@@ -660,22 +705,69 @@ def _holder_inputs(draw):
                                         max_size=len(flat)))
         fields.append(v)
     alpha = draw(st.floats(0.0, 1.0, exclude_min=True))
-    return g, mask, tuple(fields), alpha, draw(st.integers(1, 50))
+    return (g, mask, tuple(fields), alpha), draw(st.integers(1, 8))
 
 
 @settings(deadline=None)
 @given(_holder_inputs(), st.one_of(st.just(cp._BLOCK), st.integers(1, 64)))
-def test_pairwise_holder_kernel_equals_brute_force(inputs, block):
-    # blocks of a few pairs split the rows into many blocks, each compared
-    # with the nodes from its first row on
+def test_pairwise_holder_kernel_equals_brute_force(drawn, block):
+    # small blocks split the tile pairs into many row blocks, and tiles of
+    # side t over a window with holes leave partial tiles and partial boxes
+    inputs, tile = drawn
     expected = _holder_brute_force(*inputs)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cp, "_BLOCK", block)
+        mp.setattr(cp, "_holder_tile", lambda nodes: tile)
         if expected is None:
-            with pytest.raises(ValueError, match="pairwise seminorm"):
+            with pytest.raises(ValueError, match="pairwise seminorm needs at least 2 nodes"):
                 cp._pairwise_holder(*inputs)
         else:
             assert cp._pairwise_holder(*inputs) == expected
+
+
+def test_pairwise_holder_needs_two_nodes():
+    g = Grid2.disk(17)
+    mask = np.zeros((17, 17), dtype=bool)
+    for count in (0, 1):
+        mask[8, 8:8 + count] = True
+        with pytest.raises(ValueError, match="needs at least 2 nodes, got %d" % count):
+            cp._pairwise_holder(g, mask, (g.X,), 0.5)
+
+
+@pytest.mark.parametrize("grid", [Grid2.square(33, 0.5), Grid2.disk(33, 3.0)])
+def test_holder_tile_bounds_hold_for_every_tile_pair(grid, monkeypatch):
+    # a field constant on each tile puts a pair of nearest nodes at the bound
+    # of its tile pair, so the node coordinates' rounding alone would break an
+    # unwidened bound
+    for tile in (2, 4):
+        nt = -(-grid.N // tile)
+        steps = np.kron(philox(tile).standard_normal((nt, nt)), np.ones((tile, tile)))
+        v = np.where(grid.defined, steps[:grid.N, :grid.N], np.nan)
+        monkeypatch.setattr(cp, "_holder_tile", lambda nodes: tile)
+        for alpha in (0.25, 0.5, 1.0):
+            count, _, bound, exact = cp._holder_tiles(grid, grid.defined, (v,), alpha)
+            bounds = bound(slice(0, count))
+            p, q = np.nonzero(bounds > -np.inf)
+            for s in range(0, len(p), 1024):
+                sl = slice(s, s + 1024)
+                assert np.all(exact(p[sl], q[sl]) <= bounds[p[sl], q[sl]])
+
+
+def _rounded_quadratic(x, y):
+    return 0.3 + 0.1 * x - 0.7 * y + 0.65 * x * x + 0.35 * x * y - 1.15 * y * y
+
+
+@pytest.mark.parametrize("field", [cubic_harmonic, _rounded_quadratic])
+def test_holder_tile_pairs_evaluated_stay_few_on_polynomial_hessians(field, monkeypatch):
+    # the cubic's Hessian is affine, so its seminorm sits on the farthest
+    # pairs and near tiles bound far below it; the quadratic's is constant up
+    # to rounding, and tiles a few rows apart bound below the rounding the
+    # nearest nodes measure.  Fewer tile pairs than tiles: without the floor
+    # on dmin, every tile's pair with itself would be evaluated
+    u = GridFunction.from_callable(Grid2.disk(257), field)
+    seen = _counting(monkeypatch, "_holder_tiles")
+    cp.discrete_hessian_seminorm(u, 0.5, radius=0.5)
+    assert seen["evaluated"] < seen["count"]
 
 
 # ---------------------------------------------------------------------------
@@ -713,19 +805,18 @@ def test_certificate_inhomogeneous_informational(disk129, identity_spec):
     assert cert.alpha_used == 0.25
 
 
-@pytest.mark.parametrize("cap", [64, 300])
-def test_certificate_source_seminorm_follows_the_node_cap(disk65, identity_spec, cap):
+def test_certificate_seminorms_are_brute_force_over_every_node(disk65, identity_spec):
     rep = report()
     u = GridFunction.from_callable(disk65, lambda x, y: saddle(x, y) + np.hypot(x, y) ** 2.5)
     f = GridFunction.from_callable(disk65, lambda x, y: 6.25 * np.hypot(x, y) ** 0.5)
-    cert = cp.certificate_check(u, identity_spec, f, rep, FLAT, subsample=cap)
+    cert = cp.certificate_check(u, identity_spec, f, rep, FLAT)
     a = rep.pair.alpha
-    f_semi = cp._pairwise_holder(disk65, f.defined, (f.values,), a, cap)
+    f_semi = _holder_brute_force(disk65, f.defined, (f.values,), a)
     T = float(1.0 / float(rep.delta)) * f_semi + u.sup()
-    assert cert.bound == pytest.approx(
-        float(C.pointwise_factor(a)) * 2.0**a * float(rep.C4) * T, rel=1e-12)
-    assert cert.measured_seminorm == cp.discrete_hessian_seminorm(
-        u, a, radius=cert.ball_radius, max_nodes=cap)
+    assert cert.bound == float(C.pointwise_factor(a)) * 2.0**a * float(rep.C4) * T
+    H = hessian(u)
+    assert cert.measured_seminorm == _holder_brute_force(
+        disk65, H.mask & disk65.ball(cert.ball_radius), (H.h11, H.h12, H.h22), a)
 
 
 def test_certificate_under_resolved_ball(identity_spec):

@@ -294,20 +294,6 @@ def _cubic65(tmp_path):
     return grid_file
 
 
-def test_analyze_rejects_a_subsample_cap_below_two_nodes(tmp_path, capsys):
-    base = ["analyze", "--input", str(_cubic65(tmp_path)), "--csv-output", str(tmp_path / "d.csv")]
-    for cap, message in (("0", "node cap of at least 2, got 0"),
-                         ("-4", "node cap of at least 2, got -4"),
-                         ("1", "node cap of at least 2, got 1"),
-                         ("2", "ball under-resolved")):  # one node survives the stride
-        code, out, err = run_cli(base + ["--subsample", cap], capsys)
-        assert code == cli.EXIT_USAGE, (cap, err)
-        assert message in err and out == ""
-    code, out, err = run_cli(base + ["--subsample", "12"], capsys)
-    assert code == cli.EXIT_OK, err
-    assert json.loads(out)["certificate"]["measured_seminorm"] > 0
-
-
 def test_analyze_with_a_zero_source_file_is_homogeneous(tmp_path, capsys):
     u_file = _cubic65(tmp_path)
     zero_file = tmp_path / "zero65.grid"
@@ -322,7 +308,9 @@ def test_analyze_with_a_zero_source_file_is_homogeneous(tmp_path, capsys):
         assert payload.pop("csv_output") == str(csv_file)
         runs.append((json.dumps(payload), csv_file.read_bytes()))
     assert runs[0] == runs[1]
-    assert json.loads(runs[1][0])["mode"] == "homogeneous"
+    payload = json.loads(runs[1][0])
+    assert payload["mode"] == "homogeneous"
+    assert payload["certificate"]["measured_seminorm"] > 0
 
 
 def test_cordes_identity_spec(tmp_path, capsys):
@@ -544,7 +532,9 @@ def test_unknown_config_keys_exit_2(tmp_path, capsys):
              "[operator] w_22"),
             # [DEFAULT] keys reach every section, so none is read
             (["constants"], "[DEFAULT]\nlamda = 0.5\n", "[DEFAULT] lamda"),
-            (["constants"], "[DEFAULT]\neps = 0.05\n\n[grid]\nn = 65\n", "[DEFAULT] eps")):
+            (["constants"], "[DEFAULT]\neps = 0.05\n\n[grid]\nn = 65\n", "[DEFAULT] eps"),
+            # the seminorms take every node, so the old node cap is no key
+            (["constants"], "[analyze]\nsubsample = 1089\n", "[analyze] subsample")):
         cfgfile.write_text(text)
         code, out, err = run_cli([*argv, "--config", str(cfgfile)], capsys)
         assert code == cli.EXIT_USAGE and out == ""
@@ -628,7 +618,6 @@ _SURFACE = [
     ("constants", "c0_variant", "statement", "--c0-variant", "constants"),
     ("analyze", "rho", "0.6", "--rho", "analyze"),
     ("analyze", "kmax", "3", "--kmax", "analyze"),
-    ("analyze", "subsample", "500", "--subsample", "analyze"),
     ("analyze", "eps_slack", "0.5", "--eps-slack", "cordes"),
     ("analyze", "f_bound", "0.1", "--f-bound", "cordes"),
 ]
@@ -677,7 +666,7 @@ def test_every_parameter_reaches_the_output_from_config_and_flags(tmp_path, caps
     assert summary["tol"] == 1e-9
     analysis = outputs["analyze"]
     assert analysis["rho"] == 0.6 and analysis["scales"] == 4
-    assert analysis["subsample_cap"] == 500 and analysis["pointwise"]["alpha"] == 0.3
+    assert analysis["pointwise"]["alpha"] == 0.3
     assert analysis["mode"] == "inhomogeneous"  # the source file reached the solve
     nirenberg = outputs["cordes"]["nirenberg"]
     assert nirenberg["k"] == pytest.approx(2.0 / (1.0 - 1.5 * nirenberg["max_dev_sq"]), rel=1e-12)
