@@ -23,17 +23,17 @@ every scale.  Sup deviations are brute-force maxima over the ball nodes.
 Every quadratic fit is one truncated-SVD least-squares solve with lstsq's rank
 rule.  Pointwise centers are lattice nodes, so all centers with unclipped balls
 share one design matrix, factored once, and a clipped ball goes through
-fit_quadratic.  Their constants K_c read distance powers from one table over
-integer offsets, and bounds on 8 x 8 lattice tiles, taken after one common
-quadratic is subtracted from u and from every fit, leave only the tiles that
-may hold a center's max to be evaluated, node by node.
+fit_quadratic.  Their one constant K = max_c K_c reads distance powers from
+one table over integer offsets, and bounds on (center, 8 x 8 lattice tile)
+pairs, taken after one common quadratic is subtracted from u and from every
+fit, leave only the pairs that may hold the max to be evaluated, node by node.
 One pairwise kernel measures every Hoelder seminorm over every node of its
 mask (entrywise max metric on the Hessian, matching the pointwise-to-uniform
 statement): bounds on pairs of lattice tiles leave only the tile pairs that
-may hold the max to be evaluated, node by node, so the result is the max over
-all node pairs bit for bit.  _tiling cuts the lattice into tiles for both
-kinds of bound.  These lattice sups work in blocks of at most _BLOCK entries,
-so their working memory does not grow with the lattice.
+may hold the max to be evaluated, node by node.  _tiling cuts the lattice into
+tiles for both kinds of bound, and one branch and bound, _lattice_max, finds
+both sups, the max over all node pairs bit for bit, in blocks of at most
+_BLOCK entries, so its working memory does not grow with the lattice.
 """
 
 from __future__ import annotations
@@ -374,17 +374,14 @@ def check_f_decay(f: GridFunction, alpha: float) -> float:
 # pointwise-to-uniform Hoelder upgrade and certificates
 
 
-def pointwise_to_holder(fits, alpha: float) -> float:
-    """(2 + 2^(2+alpha))^2 times the largest per-center pointwise constant."""
-    ks = [k for _, k in fits]
-    if not ks:
-        raise ValueError("missing fits: need at least one per-center constant")
-    return float(pointwise_factor(alpha)) * max(ks)
+def pointwise_to_holder(K: float, alpha: float) -> float:
+    """(2 + 2^(2+alpha))^2 times the pointwise constant K = max_c K_c."""
+    return float(pointwise_factor(alpha)) * K
 
 
 # entries of one block array in the lattice-sup kernels (512 KB of doubles): the
-# pairwise seminorm's row blocks, the pointwise fits' gathered values, and the
-# tile bounds and exactly evaluated tile nodes of a block of centers
+# bounds of one row block of _lattice_max, the nodes of its exact evaluations,
+# and the pointwise fits' gathered values
 _BLOCK = 1 << 16
 _FIT_STRIDE = 2  # centers on every second lattice row and column
 _FIT_RADIUS = 0.3
@@ -394,12 +391,12 @@ _TILE = 8  # side of the lattice tiles that bound K_c
 # residual in the tile too, so the widening covers the relative rounding of
 # the division as well
 _BOUND_ABS = 1e-12
-_INCUMBENT = 4  # tiles per center evaluated first, for the incumbent
 
 
 def pointwise_fit_constants(u: GridFunction, alpha: float, region_radius: float = 0.25):
-    """Per-center quadratic fits with their pointwise Hoelder constants
-    K_c = max_x |u(x) - P_c(x)| / |x - c|^(2+alpha) over the whole domain.
+    """The per-center quadratic fits P_c, in center order, and the pointwise
+    Hoelder constant K = max_c K_c, with K_c = max_x |u(x) - P_c(x)| /
+    |x - c|^(2+alpha) over the whole domain.
 
     Centers are lattice nodes, so ball membership is decided in integer
     offsets, (di^2 + dj^2) h^2 <= ball_reach(_FIT_RADIUS)^2, and every center
@@ -408,14 +405,13 @@ def pointwise_fit_constants(u: GridFunction, alpha: float, region_radius: float 
     the values of each chunk of centers gathered in one block.  A center whose
     ball is clipped by the domain is fitted alone by fit_quadratic.
 
-    K_c is taken in integer offsets too, |x - c|^(2+alpha) read from one table
-    of ((di^2 + dj^2) h^2)^(1+alpha/2) whose zero offset holds inf, so the
-    center itself drops out; _tiles bounds it on tiles of the lattice, and
-    _pointwise_constants evaluates only the tiles those bounds leave.  Both
-    take u and every P_c less Q0, the entrywise median of the P_c
-    coefficients, so the bounds' rounding widening scales with the
-    deviations and not with a quadratic the fits share.  The result order
-    is fixed by the center enumeration.
+    K is taken in integer offsets too, |x - c|^(2+alpha) read from one table
+    of ((di^2 + dj^2) h^2)^(1+alpha/2) whose zero offset holds inf, so each
+    center drops out of its own K_c; _tiles bounds every (center, tile) pair
+    and _lattice_max evaluates only the pairs those bounds leave.  Both take
+    u and every P_c less Q0, the entrywise median of the P_c coefficients, so
+    the bounds' rounding widening scales with the deviations and not with a
+    quadratic the fits share.
     """
     g = u.grid
     ii, jj = np.nonzero(u.defined & g.ball(region_radius))
@@ -454,38 +450,9 @@ def pointwise_fit_constants(u: GridFunction, alpha: float, region_radius: float 
     # (u - Q0) - (P_c - Q0) is u - P_c in exact arithmetic
     q0 = np.median(coef, axis=1)
     shifted = GridFunction(g, u.values - _evaluate(q0, g.xs[:, None], g.xs), u.defined)
-    kc = _pointwise_constants(shifted, coef - q0[:, None], ii, jj, alpha)
-    return [(QuadraticPolynomial(coef[:, c]), float(kc[c])) for c in range(len(ii))]
-
-
-def _pointwise_constants(u: GridFunction, coef: np.ndarray, ii, jj, alpha: float) -> np.ndarray:
-    """K_c for the quadratics in the columns of coef centered at the nodes (ii, jj).
-
-    For each block of centers, the _INCUMBENT tiles of largest midpoint
-    estimate are evaluated exactly, then every tile whose bound (_tiles)
-    exceeds the best value so far, so the result is the max over all nodes
-    bit for bit.  The best-bounded tiles are the nearest ones, whose bound
-    the floor on dmin inflates, so they make a poor incumbent.
-    """
-    count, bound, exact = _tiles(u, coef, ii, jj, alpha)
-    kc = np.zeros(len(ii))
-
-    def visit(cols, rows, tids):
-        per = _BLOCK // _TILE**2
-        for p in range(0, len(rows), per):
-            sl = slice(p, p + per)
-            np.fmax.at(kc, cols[rows[sl]], exact(cols[rows[sl]], tids[sl]))
-
-    step, k = max(1, _BLOCK // count), min(_INCUMBENT, count)
-    for lo in range(0, len(ii), step):
-        cols = np.arange(lo, min(lo + step, len(ii)))
-        bounds, est = bound(cols)
-        top = np.argpartition(est, -k, axis=1)[:, -k:].ravel()
-        rows = np.repeat(np.arange(len(cols)), k)
-        visit(cols, rows, top)
-        bounds[rows, top] = -np.inf
-        visit(cols, *np.nonzero(bounds > kc[cols, None]))
-    return kc
+    count, bound, exact = _tiles(shifted, coef - q0[:, None], ii, jj, alpha)
+    K = _lattice_max(len(ii), count, max(1, _BLOCK // _TILE**2), bound, exact)
+    return [QuadraticPolynomial(coef[:, c]) for c in range(len(ii))], K
 
 
 def _tiling(defined: np.ndarray, t: int):
@@ -526,12 +493,11 @@ def _tiles(u: GridFunction, coef: np.ndarray, ii, jj, alpha: float):
     with a defined node each get the box of their defined nodes, a
     least-squares quadratic Q_t in index units about the box center and its
     largest node residual e_t (a minimum-norm fit of any rank: e_t bounds its
-    residual).  bound(cols) gives, for the centers cols, every
-    tile's (e_t + max over the box of |Q_t - P_c|) / dmin^(2+alpha), with
-    dmin the box's integer offset from c floored at h, widened by _BOUND_ABS
-    for rounding, and the estimate |Q_t - P_c| / |x - c|^(2+alpha) at the box
-    center; exact(cols, tids) gives the max contribution of center cols[p]
-    over tile tids[p].
+    residual).  bound(start, stop) gives, for the centers start to stop - 1,
+    every tile's (e_t + max over the box of |Q_t - P_c|) / dmin^(2+alpha),
+    with dmin the box's integer offset from c floored at h, widened by
+    _BOUND_ABS for rounding, and 0, the index of its first tile; exact(cols,
+    tids) gives the max contribution of center cols[p] over tile tids[p].
     """
     g = u.grid
     t = _TILE
@@ -575,14 +541,13 @@ def _tiles(u: GridFunction, coef: np.ndarray, ii, jj, alpha: float):
     scale_c = _BOUND_ABS * np.abs(coef).T @ np.array([1.0, e, e, 0.5 * e * e, e * e, 0.5 * e * e])
     hess_c = g.h**2 * coef[3:]
     rlo, rhi, clo, chi = ti + ra, ti + rb, tj + ca, tj + cb
-    rmid, cmid = ti + (ra + rb) // 2, tj + (ca + cb) // 2
 
-    def bound(cols):
+    def bound(start, stop):
+        cols = np.arange(start, stop)
         ci, cj = ii[cols, None], jj[cols, None]
         p = coef[:, cols].T @ taylor
-        mid = np.abs(np.subtract(fits[0], p[:, :count], out=p[:, :count]))
         out = np.add.outer(scale_c[cols], const_t)
-        out += mid
+        out += np.abs(np.subtract(fits[0], p[:, :count], out=p[:, :count]))
         for q, w, part in ((fits[1], wr, p[:, count:2 * count]), (fits[2], wc, p[:, 2 * count:])):
             np.subtract(q, part, out=part)
             np.abs(part, out=part)
@@ -597,8 +562,7 @@ def _tiles(u: GridFunction, coef: np.ndarray, ii, jj, alpha: float):
         di *= n
         di += dj
         out /= flat[np.maximum(di, 1, out=di)]  # offset (0, 1) for the center's own tile
-        est = flat[np.abs(rmid - ci) * n + np.abs(cmid - cj)]
-        return out, np.divide(mid, est, out=est)
+        return out, 0
 
     def exact(cols, tids):
         rows, lines = ti[tids, None] + np.arange(t), tj[tids, None] + np.arange(t)
@@ -634,11 +598,12 @@ def _holder_tiles(g, mask: np.ndarray, fields, alpha: float):
     |x - y|^alpha, its distance the hypot of the coordinate differences.
     The lattice is cut into t x t tiles, t from the node count, and the count
     tiles with a node each get the box of their nodes and every field's
-    NaN-aware min and max there.  bound(rows), for a slice of tiles A, gives
-    against every tile B from rows.start on the largest over the fields of
-    max(max_A v - min_B v, max_B v - min_A v) / (dmin h)^alpha, with dmin the
-    boxes' integer offset floored at 1, widened by 1 + _SPREAD_WIDEN N, and
-    -inf for B before A; exact(p, q) gives the max contribution of a node of
+    NaN-aware min and max there.  bound(start, stop) gives, for each tile A
+    from start to stop - 1 against every tile B from start on, the largest
+    over the fields of max(max_A v - min_B v, max_B v - min_A v) /
+    (dmin h)^alpha, with dmin the boxes' integer offset floored at 1, widened
+    by 1 + _SPREAD_WIDEN N, and -inf for B before A, and start, the index of
+    its first tile B; exact(p, q) gives the max contribution of a node of
     tile p[s] and a node of tile q[s], each pair in the same expression.
     """
     nodes = int(np.count_nonzero(mask))
@@ -654,9 +619,9 @@ def _holder_tiles(g, mask: np.ndarray, fields, alpha: float):
     rlo, rhi, clo, chi = ti + ra, ti + rb, tj + ca, tj + cb
     widen = (1.0 + _SPREAD_WIDEN * g.N) / g.h**alpha
 
-    def bound(rows):
-        a, b = rows, slice(rows.start, count)
-        spread, other = np.full((2, a.stop - a.start, count - a.start), -np.inf)
+    def bound(start, stop):
+        a, b = slice(start, stop), slice(start, count)
+        spread, other = np.full((2, stop - start, count - start), -np.inf)
         for top, bottom in zip(hi, lo):
             np.maximum(spread, np.subtract(top[a, None], bottom[b], out=other), out=spread)
             np.maximum(spread, np.subtract(top[b], bottom[a, None], out=other), out=spread)
@@ -672,7 +637,7 @@ def _holder_tiles(g, mask: np.ndarray, fields, alpha: float):
         spread *= widen
         spread /= gap
         spread[np.tri(*spread.shape, -1, dtype=bool)] = -np.inf
-        return spread
+        return spread, start
 
     def exact(p, q):
         dist = np.subtract(x[p, :, None], x[q, None, :])
@@ -692,22 +657,23 @@ def _holder_tiles(g, mask: np.ndarray, fields, alpha: float):
     return count, t, bound, exact
 
 
-def _pairwise_holder(g, mask: np.ndarray, fields, alpha: float) -> float:
-    """Max over distinct node pairs of mask of max_k |v_k(x) - v_k(y)| /
-    |x - y|^alpha, with v_k the lattice arrays in fields, finite on mask;
-    fewer than 2 nodes is an error.
+def _lattice_max(rows: int, cols: int, per: int, bound, exact) -> float:
+    """Max of exact over the (row, column) pairs of a rows x cols lattice sup,
+    by branch and bound; 0 if no pair's bound is positive.
 
-    In row blocks of at most _BLOCK tile pairs, the tile pairs whose bound
-    (_holder_tiles) beats the best value so far are evaluated node by node in
-    falling bound order, so the result is the max over all node pairs bit for bit.
+    In row blocks of at most _BLOCK pairs, bound(start, stop) gives the bounds
+    of rows start to stop - 1 against the columns from its second value,
+    first, on.  The pairs whose bound beats the best value so far are
+    evaluated in falling bound order, per pairs to one exact(p, q), which
+    gives the values of the pairs (p[s], q[s]); so the result is the max over
+    all pairs bit for bit.
     """
-    count, t, bound, exact = _holder_tiles(g, mask, fields, alpha)
-    per = max(1, _BLOCK // t**4)  # tile pairs of one exact evaluation
-    rows = max(1, _BLOCK // count)
+    step = max(1, _BLOCK // cols)
     best = 0.0
-    for lo in range(0, count, rows):
-        width = count - lo
-        bounds = bound(slice(lo, min(lo + rows, count))).ravel()
+    for lo in range(0, rows, step):
+        bounds, first = bound(lo, min(lo + step, rows))
+        width = bounds.shape[1]
+        bounds = bounds.ravel()
         pairs = np.flatnonzero(bounds > best)
         pairs = pairs[np.argsort(bounds[pairs])[::-1]]
         top = bounds[pairs]
@@ -716,8 +682,18 @@ def _pairwise_holder(g, mask: np.ndarray, fields, alpha: float) -> float:
             take = pairs[s:s + per][top[s:s + per] > best]
             if not len(take):
                 break
-            best = max(best, float(np.max(exact(lo + take // width, lo + take % width))))
+            best = max(best, float(np.max(exact(lo + take // width, first + take % width))))
     return best
+
+
+def _pairwise_holder(g, mask: np.ndarray, fields, alpha: float) -> float:
+    """Max over distinct node pairs of mask of max_k |v_k(x) - v_k(y)| /
+    |x - y|^alpha, with v_k the lattice arrays in fields, finite on mask;
+    fewer than 2 nodes is an error.  _lattice_max searches the tile pairs
+    of _holder_tiles, so the result is the max over all node pairs bit for bit.
+    """
+    count, t, bound, exact = _holder_tiles(g, mask, fields, alpha)
+    return _lattice_max(count, count, max(1, _BLOCK // t**4), bound, exact)
 
 
 def discrete_hessian_seminorm(u: GridFunction, alpha: float, radius: float = 0.25) -> float:

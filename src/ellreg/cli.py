@@ -30,9 +30,10 @@ scale, with every Philox key set to the run seed.
 analyze --pointwise fits the quadratics of all centers whose fit ball lies on
 defined nodes together (one shared design matrix, factored once by a thin SVD,
 ball membership decided in integer lattice offsets) and fits each center with
-a clipped ball alone; the per-center constants K_c read their distances from
-one table over integer lattice offsets, and only the 8 x 8 lattice tiles whose
-bound can beat a center's best value so far are evaluated node by node.
+a clipped ball alone; the constant max_c K_c reads its distances from one
+table over integer lattice offsets, and only the (center, 8 x 8 lattice tile)
+pairs whose bound can beat the best value so far are evaluated node by node,
+in the one branch and bound that also measures the pairwise seminorms.
 """
 
 from __future__ import annotations
@@ -223,10 +224,10 @@ def cmd_analyze(args) -> int:
 
     pointwise_payload = None
     if args.pointwise:
-        fits = campanato.pointwise_fit_constants(
+        fits, K = campanato.pointwise_fit_constants(
             u, args.alpha, region_radius=min(0.25 * grid.extent, grid.extent - 4 * grid.h))
         pointwise_payload = {
-            "certified_bound": campanato.pointwise_to_holder(fits, args.alpha),
+            "certified_bound": campanato.pointwise_to_holder(K, args.alpha),
             "centers": len(fits),
             "alpha": args.alpha,
         }

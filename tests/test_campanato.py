@@ -421,10 +421,17 @@ def test_check_f_decay_positive_homogeneity(disk65):
 
 def test_pointwise_factor_value():
     assert float(C.pointwise_factor(0.5)) == pytest.approx(58.62741699796952, rel=1e-10)
-    assert cp.pointwise_to_holder([(None, 0.0), (None, 0.0)], 0.5) == 0.0
-    assert cp.pointwise_to_holder([(None, 2.0)], 0.5) == pytest.approx(117.25483399593904, rel=1e-10)
-    with pytest.raises(ValueError, match="missing fits"):
-        cp.pointwise_to_holder([], 0.5)
+    assert cp.pointwise_to_holder(0.0, 0.5) == 0.0
+    assert cp.pointwise_to_holder(2.0, 0.5) == pytest.approx(117.25483399593904, rel=1e-10)
+
+
+def test_pointwise_fits_need_a_center(disk65):
+    # a region whose nodes are all undefined holds no center to fit about
+    g = disk65
+    defined = g.defined & (np.hypot(g.X, g.Y) > 0.2)
+    u = GridFunction(g, np.where(defined, g.X, np.nan), defined)
+    with pytest.raises(ValueError, match="no fit centers"):
+        cp.pointwise_fit_constants(u, 0.5, region_radius=0.1)
 
 
 def _synthetic_fields(grid, count, seed):
@@ -450,8 +457,8 @@ def _synthetic_fields(grid, count, seed):
 def test_pointwise_bound_dominates_measured_seminorm_20_fields(disk65):
     alpha = 0.5
     for u in _synthetic_fields(disk65, 20, seed=314):
-        fits = cp.pointwise_fit_constants(u, alpha, region_radius=0.25)
-        certified = cp.pointwise_to_holder(fits, alpha)
+        _, K = cp.pointwise_fit_constants(u, alpha, region_radius=0.25)
+        certified = cp.pointwise_to_holder(K, alpha)
         measured = cp.discrete_hessian_seminorm(u, alpha, radius=0.25)
         assert certified >= measured
 
@@ -503,10 +510,11 @@ def test_pointwise_batched_fits_match_per_center_reference(shape, extent, hole, 
     if fraction == 0.8:
         assert any(clipped)  # and so is the per-center path for clipped balls
     for alpha, want in reference.items():
-        got = cp.pointwise_fit_constants(u, alpha, region_radius=fraction * extent)
+        got, K = cp.pointwise_fit_constants(u, alpha, region_radius=fraction * extent)
         assert len(got) == len(want)
-        for (p, k), (q, k_ref) in zip(got, want):
-            assert abs(k - k_ref) <= 1e-10 * k_ref
+        k_ref = max(k for _, k in want)
+        assert abs(K - k_ref) <= 1e-10 * k_ref
+        for p, (q, _) in zip(got, want):
             coef = np.concatenate([[p.a], p.b, p.c.ravel()])
             coef_ref = np.concatenate([[q.a], q.b, q.c.ravel()])
             assert np.max(np.abs(coef - coef_ref)) <= 1e-10 * np.max(np.abs(coef_ref))
@@ -530,13 +538,13 @@ def _shifted(u, coef):
 def _kc_brute_force(u, fits, alpha, region_radius):
     """Each center's K_c as the max over every defined node of the kernel's
     per-node contribution |(u - Q0) - (P_c - Q0)| / ((di^2 + dj^2) h^2)^(1 + alpha/2),
-    P_c the returned polynomial, Q0 the entrywise median of their coefficients,
+    P_c the returned polynomials, Q0 the entrywise median of their coefficients,
     inf at the center itself."""
     g = u.grid
     off = np.arange(g.N)
     table = ((off[:, None] ** 2 + off[None, :] ** 2) * g.h**2) ** (1.0 + 0.5 * alpha)
     table[0, 0] = np.inf
-    shifted, coef = _shifted(u, np.stack([p.coef for p, _ in fits], axis=1))
+    shifted, coef = _shifted(u, np.stack([p.coef for p in fits], axis=1))
     out = []
     for c, i, j in zip(coef.T, *_fit_centers(u, region_radius)):
         ratio = np.abs(shifted.values - cp._evaluate(c, g.X, g.Y)) / table[np.abs(off - i)][:, np.abs(off - j)]
@@ -561,27 +569,29 @@ def _pointwise_inputs(draw):
     u = GridFunction(g, np.where(defined, values, np.nan), defined)
     alpha = draw(st.floats(0.0, 1.0, exclude_min=True))
     region_radius = draw(st.sampled_from((0.2, 0.5, 0.8))) * g.extent
-    # one tile for the incumbent leaves more of the search to the bounds
-    return u, alpha, region_radius, draw(st.sampled_from((1, cp._INCUMBENT)))
+    return u, alpha, region_radius
 
 
 @settings(max_examples=40, deadline=None)
-@given(_pointwise_inputs())
-def test_tiled_pointwise_constants_equal_the_brute_force_max(inputs):
-    u, alpha, region_radius, incumbent = inputs
+@given(_pointwise_inputs(), st.one_of(st.just(cp._BLOCK), st.integers(1, 64)))
+def test_tiled_pointwise_constants_equal_the_brute_force_max(inputs, block):
+    # small blocks split the centers into many row blocks, so the best value
+    # is carried across them, and hold fewer entries than one tile's nodes
+    u, alpha, region_radius = inputs
     try:
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cp, "_INCUMBENT", incumbent)
-            fits = cp.pointwise_fit_constants(u, alpha, region_radius=region_radius)
+            mp.setattr(cp, "_BLOCK", block)
+            fits, K = cp.pointwise_fit_constants(u, alpha, region_radius=region_radius)
     except ValueError as exc:  # a clipped ball with too few nodes, or no center
         assert "need at least 12" in str(exc) or "no fit centers" in str(exc)
         return
-    assert [k for _, k in fits] == _kc_brute_force(u, fits, alpha, region_radius)
+    assert K == max(_kc_brute_force(u, fits, alpha, region_radius))
     # every tile's bound holds for every center, not only where the search looked
-    shifted, coef = _shifted(u, np.stack([p.coef for p, _ in fits], axis=1))
+    shifted, coef = _shifted(u, np.stack([p.coef for p in fits], axis=1))
     count, bound, exact = cp._tiles(shifted, coef, *_fit_centers(u, region_radius), alpha)
     cols = np.arange(len(fits))
-    bounds = bound(cols)[0]
+    bounds, first = bound(0, len(fits))
+    assert first == 0
     assert np.all(exact(np.repeat(cols, count), np.tile(np.arange(count), len(cols)))
                   <= bounds.ravel())
 
@@ -596,7 +606,7 @@ def test_tile_bounds_are_their_widening_alone_on_a_quadratic():
     u = GridFunction.from_callable(g, P)
     ii, jj = (a.ravel() for a in np.mgrid[0:65:7, 0:65:5])
     coef = np.repeat(P.coef[:, None], len(ii), axis=1)
-    bounds = cp._tiles(u, coef, ii, jj, 0.5)[1](np.arange(len(ii)))[0]
+    bounds = cp._tiles(u, coef, ii, jj, 0.5)[1](0, len(ii))[0]
     scale = u.sup() + np.abs(P.coef) @ [1.0, 1.0, 1.0, 0.5, 1.0, 0.5]
     assert np.all(bounds * g.h**2.5 <= 1e-10 * scale)
 
@@ -624,11 +634,30 @@ def _counting(monkeypatch, name):
 def test_tiles_evaluated_per_center_stay_few_on_a_rounded_quadratic(monkeypatch):
     # every u - P_c is rounding of a quadratic; with the common quadratic out
     # before the tiles, the widening scales with that rounding, and the tiles
-    # near each center, the incumbent's among them, hold its max
+    # near the centers hold the max
     u = GridFunction.from_callable(Grid2.disk(129), saddle)
     seen = _counting(monkeypatch, "_tiles")
-    fits = cp.pointwise_fit_constants(u, 0.25)
+    fits, _ = cp.pointwise_fit_constants(u, 0.25)
     assert seen["evaluated"] <= 8 * len(fits)
+
+
+def _harmonic_plus_wave(x, y):
+    z = x + 1j * y
+    out = 0.02 * np.sin(2.1 * x) * np.sin(1.3 * y)
+    for deg, c, phase in zip((2, 3, 4), (0.8, -0.6, 0.7), (0.4, 2.5, 4.1)):
+        out = out + c * np.real(np.exp(1j * phase) * z**deg)
+    return out
+
+
+def test_center_tile_pairs_evaluated_stay_few_on_a_harmonic_field(monkeypatch):
+    # a harmonic polynomial of degrees 2 to 4 plus a small wave, like the
+    # benchmark's fields: one best value for all centers prunes the pairs of
+    # every center whose own max lies below it (about 12.6 pairs per center)
+    u = GridFunction.from_callable(Grid2.disk(257), _harmonic_plus_wave)
+    seen = _counting(monkeypatch, "_tiles")
+    fits, _ = cp.pointwise_fit_constants(u, 0.25)
+    assert len(fits) == 797
+    assert seen["evaluated"] <= 16 * len(fits)
 
 
 def test_lattice_sup_kernels_work_in_bounded_blocks(disk257):
@@ -646,7 +675,7 @@ def test_lattice_sup_kernels_work_in_bounded_blocks(disk257):
         cp._pairwise_holder(g, mask, (field, 2 * field), 0.5)
         holder_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        fits = cp.pointwise_fit_constants(u, 0.25)
+        fits, _ = cp.pointwise_fit_constants(u, 0.25)
         pointwise_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -746,7 +775,7 @@ def test_holder_tile_bounds_hold_for_every_tile_pair(grid, monkeypatch):
         monkeypatch.setattr(cp, "_holder_tile", lambda nodes: tile)
         for alpha in (0.25, 0.5, 1.0):
             count, _, bound, exact = cp._holder_tiles(grid, grid.defined, (v,), alpha)
-            bounds = bound(slice(0, count))
+            bounds = bound(0, count)[0]
             p, q = np.nonzero(bounds > -np.inf)
             for s in range(0, len(p), 1024):
                 sl = slice(s, s + 1024)
@@ -768,6 +797,16 @@ def test_holder_tile_pairs_evaluated_stay_few_on_polynomial_hessians(field, monk
     seen = _counting(monkeypatch, "_holder_tiles")
     cp.discrete_hessian_seminorm(u, 0.5, radius=0.5)
     assert seen["evaluated"] < seen["count"]
+
+
+def test_lattice_sups_of_a_zero_field_evaluate_no_pair(monkeypatch):
+    # every bound is exactly 0, the value the search starts from, and only a
+    # bound that beats the best value so far is evaluated
+    u = GridFunction.from_callable(Grid2.disk(65), lambda x, y: 0.0 * x)
+    pairs, centers = _counting(monkeypatch, "_holder_tiles"), _counting(monkeypatch, "_tiles")
+    assert cp._pairwise_holder(u.grid, u.defined, (u.values,), 0.5) == 0.0
+    assert cp.pointwise_fit_constants(u, 0.5)[1] == 0.0
+    assert pairs["evaluated"] == centers["evaluated"] == 0
 
 
 # ---------------------------------------------------------------------------
