@@ -664,12 +664,14 @@ def _lattice_max(rows: int, cols: int, per: int, bound, exact) -> float:
     In row blocks of at most _BLOCK pairs, bound(start, stop) gives the bounds
     of rows start to stop - 1 against the columns from its second value,
     first, on.  The pairs whose bound beats the best value so far are
-    evaluated in falling bound order, per pairs to one exact(p, q), which
-    gives the values of the pairs (p[s], q[s]); so the result is the max over
-    all pairs bit for bit.
+    evaluated in falling bound order by exact(p, q), which gives the values
+    of the pairs (p[s], q[s]); so the result is the max over all pairs bit
+    for bit.  The chunks of pairs to one exact call double from 1 up to
+    per over the search, so the best value rises from 0 before a large chunk
+    is evaluated whatever its bounds.
     """
     step = max(1, _BLOCK // cols)
-    best = 0.0
+    best, size = 0.0, 1
     for lo in range(0, rows, step):
         bounds, first = bound(lo, min(lo + step, rows))
         width = bounds.shape[1]
@@ -678,11 +680,13 @@ def _lattice_max(rows: int, cols: int, per: int, bound, exact) -> float:
         pairs = pairs[np.argsort(bounds[pairs])[::-1]]
         top = bounds[pairs]
         del bounds  # not held through the exact evaluations
-        for s in range(0, len(top), per):
-            take = pairs[s:s + per][top[s:s + per] > best]
+        s = 0
+        while s < len(top):
+            take = pairs[s:s + size][top[s:s + size] > best]
             if not len(take):
                 break
             best = max(best, float(np.max(exact(lo + take // width, first + take % width))))
+            s, size = s + size, min(2 * size, per)
     return best
 
 

@@ -22,8 +22,8 @@ The chain, for dimension n, ellipticity lam <= Lam, and exponents
 eps0_tilde, C0, C0' and C1~ are the near-Laplacian chain at the given bounds.
 eps0 and C1 hold at general ellipticity: normalize F so that DF(0) = I, run
 the same chain at the rescaled bounds [lam/Lam, Lam/lam], and pull the result
-back by 1/Lam and Lam^(2+ab).  build_report, eps0 and c1_chain read both
-from one private evaluation of the chain and one of the pullback.
+back by 1/Lam and Lam^(2+ab).  build_report is the one evaluation: it runs
+the chain once at each pair of bounds.
 
 C0 is printed in two inconsistent forms in the source derivation; the
 "proof" form above is canonical here and the "statement" form
@@ -57,15 +57,7 @@ __all__ = [
     "ExternalConstants",
     "HolderPair",
     "build_report",
-    "c0",
-    "c1_chain",
-    "eps0",
-    "eps0_tilde",
-    "gamma_moll",
-    "iteration_params",
-    "omega_n",
     "pointwise_factor",
-    "r0",
     "report_to_json",
     "validate_constraint_chain",
 ]
@@ -161,29 +153,6 @@ class ConstantsReport:
         return all(c.satisfied for c in self.chain_checks)
 
 
-def _validate_n(n) -> int:
-    if int(n) != n or n < 1:
-        raise ValueError("n must be a positive integer")
-    return int(n)
-
-
-def r0(n: int, alpha_bar: float):
-    """(3/(250 n^3))^(1/(1-alpha_bar)); always below 1/5."""
-    n = _validate_n(n)
-    if not 0 < alpha_bar < 1:
-        raise ValueError("alpha_bar must lie in (0,1)")
-    with mp.workdps(_DPS):
-        ab = mp.mpf(alpha_bar)
-        return (mp.mpf(3) / (250 * n**3)) ** (1 / (1 - ab))
-
-
-def omega_n(n: int):
-    """Volume of the unit ball in n dimensions."""
-    n = _validate_n(n)
-    with mp.workdps(_DPS):
-        return mp.pi ** (mp.mpf(n) / 2) / mp.gamma(mp.mpf(n) / 2 + 1)
-
-
 def pointwise_factor(alpha: float):
     """(2 + 2^(2+alpha))^2, the pointwise-to-uniform Hoelder upgrade factor."""
     with mp.workdps(_DPS):
@@ -191,119 +160,26 @@ def pointwise_factor(alpha: float):
         return (2 + 2 ** (2 + a)) ** 2
 
 
-def eps0_tilde(n: int, bounds: EllipticityBounds, alpha_bar: float, ext: ExternalConstants):
-    """Smaller of the two admissible closeness caps, shaved strictly inside."""
-    n = _validate_n(n)
-    with mp.workdps(_DPS):
-        r = r0(n, alpha_bar)
-        lam = mp.mpf(bounds.lam)
-        ab = mp.mpf(alpha_bar)
-        a0 = mp.mpf(ext.alpha0)
-        branch1 = lam * 2 / (25 * n**2) * r**ab
-        branch2 = (
-            mp.mpf(2) ** -(1 + 6 / a0)
-            * (lam / mp.mpf(ext.K2))
-            * mp.mpf(ext.K1) ** (-3 / a0)
-            * r ** ((2 + ab) * (1 + 3 / a0))
-        )
-        return min(branch1, branch2) * _INSIDE
-
-
-def eps0(n: int, bounds: EllipticityBounds, alpha_bar: float, ext: ExternalConstants):
-    """Closeness threshold at general ellipticity: the rescaled cap divided by Lam."""
-    return _pullback(n, bounds, alpha_bar, ext, "proof")[0]  # no C0 variant enters eps0
-
-
-def c0(n: int, lam: float, eps0_tilde_val, variant: str = "proof"):
-    """Sup bound ||P|| <= C0 ||u|| for the single-step polynomial.
-
-    variant "proof":      1 + n + (25/4) n^2 + (1/(2 lam)) eps (25/4) n^2
-    variant "statement":  1 + n + 4 n^2 + (1/lam) eps (25/8) n^(5/2)
-    """
-    n = _validate_n(n)
-    if not lam > 0:
-        raise ValueError("lambda must be positive")
-    if variant not in ("proof", "statement"):
-        raise ValueError(f"unknown C0 variant {variant!r}")
-    with mp.workdps(_DPS):
-        lam = mp.mpf(lam)
-        eps = mp.mpf(eps0_tilde_val)
-        if eps < 0:
-            raise ValueError("eps0_tilde must be nonnegative")
-        if variant == "proof":
-            return 1 + n + mp.mpf(25) / 4 * n**2 + eps / (2 * lam) * mp.mpf(25) / 4 * n**2
-        return 1 + n + 4 * n**2 + eps / lam * mp.mpf(25) / 8 * mp.mpf(n) ** mp.mpf("2.5")
-
-
-def _chain(n: int, bounds: EllipticityBounds, alpha_bar: float, ext: ExternalConstants,
-           c0_variant: str):
-    """(eps0_tilde, C0, C0', C1~): the near-Laplacian chain at the given bounds."""
-    with mp.workdps(_DPS):
-        r = r0(n, alpha_bar)
-        ab = mp.mpf(alpha_bar)
-        eps_t = eps0_tilde(n, bounds, alpha_bar, ext)
-        C0 = c0(n, bounds.lam, eps_t, c0_variant)
-        # the tail is formed first: a regrouped C0' may round differently at 50 digits
-        tail = (1 + 3 / (1 - r**ab)) / r ** (1 + ab)
-        C0_prime = C0 * tail
-        return eps_t, C0, C0_prime, C0_prime * 2**ab * pointwise_factor(alpha_bar)
-
-
-def _pullback(n: int, bounds: EllipticityBounds, alpha_bar: float, ext: ExternalConstants,
-              c0_variant: str):
-    """(eps0, C1) at general ellipticity: the chain at bounds.rescaled(), pulled
-    back as eps0 = eps0_tilde / Lam and C1 = C1~ * Lam^(2+alpha_bar)."""
-    with mp.workdps(_DPS):
-        eps_t, _, _, C1_tilde = _chain(n, bounds.rescaled(), alpha_bar, ext, c0_variant)
-        Lam = mp.mpf(bounds.Lam)
-        return eps_t / Lam, C1_tilde * Lam ** (2 + mp.mpf(alpha_bar))
-
-
-def c1_chain(n: int, bounds: EllipticityBounds, alpha_bar: float, ext: ExternalConstants, c0_variant: str = "proof"):
-    """(C0', C1~, C1): the accumulated-iteration constants.
-
-    C0' and C1~ are the near-Laplacian constants at the given bounds; C1 is
-    the general-ellipticity constant, C1~ at the rescaled bounds times
-    Lam^(2+alpha_bar).
-    """
-    _, _, C0_prime, C1_tilde = _chain(n, bounds, alpha_bar, ext, c0_variant)
-    return C0_prime, C1_tilde, _pullback(n, bounds, alpha_bar, ext, c0_variant)[1]
-
-
-def gamma_moll(r0_val, alpha_bar: float, K1: float, alpha0: float):
-    """Mollification radius: the root of K1 gamma^alpha0 = (1/4) r0^(2+alpha_bar)."""
-    if not (K1 > 0 and 0 < alpha0 <= 1):
-        raise ValueError("need K1 > 0 and alpha0 in (0,1]")
-    with mp.workdps(_DPS):
-        r = mp.mpf(r0_val)
-        if not r > 0:
-            raise ValueError("r0 must be positive")
-        ab = mp.mpf(alpha_bar)
-        return (r ** (2 + ab) / 4 / mp.mpf(K1)) ** (1 / mp.mpf(alpha0))
-
-
-def iteration_params(C1_val, alpha: float, alpha_bar: float, n: int, C3: float):
-    """(mu, delta, C4) for the inhomogeneous iteration.
-
-    mu is the largest ratio satisfying both 2 C1 mu^ab <= mu^a and mu^a <= 3/7;
-    delta makes the source-smallness constraint an equality.  Both are shaved a
-    relative 1e-40 inward so the audited inequalities hold strictly.
-    """
-    n = _validate_n(n)
-    if not 0 < alpha < alpha_bar < 1:
-        raise ValueError("need 0 < alpha < alpha_bar < 1")
-    if not C3 > 0:
-        raise ValueError("C3 must be positive")
-    with mp.workdps(_DPS):
-        C1 = mp.mpf(C1_val)
-        if not C1 > 0:
-            raise ValueError("C1 must be positive")
-        a = mp.mpf(alpha)
-        ab = mp.mpf(alpha_bar)
-        mu = min((2 * C1) ** (-1 / (ab - a)), (mp.mpf(3) / 7) ** (1 / a)) * _INSIDE
-        delta = C1 * mu ** (2 + ab) / (omega_n(n) ** (mp.mpf(1) / n) * mp.mpf(C3)) * _INSIDE
-        C4 = 1 + 3 * C1 / (1 - mu**a)
-        return mu, delta, C4
+def _chain(n: int, r, ab, lam: float, ext: ExternalConstants, c0_variant: str):
+    """(eps0_tilde, C0 proof form, C0 statement form, C0', C1~): the
+    near-Laplacian chain at lower ellipticity bound lam, for r = r0 and
+    ab = alpha_bar as mpf values; C0' and C1~ take the c0_variant form."""
+    lam = mp.mpf(lam)
+    a0 = mp.mpf(ext.alpha0)
+    branch1 = lam * 2 / (25 * n**2) * r**ab
+    branch2 = (
+        mp.mpf(2) ** -(1 + 6 / a0)
+        * (lam / mp.mpf(ext.K2))
+        * mp.mpf(ext.K1) ** (-3 / a0)
+        * r ** ((2 + ab) * (1 + 3 / a0))
+    )
+    eps_t = min(branch1, branch2) * _INSIDE
+    C0_proof = 1 + n + mp.mpf(25) / 4 * n**2 + eps_t / (2 * lam) * mp.mpf(25) / 4 * n**2
+    C0_statement = 1 + n + 4 * n**2 + eps_t / lam * mp.mpf(25) / 8 * mp.mpf(n) ** mp.mpf("2.5")
+    # the tail is formed first: a regrouped C0' may round differently at 50 digits
+    tail = (1 + 3 / (1 - r**ab)) / r ** (1 + ab)
+    C0_prime = (C0_proof if c0_variant == "proof" else C0_statement) * tail
+    return eps_t, C0_proof, C0_statement, C0_prime, C0_prime * 2**ab * pointwise_factor(ab)
 
 
 def validate_constraint_chain(report: ConstantsReport) -> list:
@@ -342,34 +218,47 @@ def validate_constraint_chain(report: ConstantsReport) -> list:
 
 def build_report(n: int, bounds: EllipticityBounds, pair: HolderPair,
                  ext: ExternalConstants | None = None, c0_variant: str = "proof") -> ConstantsReport:
-    """Assemble the full constants report and run the inequality audit."""
+    """Evaluate the whole chain once and run the inequality audit.
+
+    The chain runs at bounds for eps0_tilde, C0, C0' and C1~, and at
+    bounds.rescaled() for eps0 = eps0_tilde / Lam and C1 = C1~ Lam^(2+alpha_bar).
+    """
     ext = ext or ExternalConstants()
-    n = _validate_n(n)
+    if int(n) != n or n < 1:
+        raise ValueError("n must be a positive integer")
+    n = int(n)
+    if c0_variant not in ("proof", "statement"):
+        raise ValueError(f"unknown C0 variant {c0_variant!r}")
     with mp.workdps(_DPS):
-        r = r0(n, pair.alpha_bar)
-        eps_t, C0, C0_prime, C1_tilde = _chain(n, bounds, pair.alpha_bar, ext, c0_variant)
-        eps_0, C1 = _pullback(n, bounds, pair.alpha_bar, ext, c0_variant)
-        other = c0(n, bounds.lam, eps_t, "statement" if c0_variant == "proof" else "proof")
-        C0_proof, C0_statement = (C0, other) if c0_variant == "proof" else (other, C0)
-        gamma = gamma_moll(r, pair.alpha_bar, ext.K1, ext.alpha0)
+        ab = mp.mpf(pair.alpha_bar)
+        r = (mp.mpf(3) / (250 * n**3)) ** (1 / (1 - ab))
+        eps_t, C0_proof, C0_statement, C0_prime, C1_tilde = _chain(
+            n, r, ab, bounds.lam, ext, c0_variant)
+        eps_r, _, _, _, C1_tilde_r = _chain(n, r, ab, bounds.rescaled().lam, ext, c0_variant)
+        Lam = mp.mpf(bounds.Lam)
+        eps_0, C1 = eps_r / Lam, C1_tilde_r * Lam ** (2 + ab)
+        gamma = (r ** (2 + ab) / 4 / mp.mpf(ext.K1)) ** (1 / mp.mpf(ext.alpha0))
         if not gamma < mp.mpf(1) / 5:
             raise ValueError("gamma must stay below 1/5; K1/alpha0 inputs out of range")
+        omega = mp.pi ** (mp.mpf(n) / 2) / mp.gamma(mp.mpf(n) / 2 + 1)
+        mu = delta = C4 = None
         if pair.alpha is not None:
-            mu, delta, C4 = iteration_params(C1, pair.alpha, pair.alpha_bar, n, ext.C3)
-        else:
-            mu = delta = C4 = None
+            a = mp.mpf(pair.alpha)
+            # the largest mu with 2 C1 mu^ab <= mu^a <= 3/7, and the delta that makes
+            # source smallness an equality, each shaved inward like eps0_tilde
+            mu = min((2 * C1) ** (-1 / (ab - a)), (mp.mpf(3) / 7) ** (1 / a)) * _INSIDE
+            delta = C1 * mu ** (2 + ab) / (omega ** (mp.mpf(1) / n) * mp.mpf(ext.C3)) * _INSIDE
+            C4 = 1 + 3 * C1 / (1 - mu**a)
         report = ConstantsReport(
             n=n, bounds=bounds, pair=pair, ext=ext, c0_variant=c0_variant,
             r0=r, eps0_tilde=eps_t, eps0=eps_0,
-            C0=C0, C0_proof=C0_proof, C0_statement=C0_statement,
+            C0=C0_proof if c0_variant == "proof" else C0_statement,
+            C0_proof=C0_proof, C0_statement=C0_statement,
             C0_prime=C0_prime, C1_tilde=C1_tilde, C1=C1,
-            gamma=gamma, mu=mu, delta=delta, C4=C4,
-            omega_n=omega_n(n),
+            gamma=gamma, mu=mu, delta=delta, C4=C4, omega_n=omega,
         )
-        for name, value in (("r0", r), ("eps0_tilde", eps_t), ("eps0", eps_0),
-                            ("C0", C0), ("C0_prime", C0_prime), ("C1_tilde", C1_tilde),
-                            ("C1", C1), ("gamma", gamma)):
-            if not value > 0:
+        for name in ("r0", "eps0_tilde", "eps0", "C0", "C0_prime", "C1_tilde", "C1", "gamma"):
+            if not getattr(report, name) > 0:
                 raise ValueError(f"{name} must be strictly positive")
         assert r < mp.mpf(1) / 5
         report.chain_checks = validate_constraint_chain(report)

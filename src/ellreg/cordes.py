@@ -43,6 +43,7 @@ __all__ = [
     "hessian_identity_check",
     "k_eps_margin",
     "k_eps_prime_margin",
+    "kprime_prefactor",
     "linearized_field",
     "margins_2x2",
     "nirenberg_constants",

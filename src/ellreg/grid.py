@@ -96,7 +96,9 @@ class Grid2:
         self.extent = float(extent)
         self.h = 2.0 * self.extent / (N - 1)
         self.xs = np.linspace(-self.extent, self.extent, N)
-        self.X, self.Y = np.meshgrid(self.xs, self.xs, indexing="ij")
+        # read-only views of xs: X[i, j] = xs[i], Y[i, j] = xs[j]
+        self.X = np.broadcast_to(self.xs[:, None], (N, N))
+        self.Y = np.broadcast_to(self.xs, (N, N))
         if shape == "disk":
             self.region = self.subregion(self.extent)
         else:

@@ -45,10 +45,12 @@ __all__ = [
     "PERTURBATIONS",
     "catalog_specs",
     "derivative_oscillation",
+    "df_at_zero",
     "effective_bounds",
     "evaluate_batch",
     "fd_gradient",
     "gradient_batch",
+    "make_spec",
     "normalize",
     "op_norm_sym2",
     "residual_audit",

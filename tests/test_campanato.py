@@ -634,11 +634,13 @@ def _counting(monkeypatch, name):
 def test_tiles_evaluated_per_center_stay_few_on_a_rounded_quadratic(monkeypatch):
     # every u - P_c is rounding of a quadratic; with the common quadratic out
     # before the tiles, the widening scales with that rounding, and the tiles
-    # near the centers hold the max
+    # near the centers hold the max.  The search's first chunks are single
+    # pairs, so the first values prune the rest: 0.02 pairs per center, where
+    # a first chunk of 1,024 pairs evaluated 5.2
     u = GridFunction.from_callable(Grid2.disk(129), saddle)
     seen = _counting(monkeypatch, "_tiles")
     fits, _ = cp.pointwise_fit_constants(u, 0.25)
-    assert seen["evaluated"] <= 8 * len(fits)
+    assert seen["evaluated"] <= len(fits)
 
 
 def _harmonic_plus_wave(x, y):
@@ -652,7 +654,7 @@ def _harmonic_plus_wave(x, y):
 def test_center_tile_pairs_evaluated_stay_few_on_a_harmonic_field(monkeypatch):
     # a harmonic polynomial of degrees 2 to 4 plus a small wave, like the
     # benchmark's fields: one best value for all centers prunes the pairs of
-    # every center whose own max lies below it (about 12.6 pairs per center)
+    # every center whose own max lies below it (about 12.5 pairs per center)
     u = GridFunction.from_callable(Grid2.disk(257), _harmonic_plus_wave)
     seen = _counting(monkeypatch, "_tiles")
     fits, _ = cp.pointwise_fit_constants(u, 0.25)

@@ -1,4 +1,5 @@
-"""Constants chain: frozen high-precision oracles, invariants, and the audit.
+"""Constants chain, read from build_report's fields: frozen high-precision
+oracles, invariants, and the audit.
 
 Expected values were computed independently with mpmath (40+ digits) from the
 closed forms; derived oracles are re-evaluated in-test where they are cheap.
@@ -28,35 +29,40 @@ def rel(a, b):
     return abs(a - b) / max(abs(b), 1e-300)
 
 
+def report(n=2, bounds=FLAT, alpha_bar=0.5, alpha=None, ext=EXT1, variant="proof"):
+    return C.build_report(n, bounds, C.HolderPair(alpha_bar, alpha), ext, variant)
+
+
 # ---------------------------------------------------------------------------
 # r0
 
 
 def test_r0_exact_values():
-    assert rel(C.r0(2, 0.5), 2.25e-6) < 1e-12
-    assert rel(C.r0(3, 0.5), 1.9753086419753086e-07) < 1e-12
+    assert rel(report(2).r0, 2.25e-6) < 1e-12
+    assert rel(report(3).r0, 1.9753086419753086e-07) < 1e-12
     # independent high-precision oracle for a non-dyadic exponent
     with mp.workdps(40):
         expect = (mpf(3) / 2000) ** (mpf(4) / 3)
-    assert rel(C.r0(2, 0.25), expect) < 1e-12
-    assert rel(C.r0(2, 0.25), 1.72e-4) < 5e-3
+    assert rel(report(2, alpha_bar=0.25).r0, expect) < 1e-12
+    assert rel(report(2, alpha_bar=0.25).r0, 1.72e-4) < 5e-3
 
 
 def test_r0_domain_errors():
-    with pytest.raises(ValueError):
-        C.r0(2, 1.5)
-    with pytest.raises(ValueError):
-        C.r0(2, 0.0)
-    with pytest.raises(ValueError):
-        C.r0(0, 0.5)
+    with pytest.raises(ValueError, match="alpha_bar must lie in"):
+        C.HolderPair(1.5)
+    with pytest.raises(ValueError, match="alpha_bar must lie in"):
+        C.HolderPair(0.0)
+    for n in (0, 1.5):
+        with pytest.raises(ValueError, match="n must be a positive integer"):
+            report(n)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(min_value=1, max_value=8), st.floats(min_value=0.02, max_value=0.98))
 def test_r0_below_one_fifth_and_decreasing_in_n(n, alpha_bar):
-    val = C.r0(n, alpha_bar)
+    val = report(n, alpha_bar=alpha_bar).r0
     assert 0 < val < 0.2
-    assert C.r0(n + 1, alpha_bar) < val
+    assert report(n + 1, alpha_bar=alpha_bar).r0 < val
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +82,7 @@ def test_eps0_tilde_is_min_of_independent_branches():
     b1, b2 = _branches_oracle(2, 1.0, 0.5, 1.0, 1.0, 1.0)
     assert rel(b1, 3.0e-5) < 1e-12
     assert rel(b2, 2.5978568203747272e-59) < 1e-12
-    got = C.eps0_tilde(2, FLAT, 0.5, EXT1)
+    got = report(2).eps0_tilde
     assert rel(got, min(b1, b2)) < 1e-12
     assert got <= b1
 
@@ -84,27 +90,27 @@ def test_eps0_tilde_is_min_of_independent_branches():
 def test_eps0_tilde_n1_branch1():
     b1, b2 = _branches_oracle(1, 1.0, 0.5, 1.0, 1.0, 1.0)
     assert rel(b1, 9.6e-4) < 1e-12
-    got = C.eps0_tilde(1, FLAT, 0.5, EXT1)
-    assert rel(got, min(b1, b2)) < 1e-12
+    assert rel(report(1).eps0_tilde, min(b1, b2)) < 1e-12
 
 
 def test_eps0_tilde_decreases_with_K2():
-    small = C.eps0_tilde(2, FLAT, 0.5, C.ExternalConstants(K1=1, alpha0=1.0, K2=1e6))
-    assert small < C.eps0_tilde(2, FLAT, 0.5, EXT1)
+    small = report(ext=C.ExternalConstants(K1=1, alpha0=1.0, K2=1e6)).eps0_tilde
+    assert small < report().eps0_tilde
     assert small > 0
 
 
 def test_eps0_rescaling():
-    assert rel(C.eps0(2, FLAT, 0.5, EXT1), C.eps0_tilde(2, FLAT, 0.5, EXT1)) < 1e-30
-    bounds = C.EllipticityBounds(1.0, 2.0)
-    direct = C.eps0_tilde(2, C.EllipticityBounds(0.5, 2.0), 0.5, EXT1) / 2
-    assert rel(C.eps0(2, bounds, 0.5, EXT1), direct) < 1e-30
-    assert rel(C.eps0(2, bounds, 0.5, EXT1), 6.494642050936818e-60) < 1e-10
+    flat = report()
+    assert rel(flat.eps0, flat.eps0_tilde) < 1e-30
+    rep = report(bounds=C.EllipticityBounds(1.0, 2.0))
+    direct = report(bounds=C.EllipticityBounds(0.5, 2.0)).eps0_tilde / 2
+    assert rel(rep.eps0, direct) < 1e-30
+    assert rel(rep.eps0, 6.494642050936818e-60) < 1e-10
 
 
 def test_eps0_tilde_survives_extreme_alpha0():
     # tiny alpha0 drives branch 2 far below the IEEE double range
-    val = C.eps0_tilde(2, FLAT, 0.5, C.ExternalConstants(K1=1.0, alpha0=0.1))
+    val = report(ext=C.ExternalConstants(K1=1.0, alpha0=0.1)).eps0_tilde
     assert val > 0
     assert float(val) == 0.0  # underflows a double, hence the mpf report fields
 
@@ -114,30 +120,34 @@ def test_eps0_tilde_survives_extreme_alpha0():
 
 
 def test_c0_values():
-    assert rel(C.c0(2, 1.0, 0.0), 28.0) < 1e-14
-    assert rel(C.c0(1, 1.0, 0.0), 8.25) < 1e-14
-    assert rel(C.c0(2, 1.0, 0.0, "statement"), 19.0) < 1e-14
-    with pytest.raises(ValueError):
-        C.c0(2, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        C.c0(2, 1.0, 0.0, "folklore")
+    # eps0_tilde is below 1e-3 here, so C0 sits at its eps-free part
+    rep = report(2)
+    assert rel(rep.C0_proof, 28.0) < 1e-14
+    assert rel(rep.C0_statement, 19.0) < 1e-14
+    assert rep.C0 == rep.C0_proof
+    assert report(2, variant="statement").C0 == rep.C0_statement
+    assert rel(report(1).C0_proof, 8.25) < 1e-14
+    with pytest.raises(ValueError, match="lambda must be positive"):
+        C.EllipticityBounds(0.0, 1.0)
+    with pytest.raises(ValueError, match="unknown C0 variant"):
+        report(variant="folklore")
 
 
 def test_c1_chain_frozen_values():
-    C0p, C1t, C1 = C.c1_chain(2, FLAT, 0.5, EXT1)
-    assert rel(C0p, 33222574602.644708) < 1e-9
-    assert rel(C1t, 2754539748165.0657) < 1e-9
-    assert rel(C1, C1t) < 1e-30  # Lam = 1 collapses the rescaling
+    rep = report()
+    assert rel(rep.C0_prime, 33222574602.644708) < 1e-9
+    assert rel(rep.C1_tilde, 2754539748165.0657) < 1e-9
+    assert rel(rep.C1, rep.C1_tilde) < 1e-30  # Lam = 1 collapses the rescaling
 
 
 def test_c1_chain_statement_variant_scales_leading_factor():
-    C0p, C1t, _ = C.c1_chain(2, FLAT, 0.5, EXT1, c0_variant="statement")
-    assert rel(C0p, 33222574602.644708 * 19.0 / 28.0) < 1e-9
-    assert rel(C1t, 2754539748165.0657 * 19.0 / 28.0) < 1e-9
+    rep = report(variant="statement")
+    assert rel(rep.C0_prime, 33222574602.644708 * 19.0 / 28.0) < 1e-9
+    assert rel(rep.C1_tilde, 2754539748165.0657 * 19.0 / 28.0) < 1e-9
 
 
 def test_c1_tilde_grows_toward_alpha_bar_one():
-    vals = [float(C.c1_chain(2, FLAT, ab, EXT1)[1]) for ab in (0.3, 0.5, 0.7, 0.9)]
+    vals = [float(report(alpha_bar=ab).C1_tilde) for ab in (0.3, 0.5, 0.7, 0.9)]
     assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
@@ -146,38 +156,36 @@ def test_c1_tilde_grows_toward_alpha_bar_one():
 
 
 def test_gamma_frozen_value_and_identity():
-    r = C.r0(2, 0.5)
-    g = C.gamma_moll(r, 0.5, 1.0, 1.0)
+    rep = report()
+    g = rep.gamma
     assert rel(g, 1.8984375e-15) < 1e-12  # r0^2.5 / 4
     with mp.workdps(50):
         lhs = mpf(1.0) * g ** mpf(1.0)
-        rhs = r ** mpf(2.5) / 4
+        rhs = rep.r0 ** mpf(2.5) / 4
         assert abs(lhs - rhs) / rhs < 1e-12
 
 
 def test_gamma_K1_power_law():
-    r = C.r0(2, 0.5)
     for alpha0 in (1.0, 0.5, 0.2):
-        g1 = C.gamma_moll(r, 0.5, 1.0, alpha0)
-        g2 = C.gamma_moll(r, 0.5, 2.0, alpha0)
+        g1 = report(ext=C.ExternalConstants(K1=1.0, alpha0=alpha0)).gamma
+        g2 = report(ext=C.ExternalConstants(K1=2.0, alpha0=alpha0)).gamma
         assert rel(g2, float(g1) * 2.0 ** (-1.0 / alpha0)) < 1e-12
 
 
 def test_gamma_identity_holds_generally():
     for (n, ab, K1, a0) in [(2, 0.5, 1.0, 1.0), (3, 0.3, 2.5, 0.4), (1, 0.7, 0.8, 0.9)]:
-        r = C.r0(n, ab)
-        g = C.gamma_moll(r, ab, K1, a0)
+        rep = report(n, alpha_bar=ab, ext=C.ExternalConstants(K1=K1, alpha0=a0))
         with mp.workdps(50):
-            lhs = mpf(K1) * g ** mpf(a0)
-            rhs = r ** (2 + mpf(ab)) / 4
+            lhs = mpf(K1) * rep.gamma ** mpf(a0)
+            rhs = rep.r0 ** (2 + mpf(ab)) / 4
         assert abs(float(lhs / rhs) - 1.0) < 1e-10
 
 
 def test_gamma_domain_errors():
-    with pytest.raises(ValueError):
-        C.gamma_moll(0.0, 0.5, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        C.gamma_moll(1e-6, 0.5, -1.0, 1.0)
+    with pytest.raises(ValueError, match="K1 must be positive"):
+        C.ExternalConstants(K1=-1.0)
+    with pytest.raises(ValueError, match="gamma must stay below 1/5"):
+        report(ext=C.ExternalConstants(K1=1e-40, alpha0=1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -185,37 +193,42 @@ def test_gamma_domain_errors():
 
 
 def test_iteration_params_frozen_values():
-    mu, delta, C4 = C.iteration_params(1.0, 0.25, 0.5, 2, 1.0)
-    assert rel(mu, 0.033735943356934611) < 1e-12
-    assert rel(mu, (3.0 / 7.0) ** 4) < 1e-12  # cap branch active for C1 = 1
-    assert rel(delta, 1.1793893743558205e-4) < 1e-10
-    assert rel(C4, 6.25) < 1e-12
+    # a small alpha against a small C1 makes the 3/7 cap the binding constraint
+    rep = report(1, alpha_bar=0.05, alpha=0.002)
+    with mp.workdps(50):
+        cap = (mpf(3) / 7) ** (1 / mpf(0.002))
+        assert abs(rep.mu / cap - 1) < 1e-12
+        assert (2 * rep.C1) ** (-1 / (mpf(0.05) - mpf(0.002))) > cap
+        assert abs((rep.C4 - 1) / (rep.C1 * mpf(21) / 4) - 1) < 1e-12  # 1 - mu^alpha = 4/7
 
 
 def test_iteration_params_constraints_literal():
-    for C1 in (1.0, 10.0, 1e6):
-        mu, delta, C4 = C.iteration_params(C1, 0.25, 0.5, 2, 1.0)
-        assert 2 * mpf(C1) * mu ** mpf(0.5) <= mu ** mpf(0.25)
-        assert mu ** mpf(0.25) <= mpf(3) / 7
-        assert C.omega_n(2) ** mpf(0.5) * delta <= mpf(C1) * mu ** mpf(2.5)
+    for n, ab, a in ((2, 0.5, 0.25), (1, 0.05, 0.002), (3, 0.7, 0.1)):
+        rep = report(n, alpha_bar=ab, alpha=a)
+        mu, C1, delta = rep.mu, rep.C1, rep.delta
+        with mp.workdps(50):
+            assert 2 * C1 * mu ** mpf(ab) <= mu ** mpf(a)
+            assert mu ** mpf(a) <= mpf(3) / 7
+            assert rep.omega_n ** (mpf(1) / n) * delta <= C1 * mu ** (2 + mpf(ab))
 
 
 def test_iteration_params_large_C1_limits():
-    C1 = 1e12
-    mu, _, C4 = C.iteration_params(C1, 0.25, 0.5, 2, 1.0)
-    assert float(mu) == pytest.approx((2 * C1) ** (-4.0), rel=1e-10)
-    assert float(C4) == pytest.approx(1 + 3 * C1, rel=1e-10)
+    rep = report(alpha=0.25)
+    C1 = float(rep.C1)
+    assert C1 > 1e12
+    assert float(rep.mu) == pytest.approx((2 * C1) ** (-4.0), rel=1e-10)
+    assert float(rep.C4) == pytest.approx(1 + 3 * C1, rel=1e-10)
 
 
 def test_iteration_params_domain_error():
-    with pytest.raises(ValueError):
-        C.iteration_params(1.0, 0.5, 0.25, 2, 1.0)  # alpha >= alpha_bar
+    with pytest.raises(ValueError, match="alpha must be smaller than alpha_bar"):
+        C.HolderPair(0.25, 0.5)
 
 
 def test_omega_n():
-    assert rel(C.omega_n(2), math.pi) < 1e-14
-    assert rel(C.omega_n(3), 4.0 * math.pi / 3.0) < 1e-14
-    assert rel(C.omega_n(1), 2.0) < 1e-14
+    assert rel(report(2).omega_n, math.pi) < 1e-14
+    assert rel(report(3).omega_n, 4.0 * math.pi / 3.0) < 1e-14
+    assert rel(report(1).omega_n, 2.0) < 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +253,43 @@ def test_report_detects_forced_violation():
     assert checks["closeness_cap"].slack < 0
 
 
+def _chain_oracle(n, bounds, pair, ext, variant):
+    """Every report field re-derived from the module docstring's formulas at
+    90 digits, with eps0_tilde, mu and delta shaved a relative 1e-40 inward."""
+    with mp.workdps(90):
+        shave = 1 - mpf(10) ** -40
+        ab, a0, K1 = mpf(pair.alpha_bar), mpf(ext.alpha0), mpf(ext.K1)
+        r = (mpf(3) / (250 * n**3)) ** (1 / (1 - ab))
+
+        def chain(lam):
+            lam = mpf(lam)
+            eps = min(lam * 2 / (25 * n**2) * r**ab,
+                      (mpf(1) / 2) ** (1 + 6 / a0) * lam / mpf(ext.K2) * K1 ** (-3 / a0)
+                      * r ** ((2 + ab) * (1 + 3 / a0))) * shave
+            c0 = {"proof": 1 + n + mpf(25) / 4 * n**2 + eps / (2 * lam) * mpf(25) / 4 * n**2,
+                  "statement": 1 + n + 4 * n**2 + eps / lam * mpf(25) / 8 * mpf(n) ** 2.5}
+            c0_prime = c0[variant] * (1 + 3 / (1 - r**ab)) / r ** (1 + ab)
+            return eps, c0, c0_prime, c0_prime * 2**ab * (2 + 2 ** (2 + ab)) ** 2
+
+        eps_t, c0, c0_prime, c1_tilde = chain(bounds.lam)
+        # the rescaled bounds are float inputs, as EllipticityBounds.rescaled forms them
+        Lam = mpf(bounds.Lam)
+        eps_r, _, _, c1_tilde_r = chain(bounds.lam / bounds.Lam)
+        c1 = c1_tilde_r * Lam ** (2 + ab)
+        omega = mp.pi ** (mpf(n) / 2) / mp.gamma(mpf(n) / 2 + 1)
+        want = {"r0": r, "eps0_tilde": eps_t, "eps0": eps_r / Lam, "C0": c0[variant],
+                "C0_proof": c0["proof"], "C0_statement": c0["statement"],
+                "C0_prime": c0_prime, "C1_tilde": c1_tilde, "C1": c1,
+                "gamma": (r ** (2 + ab) / (4 * K1)) ** (1 / a0), "omega_n": omega}
+        if pair.alpha is not None:
+            a = mpf(pair.alpha)
+            mu = min((2 * c1) ** (-1 / (ab - a)), (mpf(3) / 7) ** (1 / a)) * shave
+            want["mu"] = mu
+            want["delta"] = c1 * mu ** (2 + ab) / (omega ** (mpf(1) / n) * mpf(ext.C3)) * shave
+            want["C4"] = 1 + 3 * c1 / (1 - mu**a)
+    return want
+
+
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(min_value=1, max_value=4),
        lam=st.floats(min_value=0.05, max_value=20.0),
@@ -252,33 +302,18 @@ def test_report_detects_forced_violation():
        K2=st.floats(min_value=0.1, max_value=10.0),
        C3=st.floats(min_value=0.1, max_value=10.0),
        variant=st.sampled_from(["proof", "statement"]))
-def test_report_fields_equal_the_public_helpers(n, lam, spread, alpha_bar, alpha_frac, K1,
-                                                alpha0, C_prime, K2, C3, variant):
+def test_report_fields_match_a_90_digit_oracle(n, lam, spread, alpha_bar, alpha_frac, K1,
+                                               alpha0, C_prime, K2, C3, variant):
     bounds = C.EllipticityBounds(lam, lam * spread)
-    alpha = None if alpha_frac is None else alpha_frac * alpha_bar
+    pair = C.HolderPair(alpha_bar, None if alpha_frac is None else alpha_frac * alpha_bar)
     ext = C.ExternalConstants(K1, alpha0, C_prime, K2, C3)
-    rep = C.build_report(n, bounds, C.HolderPair(alpha_bar, alpha), ext, variant)
-    eps_t = C.eps0_tilde(n, bounds, alpha_bar, ext)
-    C0s = {v: C.c0(n, lam, eps_t, v) for v in ("proof", "statement")}
-    assert rep.r0 == C.r0(n, alpha_bar)
-    assert rep.eps0_tilde == eps_t
-    assert rep.eps0 == C.eps0(n, bounds, alpha_bar, ext)
-    assert (rep.C0_proof, rep.C0_statement, rep.C0) == (C0s["proof"], C0s["statement"],
-                                                        C0s[variant])
-    assert (rep.C0_prime, rep.C1_tilde, rep.C1) == C.c1_chain(n, bounds, alpha_bar, ext, variant)
-    assert rep.gamma == C.gamma_moll(rep.r0, alpha_bar, K1, alpha0)
-    assert rep.omega_n == C.omega_n(n)
-    if alpha is None:
+    rep = C.build_report(n, bounds, pair, ext, variant)
+    want = _chain_oracle(n, bounds, pair, ext, variant)
+    if pair.alpha is None:
         assert (rep.mu, rep.delta, rep.C4) == (None, None, None)
-    else:
-        assert (rep.mu, rep.delta, rep.C4) == C.iteration_params(rep.C1, alpha, alpha_bar, n, C3)
-    # eps0 and C1 are the chain at the rescaled bounds, pulled back
-    rescaled = bounds.rescaled()
-    with mp.workdps(50):
-        Lam = mpf(bounds.Lam)
-        assert rep.eps0 == C.eps0_tilde(n, rescaled, alpha_bar, ext) / Lam
-        assert rep.C1 == (C.c1_chain(n, rescaled, alpha_bar, ext, variant)[1]
-                          * Lam ** (2 + mpf(alpha_bar)))
+    with mp.workdps(90):
+        for name, value in want.items():
+            assert abs(getattr(rep, name) / value - 1) < mpf(10) ** -45, name
     assert rep.all_checks_pass()
 
 

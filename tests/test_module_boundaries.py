@@ -6,6 +6,8 @@ imports scipy, and the package exports load on first access)."""
 from __future__ import annotations
 
 import ast
+import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -103,3 +105,21 @@ def test_importing_the_package_loads_no_numpy():
         [sys.executable, "-c", "import sys, ellreg; print(sorted({'numpy', 'mpmath'} & set(sys.modules)))"],
         env=env, capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_every_all_lists_the_public_names_its_module_defines():
+    # names in __all__ resolve, and each public function or class a module
+    # defines is listed, so neither a stale entry nor a missing one survives
+    missing, stale = [], []
+    for path in sorted(SRC.glob("*.py")):
+        name = "ellreg" if path.stem == "__init__" else f"ellreg.{path.stem}"
+        module = importlib.import_module(name)
+        listed = getattr(module, "__all__", None)
+        if listed is None:
+            continue
+        stale += [f"{name}.{n}" for n in listed if not hasattr(module, n)]
+        missing += [f"{name}.{n}" for n, obj in vars(module).items()
+                    if not n.startswith("_") and (inspect.isfunction(obj) or inspect.isclass(obj))
+                    and obj.__module__ == name and n not in listed]
+    assert not stale, stale
+    assert not missing, missing
