@@ -88,18 +88,6 @@ def _load_config(path: str | None) -> configparser.ConfigParser:
     return cfg
 
 
-def canonical_config(cfg: configparser.ConfigParser) -> str:
-    """Canonical serialization (sorted sections and keys); parsing the output
-    and re-serializing reproduces it byte for byte."""
-    lines = []
-    for section in sorted(cfg.sections()):
-        lines.append(f"[{section}]")
-        for key in sorted(cfg.options(section)):
-            lines.append(f"{key} = {cfg.get(section, key)}")
-        lines.append("")
-    return "\n".join(lines)
-
-
 def _profile(name: str):
     if name not in PROFILES:
         raise ValueError(f"unknown field profile {name!r}; choose from {sorted(PROFILES)}")

@@ -27,7 +27,6 @@ gamma-shrunk domain); nothing is ever padded or extrapolated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from mpmath import mp
@@ -35,7 +34,6 @@ from mpmath import mp
 from .grid import GridFunction, neighbours
 
 __all__ = [
-    "BumpKernel",
     "bump_profile",
     "discrete_kernel",
     "mollify",
@@ -88,29 +86,6 @@ def normalize(n: int) -> float:
     """Normalizing constant: 1 / integral_{|x|<1} exp(1/(|x|^2-1)) dx."""
     with mp.workdps(_DPS):
         return float(1 / _ball_integral(n))
-
-
-@dataclass(frozen=True)
-class BumpKernel:
-    """Scaled kernel eta_gamma(x) = gamma^-n C exp(1/((|x|/gamma)^2 - 1))."""
-
-    n: int
-    C_norm: float
-    gamma: float
-
-    def __post_init__(self):
-        if self.n not in (1, 2):
-            raise ValueError("only dimensions 1 and 2 are supported")
-        if not 0 < self.gamma < 0.2:
-            raise ValueError("gamma must lie in (0, 1/5)")
-
-    @classmethod
-    def build(cls, n: int, gamma: float) -> "BumpKernel":
-        return cls(n, normalize(n), gamma)
-
-    def __call__(self, *coords):
-        s = sum((np.asarray(c, dtype=float) / self.gamma) ** 2 for c in coords)
-        return self.C_norm * self.gamma ** (-self.n) * bump_profile(s)
 
 
 # For p = (3,0) and (2,1), D^p f(|x|^2) = r q (a + b t^2) in polar coordinates

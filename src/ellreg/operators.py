@@ -44,7 +44,6 @@ __all__ = [
     "NormalizationResult",
     "PERTURBATIONS",
     "catalog_specs",
-    "derivative_oscillation",
     "df_at_zero",
     "effective_bounds",
     "evaluate_batch",
@@ -221,26 +220,6 @@ def residual_audit(spec, samples: int = 10_000, seed: int = 0) -> float:
     lin = spec.w11 * n11 + 2.0 * spec.w12 * n12 + spec.w22 * n22
     resid = np.abs(evaluate_batch(spec, n11, n12, n22) - lin)
     return float(np.max(resid[keep] / fro[keep]))
-
-
-def derivative_oscillation(spec, samples: int = 1000, seed: int = 0) -> float:
-    """Max operator norm of DF(M) - DF(N) over all pairs of sampled matrices.
-
-    Bounded by 2*eps for every catalog entry, and by eps when the perturbation
-    gradient ranges over a set of diameter <= 1 (smooth_max does; sine does not).
-    """
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    m = rng.uniform(-4.0, 4.0, size=(samples, 3))
-    g11, g12, g22 = gradient_batch(spec, m[:, 0], m[:, 1], m[:, 2])
-    worst = 0.0
-    chunk = 512
-    for lo in range(0, samples, chunk):
-        hi = slice(lo, lo + chunk)
-        da = g11[hi][:, None] - g11[None, :]
-        dc = g12[hi][:, None] - g12[None, :]
-        db = g22[hi][:, None] - g22[None, :]
-        worst = max(worst, float(np.max(op_norm_sym2(da, dc, db))))
-    return worst
 
 
 class TransformedOperator:

@@ -45,10 +45,8 @@ from . import operators
 from .grid import Grid2, GridFunction, SubRegion, neighbours
 
 __all__ = [
-    "ComparisonResult",
     "HessianField",
     "SolverError",
-    "comparison_check",
     "hessian",
     "solve_fully_nonlinear",
     "solve_laplace_dirichlet",
@@ -463,12 +461,14 @@ class _Multigrid:
 # ---------------------------------------------------------------------------
 # Dirichlet solves: one chord loop
 
-# A linear solve returns a residual of at most _RESIDUAL_TOL * max(|g|, |f|)
-# and aims at 0.05 of that in at most _REFINEMENTS steps after the direct
-# solve.  After the first step (eps > 0) that cuts the residual by less than
-# _SLOW_CONTRACTION every step is a Newton step; _STALL steps in a row without
-# a new best end the loop; meta["residual_history"] keeps the first _HISTORY_CAP residuals.
+# A linear solve returns a residual of at most _RESIDUAL_TOL * max(|g|, |f|),
+# or of the rounding floor where that is larger (_dirichlet), and aims at 0.05
+# of the first in at most _REFINEMENTS steps after the direct solve.  After the
+# first step (eps > 0) that cuts the residual by less than _SLOW_CONTRACTION
+# every step is a Newton step; _STALL steps in a row without a new best end
+# the loop; meta["residual_history"] keeps the first _HISTORY_CAP residuals.
 _RESIDUAL_TOL = 1e-10
+_UNIT_ROUNDOFF = 2.0**-53
 _REFINEMENTS = 3
 _SLOW_CONTRACTION = 0.25
 _STALL = 3
@@ -484,7 +484,13 @@ def _dirichlet(spec, f, g, grid: Grid2, region: SubRegion | None, tol: float | N
     The loop returns its best iterate once a residual meets the aim or, with
     the best within tol, a step fails to halve it; after max_sweeps steps or
     _STALL steps in a row without a new best it raises SolverError unless
-    the best meets tol.
+    the best meets accept, and meta["tol"] is tol or, if the best misses
+    tol, accept.  A linear accept is the larger of tol and the normwise
+    backward-error floor u (||A||_inf ||x||_inf + ||b||_inf) (W. Oettli and
+    W. Prager, Numer. Math. 6, 1964): u is the unit roundoff, ||A||_inf =
+    (4 w11 + 4 w22 + 2 |w12|) / h^2 the stencil's row sum and ||x||_inf is
+    taken as max|g|.  The stencil scales like 1/h^2, so on a fine lattice
+    rounding alone can leave more than tol.  Any other accept is tol.
     """
     region = region or grid.region
     interior, boundary = region.interior, region.boundary
@@ -492,12 +498,14 @@ def _dirichlet(spec, f, g, grid: Grid2, region: SubRegion | None, tol: float | N
     f_int = _field_values(f, grid, interior)[interior]
     g_max = float(np.max(np.abs(v[boundary]), initial=0.0))
     f_max = float(np.max(np.abs(f_int), initial=0.0))
+    h = grid.h
     if linear:
         tol = _RESIDUAL_TOL * (max(g_max, f_max) or 1.0)
         target, max_sweeps = 0.05 * tol, 1 + _REFINEMENTS
+        stencil_norm = (4.0 * spec.w11 + 4.0 * spec.w22 + 2.0 * abs(spec.w12)) / (h * h)
+        accept = max(tol, _UNIT_ROUNDOFF * (stencil_norm * g_max + f_max))
     else:
-        target = tol = 1e-8 * (g_max + f_max + 1.0) if tol is None else tol
-    h = grid.h
+        target = tol = accept = 1e-8 * (g_max + f_max + 1.0) if tol is None else tol
     inverse = _Multigrid(spec.w11, spec.w12, spec.w22, h, region, _PCG_TOL * target)
 
     history: list[float] = []
@@ -520,11 +528,13 @@ def _dirichlet(spec, f, g, grid: Grid2, region: SubRegion | None, tol: float | N
         else:
             stall += 1
         if floor or stall >= _STALL or sweeps >= max_sweeps:
-            if best > tol:
+            if best > accept:
                 why = (f"stalled: no new best residual in {_STALL} sweeps" if stall >= _STALL
                        else f"no convergence in {max_sweeps} sweeps")
-                raise SolverError(f"{why} (best residual {best:.3e}, tol {tol:.3e})")
+                raise SolverError(f"{why} (best residual {best:.3e}, tol {accept:.3e})")
             v[interior], res = kept, best
+            if best > tol:
+                tol = accept
             break
         if spec.eps != 0 and (newton_steps or res > _SLOW_CONTRACTION * prev):
             # from the first slow step on, every step is a Newton step
@@ -547,11 +557,12 @@ def solve_linear_dirichlet(W0, f, g, grid: Grid2,
     on the region boundary: one chord step, which is the direct solve, then
     at most _REFINEMENTS refinements.
 
-    Raises SolverError if the stencil residual exceeds meta["tol"] =
-    _RESIDUAL_TOL * max(|g|, |f|).  Each sweep solves the stencil by
-    conjugate gradients preconditioned by the multigrid V-cycle of W0's
-    diagonal part, and meta["mg_iterations"] lists its iteration count per
-    sweep.
+    Raises SolverError if the stencil residual exceeds both _RESIDUAL_TOL *
+    max(|g|, |f|) and the rounding floor u (||A||_inf max|g| + max|f|), u the
+    unit roundoff; meta["tol"] is the first if the residual meets it, else
+    the floor.  Each sweep solves the stencil by conjugate gradients
+    preconditioned by the multigrid V-cycle of W0's diagonal part, and
+    meta["mg_iterations"] lists its iteration count per sweep.
     """
     return _dirichlet(operators.make_spec(W0), f, g, grid, region, None, None, linear=True)
 
@@ -580,59 +591,3 @@ def solve_fully_nonlinear(spec, f, g, grid: Grid2, region: SubRegion | None = No
         raise ValueError(f"max_sweeps must be nonnegative, got {max_sweeps!r}")
     return _dirichlet(spec, f, g, grid, region, tol, max_sweeps, linear=False)
 
-
-# ---------------------------------------------------------------------------
-# discrete comparison
-
-
-@dataclass
-class ComparisonResult:
-    """Outcome of the discrete comparison test.
-
-    outcome is "ordered", "not_ordered", or "precondition_failed"; the result
-    is truthy exactly when ordered.
-    """
-
-    outcome: str
-    max_violation: float
-    detail: str = ""
-
-    def __bool__(self) -> bool:
-        return self.outcome == "ordered"
-
-
-def comparison_check(u_lower: GridFunction, u_upper: GridFunction, spec, f=None,
-                     slack: float | None = None) -> ComparisonResult:
-    """Check F(D^2 u_lower) >= f >= F(D^2 u_upper) and boundary order, then
-    report whether u_lower <= u_upper at every common interior node."""
-    g = u_lower.grid
-    if u_upper.grid.N != g.N or u_upper.grid.extent != g.extent:
-        raise ValueError("functions live on different lattices")
-    both = u_lower.defined & u_upper.defined
-    interior = g.interior & both
-    bnd = g.boundary & both
-    ffull = _field_values(f, g, interior)
-    if slack is None:
-        slack = 1e-7 * (u_lower.sup() + u_upper.sup() + 1.0)
-
-    Hl = hessian(u_lower)
-    Hu = hessian(u_upper)
-    m = interior & Hl.mask & Hu.mask
-    Fl = operators.evaluate_batch(spec, Hl.h11[m], Hl.h12[m], Hl.h22[m])
-    Fu = operators.evaluate_batch(spec, Hu.h11[m], Hu.h12[m], Hu.h22[m])
-    sub_viol = float(np.max(ffull[m] - Fl, initial=0.0))
-    sup_viol = float(np.max(Fu - ffull[m], initial=0.0))
-    bnd_viol = float(np.max(u_lower.values[bnd] - u_upper.values[bnd], initial=0.0))
-    worst = max(sub_viol, sup_viol, bnd_viol)
-    if worst > slack:
-        which = ("subsolution residual" if worst == sub_viol
-                 else "supersolution residual" if worst == sup_viol
-                 else "boundary ordering")
-        return ComparisonResult("precondition_failed", worst, which)
-
-    order_tol = 1e-12 * (u_lower.sup() + u_upper.sup() + 1.0)
-    gap = u_upper.values[interior] - u_lower.values[interior]
-    violation = float(np.max(-gap, initial=0.0))
-    if violation <= order_tol:
-        return ComparisonResult("ordered", violation)
-    return ComparisonResult("not_ordered", violation)

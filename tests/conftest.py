@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from ellreg.grid import Grid2, GridFunction
-from ellreg.operators import OperatorSpec
-from ellreg.solver import solve_fully_nonlinear
+from ellreg.operators import OperatorSpec, evaluate_batch
+from ellreg.solver import hessian, solve_fully_nonlinear
 
 
 def cubic_harmonic(x, y):
@@ -81,3 +83,61 @@ def perturbed_solution(disk129, sine_spec):
     shared by the analysis tests that read it."""
     u = solve_fully_nonlinear(sine_spec, None, cubic_harmonic, disk129)
     return u
+
+
+# ---------------------------------------------------------------------------
+# discrete comparison oracle
+
+
+@dataclass
+class ComparisonResult:
+    """Outcome of the discrete comparison test.
+
+    outcome is "ordered", "not_ordered", or "precondition_failed"; the result
+    is truthy exactly when ordered.
+    """
+
+    outcome: str
+    max_violation: float
+    detail: str = ""
+
+    def __bool__(self) -> bool:
+        return self.outcome == "ordered"
+
+
+def comparison_check(u_lower: GridFunction, u_upper: GridFunction, spec, f=None,
+                     slack: float | None = None) -> ComparisonResult:
+    """Check F(D^2 u_lower) >= f >= F(D^2 u_upper) and boundary order, then
+    report whether u_lower <= u_upper at every common interior node; f is
+    None (zero) or an array over the full lattice."""
+    g = u_lower.grid
+    if u_upper.grid.N != g.N or u_upper.grid.extent != g.extent:
+        raise ValueError("functions live on different lattices")
+    both = u_lower.defined & u_upper.defined
+    interior = g.interior & both
+    bnd = g.boundary & both
+    ffull = np.zeros((g.N, g.N)) if f is None else np.asarray(f, dtype=float)
+    if slack is None:
+        slack = 1e-7 * (u_lower.sup() + u_upper.sup() + 1.0)
+
+    Hl = hessian(u_lower)
+    Hu = hessian(u_upper)
+    m = interior & Hl.mask & Hu.mask
+    Fl = evaluate_batch(spec, Hl.h11[m], Hl.h12[m], Hl.h22[m])
+    Fu = evaluate_batch(spec, Hu.h11[m], Hu.h12[m], Hu.h22[m])
+    sub_viol = float(np.max(ffull[m] - Fl, initial=0.0))
+    sup_viol = float(np.max(Fu - ffull[m], initial=0.0))
+    bnd_viol = float(np.max(u_lower.values[bnd] - u_upper.values[bnd], initial=0.0))
+    worst = max(sub_viol, sup_viol, bnd_viol)
+    if worst > slack:
+        which = ("subsolution residual" if worst == sub_viol
+                 else "supersolution residual" if worst == sup_viol
+                 else "boundary ordering")
+        return ComparisonResult("precondition_failed", worst, which)
+
+    order_tol = 1e-12 * (u_lower.sup() + u_upper.sup() + 1.0)
+    gap = u_upper.values[interior] - u_lower.values[interior]
+    violation = float(np.max(-gap, initial=0.0))
+    if violation <= order_tol:
+        return ComparisonResult("ordered", violation)
+    return ComparisonResult("not_ordered", violation)

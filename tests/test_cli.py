@@ -261,8 +261,8 @@ def test_analyze_config_with_lambda_and_Lambda(tmp_path, capsys):
     assert code == cli.EXIT_USAGE
     assert "[constants] bounds (1.0, 1.08)" in err
     cfgfile.write_text(cfgfile.read_text().replace("Lambda", "lambda = 0.95\nLambda"))
-    canon = cli.canonical_config(cli._load_config(str(cfgfile)))
-    assert "Lambda = 1.08" in canon and "lambda = 0.95" in canon
+    constants = cli._load_config(str(cfgfile))["constants"]
+    assert (constants["Lambda"], constants["lambda"]) == ("1.08", "0.95")
 
 
 def test_analyze_rejects_infinite_grid_file(tmp_path, capsys):
@@ -455,18 +455,6 @@ def test_unknown_profile_exits_2(capsys):
     assert "unknown field profile" in err
 
 
-def test_config_canonical_round_trip(tmp_path):
-    cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text(
-        "[operator]\nw22 = 2.0\nw11 = 1.0\n\n[grid]\nn = 33\nshape = disk\n")
-    cfg = cli._load_config(str(cfgfile))
-    canon = cli.canonical_config(cfg)
-    again = tmp_path / "canon.cfg"
-    again.write_text(canon)
-    assert cli.canonical_config(cli._load_config(str(again))) == canon
-    assert canon.index("[grid]") < canon.index("[operator]")
-
-
 _CONFIG_DECLS = {(section, key): (cast, kw)
                  for section, params in (cli._GRID, cli._OPERATOR, cli._SOLVE, cli._CONSTANTS,
                                          cli._ANALYZE, cli._CORDES)
@@ -500,22 +488,16 @@ def _configs(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(_configs())
-def test_canonical_config_round_trips_byte_for_byte(cfg):
+def test_load_config_keeps_every_key_and_its_text(cfg):
     assert {("constants", "lambda"), ("constants", "Lambda")} <= _CONFIG_DECLS.keys()
     parser = configparser.ConfigParser()
     parser.optionxform = str
     parser.read_dict(cfg)
-    canon = cli.canonical_config(parser)
-    # the text does not depend on the order the sections and keys came in
-    reordered = configparser.ConfigParser()
-    reordered.optionxform = str
-    reordered.read_dict({s: dict(reversed(v.items())) for s, v in reversed(cfg.items())})
-    assert cli.canonical_config(reordered) == canon
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "canon.cfg"
-        path.write_text(canon)
+        path = Path(tmp) / "run.cfg"
+        with open(path, "w") as fh:
+            parser.write(fh)
         parsed = cli._load_config(str(path))
-    assert cli.canonical_config(parsed) == canon
     # every key keeps its case and its text, and each value still casts
     assert {s: dict(parsed[s]) for s in parsed.sections()} == cfg
     for section, values in cfg.items():

@@ -40,12 +40,16 @@ def test_normalize_frozen_values():
 
 
 def test_scaled_kernel_has_unit_mass():
+    # eta_gamma(x) = gamma^-n C exp(1/((|x|/gamma)^2 - 1)) integrates to 1
+    C = {n: mo.normalize(n) for n in (1, 2)}
+
+    def eta(n, gamma, r):
+        return C[n] * gamma**-n * float(mo.bump_profile(float(r) ** 2 / gamma**2))
+
     for gamma in (0.05, 0.1, 0.19):
-        k1 = mo.BumpKernel.build(1, gamma)
-        total = mpmath.quad(lambda x: float(k1(float(x))), [-gamma, 0, gamma])
+        total = mpmath.quad(lambda x: eta(1, gamma, x), [-gamma, 0, gamma])
         assert float(total) == pytest.approx(1.0, abs=1e-8)
-    k2 = mo.BumpKernel.build(2, 0.1)
-    total = mpmath.quad(lambda r: 2 * math.pi * float(r) * float(k2(float(r), 0.0)), [0, 0.1])
+    total = mpmath.quad(lambda r: 2 * math.pi * float(r) * eta(2, 0.1, r), [0, 0.1])
     assert float(total) == pytest.approx(1.0, abs=1e-8)
 
 

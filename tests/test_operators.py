@@ -51,15 +51,35 @@ def test_residual_audit_deterministic_and_seed_sensitive():
     assert a != op.residual_audit(spec, samples=500, seed=10)
 
 
+def derivative_oscillation(spec, samples: int = 1000, seed: int = 0) -> float:
+    """Max operator norm of DF(M) - DF(N) over all pairs of sampled matrices.
+
+    Bounded by 2*eps for every catalog entry, and by eps when the perturbation
+    gradient ranges over a set of diameter <= 1 (smooth_max does; sine does not).
+    """
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    m = rng.uniform(-4.0, 4.0, size=(samples, 3))
+    g11, g12, g22 = op.gradient_batch(spec, m[:, 0], m[:, 1], m[:, 2])
+    worst = 0.0
+    chunk = 512
+    for lo in range(0, samples, chunk):
+        hi = slice(lo, lo + chunk)
+        da = g11[hi][:, None] - g11[None, :]
+        dc = g12[hi][:, None] - g12[None, :]
+        db = g22[hi][:, None] - g22[None, :]
+        worst = max(worst, float(np.max(op.op_norm_sym2(da, dc, db))))
+    return worst
+
+
 def test_derivative_oscillation_bounds():
-    assert op.derivative_oscillation(op.OperatorSpec(2, 0.3, 1), samples=200, seed=0) == 0.0
+    assert derivative_oscillation(op.OperatorSpec(2, 0.3, 1), samples=200, seed=0) == 0.0
     sine = op.OperatorSpec(1, 0, 1, 0.05, "sine")
-    osc = op.derivative_oscillation(sine, samples=800, seed=1)
+    osc = derivative_oscillation(sine, samples=800, seed=1)
     # sine gradients range over a set of operator-norm diameter ~1.97
     assert osc <= 2.0 * sine.eps + 1e-12
     assert osc > sine.eps  # the eps envelope genuinely does not hold for sine
     smax = op.OperatorSpec(1, 0, 1, 0.05, "smooth_max")
-    osc2 = op.derivative_oscillation(smax, samples=800, seed=1)
+    osc2 = derivative_oscillation(smax, samples=800, seed=1)
     assert osc2 <= smax.eps  # gradient segment has diameter 1/2
 
 

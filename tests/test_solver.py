@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ellreg import constants as C
@@ -19,7 +19,8 @@ from ellreg import operators as op
 from ellreg import solver as sv
 from ellreg.grid import Grid2, GridFunction, load_grid, save_grid
 
-from conftest import cubic_harmonic, holey_field, philox, random_field, saddle, shifted
+from conftest import (comparison_check, cubic_harmonic, holey_field, philox, random_field, saddle,
+                      shifted)
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +393,26 @@ def test_linear_residual_contract_at_513(W0):
     assert res == u.meta["residual"] == min(u.meta["residual_history"]) <= u.meta["tol"]
     assert u.meta["sweeps"] == len(u.meta["mg_iterations"]) == 3
     assert u.meta["newton_steps"] == 0
+
+
+def test_linear_contract_accepts_the_rounding_floor_at_257():
+    # diag(40, 1) at N=257 cannot reach 1e-10 max|g|: the stencil's row sum
+    # (4 w11 + 4 w22) / h^2 times max|g| leaves about 2.7e-10 of rounding, so
+    # the solve meets that floor instead; diag(20, 1) meets 1e-10 max|g|, and
+    # its tol and residual stay those of the contract without the floor
+    g = Grid2.disk(257)
+    boundary = lambda x, y: np.sin(2.0 * x) * np.cos(y)
+    g_max = float(np.max(np.abs(boundary(g.X, g.Y)[g.boundary])))
+    for w11, residual, tol in ((20.0, 7.457856554538012e-11, sv._RESIDUAL_TOL * g_max),
+                               (40.0, 1.6370904631912708e-10,
+                                2.0**-53 * (4.0 * 40.0 + 4.0) / g.h**2 * g_max)):
+        W0 = np.diag([w11, 1.0])
+        u = sv.solve_linear_dirichlet(W0, None, boundary, g)
+        H = sv.hessian(u)
+        m = g.interior
+        res = float(np.max(np.abs(op.evaluate_batch(op.make_spec(W0), H.h11[m], H.h12[m],
+                                                    H.h22[m]))))
+        assert res == u.meta["residual"] == residual <= u.meta["tol"] == tol, w11
 
 
 @st.composite
@@ -974,7 +995,7 @@ def test_nonlinear_two_grid_convergence_order(sine_spec):
 
 def test_comparison_equal_functions(disk33, identity_spec):
     u = sv.solve_laplace_dirichlet(saddle, disk33)
-    assert sv.comparison_check(u, u, identity_spec)
+    assert comparison_check(u, u, identity_spec)
 
 
 def test_comparison_barrier_pair(disk65, identity_spec):
@@ -987,13 +1008,13 @@ def test_comparison_barrier_pair(disk65, identity_spec):
     bump = float(rep.eps0_tilde) / 2.0 * float(mo.third_derivative_mass(2)) * M / gamma**3
     upper = GridFunction(
         disk65, h.values + bump * (1.0 - disk65.X**2 - disk65.Y**2), h.defined.copy())
-    res = sv.comparison_check(h, upper, identity_spec)
+    res = comparison_check(h, upper, identity_spec)
     assert res.outcome == "ordered" and bool(res)
-    swapped = sv.comparison_check(upper, h, identity_spec)
+    swapped = comparison_check(upper, h, identity_spec)
     assert swapped.outcome in ("not_ordered", "ordered")  # bump can be below tolerance
     # Laplacian(h + 5(1-x^2)) = -10 < f, so the subsolution hypothesis fails
     lower_violator = GridFunction(disk65, h.values + 5.0 * (1.0 - disk65.X**2), h.defined.copy())
-    bad = sv.comparison_check(lower_violator, h, identity_spec)
+    bad = comparison_check(lower_violator, h, identity_spec)
     assert bad.outcome == "precondition_failed"
     assert not bad
 
@@ -1001,7 +1022,7 @@ def test_comparison_barrier_pair(disk65, identity_spec):
 def test_comparison_detects_violation(disk33, identity_spec):
     h = sv.solve_laplace_dirichlet(saddle, disk33)
     shifted = GridFunction(disk33, h.values - 0.5, h.defined.copy())
-    res = sv.comparison_check(h, shifted, identity_spec, slack=1.0)
+    res = comparison_check(h, shifted, identity_spec, slack=1.0)
     assert res.outcome == "not_ordered"
 
 
@@ -1011,6 +1032,32 @@ def test_comparison_flags_disorder_on_the_boundary_alone(disk33, identity_spec):
     h = sv.solve_laplace_dirichlet(saddle, disk33)
     raised = GridFunction(disk33, np.where(disk33.boundary, h.values + 0.5, h.values),
                           h.defined.copy())
-    res = sv.comparison_check(raised, h, identity_spec)
+    res = comparison_check(raised, h, identity_spec)
     assert (res.outcome, res.detail) == ("precondition_failed", "boundary ordering")
     assert res.max_violation == pytest.approx(0.5, rel=1e-12)
+
+
+def test_comparison_principle_on_chord_and_newton_solves():
+    # With w12 = 0 the 5-point scheme is monotone, so two solves whose
+    # boundary data differ by delta (1 + x^2) > 0 stay ordered inside.  Near
+    # eps = lam_min the chord steps are slow and the loop takes Newton steps.
+    # sine, and w12 != 0 (the 4-point cross stencil), make a scheme that is
+    # not monotone, and are left out.
+    newton_steps = []
+
+    @settings(max_examples=30, deadline=None)
+    @given(shape=st.sampled_from(sorted(_CONTRACT_GRIDS)), w11=st.floats(0.5, 2.0),
+           w22=st.floats(0.5, 2.0), frac=st.floats(0.0, 0.95), delta=st.floats(1e-6, 1e-1))
+    @example(shape="disk", w11=1.5, w22=0.9, frac=0.95, delta=1e-6)
+    def ordered(shape, w11, w22, frac, delta):
+        g = _CONTRACT_GRIDS[shape]
+        spec = op.OperatorSpec(w11, 0.0, w22, frac * min(w11, w22), "smooth_max")
+        lower = sv.solve_fully_nonlinear(spec, None, _contract_boundary, g)
+        upper = sv.solve_fully_nonlinear(
+            spec, None, lambda x, y: _contract_boundary(x, y) + delta * (1.0 + x**2), g)
+        res = comparison_check(lower, upper, spec)
+        assert res.outcome == "ordered", res
+        newton_steps.append(lower.meta["newton_steps"] + upper.meta["newton_steps"])
+
+    ordered()
+    assert max(newton_steps) > 0
