@@ -1,8 +1,9 @@
 """Quadratic approximation at geometrically shrinking scales.
 
 This module carries the constructive pipeline: local least-squares quadratic
-fits, the single improvement step (mollify, replace harmonically, take the
-second-order Taylor polynomial, correct it onto the operator's zero set), the
+fits, the single improvement step (mollify, replace by the solution of the
+linear equation tr(W0 D^2 h) = 0 that F is eps-close to, take the second-order
+Taylor polynomial, correct it onto the operator's zero set), the
 scale iteration that accumulates
 
     P_{k+1}(x) = P_k(x) + s_k * Pbar_k(x / r_k)
@@ -47,7 +48,7 @@ from . import operators
 from .constants import ConstantsReport, EllipticityBounds, pointwise_factor
 from .grid import GridFunction, ball_reach
 from .mollifier import mollify
-from .solver import SolverError, hessian, solve_laplace_dirichlet
+from .solver import SolverError, hessian, solve_linear_dirichlet
 
 __all__ = [
     "CertificateReport",
@@ -193,13 +194,16 @@ _DEVIATION_RADIUS = 0.25  # radius of the ball the step's deviations are taken o
 
 def improvement_step(u: GridFunction, spec, constants: ConstantsReport | None = None,
                      gamma_used: float | None = None):
-    """Mollify, replace harmonically on the inner disk, take the second-order
-    Taylor polynomial of the replacement at the origin, then move it onto the
+    """Mollify, replace on the inner disk by the solution h of tr(W0 D^2 h) = 0
+    (the linear equation F is eps-close to), take the second-order Taylor
+    polynomial of the replacement at the origin, then move it onto the
     operator's zero set with a scalar correction c |x|^2 ||D^2 h(0)|| / (2 lam)
     found by bisection on c in [-eps, eps] (monotone in c by ellipticity).
 
     Returns the corrected polynomial and a report of every measured quantity,
-    including the harmonic-derivative bound check ||D^2 h(0)|| <= (25/4) n^2 M.
+    including the derivative bound check ||D^2 h(0)|| <= (25/4) n^2 M
+    lam_max(W0) / lam_min(W0): h o W0^(1/2) is harmonic, on a disk smaller by
+    sqrt(lam_max(W0)), and D^2 h = W0^(-1/2) D^2 (h o W0^(1/2)) W0^(-1/2).
     The documented closed-form radii are far below any lattice resolution, so
     gamma defaults to 4h and the deviation ball to _DEVIATION_RADIUS; the literal
     constants live in the constants module.
@@ -213,12 +217,13 @@ def improvement_step(u: GridFunction, spec, constants: ConstantsReport | None = 
     sub = g.subregion(_REPLACE_RADIUS)
     if (sub.defined & ~u_moll.defined).any():
         raise ValueError("mollified data does not cover the replacement disk")
-    h_fun = solve_laplace_dirichlet(u_moll, g, region=sub)
+    h_fun = solve_linear_dirichlet(spec.W0, None, u_moll, g, region=sub)
     coef = _taylor_at_center(h_fun)
 
     M = u.sup()
     d2h_norm = float(operators.op_norm_sym2(*coef[3:]))
-    d2h_bound = 25.0 / 4.0 * 4.0 * M  # (25/4) n^2 with n = 2
+    lam_min, lam_max = np.linalg.eigvalsh(spec.W0)
+    d2h_bound = 25.0 / 4.0 * 4.0 * M * float(lam_max / lam_min)  # (25/4) n^2 with n = 2
     eff = operators.effective_bounds(spec)
 
     if spec.eps == 0.0 or d2h_norm <= 1e-12 * max(M, 1.0):

@@ -121,13 +121,13 @@ def mollifier_suite(scale: dict, seed: int) -> list:
 
 def solver_suite(scale: dict, seed: int) -> list:
     g = Grid2.disk(scale["n"])
-    lap = solver.solve_laplace_dirichlet(_saddle, g)
+    lap = solver.solve_linear_dirichlet(IDENTITY.W0, None, _saddle, g)
     quad_err = _max_dev(lap, _saddle(g.X, g.Y), lap.defined)
 
     errs = []
     for n in scale["order_ns"]:
         go = Grid2.disk(n)
-        sol = solver.solve_laplace_dirichlet(_exp_cos, go)
+        sol = solver.solve_linear_dirichlet(IDENTITY.W0, None, _exp_cos, go)
         errs.append(_max_dev(sol, _exp_cos(go.X, go.Y), go.interior))
     order = math.log2(errs[0] / errs[1])
 
@@ -141,7 +141,7 @@ def solver_suite(scale: dict, seed: int) -> list:
     mp_ok = True
     for _ in range(scale["max_principle_draws"]):
         gb = rng.standard_normal((33, 33))
-        inner = solver.solve_laplace_dirichlet(gb, g33).values[g33.interior]
+        inner = solver.solve_linear_dirichlet(IDENTITY.W0, None, gb, g33).values[g33.interior]
         mp_ok &= inner.min() >= np.min(gb[g33.boundary]) - 1e-10
         mp_ok &= inner.max() <= np.max(gb[g33.boundary]) + 1e-10
 

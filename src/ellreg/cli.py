@@ -11,13 +11,15 @@ generators keyed by the single 64-bit run seed.
 Exit codes: 0 success / condition satisfied; 1 condition not satisfied;
 2 usage or validation error (including an unknown config key, a config value
 its type rejects, analyze on an even N, which has no center node, analyze
-with an operator whose ellipticity bounds fall outside the [constants]
-lambda/Lambda, a grid file with an infinite value, a non-finite operator
-weight or eps, a tol that is not positive and finite, a negative max_sweeps,
-a --gamma that is not positive and finite, a --rho outside (0,1), a negative
---kmax, constants inputs the chain rejects, and an eps_slack or f_bound that
-cordes cannot use); 3 numerical failure.  analyze checks its settings and
-builds its one constants report before it loads or solves anything.
+with a [constants] n other than 2 or with an operator whose ellipticity
+bounds fall outside the [constants] lambda/Lambda, a source grid file whose
+shape, N or extent differs from the run's, a grid file with an infinite
+value, a non-finite operator weight or eps, a tol that is not positive and
+finite, a negative max_sweeps, a --gamma that is not positive and finite, a
+--rho outside (0,1), a negative --kmax, constants inputs the chain rejects,
+and an eps_slack or f_bound that cordes cannot use); 3 numerical failure.
+analyze checks its settings and builds its one constants report before it
+loads or solves anything.
 
 Start-up: this module imports only the standard library, and each cmd_*
 imports the ellreg modules it runs, so constants loads mpmath and no numpy,
@@ -131,7 +133,7 @@ def _source(args, grid):
 
     if args.source_file:
         f = load_grid(args.source_file)
-        if f.grid.N != grid.N or f.grid.extent != grid.extent:
+        if (f.grid.shape, f.grid.N, f.grid.extent) != (grid.shape, grid.N, grid.extent):
             raise ValueError("source grid file does not match the run lattice")
         return f if f.values[f.defined].any() else None
     return None if args.source == "zero" else GridFunction.from_callable(grid, _profile(args.source))
@@ -179,6 +181,8 @@ def cmd_analyze(args) -> int:
         raise ValueError(f"--rho must lie in (0,1), got {args.rho!r}")
     if args.kmax < 0:
         raise ValueError(f"--kmax must be nonnegative, got {args.kmax!r}")
+    if args.n != 2:
+        raise ValueError(f"analyze runs on a 2-D lattice: [constants] n must be 2, got {args.n!r}")
     from . import campanato, operators, solver
     from .grid import Grid2, load_grid
 

@@ -49,7 +49,6 @@ __all__ = [
     "SolverError",
     "hessian",
     "solve_fully_nonlinear",
-    "solve_laplace_dirichlet",
     "solve_linear_dirichlet",
 ]
 
@@ -121,28 +120,22 @@ def _lattice_values(data, grid: Grid2, mask: np.ndarray, name: str, nodes: str) 
     return out
 
 
-def _field_values(f, grid: Grid2, mask: np.ndarray) -> np.ndarray:
-    """The source on the interior nodes mask; None is zero."""
-    if f is None:
-        return np.zeros((grid.N, grid.N))
-    return _lattice_values(f, grid, mask, "source", "interior")
-
-
 # ---------------------------------------------------------------------------
 # Krylov solves preconditioned by the multigrid V-cycle of W0's diagonal part
 
 # The coarsest level spans at most _COARSEST_INTERVALS lattice intervals per
 # side, so its dense matrix has at most 7^2 unknowns.  A Krylov solve stops
-# after _KRYLOV_MAX_ITERATIONS iterations whatever its residual; the chord
-# loop then judges the iterate like any other.  _PCG_TOL is a CG solve's
-# stopping residual as a fraction of the chord loop's target; a Newton step's
-# GMRES stops at _GMRES_RTOL of its right-hand side's 2-norm and restarts
-# every _GMRES_RESTART iterations.
+# after _KRYLOV_MAX_ITERATIONS CG or _GMRES_MAX_ITERATIONS GMRES iterations
+# whatever its residual; the chord loop then judges the iterate like any
+# other.  _PCG_TOL is a CG solve's stopping residual as a fraction of the
+# chord loop's target; a Newton step's GMRES stops at _GMRES_RTOL of its
+# right-hand side's 2-norm.  GMRES never restarts: the chord loop's next
+# Newton step starts a fresh cycle from the true nonlinear residual.
 _COARSEST_INTERVALS = 8
 _KRYLOV_MAX_ITERATIONS = 100
 _PCG_TOL = 0.1
 _GMRES_RTOL = 1e-2
-_GMRES_RESTART = 40
+_GMRES_MAX_ITERATIONS = 40
 _FIVE_POINT = ((1, 0), (-1, 0), (0, 1), (0, -1))
 _DIAGONALS = ((1, 1), (-1, -1), (1, -1), (-1, 1))
 
@@ -398,14 +391,13 @@ class _Multigrid:
 
     def newton(self, coeffs, r: np.ndarray) -> np.ndarray:
         """d with |J d - r| <= _GMRES_RTOL |r| in the 2-norm, or the iterate
-        after _KRYLOV_MAX_ITERATIONS iterations, for J d = c11 d_xx + 2 c12
+        after _GMRES_MAX_ITERATIONS iterations, for J d = c11 d_xx + 2 c12
         d_xy + c22 d_yy with the per-node coefficients coeffs = (c11, c12,
-        c22).  J is not symmetric, so it runs GMRES (Y. Saad and M. H.
-        Schultz, SIAM J. Sci. Stat. Comput. 7, 1986) right-preconditioned by
-        one V-cycle.  The Krylov basis grows one vector per iteration up to
-        _GMRES_RESTART, and each restart starts from the true residual.  A
-        residual estimate that is not finite ends the step with the iterate of
-        the restarts before it."""
+        c22).  J is not symmetric, so it runs one cycle of GMRES (Y. Saad and
+        M. H. Schultz, SIAM J. Sci. Stat. Comput. 7, 1986) right-preconditioned
+        by one V-cycle, from zero; the Krylov basis grows one vector per
+        iteration, so it holds at most _GMRES_MAX_ITERATIONS vectors.  A
+        residual estimate that is not finite makes the step zero."""
         top, mask = self._top, self._top.mask
         c11, c12, c22 = coeffs
 
@@ -421,41 +413,34 @@ class _Multigrid:
         def norm(v):
             return math.sqrt(np.einsum("i,i->", v, v))
 
-        x, res, it = np.zeros(mask.shape), r, 0
         stop = _GMRES_RTOL * norm(r)
-        while True:
-            w, beta = res, norm(res)
-            basis, cols, rotations, g = [], [], [], [beta]
-            while abs(g[-1]) > stop and it < _KRYLOV_MAX_ITERATIONS and len(basis) < _GMRES_RESTART:
-                basis.append(w / beta)
-                w = jacobian(cycle(basis[-1]))
-                col = []
-                for v in basis:  # modified Gram-Schmidt
-                    col.append(np.einsum("i,i->", v, w))
-                    w -= col[-1] * v
-                beta = norm(w)
-                for k, (c, s) in enumerate(rotations):  # the Givens rotations so far
-                    col[k], col[k + 1] = c * col[k] + s * col[k + 1], c * col[k + 1] - s * col[k]
-                rho = math.hypot(col[-1], beta)
-                c, s = col[-1] / rho, beta / rho
-                col[-1] = rho
-                rotations.append((c, s))
-                g[-1:] = [c * g[-1], -s * g[-1]]
-                cols.append(col)
-                it += 1
-            if not (math.isfinite(g[-1]) and math.isfinite(beta)):
-                break  # a NaN stops no loop here; the chord loop's checks end the solve
-            if cols:
-                R = np.zeros((len(cols), len(cols)))
-                for j, col in enumerate(cols):
-                    R[:j + 1, j] = col
-                y = np.linalg.solve(R, g[:-1])
-                x += cycle(sum(yj * v for yj, v in zip(y, basis)))
-            if abs(g[-1]) <= stop or it >= _KRYLOV_MAX_ITERATIONS:
-                break
-            res = r - jacobian(x)
-        self.iterations.append(it)
-        return x[mask]
+        w, beta = r, norm(r)
+        basis, cols, rotations, g = [], [], [], [beta]
+        while abs(g[-1]) > stop and len(basis) < _GMRES_MAX_ITERATIONS:
+            basis.append(w / beta)
+            w = jacobian(cycle(basis[-1]))
+            col = []
+            for v in basis:  # modified Gram-Schmidt
+                col.append(np.einsum("i,i->", v, w))
+                w -= col[-1] * v
+            beta = norm(w)
+            for k, (c, s) in enumerate(rotations):  # the Givens rotations so far
+                col[k], col[k + 1] = c * col[k] + s * col[k + 1], c * col[k + 1] - s * col[k]
+            rho = math.hypot(col[-1], beta)
+            c, s = col[-1] / rho, beta / rho
+            col[-1] = rho
+            rotations.append((c, s))
+            g[-1:] = [c * g[-1], -s * g[-1]]
+            cols.append(col)
+        self.iterations.append(len(basis))
+        if not (cols and math.isfinite(g[-1]) and math.isfinite(beta)):
+            # a zero residual, or a NaN; the chord loop's checks end a solve that stalls
+            return np.zeros(len(r))
+        R = np.zeros((len(cols), len(cols)))
+        for j, col in enumerate(cols):
+            R[:j + 1, j] = col
+        y = np.linalg.solve(R, g[:-1])
+        return cycle(sum(yj * v for yj, v in zip(y, basis)))[mask]
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +467,7 @@ def _dirichlet(spec, f, g, grid: Grid2, region: SubRegion | None, tol: float | N
     linear only sets the contract: tol = _RESIDUAL_TOL * max(|g|, |f|), an
     aim of 0.05 tol and 1 + _REFINEMENTS steps; otherwise the aim is tol.
     The loop returns its best iterate once a residual meets the aim or, with
-    the best within tol, a step fails to halve it; after max_sweeps steps or
+    the best within accept, a step fails to halve it; after max_sweeps steps or
     _STALL steps in a row without a new best it raises SolverError unless
     the best meets accept, and meta["tol"] is tol or, if the best misses
     tol, accept.  A linear accept is the larger of tol and the normwise
@@ -495,7 +480,8 @@ def _dirichlet(spec, f, g, grid: Grid2, region: SubRegion | None, tol: float | N
     region = region or grid.region
     interior, boundary = region.interior, region.boundary
     v = _lattice_values(g, grid, boundary, "boundary data", "boundary")
-    f_int = _field_values(f, grid, interior)[interior]
+    f = 0.0 if f is None else f
+    f_int = _lattice_values(f, grid, interior, "source", "interior")[interior]
     g_max = float(np.max(np.abs(v[boundary]), initial=0.0))
     f_max = float(np.max(np.abs(f_int), initial=0.0))
     h = grid.h
@@ -522,7 +508,7 @@ def _dirichlet(spec, f, g, grid: Grid2, region: SubRegion | None, tol: float | N
         if res <= target:
             break
         # past the rounding floor a step trades one rounding error for another
-        floor = best <= tol and res > 0.5 * best
+        floor = best <= accept and res > 0.5 * best
         if res < best:
             best, kept, stall = res, v[interior], 0
         else:
@@ -565,11 +551,6 @@ def solve_linear_dirichlet(W0, f, g, grid: Grid2,
     meta["mg_iterations"] lists its iteration count per sweep.
     """
     return _dirichlet(operators.make_spec(W0), f, g, grid, region, None, None, linear=True)
-
-
-def solve_laplace_dirichlet(g, grid: Grid2, region: SubRegion | None = None) -> GridFunction:
-    """Discrete-harmonic extension of boundary data (5-point Laplacian)."""
-    return solve_linear_dirichlet(np.eye(2), None, g, grid, region)
 
 
 def solve_fully_nonlinear(spec, f, g, grid: Grid2, region: SubRegion | None = None,

@@ -15,7 +15,7 @@ from ellreg import campanato as cp
 from ellreg import constants as C
 from ellreg import operators as op
 from ellreg.grid import Grid2, GridFunction
-from ellreg.solver import hessian
+from ellreg.solver import hessian, solve_fully_nonlinear
 
 from conftest import cubic_harmonic, holey_field, philox, saddle
 
@@ -234,6 +234,37 @@ def test_step_d2h_bound_is_25_sup_u(disk65, identity_spec):
     _, rep = cp.improvement_step(u, identity_spec)
     assert rep.sup_u == 3.0
     assert rep.d2h_bound == 75.0
+
+
+def test_step_replaces_with_the_w0_harmonic_solution(disk65):
+    # x^2 - 2 y^2 solves tr(W0 D^2 h) = 0 for W0 = diag(2, 1), on which the
+    # 5-point stencil is exact, so the replacement of its mollification (the
+    # quadratic plus a constant) is that quadratic again and the Taylor
+    # polynomial keeps its Hessian; the D^2 h bound is the harmonic one times
+    # lam_max(W0) / lam_min(W0) = 2
+    spec = op.OperatorSpec(2.0, 0.0, 1.0)
+    u = GridFunction.from_callable(disk65, lambda x, y: x**2 - 2.0 * y**2)
+    P, rep = cp.improvement_step(u, spec)
+    assert rep.sup_h_minus_p <= 1e-9
+    assert np.max(np.abs(P.c - np.diag([2.0, -4.0]))) <= 1e-6
+    assert rep.d2h_bound == 25.0 * rep.sup_u * 2.0
+    assert rep.d2h_bound_ok
+
+
+def test_step_runs_on_an_anisotropic_solution_with_eps():
+    # the replacement solves W0's own linear equation, so its Taylor Hessian
+    # lies within eps of F's zero set and the bisection brackets a zero
+    g = Grid2.disk(65)
+    spec = op.OperatorSpec(1.25, 0.15, 1.0, 0.05, "smooth_max")
+    u = solve_fully_nonlinear(spec, None, lambda x, y: x**4, g)
+    P, rep = cp.improvement_step(u, spec)
+    assert rep.operator_residual <= 1e-14
+    assert abs(spec.evaluate(P.c)) <= 1e-14
+    assert 0 < abs(rep.c_correction) <= spec.eps
+    lam_min, lam_max = np.linalg.eigvalsh(spec.W0)
+    assert rep.d2h_bound == pytest.approx(25.0 * rep.sup_u * lam_max / lam_min, rel=1e-15)
+    assert rep.d2h_bound_ok
+    assert rep.sup_u_minus_p <= 2e-3
 
 
 def test_taylor_at_center_needs_full_stencil_support(disk33):

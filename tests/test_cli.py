@@ -568,6 +568,12 @@ def test_analyze_inhomogeneous_in_process(tmp_path, capsys):
     code, _, err = run_cli(["analyze", "--input", str(u_file), "--source-file", str(f_file),
                             "--csv-output", str(tmp_path / "d.csv")], capsys)
     assert code == cli.EXIT_USAGE and "does not match the run lattice" in err
+    # and so is one of the input's N and extent on a square instead of its disk
+    f_file = tmp_path / "f129square.grid"
+    save_grid(f_file, GridFunction.from_callable(Grid2.square(129), lambda x, y: 12.0 * x**2))
+    code, _, err = run_cli(["analyze", "--input", str(u_file), "--source-file", str(f_file),
+                            "--csv-output", str(tmp_path / "d.csv")], capsys)
+    assert code == cli.EXIT_USAGE and "does not match the run lattice" in err
 
 
 # every [section] key a subcommand reads, a value other than its fallback, its
@@ -624,7 +630,9 @@ def test_every_parameter_reaches_the_output_from_config_and_flags(tmp_path, caps
     tails = {
         "constants": [],
         "solve": ["-o", str(tmp_path / "u.grid")],
-        "analyze": ["--pointwise", "--csv-output", str(tmp_path / "d.csv")],
+        # [constants] n = 3 reaches the constants output; analyze runs on a 2-D
+        # lattice, so its run sets n back to 2 (no analyze assertion reads n)
+        "analyze": ["-n", "2", "--pointwise", "--csv-output", str(tmp_path / "d.csv")],
         "cordes": ["--csv-output", str(tmp_path / "c.csv")],
     }
     outputs = {}
@@ -688,6 +696,7 @@ _REJECTED = [
     (_ANALYZE_CUBIC + " --rho 0", None, "--rho must lie in (0,1), got 0.0"),
     (_ANALYZE_CUBIC + " --kmax -1", None, "--kmax must be nonnegative, got -1"),
     (_ANALYZE_CUBIC + " --K1 1e-40", None, "gamma must stay below 1/5"),
+    (_ANALYZE_CUBIC + " -n 3", None, "[constants] n must be 2, got 3"),
 ]
 
 

@@ -256,14 +256,14 @@ def test_hessian_support_matches_shifted_copy_reference(shape, N, holes):
 
 
 def test_laplace_reproduces_discrete_harmonic_quadratic(disk65):
-    sol = sv.solve_laplace_dirichlet(saddle, disk65)
+    sol = sv.solve_linear_dirichlet(np.eye(2), None, saddle, disk65)
     exact = saddle(disk65.X, disk65.Y)
     assert np.max(np.abs(sol.values[sol.defined] - exact[sol.defined])) <= 1e-9
     assert sol.meta["residual"] <= 1e-10 * 1.0 + 1e-12
 
 
 def test_laplace_constant_boundary(disk33):
-    sol = sv.solve_laplace_dirichlet(3.25, disk33)
+    sol = sv.solve_linear_dirichlet(np.eye(2), None, 3.25, disk33)
     assert np.max(np.abs(sol.values[sol.defined] - 3.25)) <= 1e-10
 
 
@@ -277,7 +277,7 @@ def test_laplace_two_grid_convergence_order():
     errs = []
     for N in (65, 129):
         g = Grid2.disk(N)
-        sol = sv.solve_laplace_dirichlet(_exp_cos, g)
+        sol = sv.solve_linear_dirichlet(np.eye(2), None, _exp_cos, g)
         exact = _exp_cos(g.X, g.Y)
         errs.append(float(np.max(np.abs(sol.values[g.interior] - exact[g.interior]))))
     order = np.log2(errs[0] / errs[1])
@@ -288,7 +288,7 @@ def test_laplace_maximum_principle_50_random_sets(disk33):
     rng = philox(2024)
     for _ in range(50):
         gb = rng.standard_normal((33, 33))
-        sol = sv.solve_laplace_dirichlet(gb, disk33)
+        sol = sv.solve_linear_dirichlet(np.eye(2), None, gb, disk33)
         lo, hi = np.min(gb[disk33.boundary]), np.max(gb[disk33.boundary])
         inner = sol.values[disk33.interior]
         assert inner.min() >= lo - 1e-10
@@ -297,7 +297,7 @@ def test_laplace_maximum_principle_50_random_sets(disk33):
 
 def test_linear_solve_square_grid():
     g = Grid2.square(33)
-    sol = sv.solve_laplace_dirichlet(saddle, g)
+    sol = sv.solve_linear_dirichlet(np.eye(2), None, saddle, g)
     exact = saddle(g.X, g.Y)
     assert np.max(np.abs(sol.values[g.interior] - exact[g.interior])) <= 1e-10
 
@@ -399,13 +399,16 @@ def test_linear_contract_accepts_the_rounding_floor_at_257():
     # diag(40, 1) at N=257 cannot reach 1e-10 max|g|: the stencil's row sum
     # (4 w11 + 4 w22) / h^2 times max|g| leaves about 2.7e-10 of rounding, so
     # the solve meets that floor instead; diag(20, 1) meets 1e-10 max|g|, and
-    # its tol and residual stay those of the contract without the floor
+    # its tol and residual stay those of the contract without the floor.
+    # Either way the first refinement that fails to halve the best residual
+    # ends the solve, so neither spends its last refinement
     g = Grid2.disk(257)
     boundary = lambda x, y: np.sin(2.0 * x) * np.cos(y)
     g_max = float(np.max(np.abs(boundary(g.X, g.Y)[g.boundary])))
-    for w11, residual, tol in ((20.0, 7.457856554538012e-11, sv._RESIDUAL_TOL * g_max),
-                               (40.0, 1.6370904631912708e-10,
-                                2.0**-53 * (4.0 * 40.0 + 4.0) / g.h**2 * g_max)):
+    for w11, residual, tol, iterations in (
+            (20.0, 7.457856554538012e-11, sv._RESIDUAL_TOL * g_max, [60, 12, 7]),
+            (40.0, 1.6370904631912708e-10, 2.0**-53 * (4.0 * 40.0 + 4.0) / g.h**2 * g_max,
+             [83, 18, 11])):
         W0 = np.diag([w11, 1.0])
         u = sv.solve_linear_dirichlet(W0, None, boundary, g)
         H = sv.hessian(u)
@@ -413,6 +416,7 @@ def test_linear_contract_accepts_the_rounding_floor_at_257():
         res = float(np.max(np.abs(op.evaluate_batch(op.make_spec(W0), H.h11[m], H.h12[m],
                                                     H.h22[m]))))
         assert res == u.meta["residual"] == residual <= u.meta["tol"] == tol, w11
+        assert u.meta["mg_iterations"] == iterations and u.meta["sweeps"] == 3, w11
 
 
 @st.composite
@@ -642,10 +646,8 @@ def test_cross_term_pcg_matches_the_dense_solve(case):
     assert np.max(np.abs(x - inverse @ b)) <= np.linalg.norm(inverse, np.inf) * 2 * atol
 
 
-# GMRES settings a Newton step is checked with: the solver's own, a tight
-# tolerance, and restarts every 3 and every iteration
-_GMRES_SETTINGS = [(sv._GMRES_RESTART, sv._GMRES_RTOL), (sv._GMRES_RESTART, 1e-10), (3, 1e-10),
-                   (1, 1e-6)]
+# GMRES tolerances a Newton step is checked with: the solver's own and a tight one
+_GMRES_RTOLS = [sv._GMRES_RTOL, 1e-10]
 
 
 @st.composite
@@ -662,20 +664,19 @@ def _newton_problems(draw):
     coeffs = op.gradient_batch(spec, *sv._hessian_arrays(v, g.h, region.interior))
     # a right-hand side of any size: the tolerance is relative to it
     r = rng.standard_normal(int(region.interior.sum())) * draw(st.sampled_from((1e-8, 1.0, 1e4)))
-    return g, region, spec, coeffs, r, draw(st.sampled_from(_GMRES_SETTINGS))
+    return g, region, spec, coeffs, r, draw(st.sampled_from(_GMRES_RTOLS))
 
 
 @settings(max_examples=40, deadline=None)
 @given(_newton_problems())
 def test_gmres_newton_step_matches_the_dense_solve(case):
-    g, region, spec, coeffs, r, (restart, rtol) = case
+    g, region, spec, coeffs, r, rtol = case
     J = _dense_stencil(*coeffs, g.h, region)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sv, "_GMRES_RESTART", restart)
         mp.setattr(sv, "_GMRES_RTOL", rtol)
         mg = sv._Multigrid(spec.w11, spec.w12, spec.w22, g.h, region, 1.0)
         d = mg.newton(coeffs, r)
-    assert len(mg.iterations) == 1 and 0 < mg.iterations[0] < sv._KRYLOV_MAX_ITERATIONS
+    assert len(mg.iterations) == 1 and 0 < mg.iterations[0] < sv._GMRES_MAX_ITERATIONS
     # the step's residual against the dense Jacobian meets the 2-norm tolerance
     assert np.linalg.norm(J @ d - r) <= rtol * np.linalg.norm(r)
     if rtol < 1e-8:
@@ -683,41 +684,23 @@ def test_gmres_newton_step_matches_the_dense_solve(case):
         assert np.max(np.abs(d - want)) <= 1e-6 * np.max(np.abs(want))
 
 
-def test_gmres_restarts_from_the_true_residual():
-    # restarting after every iteration makes two iterations two minimal-
-    # residual steps, each along the V-cycle of the true residual
-    g = Grid2.disk(33)
-    spec = op.OperatorSpec(1.0, 0.2, 1.5, 0.5, "sine")
-    rng = philox(12)
-    v = np.where(g.defined, rng.standard_normal((33, 33)), 0.0) * g.h**2
-    coeffs = op.gradient_batch(spec, *sv._hessian_arrays(v, g.h, g.interior))
-    J = _dense_stencil(*coeffs, g.h, g.region)
-    r = rng.standard_normal(J.shape[0])
-    mg = sv._Multigrid(spec.w11, spec.w12, spec.w22, g.h, g.region, 1.0)
-    top = mg._top
-
-    def cycle(b):
-        top.b[top.mask] = -mg._scale * b
-        top.cycle()
-        return top.x[top.mask].copy()
-
-    want = np.zeros_like(r)
-    for _ in range(2):
-        z = cycle(r - J @ want)
-        q = J @ z
-        want += (q @ (r - J @ want)) / (q @ q) * z
+def test_a_newton_step_is_one_gmres_cycle_of_at_most_the_cap():
+    # with the cap at 3 every Newton step's GMRES stops short of its tolerance
+    # and never restarts; the chord loop's next step starts a fresh cycle from
+    # the true nonlinear residual with a fresh Jacobian, so the solve still
+    # meets tol
+    spec = op.OperatorSpec(1.0, 0.0, 1.0, 0.9, "sine")
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sv, "_GMRES_RESTART", 1)
-        mp.setattr(sv, "_KRYLOV_MAX_ITERATIONS", 2)
-        mp.setattr(sv, "_GMRES_RTOL", 1e-12)
-        d = mg.newton(coeffs, r)
-    assert mg.iterations == [2]
-    assert np.max(np.abs(d - want)) <= 1e-10 * np.max(np.abs(want))
+        mp.setattr(sv, "_GMRES_MAX_ITERATIONS", 3)
+        u = sv.solve_fully_nonlinear(spec, None, cubic_harmonic, Grid2.disk(33), max_sweeps=50)
+    steps = u.meta["newton_steps"]
+    assert steps > 0 and u.meta["residual"] <= u.meta["tol"]
+    assert all(n <= 3 for n in u.meta["mg_iterations"][-steps:]), u.meta["mg_iterations"]
 
 
 def test_a_nan_in_the_v_cycle_ends_the_solve(monkeypatch):
-    # every V-cycle of a Newton step returns NaN; the step must give up rather
-    # than restart GMRES forever, and the chord loop then raises
+    # every V-cycle of a Newton step returns NaN; the step must give up, and
+    # the chord loop then raises
     newton, calls = sv._Multigrid.newton, []
 
     def poisoned(self, coeffs, r):
@@ -994,7 +977,7 @@ def test_nonlinear_two_grid_convergence_order(sine_spec):
 
 
 def test_comparison_equal_functions(disk33, identity_spec):
-    u = sv.solve_laplace_dirichlet(saddle, disk33)
+    u = sv.solve_linear_dirichlet(np.eye(2), None, saddle, disk33)
     assert comparison_check(u, u, identity_spec)
 
 
@@ -1002,7 +985,7 @@ def test_comparison_barrier_pair(disk65, identity_spec):
     # harmonic replacement vs the barrier h + (eps0~/(2 lam)) K2 M gamma^-3 (1-|x|^2)
     rep = C.build_report(2, C.EllipticityBounds(1, 1), C.HolderPair(0.5, 0.25),
                          C.ExternalConstants(K1=1, alpha0=1.0, K2=1, C3=1))
-    h = sv.solve_laplace_dirichlet(cubic_harmonic, disk65)
+    h = sv.solve_linear_dirichlet(np.eye(2), None, cubic_harmonic, disk65)
     M = h.sup()
     gamma = 4 * disk65.h
     bump = float(rep.eps0_tilde) / 2.0 * float(mo.third_derivative_mass(2)) * M / gamma**3
@@ -1020,7 +1003,7 @@ def test_comparison_barrier_pair(disk65, identity_spec):
 
 
 def test_comparison_detects_violation(disk33, identity_spec):
-    h = sv.solve_laplace_dirichlet(saddle, disk33)
+    h = sv.solve_linear_dirichlet(np.eye(2), None, saddle, disk33)
     shifted = GridFunction(disk33, h.values - 0.5, h.defined.copy())
     res = comparison_check(h, shifted, identity_spec, slack=1.0)
     assert res.outcome == "not_ordered"
@@ -1029,7 +1012,7 @@ def test_comparison_detects_violation(disk33, identity_spec):
 def test_comparison_flags_disorder_on_the_boundary_alone(disk33, identity_spec):
     # raising the lower function's boundary keeps it a subsolution and leaves
     # the interior ordered, so only the boundary check can catch the pair
-    h = sv.solve_laplace_dirichlet(saddle, disk33)
+    h = sv.solve_linear_dirichlet(np.eye(2), None, saddle, disk33)
     raised = GridFunction(disk33, np.where(disk33.boundary, h.values + 0.5, h.values),
                           h.defined.copy())
     res = comparison_check(raised, h, identity_spec)
