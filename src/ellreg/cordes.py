@@ -189,13 +189,17 @@ def margins_2x2(g11, g12, g22):
 
 
 def linearized_field(spec, u: GridFunction | None = None) -> CordesFieldReport:
-    """Evaluate DF at the discrete Hessian of u and audit every node; without
-    u, audit one node at the origin at the zero Hessian."""
+    """Evaluate DF at the discrete Hessian of u and audit every node, raising
+    ValueError if u has none; without u, audit one node at the origin at the
+    zero Hessian."""
     if u is None:
         g11, g12, g22 = operators.gradient_batch(spec, *np.zeros((3, 1)))
     else:
         H = hessian(u)
         m = H.mask
+        if not m.any():
+            raise ValueError("no node to audit: none has its full 9-point stencil of defined "
+                             "nodes, which the discrete Hessian needs")
         g11, g12, g22 = operators.gradient_batch(spec, H.h11[m], H.h12[m], H.h22[m])
     keps, cdelta, zero = margins_2x2(g11, g12, g22)
     xs, ys = (np.zeros(1), np.zeros(1)) if u is None else (u.grid.X[m], u.grid.Y[m])

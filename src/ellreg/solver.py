@@ -140,44 +140,13 @@ _FIVE_POINT = ((1, 0), (-1, 0), (0, 1), (0, -1))
 _DIAGONALS = ((1, 1), (-1, -1), (1, -1), (-1, 1))
 
 
-def _boundary_steps(mask: np.ndarray) -> list:
-    """For each offset of _FIVE_POINT, the number of steps of that offset from
-    each node to the first node off mask (mask must be false on its frame)."""
-
-    def along_rows(m):
-        n = m.shape[0]
-        pos = np.arange(n)[:, None]
-        ahead = np.minimum.accumulate(np.where(m, n, pos)[::-1], axis=0)[::-1]
-        behind = np.maximum.accumulate(np.where(m, -1, pos), axis=0)
-        fwd, back = np.full(m.shape, n), np.full(m.shape, n)
-        fwd[:-1], back[1:] = ahead[1:] - pos[:-1], pos[1:] - behind[:-1]
-        return [fwd, back]
-
-    return along_rows(mask) + [a.T for a in along_rows(mask.T)]
-
-
-def _dense_inverse(level: "_Level", weights) -> np.ndarray:
-    """Inverse of the level's operator as a dense matrix on its mask's nodes,
-    weights being the neighbour weights of _FIVE_POINT's offsets."""
-    mask = level.mask
-    n = int(mask.sum())
-    idx = np.full(mask.shape, -1)
-    idx[mask] = np.arange(n)
-    M = np.diag(level.diag[mask] * level.ratio)
-    for w, nb in zip(weights, neighbours(idx, _FIVE_POINT, -1)):
-        j = nb[mask]
-        M[np.flatnonzero(j >= 0), j[j >= 0]] = -w
-    return np.linalg.inv(M)
-
-
 class _Level:
     """One level of the hierarchy on the padded box: its interior mask, the
     mask as 0/1 floats, the weight ratio of a y-neighbour to an x-neighbour
-    (which weighs 1), the diagonal of its operator divided by that ratio (the
-    factor apply takes), and work arrays that live as long as the level: the
+    (which weighs 1), and work arrays that live as long as the level: the
     iterate x, the right-hand side b, and r, which holds the residual until
     it is restricted and then the interpolated correction; all are zero off
-    the mask.
+    the mask.  apply reads the operator's diagonal divided by that ratio.
 
     The box has an odd number of columns n1 = 2 q + 1, so in row-major order
     the node (i, j) is red (i + j even) exactly when its flat index is even.
@@ -191,13 +160,13 @@ class _Level:
     def __init__(self, mask: np.ndarray, diag: np.ndarray, ratio: float):
         self.mask = mask
         self.weight = mask.astype(float)
-        self.diag = diag * self.weight / ratio
         self.ratio = ratio
         self.x, self.b, self.r = (np.zeros(mask.shape) for _ in range(3))
         self.coarse: _Level | None = None
         self.inverse: np.ndarray | None = None  # the coarsest level's dense inverse
         n0, n1 = mask.shape
-        self._diag_rows, self._weight_rows = (a.ravel()[n1:-n1] for a in (self.diag, self.weight))
+        self._diag_rows = (diag * self.weight / ratio).ravel()[n1:-n1]
+        self._weight_rows = self.weight.ravel()[n1:-n1]
         inv = (self.weight / diag).ravel()
         q = n1 // 2
         x, b = self.x.ravel(), self.b.ravel()
@@ -343,18 +312,31 @@ class _Multigrid:
         ratio = w22 / w11
         weights = (1.0, 1.0, ratio, ratio)  # of _FIVE_POINT's offsets
         self._top = level = _Level(mask, np.full(mask.shape, 2.0 + 2.0 * ratio), ratio)
-        steps = _boundary_steps(mask) if k else []
         for depth in range(1, k + 1):
             stride = 1 << depth
             coarse = mask[::stride, ::stride]
             if not coarse.any():
                 break
             diag = np.full(coarse.shape, 2.0 + 2.0 * ratio)
-            for w, t, missing in zip(weights, steps, neighbours(~coarse, _FIVE_POINT, True)):
-                diag += np.where(missing, w * (stride / t[::stride, ::stride] - 1.0), 0.0)
+            for w, (di, dj), missing in zip(weights, _FIVE_POINT,
+                                            neighbours(~coarse, _FIVE_POINT, True)):
+                # t: the fine steps to the first node off the mask, read where a
+                # coarse neighbour is missing, so at most one coarse spacing
+                t = np.full(coarse.shape, stride)
+                ahead = neighbours(mask, [(s * di, s * dj) for s in range(1, stride)], False)
+                for s, on in reversed(list(enumerate(ahead, 1))):
+                    t[~on[::stride, ::stride]] = s
+                diag += np.where(missing, w * (stride / t - 1.0), 0.0)
             level.link(_Level(coarse, diag, ratio))
             level = level.coarse
-        level.inverse = _dense_inverse(level, weights)
+        # the coarsest matrix, column by column from the level's own operator
+        nodes = np.flatnonzero(level.mask)
+        M, (e, out) = np.empty((nodes.size, nodes.size)), np.zeros((2, *level.mask.shape))
+        for j, node in enumerate(nodes):
+            e.flat[node] = 1.0
+            M[:, j] = level.apply(e, out)[level.mask]
+            e.flat[node] = 0.0
+        level.inverse = np.linalg.inv(M)
         # the cross term's weight at each node of the box's inner rows and columns
         self._cross = None if w12 == 0.0 else -0.5 * w12 / w11 * self._top.weight[1:-1, 1:-1]
         self._h = h

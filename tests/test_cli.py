@@ -347,6 +347,18 @@ def test_cordes_with_solution_grid(tmp_path, capsys):
     assert payload["min_kepsprime"] > 0
 
 
+def test_cordes_rejects_a_grid_without_a_full_stencil(tmp_path, capsys):
+    # a ring of boundary nodes gives no node a discrete Hessian to audit
+    g = Grid2.disk(33)
+    grid_file = tmp_path / "ring.grid"
+    save_grid(grid_file, GridFunction.from_callable(g, saddle, g.boundary))
+    code, out, err = run_cli(["cordes", "--input", str(grid_file),
+                              "--csv-output", str(tmp_path / "c.csv")], capsys)
+    assert code == cli.EXIT_USAGE and out == ""
+    assert "9-point stencil" in err
+    assert not (tmp_path / "c.csv").exists()
+
+
 # Each run starts a fresh interpreter and reads sys.modules after cli.main returns;
 # an empty argv only imports the CLI.
 _IMPORT_PROBE = (

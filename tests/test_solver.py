@@ -759,6 +759,45 @@ def test_coarse_levels_are_exact_on_affine_functions_across_a_cut(N):
     assert edge % 2
 
 
+@pytest.mark.parametrize("w22", [7.0, 1.0], ids=["diag_1_7", "identity"])
+@pytest.mark.parametrize("case", ["disk", "subdisk", "off_centre", "ragged"])
+def test_coarse_diagonals_follow_shortley_weller_on_curved_boundaries(case, w22):
+    # every coarse node's diagonal, 2 + 2 r + sum w (stride / t - 1) over its
+    # missing coarse neighbours, t the fine steps to the first node off the
+    # fine box mask in that direction, recomputed by walking that mask
+    g = Grid2.disk(129)
+    if case == "ragged":  # interior nodes dropped at random: cuts inside the domain
+        interior = g.interior & (philox(33).random((g.N, g.N)) > 0.1)
+        region = gr.SubRegion(interior, g.defined & ~interior)
+    else:
+        region = {"disk": g.region, "subdisk": g.subregion(0.8),
+                  "off_centre": g.subregion(0.37, (0.21, -0.13))}[case]
+    top = sv._Multigrid(1.0, 0.0, w22, g.h, region, 1.0)._top
+    weights = {(1, 0): 1.0, (-1, 0): 1.0, (0, 1): w22, (0, -1): w22}
+    stride, level, levels = 2, top.coarse, 0
+    while level is not None:
+        mask = level.mask
+        # the diagonal through apply: unit vectors two nodes apart share no neighbour
+        i, j = np.indices(mask.shape)
+        got = np.zeros(mask.shape)
+        for a in (0, 1):
+            for b in (0, 1):
+                e = (mask & (i % 2 == a) & (j % 2 == b)).astype(float)
+                got += e * level.apply(e, np.zeros_like(e))
+        want = np.zeros(mask.shape)
+        for I, J in zip(*np.nonzero(mask)):
+            want[I, J] = 2.0 + 2.0 * w22
+            for (di, dj), w in weights.items():
+                if not mask[I + di, J + dj]:
+                    t = 1
+                    while top.mask[stride * I + t * di, stride * J + t * dj]:
+                        t += 1
+                    want[I, J] += w * (stride / t - 1.0)
+        assert np.max(np.abs(got - want)[mask] / want[mask]) <= 1e-14
+        stride, level, levels = 2 * stride, level.coarse, levels + 1
+    assert levels >= 2
+
+
 # ---------------------------------------------------------------------------
 # nonlinear solve
 
