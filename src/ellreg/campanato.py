@@ -25,16 +25,17 @@ Every quadratic fit is one truncated-SVD least-squares solve with lstsq's rank
 rule.  Pointwise centers are lattice nodes, so all centers with unclipped balls
 share one design matrix, factored once, and a clipped ball goes through
 fit_quadratic.  Their one constant K = max_c K_c reads distance powers from
-one table over integer offsets, and bounds on (center, 8 x 8 lattice tile)
-pairs, taken after one common quadratic is subtracted from u and from every
-fit, leave only the pairs that may hold the max to be evaluated, node by node.
+one table over integer offsets, and bounds on (center, lattice tile) pairs,
+taken after one common quadratic is subtracted from u and from every fit,
+leave only the pairs that may hold the max to be evaluated, node by node.
 One pairwise kernel measures every Hoelder seminorm over every node of its
 mask (entrywise max metric on the Hessian, matching the pointwise-to-uniform
 statement): bounds on pairs of lattice tiles leave only the tile pairs that
 may hold the max to be evaluated, node by node.  _tiling cuts the lattice into
-tiles for both kinds of bound, and one branch and bound, _lattice_max, finds
-both sups, the max over all node pairs bit for bit, in blocks of at most
-_BLOCK entries, so its working memory does not grow with the lattice.
+t x t tiles for both kinds of bound, t from the node count by one rule,
+_tile_side, and one branch and bound, _lattice_max, finds both sups, the max
+over all node pairs bit for bit, in blocks of at most _BLOCK entries, so its
+working memory does not grow with the lattice.
 """
 
 from __future__ import annotations
@@ -147,8 +148,8 @@ def fit_quadratic(u: GridFunction, center, r: float):
     cx, cy = float(center[0]), float(center[1])
     mask = u.defined & g.ball(r, (cx, cy))
     count = int(mask.sum())
-    if count < 12:
-        raise ValueError(f"ball of radius {r} holds {count} nodes; need at least 12")
+    if count < _MIN_FIT_NODES:
+        raise ValueError(f"ball of radius {r} holds {count} nodes; need at least {_MIN_FIT_NODES}")
     coef, sup_dev = _fit_ball(g, mask, u.values[mask], r, cx, cy)
     return QuadraticPolynomial(_physical(coef, r, cx, cy)), float(sup_dev)
 
@@ -325,7 +326,7 @@ def campanato_iterate(u: GridFunction, spec, rho: float = 0.5, kmax: int = 4,
     for k in range(kmax + 1):
         radius = rho**k * g.extent
         ball = g.ball_mask(radius)
-        if radius < 4.0 * g.h * (1.0 - 1e-12) or np.count_nonzero(ball) < 12:
+        if radius < 4.0 * g.h * (1.0 - 1e-12) or np.count_nonzero(ball) < _MIN_FIT_NODES:
             truncated = True
             break
         mask = u.defined & ball
@@ -390,7 +391,7 @@ def pointwise_to_holder(K: float, alpha: float) -> float:
 _BLOCK = 1 << 16
 _FIT_STRIDE = 2  # centers on every second lattice row and column
 _FIT_RADIUS = 0.3
-_TILE = 8  # side of the lattice tiles that bound K_c
+_MIN_FIT_NODES = 12  # the fewest nodes any quadratic fit takes, twice its coefficients
 # widening of a tile bound per unit of the magnitudes its rounded terms are
 # formed from (about 4500 double epsilons); those magnitudes bound every
 # residual in the tile too, so the widening covers the relative rounding of
@@ -398,10 +399,11 @@ _TILE = 8  # side of the lattice tiles that bound K_c
 _BOUND_ABS = 1e-12
 
 
-def pointwise_fit_constants(u: GridFunction, alpha: float, region_radius: float = 0.25):
+def pointwise_fit_constants(u: GridFunction, alpha: float, region_radius: float | None = None):
     """The per-center quadratic fits P_c, in center order, and the pointwise
     Hoelder constant K = max_c K_c, with K_c = max_x |u(x) - P_c(x)| /
-    |x - c|^(2+alpha) over the whole domain.
+    |x - c|^(2+alpha) over the whole domain, the centers within region_radius,
+    by default min(extent / 4, extent - 4h), of the origin.
 
     Centers are lattice nodes, so ball membership is decided in integer
     offsets, (di^2 + dj^2) h^2 <= ball_reach(_FIT_RADIUS)^2, and every center
@@ -419,6 +421,8 @@ def pointwise_fit_constants(u: GridFunction, alpha: float, region_radius: float 
     quadratic the fits share.
     """
     g = u.grid
+    if region_radius is None:
+        region_radius = min(0.25 * g.extent, g.extent - 4 * g.h)
     ii, jj = np.nonzero(u.defined & g.ball(region_radius))
     keep = (ii % _FIT_STRIDE == 0) & (jj % _FIT_STRIDE == 0)
     ii, jj = ii[keep], jj[keep]
@@ -429,8 +433,9 @@ def pointwise_fit_constants(u: GridFunction, alpha: float, region_radius: float 
     di, dj = np.mgrid[-m:m + 1, -m:m + 1]
     ball = (di * di + dj * dj) * g.h**2 <= reach**2
     di, dj = di[ball], dj[ball]
-    if len(di) < 12:
-        raise ValueError(f"ball of radius {_FIT_RADIUS} holds {len(di)} nodes; need at least 12")
+    if len(di) < _MIN_FIT_NODES:
+        raise ValueError(f"ball of radius {_FIT_RADIUS} holds {len(di)} nodes; "
+                         f"need at least {_MIN_FIT_NODES}")
     # NaN off the defined nodes and in a frame wide enough for every offset ball
     padded = np.pad(u.filled(np.nan), m, constant_values=np.nan)
     offsets = di * padded.shape[1] + dj
@@ -455,18 +460,29 @@ def pointwise_fit_constants(u: GridFunction, alpha: float, region_radius: float 
     # (u - Q0) - (P_c - Q0) is u - P_c in exact arithmetic
     q0 = np.median(coef, axis=1)
     shifted = GridFunction(g, u.values - _evaluate(q0, g.xs[:, None], g.xs), u.defined)
-    count, bound, exact = _tiles(shifted, coef - q0[:, None], ii, jj, alpha)
-    K = _lattice_max(len(ii), count, max(1, _BLOCK // _TILE**2), bound, exact)
+    K = _lattice_max(len(ii), *_tiles(shifted, coef - q0[:, None], ii, jj, alpha))
     return [QuadraticPolynomial(coef[:, c]) for c in range(len(ii))], K
 
 
-def _tiling(defined: np.ndarray, t: int):
-    """The t x t tiles of the lattice, padded past its frame to side n, that
-    hold a node of defined: (cut, ti, tj, box, n).  cut(a) gives the entries
-    of the lattice array a on those tiles, one row of t*t per tile in
-    row-major order, NaN off defined; (ti, tj) are each tile's first row and
-    column, and box = (ra, rb, ca, cb) the first and last row and column of
-    its defined nodes, counted from there."""
+def _tile_side(nodes: int) -> int:
+    """Side t of the tiles that bound a lattice sup over this many nodes.  A
+    seminorm bounds (nodes / t^2)^2 / 2 tile pairs and evaluates t^4 node
+    pairs per tile pair it keeps; K_c bounds centers x nodes / t^2 (center,
+    tile) pairs and evaluates t^2 nodes per pair it keeps, a few per center.
+    Both costs balance near a quarter root of the node count, so t is about
+    nodes^(1/4) / 2 for both; t^4 <= _BLOCK keeps one tile pair in a block."""
+    return max(1, min(round(0.5 * nodes**0.25), math.isqrt(math.isqrt(_BLOCK))))
+
+
+def _tiling(defined: np.ndarray):
+    """The t x t tiles of the lattice, t = _tile_side of the node count of
+    defined and the lattice padded past its frame to side n, that hold a node
+    of defined: (cut, t, ti, tj, box, n).  cut(a) gives the entries of the
+    lattice array a on those tiles, one row of t*t per tile in row-major
+    order, NaN off defined; (ti, tj) are each tile's first row and column,
+    and box = (rlo, rhi, clo, chi) the first and last lattice row and column
+    of its defined nodes."""
+    t = _tile_side(int(np.count_nonzero(defined)))
     N = defined.shape[0]
     nt = -(-N // t)
     n = nt * t
@@ -477,24 +493,26 @@ def _tiling(defined: np.ndarray, t: int):
 
     present = tiled(defined, False)
     live = np.flatnonzero(present.any(axis=1))
+    ti, tj = live // nt * t, live % nt * t
     box = []
-    for axis in (2, 1):
+    for axis, first in ((2, ti), (1, tj)):
         seen = present[live].reshape(-1, t, t).any(axis=axis)
-        box += [np.argmax(seen, axis=1), t - 1 - np.argmax(seen[:, ::-1], axis=1)]
+        box += [first + np.argmax(seen, axis=1), first + t - 1 - np.argmax(seen[:, ::-1], axis=1)]
 
     def cut(a):
         return tiled(np.where(defined, a, np.nan), np.nan)[live]
 
-    return cut, live // nt * t, live % nt * t, tuple(box), n
+    return cut, t, ti, tj, tuple(box), n
 
 
 def _tiles(u: GridFunction, coef: np.ndarray, ii, jj, alpha: float):
     """The tiles of the lattice for the K_c of the quadratics in the columns of
-    coef centered at the nodes (ii, jj): (count, bound, exact).
+    coef centered at the nodes (ii, jj): (count, t^2, bound, exact), t^2 the
+    nodes exact reads for one pair.
 
     A node x contributes |u(x) - P_c(x)| / table[|i - i_c|, |j - j_c|], with
     P_c evaluated by _evaluate and NaN off the defined nodes, which a max
-    skips.  The lattice is cut into _TILE x _TILE tiles, and the count tiles
+    skips.  _tiling cuts the lattice into t x t tiles, and the count tiles
     with a defined node each get the box of their defined nodes, a
     least-squares quadratic Q_t in index units about the box center and its
     largest node residual e_t (a minimum-norm fit of any rank: e_t bounds its
@@ -505,12 +523,13 @@ def _tiles(u: GridFunction, coef: np.ndarray, ii, jj, alpha: float):
     tids) gives the max contribution of center cols[p] over tile tids[p].
     """
     g = u.grid
-    t = _TILE
-    cut, ti, tj, (ra, rb, ca, cb), n = _tiling(u.defined, t)
+    cut, t, ti, tj, (rlo, rhi, clo, chi), n = _tiling(u.defined)
     tiles = cut(u.values)
     present = ~np.isnan(tiles)
     count = len(ti)
-    mr, wr, mc, wc = 0.5 * (ra + rb), 0.5 * (rb - ra), 0.5 * (ca + cb), 0.5 * (cb - ca)
+    # each box's center, counted from its tile's first node, and half widths
+    mr, mc = 0.5 * (rlo + rhi) - ti, 0.5 * (clo + chi) - tj
+    wr, wc = 0.5 * (rhi - rlo), 0.5 * (chi - clo)
     xs = np.pad(g.xs, (0, n - g.N))  # X[i, j] = xs[i] and Y[i, j] = xs[j]
     off = np.arange(n)
     table = ((off[:, None] ** 2 + off[None, :] ** 2) * g.h**2) ** (1.0 + 0.5 * alpha)
@@ -545,7 +564,6 @@ def _tiles(u: GridFunction, coef: np.ndarray, ii, jj, alpha: float):
     e = g.extent
     scale_c = _BOUND_ABS * np.abs(coef).T @ np.array([1.0, e, e, 0.5 * e * e, e * e, 0.5 * e * e])
     hess_c = g.h**2 * coef[3:]
-    rlo, rhi, clo, chi = ti + ra, ti + rb, tj + ca, tj + cb
 
     def bound(start, stop):
         cols = np.arange(start, stop)
@@ -578,15 +596,7 @@ def _tiles(u: GridFunction, coef: np.ndarray, ii, jj, alpha: float):
                       + np.abs(lines - jj[cols, None])[:, None, :]]
         return np.fmax.reduce(ratio.reshape(-1, t * t), axis=1)
 
-    return count, bound, exact
-
-
-def _holder_tile(nodes: int) -> int:
-    """Side t of the tiles that bound a pairwise seminorm over this many nodes:
-    about nodes^(1/4) / 2 balances the (nodes / t^2)^2 / 2 tile-pair bounds
-    against the t^4 node pairs of each tile pair evaluated, and t^4 <= _BLOCK
-    keeps one tile pair within a block."""
-    return max(1, min(round(0.5 * nodes**0.25), math.isqrt(math.isqrt(_BLOCK))))
+    return count, t * t, bound, exact
 
 
 # relative widening of a tile-pair bound per node of a lattice axis: the
@@ -597,31 +607,30 @@ _SPREAD_WIDEN = 8.0 * np.finfo(float).eps
 
 def _holder_tiles(g, mask: np.ndarray, fields, alpha: float):
     """The tiles of the lattice for the pairwise seminorm of the lattice arrays
-    in fields over the nodes of mask: (count, t, bound, exact).
+    in fields over the nodes of mask: (count, t^4, bound, exact), t^4 the
+    node pairs exact reads for one tile pair.
 
     A pair of distinct nodes (x, y) contributes max_k |v_k(x) - v_k(y)| /
     |x - y|^alpha, its distance the hypot of the coordinate differences.
-    The lattice is cut into t x t tiles, t from the node count, and the count
-    tiles with a node each get the box of their nodes and every field's
-    NaN-aware min and max there.  bound(start, stop) gives, for each tile A
-    from start to stop - 1 against every tile B from start on, the largest
-    over the fields of max(max_A v - min_B v, max_B v - min_A v) /
-    (dmin h)^alpha, with dmin the boxes' integer offset floored at 1, widened
-    by 1 + _SPREAD_WIDEN N, and -inf for B before A, and start, the index of
-    its first tile B; exact(p, q) gives the max contribution of a node of
-    tile p[s] and a node of tile q[s], each pair in the same expression.
+    _tiling cuts the lattice into t x t tiles, and the count tiles with a
+    node each get the box of their nodes and every field's NaN-aware min and
+    max there.  bound(start, stop) gives, for each tile A from start to
+    stop - 1 against every tile B from start on, the largest over the fields
+    of max(max_A v - min_B v, max_B v - min_A v) / (dmin h)^alpha, with dmin
+    the boxes' integer offset floored at 1, widened by 1 + _SPREAD_WIDEN N,
+    and -inf for B before A, and start, the index of its first tile B;
+    exact(p, q) gives the max contribution of a node of tile p[s] and a node
+    of tile q[s], each pair in the same expression.
     """
     nodes = int(np.count_nonzero(mask))
     if nodes < 2:
         raise ValueError(f"a pairwise seminorm needs at least 2 nodes, got {nodes}")
-    t = _holder_tile(nodes)
-    cut, ti, tj, (ra, rb, ca, cb), _ = _tiling(mask, t)
-    count = len(ti)
+    cut, t, _, _, (rlo, rhi, clo, chi), _ = _tiling(mask)
+    count = len(rlo)
     x, y = cut(g.X), cut(g.Y)
     vals = [cut(v) for v in fields]
     lo = [np.fmin.reduce(v, axis=1) for v in vals]
     hi = [np.fmax.reduce(v, axis=1) for v in vals]
-    rlo, rhi, clo, chi = ti + ra, ti + rb, tj + ca, tj + cb
     widen = (1.0 + _SPREAD_WIDEN * g.N) / g.h**alpha
 
     def bound(start, stop):
@@ -659,10 +668,10 @@ def _holder_tiles(g, mask: np.ndarray, fields, alpha: float):
         diff /= dist
         return np.fmax.reduce(diff.reshape(len(p), -1), axis=1)
 
-    return count, t, bound, exact
+    return count, t**4, bound, exact
 
 
-def _lattice_max(rows: int, cols: int, per: int, bound, exact) -> float:
+def _lattice_max(rows: int, cols: int, work: int, bound, exact) -> float:
     """Max of exact over the (row, column) pairs of a rows x cols lattice sup,
     by branch and bound; 0 if no pair's bound is positive.
 
@@ -670,12 +679,12 @@ def _lattice_max(rows: int, cols: int, per: int, bound, exact) -> float:
     of rows start to stop - 1 against the columns from its second value,
     first, on.  The pairs whose bound beats the best value so far are
     evaluated in falling bound order by exact(p, q), which gives the values
-    of the pairs (p[s], q[s]); so the result is the max over all pairs bit
-    for bit.  The chunks of pairs to one exact call double from 1 up to
-    per over the search, so the best value rises from 0 before a large chunk
-    is evaluated whatever its bounds.
+    of the pairs (p[s], q[s]) from work entries each; so the result is the
+    max over all pairs bit for bit.  The chunks of pairs to one exact call
+    double from 1 up to _BLOCK // work over the search, so the best value
+    rises from 0 before a large chunk is evaluated whatever its bounds.
     """
-    step = max(1, _BLOCK // cols)
+    step, per = max(1, _BLOCK // cols), max(1, _BLOCK // work)
     best, size = 0.0, 1
     for lo in range(0, rows, step):
         bounds, first = bound(lo, min(lo + step, rows))
@@ -701,8 +710,8 @@ def _pairwise_holder(g, mask: np.ndarray, fields, alpha: float) -> float:
     fewer than 2 nodes is an error.  _lattice_max searches the tile pairs
     of _holder_tiles, so the result is the max over all node pairs bit for bit.
     """
-    count, t, bound, exact = _holder_tiles(g, mask, fields, alpha)
-    return _lattice_max(count, count, max(1, _BLOCK // t**4), bound, exact)
+    count, *search = _holder_tiles(g, mask, fields, alpha)
+    return _lattice_max(count, count, *search)
 
 
 def discrete_hessian_seminorm(u: GridFunction, alpha: float, radius: float = 0.25) -> float:

@@ -28,14 +28,6 @@ operator checks --perturbation.
 
 selftest runs the acceptance check registry (ellreg.checks) at its reduced
 scale, with every Philox key set to the run seed.
-
-analyze --pointwise fits the quadratics of all centers whose fit ball lies on
-defined nodes together (one shared design matrix, factored once by a thin SVD,
-ball membership decided in integer lattice offsets) and fits each center with
-a clipped ball alone; the constant max_c K_c reads its distances from one
-table over integer lattice offsets, and only the (center, 8 x 8 lattice tile)
-pairs whose bound can beat the best value so far are evaluated node by node,
-in the one branch and bound that also measures the pairwise seminorms.
 """
 
 from __future__ import annotations
@@ -216,8 +208,7 @@ def cmd_analyze(args) -> int:
 
     pointwise_payload = None
     if args.pointwise:
-        fits, K = campanato.pointwise_fit_constants(
-            u, args.alpha, region_radius=min(0.25 * grid.extent, grid.extent - 4 * grid.h))
+        fits, K = campanato.pointwise_fit_constants(u, args.alpha)
         pointwise_payload = {
             "certified_bound": campanato.pointwise_to_holder(K, args.alpha),
             "centers": len(fits),
@@ -446,8 +437,8 @@ def build_parser() -> argparse.ArgumentParser:
                                    "the source still comes from --source or --source-file")
     p.add_argument("--gamma", type=float)
     p.add_argument("--pointwise", action="store_true",
-                   help="add the per-center certified Hoelder bound (centers whose fit ball "
-                        "lies on defined nodes share one SVD-factored least-squares design)")
+                   help="add the certified Hoelder bound from pointwise quadratic fits "
+                        "about the centers near the origin")
     p.add_argument("--strict", action="store_true", help="warnings become exit code 1")
     p.add_argument("--csv-output", dest="csv_output", default="decay.csv")
     p.add_argument("--output", "-o", default=None, help="certificate JSON (default stdout)")

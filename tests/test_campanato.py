@@ -604,40 +604,44 @@ def _pointwise_inputs(draw):
 
 
 @settings(max_examples=40, deadline=None)
-@given(_pointwise_inputs(), st.one_of(st.just(cp._BLOCK), st.integers(1, 64)))
-def test_tiled_pointwise_constants_equal_the_brute_force_max(inputs, block):
+@given(_pointwise_inputs(), st.one_of(st.just(cp._BLOCK), st.integers(1, 64)), st.integers(1, 16))
+def test_tiled_pointwise_constants_equal_the_brute_force_max(inputs, block, tile):
     # small blocks split the centers into many row blocks, so the best value
-    # is carried across them, and hold fewer entries than one tile's nodes
+    # is carried across them, and hold fewer entries than one tile's nodes;
+    # tiles of every side leave partial tiles and partial boxes
     u, alpha, region_radius = inputs
-    try:
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cp, "_BLOCK", block)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cp, "_BLOCK", block)
+        mp.setattr(cp, "_tile_side", lambda nodes: tile)
+        try:
             fits, K = cp.pointwise_fit_constants(u, alpha, region_radius=region_radius)
-    except ValueError as exc:  # a clipped ball with too few nodes, or no center
-        assert "need at least 12" in str(exc) or "no fit centers" in str(exc)
-        return
-    assert K == max(_kc_brute_force(u, fits, alpha, region_radius))
-    # every tile's bound holds for every center, not only where the search looked
-    shifted, coef = _shifted(u, np.stack([p.coef for p in fits], axis=1))
-    count, bound, exact = cp._tiles(shifted, coef, *_fit_centers(u, region_radius), alpha)
-    cols = np.arange(len(fits))
-    bounds, first = bound(0, len(fits))
-    assert first == 0
-    assert np.all(exact(np.repeat(cols, count), np.tile(np.arange(count), len(cols)))
-                  <= bounds.ravel())
+        except ValueError as exc:  # a clipped ball with too few nodes, or no center
+            assert "need at least 12" in str(exc) or "no fit centers" in str(exc)
+            return
+        assert K == max(_kc_brute_force(u, fits, alpha, region_radius))
+        # every tile's bound holds for every center, not only where the search looked
+        shifted, coef = _shifted(u, np.stack([p.coef for p in fits], axis=1))
+        count, _, bound, exact = cp._tiles(shifted, coef, *_fit_centers(u, region_radius), alpha)
+        step = max(1, (1 << 18) // (count * tile**2))  # centers of one check, in its memory
+        for lo in range(0, len(fits), step):
+            cols = np.arange(lo, min(lo + step, len(fits)))
+            bounds, first = bound(lo, cols[-1] + 1)
+            assert first == 0
+            assert np.all(exact(np.repeat(cols, count), np.tile(np.arange(count), len(cols)))
+                          <= bounds.ravel())
 
 
 def test_tile_bounds_are_their_widening_alone_on_a_quadratic():
-    # every tile of a square N = 8k + 1 lattice either pins a quadratic or is
-    # one row or column long, so Q_t is u up to rounding; with u itself as
-    # every P_c, a bound is its widening, about 1e-12 of the magnitudes, over
-    # a distance power of at least h^(2+alpha)
+    # every tile of a square N = tk + 1 lattice (t = 4 at N = 65) either pins
+    # a quadratic or is one row or column long, so Q_t is u up to rounding;
+    # with u itself as every P_c, a bound is its widening, about 1e-12 of the
+    # magnitudes, over a distance power of at least h^(2+alpha)
     g = Grid2.square(65)
     P = cp.QuadraticPolynomial([0.3, -1.2, 0.7, 2.0, -0.4, 1.1])
     u = GridFunction.from_callable(g, P)
     ii, jj = (a.ravel() for a in np.mgrid[0:65:7, 0:65:5])
     coef = np.repeat(P.coef[:, None], len(ii), axis=1)
-    bounds = cp._tiles(u, coef, ii, jj, 0.5)[1](0, len(ii))[0]
+    bounds = cp._tiles(u, coef, ii, jj, 0.5)[2](0, len(ii))[0]
     scale = u.sup() + np.abs(P.coef) @ [1.0, 1.0, 1.0, 0.5, 1.0, 0.5]
     assert np.all(bounds * g.h**2.5 <= 1e-10 * scale)
 
@@ -680,6 +684,14 @@ def _harmonic_plus_wave(x, y):
     for deg, c, phase in zip((2, 3, 4), (0.8, -0.6, 0.7), (0.4, 2.5, 4.1)):
         out = out + c * np.real(np.exp(1j * phase) * z**deg)
     return out
+
+
+def test_pointwise_constant_equals_the_brute_force_max_at_the_rules_side():
+    # the tile side of the N = 129 disk is the rule's own, not one a test patches in
+    u = GridFunction.from_callable(Grid2.disk(129), _harmonic_plus_wave)
+    assert cp._tile_side(int(np.count_nonzero(u.defined))) == 5
+    fits, K = cp.pointwise_fit_constants(u, 0.25)
+    assert K == max(_kc_brute_force(u, fits, 0.25, 0.25))
 
 
 def test_center_tile_pairs_evaluated_stay_few_on_a_harmonic_field(monkeypatch):
@@ -779,7 +791,7 @@ def test_pairwise_holder_kernel_equals_brute_force(drawn, block):
     expected = _holder_brute_force(*inputs)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cp, "_BLOCK", block)
-        mp.setattr(cp, "_holder_tile", lambda nodes: tile)
+        mp.setattr(cp, "_tile_side", lambda nodes: tile)
         if expected is None:
             with pytest.raises(ValueError, match="pairwise seminorm needs at least 2 nodes"):
                 cp._pairwise_holder(*inputs)
@@ -805,7 +817,7 @@ def test_holder_tile_bounds_hold_for_every_tile_pair(grid, monkeypatch):
         nt = -(-grid.N // tile)
         steps = np.kron(philox(tile).standard_normal((nt, nt)), np.ones((tile, tile)))
         v = np.where(grid.defined, steps[:grid.N, :grid.N], np.nan)
-        monkeypatch.setattr(cp, "_holder_tile", lambda nodes: tile)
+        monkeypatch.setattr(cp, "_tile_side", lambda nodes: tile)
         for alpha in (0.25, 0.5, 1.0):
             count, _, bound, exact = cp._holder_tiles(grid, grid.defined, (v,), alpha)
             bounds = bound(0, count)[0]
