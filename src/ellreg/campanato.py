@@ -22,12 +22,14 @@ interpolated, so quadratic inputs are reproduced to rounding accuracy at
 every scale.  Sup deviations are brute-force maxima over the ball nodes.
 
 Every quadratic fit is one truncated-SVD least-squares solve with lstsq's rank
-rule.  Pointwise centers are lattice nodes, so all centers with unclipped balls
-share one design matrix, factored once, and a clipped ball goes through
-fit_quadratic.  Their one constant K = max_c K_c reads distance powers from
-one table over integer offsets, and bounds on (center, lattice tile) pairs,
-taken after one common quadratic is subtracted from u and from every fit,
-leave only the pairs that may hold the max to be evaluated, node by node.
+rule, on the design itself or, for a design taller than one row block, on the
+triangular factor its blocks reduce to.  Pointwise centers are lattice nodes,
+so all centers with unclipped balls share one design matrix, factored once,
+and a clipped ball goes through fit_quadratic.  Their one constant K =
+max_c K_c reads distance powers from one table over integer offsets, and
+bounds on (center, lattice tile) pairs, taken after one common quadratic is
+subtracted from u and from every fit, leave only the pairs that may hold the
+max to be evaluated, node by node.
 One pairwise kernel measures every Hoelder seminorm over every node of its
 mask (entrywise max metric on the Hessian, matching the pointwise-to-uniform
 statement): bounds on pairs of lattice tiles leave only the tile pairs that
@@ -122,11 +124,33 @@ def _physical(coef: np.ndarray, r: float, cx, cy) -> np.ndarray:
 def _lstsq(design: np.ndarray):
     """Truncated-SVD least squares for one (m, 6) design or a (k, m, 6) stack, rank by
     lstsq's default rcond: (solve, rank), with solve mapping values (m,) or (m, p), stacked
-    alike, to minimum-norm coefficients (6,) or (6, p).  A zeroed row drops out of its fit."""
-    u, s, vt = np.linalg.svd(design, full_matrices=False)
+    alike, to minimum-norm coefficients (6,) or (6, p).  A zeroed row drops out of its fit.
+
+    A 2-D design taller than one row block, max(_BLOCK // 6, _MIN_BLOCK_ROWS) rows, is
+    first reduced to its triangular factor, so the SVD makes no copy of it: a
+    Householder QR of each row block, then one QR of the stacked block factors (TSQR:
+    J. Demmel, L. Grigori, M. Hoemmen and J. Langou, SIAM J. Sci. Comput. 34, 2012).  The
+    SVD and the rank rule, which keeps max(m, 6) of the full design, run on that factor,
+    and solve applies the stored block Qs; any other design is factored directly."""
+    rows = max(_BLOCK // 6, _MIN_BLOCK_ROWS)
+    if design.ndim == 2 and len(design) > rows:
+        starts = range(0, len(design), rows)
+        blocks, factors = zip(*(np.linalg.qr(design[lo:lo + rows]) for lo in starts))
+        q, factor = np.linalg.qr(np.vstack(factors))
+        u, s, vt = np.linalg.svd(factor, full_matrices=False)
+        ut = (q @ u).T
+
+        def left(values):  # U^T values, U = diag(blocks) q u the design's left factor
+            return ut @ np.concatenate([b.T @ values[lo:lo + rows]
+                                        for lo, b in zip(starts, blocks)])
+    else:
+        u, s, vt = np.linalg.svd(design, full_matrices=False)
+
+        def left(values):
+            return np.swapaxes(u, -1, -2) @ values
     keep = s > np.finfo(float).eps * max(design.shape[-2:]) * s[..., :1]
     w = np.swapaxes(vt, -1, -2) * np.divide(1.0, s, out=np.zeros_like(s), where=keep)[..., None, :]
-    return (lambda values: w @ (np.swapaxes(u, -1, -2) @ values)), np.count_nonzero(keep, axis=-1)
+    return (lambda values: w @ left(values)), np.count_nonzero(keep, axis=-1)
 
 
 def _fit_ball(g, mask: np.ndarray, vals: np.ndarray, r: float, cx: float, cy: float):
@@ -176,17 +200,22 @@ class StepReport:
 
 
 def _taylor_at_center(h_fun: GridFunction) -> np.ndarray:
-    """Coefficients of the second-order Taylor polynomial of h_fun at the origin."""
+    """Coefficients of the second-order Taylor polynomial of h_fun at the origin,
+    read from the 3 x 3 block of nodes about it; the second differences are
+    hessian's, in its order of operations, so they match it bit for bit."""
     g = h_fun.grid
     if g.N % 2 == 0:
         raise ValueError("grid must have a center node (odd N)")
     i0 = (g.N - 1) // 2
-    H = hessian(h_fun)
-    if not H.mask[i0, i0]:
+    block = np.s_[i0 - 1:i0 + 2, i0 - 1:i0 + 2]
+    if not h_fun.defined[block].all():
         raise ValueError("center node lacks full stencil support")
-    v = h_fun.values[i0 - 1:i0 + 2, i0 - 1:i0 + 2]
+    v, h2 = h_fun.values[block], g.h * g.h
     b1, b2 = (v[2, 1] - v[0, 1]) / (2 * g.h), (v[1, 2] - v[1, 0]) / (2 * g.h)
-    return np.array([v[1, 1], b1, b2, H.h11[i0, i0], H.h12[i0, i0], H.h22[i0, i0]])
+    h11 = (v[2, 1] - 2.0 * v[1, 1] + v[0, 1]) / h2
+    h22 = (v[1, 2] - 2.0 * v[1, 1] + v[1, 0]) / h2
+    h12 = (v[2, 2] + v[0, 0] - v[2, 0] - v[0, 2]) / (4.0 * h2)
+    return np.array([v[1, 1], b1, b2, h11, h12, h22])
 
 
 _REPLACE_RADIUS = 0.8  # radius of the harmonic-replacement disk
@@ -389,8 +418,11 @@ def pointwise_to_holder(K: float, alpha: float) -> float:
 # bounds of one row block of _lattice_max, the nodes of its exact evaluations,
 # and the pointwise fits' gathered values
 _BLOCK = 1 << 16
+# the fewest rows of one row block of a tall least-squares design (_lstsq), so a
+# small _BLOCK cannot cut a design into blocks whose stacked factors outgrow it
+_MIN_BLOCK_ROWS = 1024
 _FIT_STRIDE = 2  # centers on every second lattice row and column
-_FIT_RADIUS = 0.3
+_FIT_RADIUS = 0.3  # the pointwise fit balls' radius, as a fraction of the extent
 _MIN_FIT_NODES = 12  # the fewest nodes any quadratic fit takes, twice its coefficients
 # widening of a tile bound per unit of the magnitudes its rounded terms are
 # formed from (about 4500 double epsilons); those magnitudes bound every
@@ -403,11 +435,13 @@ def pointwise_fit_constants(u: GridFunction, alpha: float, region_radius: float 
     """The per-center quadratic fits P_c, in center order, and the pointwise
     Hoelder constant K = max_c K_c, with K_c = max_x |u(x) - P_c(x)| /
     |x - c|^(2+alpha) over the whole domain, the centers within region_radius,
-    by default min(extent / 4, extent - 4h), of the origin.
+    by default min(extent / 4, extent - 4h), of the origin.  Each P_c fits the
+    ball of radius _FIT_RADIUS * extent about c, so K scales as e^-alpha
+    under u -> e^2 u(x / e) on a lattice of extent e.
 
     Centers are lattice nodes, so ball membership is decided in integer
-    offsets, (di^2 + dj^2) h^2 <= ball_reach(_FIT_RADIUS)^2, and every center
-    whose offset ball lies on defined nodes shares one design matrix, factored
+    offsets, (di^2 + dj^2) h^2 <= ball_reach(_FIT_RADIUS * extent)^2, and every
+    center whose offset ball lies on defined nodes shares one design matrix, factored
     once by _lstsq, which must find it of full rank; its solve is applied to
     the values of each chunk of centers gathered in one block.  A center whose
     ball is clipped by the domain is fitted alone by fit_quadratic.
@@ -428,19 +462,20 @@ def pointwise_fit_constants(u: GridFunction, alpha: float, region_radius: float 
     ii, jj = ii[keep], jj[keep]
     if not len(ii):
         raise ValueError("no fit centers inside the requested region")
-    reach = ball_reach(_FIT_RADIUS)
+    radius = _FIT_RADIUS * g.extent
+    reach = ball_reach(radius)
     m = int(reach / g.h) + 1
     di, dj = np.mgrid[-m:m + 1, -m:m + 1]
     ball = (di * di + dj * dj) * g.h**2 <= reach**2
     di, dj = di[ball], dj[ball]
     if len(di) < _MIN_FIT_NODES:
-        raise ValueError(f"ball of radius {_FIT_RADIUS} holds {len(di)} nodes; "
+        raise ValueError(f"ball of radius {radius} holds {len(di)} nodes; "
                          f"need at least {_MIN_FIT_NODES}")
     # NaN off the defined nodes and in a frame wide enough for every offset ball
     padded = np.pad(u.filled(np.nan), m, constant_values=np.nan)
     offsets = di * padded.shape[1] + dj
     flat = (ii + m) * padded.shape[1] + (jj + m)
-    design = np.column_stack(_monomials(di * g.h / _FIT_RADIUS, dj * g.h / _FIT_RADIUS))
+    design = np.column_stack(_monomials(di * g.h / radius, dj * g.h / radius))
     solve, rank = _lstsq(design)
     if rank < 6:
         raise ValueError("degenerate node set: quadratic fit is rank-deficient")
@@ -453,12 +488,14 @@ def pointwise_fit_constants(u: GridFunction, alpha: float, region_radius: float 
         cols = np.arange(lo, min(lo + step, len(ii)))
         vals = padded.ravel()[flat[cols, None] + offsets]
         full = ~np.isnan(vals).any(axis=1)
-        coef[:, cols[full]] = _physical(solve(vals[full].T), _FIT_RADIUS,
+        coef[:, cols[full]] = _physical(solve(vals[full].T), radius,
                                         cx[cols[full]], cy[cols[full]])
         for c in cols[~full]:
-            coef[:, c] = fit_quadratic(u, (cx[c], cy[c]), _FIT_RADIUS)[0].coef
-    # (u - Q0) - (P_c - Q0) is u - P_c in exact arithmetic
-    q0 = np.median(coef, axis=1)
+            coef[:, c] = fit_quadratic(u, (cx[c], cy[c]), radius)[0].coef
+    # (u - Q0) - (P_c - Q0) is u - P_c in exact arithmetic; Q0 is np.median's
+    # value, taken from one sort
+    ordered, mid = np.sort(coef, axis=1), len(ii) // 2
+    q0 = ordered[:, mid] if len(ii) % 2 else 0.5 * (ordered[:, mid - 1] + ordered[:, mid])
     shifted = GridFunction(g, u.values - _evaluate(q0, g.xs[:, None], g.xs), u.defined)
     K = _lattice_max(len(ii), *_tiles(shifted, coef - q0[:, None], ii, jj, alpha))
     return [QuadraticPolynomial(coef[:, c]) for c in range(len(ii))], K

@@ -31,7 +31,10 @@ interpolation and a dense solve on the coarsest level).  It preconditions
 conjugate gradients on L, whose operator product adds W0's cross term, and
 GMRES on each Newton Jacobian, whose product is the second differences
 weighted by DF node by node.  Each iteration takes O(n) work and memory, and
-the solver needs numpy alone.
+the solver needs numpy alone.  Conjugate gradients keeps its residual in the
+finest level's right-hand side b, which the V-cycle reads in place, and the
+operator product in that level's r, free between cycles, so a CG iteration
+adds only its iterate and search direction to the hierarchy's arrays.
 """
 
 from __future__ import annotations
@@ -146,7 +149,9 @@ class _Level:
     (which weighs 1), and work arrays that live as long as the level: the
     iterate x, the right-hand side b, and r, which holds the residual until
     it is restricted and then the interpolated correction; all are zero off
-    the mask.  apply reads the operator's diagonal divided by that ratio.
+    the mask.  Between V-cycles the finest level's b holds the CG residual and
+    its r the operator product.  apply reads the operator's diagonal divided
+    by that ratio.
 
     The box has an odd number of columns n1 = 2 q + 1, so in row-major order
     the node (i, j) is red (i + j even) exactly when its flat index is even.
@@ -171,13 +176,14 @@ class _Level:
         q = n1 // 2
         x, b = self.x.ravel(), self.b.ravel()
         red, black = x[0::2], x[1::2]
+        scratch = np.empty((n0 - 1) * n1 // 2)  # the neighbour sums of either colour
         colours = []
         for p, (own, other, shifts) in enumerate(((red, black, (0, -1, q, -q - 1)),
                                                   (black, red, (1, 0, q + 1, -q)))):
             lo, hi = (n1 + 1 - p) // 2, ((n0 - 1) * n1 + 1 - p) // 2
             near = tuple(other[lo + d:hi + d] for d in shifts)
             colours.append((near, b[p::2][lo:hi], inv[p::2][lo:hi].copy(), own[lo:hi],
-                            np.empty(hi - lo)))
+                            scratch[:hi - lo]))
         self.colours = tuple(colours)
 
     def apply(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -346,12 +352,11 @@ class _Multigrid:
 
     def solve(self, r: np.ndarray) -> np.ndarray:
         top = self._top
-        res = np.zeros(top.mask.shape)
+        res, q = top.b, top.r  # the V-cycle reads res in place; q holds A p between cycles
         res[top.mask] = -self._scale * r
-        x, p, q = np.zeros_like(res), np.zeros_like(res), np.zeros_like(res)
+        x, p = np.zeros_like(res), np.zeros_like(res)
         it, rz_old = 0, None
-        while np.max(np.abs(res)) > self._atol and it < _KRYLOV_MAX_ITERATIONS:
-            np.copyto(top.b, res)
+        while max(res.max(), -res.min()) > self._atol and it < _KRYLOV_MAX_ITERATIONS:
             top.cycle()
             z = top.x
             rz = np.einsum("ij,ij->", res, z)
@@ -462,8 +467,9 @@ def _dirichlet(spec, f, g, grid: Grid2, region: SubRegion | None, tol: float | N
     region = region or grid.region
     interior, boundary = region.interior, region.boundary
     v = _lattice_values(g, grid, boundary, "boundary data", "boundary")
-    f = 0.0 if f is None else f
-    f_int = _lattice_values(f, grid, interior, "source", "interior")[interior]
+    # no source is the scalar 0, which subtracts from a residual as a zero array does
+    f_int = 0.0 if f is None else _lattice_values(f, grid, interior, "source",
+                                                  "interior")[interior]
     g_max = float(np.max(np.abs(v[boundary]), initial=0.0))
     f_max = float(np.max(np.abs(f_int), initial=0.0))
     h = grid.h
@@ -509,11 +515,13 @@ def _dirichlet(spec, f, g, grid: Grid2, region: SubRegion | None, tol: float | N
             v[interior] -= inverse.newton(operators.gradient_batch(spec, *H), resid)
             newton_steps += 1
         else:
+            del H  # not held through the linear solve
             v[interior] -= inverse.solve(resid)
         prev = res
         sweeps += 1
 
-    out = GridFunction(grid, np.where(region.defined, v, np.nan), region.defined.copy())
+    v[~region.defined] = np.nan
+    out = GridFunction(grid, v, region.defined.copy())
     out.meta.update(residual=res, sweeps=sweeps, tol=tol, residual_history=history,
                     newton_steps=newton_steps, mg_iterations=inverse.iterations)
     return out

@@ -183,6 +183,63 @@ def test_lstsq_drops_singular_values_at_lstsqs_default_rcond():
     assert [cp._lstsq(d)[1] for d in design] == ranks
 
 
+def _tall_design(kind: str, m: int, seed: int):
+    """An (m, 6) monomial design on random nodes of the unit disk, with p = 2
+    right-hand sides: of full rank ("generic"), the same with about a fifth of
+    its rows zeroed ("masked"), or on the line y = x / 2, of rank 3 ("line")."""
+    rng = philox(seed)
+    r, t = np.sqrt(rng.random(m)), rng.uniform(0.0, 2.0 * np.pi, m)
+    x, y = r * np.cos(t), r * np.sin(t)
+    if kind == "line":
+        y = 0.5 * x
+    design = np.column_stack(cp._monomials(x, y))
+    if kind == "masked":
+        design[rng.random(m) < 0.2] = 0.0
+    return design, rng.standard_normal((m, 2))
+
+
+@pytest.mark.parametrize("kind", ["generic", "masked", "line"])
+@pytest.mark.parametrize("rows", [1, 5, 6, 7, 64, None])
+def test_blocked_lstsq_matches_the_one_block_svd(monkeypatch, kind, rows):
+    design, values = _tall_design(kind, 25_000 if rows is None else 3_000, 7)
+    if rows is not None:  # None keeps the default row blocks, which cut 25,000 rows in three
+        monkeypatch.setattr(cp, "_BLOCK", 6)
+        monkeypatch.setattr(cp, "_MIN_BLOCK_ROWS", rows)
+    assert len(design) > max(cp._BLOCK // 6, cp._MIN_BLOCK_ROWS)
+    solve, rank = cp._lstsq(design)
+    got, got_one = solve(values), solve(values[:, 0])
+    monkeypatch.setattr(cp, "_MIN_BLOCK_ROWS", len(design))  # one block: the direct SVD
+    one, one_rank = cp._lstsq(design)
+    ref = one(values)
+    assert rank == one_rank == (3 if kind == "line" else 6)
+    scale = np.max(np.abs(ref))
+    assert np.max(np.abs(got - ref)) <= 1e-12 * scale
+    assert np.max(np.abs(got_one - ref[:, 0])) <= 1e-12 * scale
+
+
+def test_a_small_block_leaves_designs_within_the_row_floor_on_the_direct_svd(monkeypatch):
+    # the K_c tests patch _BLOCK to 1-64; the row floor keeps a design of up to
+    # _MIN_BLOCK_ROWS rows, as every pointwise design there is, on the direct SVD
+    design, values = _tall_design("generic", cp._MIN_BLOCK_ROWS, 3)
+    ref = cp._lstsq(design)[0](values)
+    monkeypatch.setattr(cp, "_BLOCK", 64)
+    assert np.array_equal(cp._lstsq(design)[0](values), ref)
+
+
+def test_blocked_lstsq_rank_rule_counts_the_full_designs_rows(monkeypatch):
+    # singular values 4 eps m and eps m / 2 times the largest, as above, but
+    # on m = 5,000 rows cut into blocks of 100: the stacked block factors have
+    # 300 rows, and a rank rule on those would keep the last singular value
+    rng, m = philox(12), 5_000
+    tol = np.finfo(float).eps * m
+    left, right = (np.linalg.qr(rng.standard_normal(shape))[0] for shape in ((m, 6), (6, 6)))
+    design = (left * np.array([1.0, 0.5, 0.25, 0.125, 4 * tol, tol / 2])) @ right.T
+    monkeypatch.setattr(cp, "_BLOCK", 6)
+    monkeypatch.setattr(cp, "_MIN_BLOCK_ROWS", 100)
+    assert np.linalg.lstsq(design, np.zeros(m), rcond=None)[2] == 5
+    assert cp._lstsq(design)[1] == 5
+
+
 def test_seminorm_of_the_cubic_harmonic_is_its_closed_form():
     # D^2_h of x^3 - 3 x y^2 is exact and affine, (6x, -6y, -6x), so in the
     # entrywise max metric the seminorm over a ball of radius r is
@@ -274,6 +331,13 @@ def test_taylor_at_center_needs_full_stencil_support(disk33):
     hole = GridFunction(disk33, np.where(defined, u.values, np.nan), defined)
     with pytest.raises(ValueError, match="center node lacks full stencil support"):
         cp._taylor_at_center(hole)
+
+
+def test_taylor_at_center_takes_hessians_second_differences(disk65):
+    u = GridFunction.from_callable(disk65, lambda x, y: np.sin(x + 2 * y) + x**4 * y)
+    H, i0 = hessian(u), 32
+    coef = cp._taylor_at_center(u)
+    assert coef[3:].tolist() == [H.h11[i0, i0], H.h12[i0, i0], H.h22[i0, i0]]
 
 
 def test_step_bisection_moves_onto_zero_set(disk65, sine_spec):
@@ -494,10 +558,12 @@ def test_pointwise_bound_dominates_measured_seminorm_20_fields(disk65):
         assert certified >= measured
 
 
-def _pointwise_reference(u, alphas, region_radius, stride=2, fit_radius=0.3):
-    """fit_quadratic and the K_c max, one center at a time; the fits of every
-    alpha in alphas, keyed by alpha, and the centers with clipped balls."""
+def _pointwise_reference(u, alphas, region_radius, stride=2):
+    """fit_quadratic on the ball of radius 0.3 extent and the K_c max, one
+    center at a time; the fits of every alpha in alphas, keyed by alpha, and
+    the centers with clipped balls."""
     g = u.grid
+    fit_radius = 0.3 * g.extent
     ii, jj = np.nonzero(u.defined & (np.hypot(g.X, g.Y) <= region_radius * (1.0 + 1e-12)))
     keep = (ii % stride == 0) & (jj % stride == 0)
     allx, ally, allv = g.X[u.defined], g.Y[u.defined], u.values[u.defined]
@@ -549,6 +615,23 @@ def test_pointwise_batched_fits_match_per_center_reference(shape, extent, hole, 
             coef = np.concatenate([[p.a], p.b, p.c.ravel()])
             coef_ref = np.concatenate([[q.a], q.b, q.c.ravel()])
             assert np.max(np.abs(coef - coef_ref)) <= 1e-10 * np.max(np.abs(coef_ref))
+
+
+@pytest.mark.parametrize("e", [0.5, 2.0])
+def test_pointwise_constant_scales_under_the_blow_up(e):
+    # u_e(x) = e^2 u(x / e) on a lattice of extent e has K(u_e) = e^-alpha K(u):
+    # the fit balls and the center region scale with the extent, and a power
+    # of two scales the nodes exactly, so a few roundings separate the two
+    # sides (2.2e-16 relative measured at e = 0.5 and 2; 1e-12 asserted)
+    alpha = 0.25
+
+    def u(x, y):
+        return np.sin(3 * x) * np.cos(2 * y) + np.hypot(x - 0.1, y) ** 2.5
+
+    _, K = cp.pointwise_fit_constants(GridFunction.from_callable(Grid2.disk(129), u), alpha)
+    _, K_e = cp.pointwise_fit_constants(
+        GridFunction.from_callable(Grid2.disk(129, e), lambda x, y: e**2 * u(x / e, y / e)), alpha)
+    assert abs(K_e - e**-alpha * K) <= 1e-12 * e**-alpha * K
 
 
 def _fit_centers(u, region_radius):

@@ -390,10 +390,12 @@ _IMPORT_PROBE = (
       "ellreg.cordes"]),
     (["analyze", "-N", "33", "-o", "a.json", "--csv-output", "d.csv"], ["ellreg.checks"]),
     (["analyze", "--input", "u.grid", "-o", "a.json", "--csv-output", "d.csv"],
-     ["scipy", "ellreg.checks"]),
-    (["selftest", "-o", "t.json"], ["scipy"]),
+     ["scipy", "ellreg.checks", "numpy.ma"]),
+    (["analyze", "--input", "u.grid", "--pointwise", "-o", "a.json", "--csv-output", "d.csv"],
+     ["scipy", "ellreg.checks", "numpy.ma"]),
+    (["selftest", "-o", "t.json"], ["scipy", "numpy.ma"]),
 ], ids=["import", "constants", "cordes", "solve", "solve_chord", "solve_cross_term",
-        "solve_newton", "analyze", "analyze_input", "selftest"])
+        "solve_newton", "analyze", "analyze_input", "analyze_input_pointwise", "selftest"])
 def test_each_subcommand_loads_only_what_it_runs(tmp_path, argv, unloaded):
     if "--input" in argv:
         g = Grid2.disk(65)
@@ -409,6 +411,40 @@ def test_each_subcommand_loads_only_what_it_runs(tmp_path, argv, unloaded):
         assert json.loads((tmp_path / "c.json").read_text())["nodes"] == 1
     if "--eps" in argv and "0.9" in argv:  # the solve did reach its Newton steps
         assert json.loads((tmp_path / "s.json").read_text())["newton_steps"] >= 1
+
+
+# Runs each argv in turn as a child of this small process and prints their exit
+# codes and ru_maxrss: Linux carries a parent's peak RSS into a child it spawns,
+# so a child of the test process itself would read at least pytest's own peak.
+_RSS_PROBE = (
+    "import json, os, sys\n"
+    "out = []\n"
+    "for argv in json.loads(sys.argv[1]):\n"
+    "    pid = os.posix_spawn(sys.executable, [sys.executable, *argv], os.environ)\n"
+    "    _, status, usage = os.wait4(pid, 0)\n"
+    "    out.append([os.waitstatus_to_exitcode(status), usage.ru_maxrss * 1024])\n"
+    "print(json.dumps(out))\n"
+)
+
+
+def test_analyze_513_peaks_below_a_fixed_working_set(tmp_path):
+    # analyze --input on a disk N=513 field, against a child that only imports
+    # what it runs.  The run reads 35.0 MB above the imports; a direct SVD of the
+    # scale fits' tall designs and a CG loop in buffers of its own, beside the
+    # multigrid level's, read 45.9 MB.
+    g = Grid2.disk(513)
+    save_grid(tmp_path / "u.grid", GridFunction.from_callable(
+        g, lambda x, y: saddle(x, y) + 0.5 * cubic_harmonic(x, y) + 0.02 * np.sin(2 * x) * np.sin(y)))
+    runs = [["-c", "from ellreg import campanato, cli"],
+            ["-m", "ellreg.cli", "analyze", "--input", "u.grid", "-o", "a.json",
+             "--csv-output", "d.csv"]]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]),
+           "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-c", _RSS_PROBE, json.dumps(runs)], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, check=True, timeout=120)
+    (import_code, import_peak), (code, peak) = json.loads(done.stdout)
+    assert import_code == code == cli.EXIT_OK
+    assert peak - import_peak < 40 * 2**20, (peak - import_peak) / 2**20
 
 
 def test_analyze_pointwise_bound(tmp_path, capsys):
