@@ -23,13 +23,14 @@ every scale.  Sup deviations are brute-force maxima over the ball nodes.
 
 Every quadratic fit is one truncated-SVD least-squares solve with lstsq's rank
 rule, on the design itself or, for a design taller than one row block, on the
-triangular factor its blocks reduce to.  Pointwise centers are lattice nodes,
-so all centers with unclipped balls share one design matrix, factored once,
-and a clipped ball goes through fit_quadratic.  Their one constant K =
-max_c K_c reads distance powers from one table over integer offsets, and
-bounds on (center, lattice tile) pairs, taken after one common quadratic is
-subtracted from u and from every fit, leave only the pairs that may hold the
-max to be evaluated, node by node.
+triangular factor its blocks reduce to; a ball's fit takes one design row per
+defined node, so an undefined node drops out by selection.  Pointwise centers
+are lattice nodes, so all centers with unclipped balls share one design matrix,
+factored once, and a clipped ball takes its rows at its defined nodes.  Their
+one constant K = max_c K_c reads distance powers from one table over integer
+offsets, and bounds on (center, lattice tile) pairs, taken after one common
+quadratic is subtracted from u and from every fit, leave only the pairs that
+may hold the max to be evaluated, node by node.
 One pairwise kernel measures every Hoelder seminorm over every node of its
 mask (entrywise max metric on the Hessian, matching the pointwise-to-uniform
 statement): bounds on pairs of lattice tiles leave only the tile pairs that
@@ -63,7 +64,6 @@ __all__ = [
     "certificate_check",
     "check_f_decay",
     "discrete_hessian_seminorm",
-    "fit_quadratic",
     "improvement_step",
     "pointwise_fit_constants",
     "pointwise_to_holder",
@@ -153,29 +153,23 @@ def _lstsq(design: np.ndarray):
     return (lambda values: w @ left(values)), np.count_nonzero(keep, axis=-1)
 
 
-def _fit_ball(g, mask: np.ndarray, vals: np.ndarray, r: float, cx: float, cy: float):
-    """Least-squares quadratic to the values vals at the nodes of mask, in the
-    unit frame of the ball of radius r about (cx, cy); returns the unit-frame
-    coefficients and the max node deviation."""
-    A = np.column_stack(_monomials((g.X[mask] - cx) / r, (g.Y[mask] - cy) / r))
-    solve, rank = _lstsq(A)
+def _fit_solve(design: np.ndarray):
+    """_lstsq's solve for a quadratic fit on the nodes of a ball, one row of design
+    per node; fewer than _MIN_FIT_NODES rows, or a rank below 6, is an error."""
+    if len(design) < _MIN_FIT_NODES:
+        raise ValueError(f"a fit ball holds {len(design)} nodes; need at least {_MIN_FIT_NODES}")
+    solve, rank = _lstsq(design)
     if rank < 6:
         raise ValueError("degenerate node set: quadratic fit is rank-deficient")
-    coef = solve(vals)
-    return coef, np.max(np.abs(vals - A @ coef))
+    return solve
 
 
-def fit_quadratic(u: GridFunction, center, r: float):
-    """Least-squares quadratic over the nodes in the ball; returns the
-    polynomial in physical coordinates and the max node deviation."""
-    g = u.grid
-    cx, cy = float(center[0]), float(center[1])
-    mask = u.defined & g.ball(r, (cx, cy))
-    count = int(mask.sum())
-    if count < _MIN_FIT_NODES:
-        raise ValueError(f"ball of radius {r} holds {count} nodes; need at least {_MIN_FIT_NODES}")
-    coef, sup_dev = _fit_ball(g, mask, u.values[mask], r, cx, cy)
-    return QuadraticPolynomial(_physical(coef, r, cx, cy)), float(sup_dev)
+def _fit_rows(design: np.ndarray, vals: np.ndarray):
+    """Least-squares quadratic to the values vals on the rows of design, one per
+    node of a ball in its unit frame: the coefficients in that frame and the max
+    node deviation.  A node drops out of a fit by leaving out its row."""
+    coef = _fit_solve(design)(vals)
+    return coef, np.max(np.abs(vals - design @ coef))
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +309,6 @@ class DecayRecord:
     correction: QuadraticPolynomial
     amplitude: float
     operator_residual: float
-    f_check: float | None = None
 
 
 @dataclass
@@ -342,8 +335,10 @@ def campanato_iterate(u: GridFunction, spec, rho: float = 0.5, kmax: int = 4,
     """Fit and accumulate quadratics on balls of radius rho^k; the regression
     slope of log sup-deviation against log radius estimates the decay order.
     Corrections are normalized by rho^(2k), or with a source f by the
-    source-aware rho^(k(2+alpha)), and f adds its decay check at every scale;
-    the fits never read f, so with f zero they match the sourceless ones bit for bit."""
+    source-aware rho^(k(2+alpha)); the fits never read f, so with f zero they
+    match the sourceless ones bit for bit.  A scale whose ball holds fewer than
+    _MIN_FIT_NODES defined nodes of u, or whose radius is below 4h, ends the
+    table as truncated."""
     if not 0 < rho < 1:
         raise ValueError("rho must lie in (0,1)")
     if kmax < 0:
@@ -354,26 +349,19 @@ def campanato_iterate(u: GridFunction, spec, rho: float = 0.5, kmax: int = 4,
     truncated = False
     for k in range(kmax + 1):
         radius = rho**k * g.extent
-        ball = g.ball_mask(radius)
-        if radius < 4.0 * g.h * (1.0 - 1e-12) or np.count_nonzero(ball) < _MIN_FIT_NODES:
+        mask = u.defined & g.ball_mask(radius)
+        if radius < 4.0 * g.h * (1.0 - 1e-12) or np.count_nonzero(mask) < _MIN_FIT_NODES:
             truncated = True
             break
-        mask = u.defined & ball
-        coef, sup_dev = _fit_ball(g, mask, u.values[mask] - P(g.X[mask], g.Y[mask]),
-                                  radius, 0.0, 0.0)
+        vals = u.values[mask] - P(g.X[mask], g.Y[mask])
+        coef, sup_dev = _fit_rows(
+            np.column_stack(_monomials(g.X[mask] / radius, g.Y[mask] / radius)), vals)
         P = P + QuadraticPolynomial(_physical(coef, radius, 0.0, 0.0))
         amplitude = rho ** (2 * k) if f is None else rho ** (k * (2 + alpha))
-        f_check = None
-        if f is not None:
-            fmask = f.defined & ball
-            if fmask.any():
-                mean_n = float(np.mean(np.abs(f.values[fmask]) ** 2))
-                f_check = math.sqrt(mean_n) / radius**alpha
         records.append(DecayRecord(
             k=k, radius=radius, poly=P,
             sup_dev=float(sup_dev), correction=QuadraticPolynomial(coef / amplitude),
-            amplitude=amplitude, operator_residual=abs(spec.evaluate(P.c)),
-            f_check=f_check))
+            amplitude=amplitude, operator_residual=abs(spec.evaluate(P.c))))
     floor = 1e-13 * max(u.sup(), 1.0)
     pts = np.array([(math.log(r.radius), math.log(r.sup_dev))
                     for r in records if r.sup_dev > floor])
@@ -442,9 +430,9 @@ def pointwise_fit_constants(u: GridFunction, alpha: float, region_radius: float 
     Centers are lattice nodes, so ball membership is decided in integer
     offsets, (di^2 + dj^2) h^2 <= ball_reach(_FIT_RADIUS * extent)^2, and every
     center whose offset ball lies on defined nodes shares one design matrix, factored
-    once by _lstsq, which must find it of full rank; its solve is applied to
-    the values of each chunk of centers gathered in one block.  A center whose
-    ball is clipped by the domain is fitted alone by fit_quadratic.
+    once by _fit_solve; its solve is applied to the values of each chunk of
+    centers gathered in one block.  A center whose ball holds an undefined node
+    is fitted alone by _fit_rows, on that design's rows at its defined nodes.
 
     K is taken in integer offsets too, |x - c|^(2+alpha) read from one table
     of ((di^2 + dj^2) h^2)^(1+alpha/2) whose zero offset holds inf, so each
@@ -468,17 +456,12 @@ def pointwise_fit_constants(u: GridFunction, alpha: float, region_radius: float 
     di, dj = np.mgrid[-m:m + 1, -m:m + 1]
     ball = (di * di + dj * dj) * g.h**2 <= reach**2
     di, dj = di[ball], dj[ball]
-    if len(di) < _MIN_FIT_NODES:
-        raise ValueError(f"ball of radius {radius} holds {len(di)} nodes; "
-                         f"need at least {_MIN_FIT_NODES}")
     # NaN off the defined nodes and in a frame wide enough for every offset ball
     padded = np.pad(u.filled(np.nan), m, constant_values=np.nan)
     offsets = di * padded.shape[1] + dj
     flat = (ii + m) * padded.shape[1] + (jj + m)
     design = np.column_stack(_monomials(di * g.h / radius, dj * g.h / radius))
-    solve, rank = _lstsq(design)
-    if rank < 6:
-        raise ValueError("degenerate node set: quadratic fit is rank-deficient")
+    solve = _fit_solve(design)
     cx, cy = g.X[ii, jj], g.Y[ii, jj]
 
     # physical coefficients, one column per center
@@ -490,8 +473,9 @@ def pointwise_fit_constants(u: GridFunction, alpha: float, region_radius: float 
         full = ~np.isnan(vals).any(axis=1)
         coef[:, cols[full]] = _physical(solve(vals[full].T), radius,
                                         cx[cols[full]], cy[cols[full]])
-        for c in cols[~full]:
-            coef[:, c] = fit_quadratic(u, (cx[c], cy[c]), radius)[0].coef
+        for c, v in zip(cols[~full], vals[~full]):  # a clipped ball: its defined nodes' rows
+            on = ~np.isnan(v)
+            coef[:, c] = _physical(_fit_rows(design[on], v[on])[0], radius, cx[c], cy[c])
     # (u - Q0) - (P_c - Q0) is u - P_c in exact arithmetic; Q0 is np.median's
     # value, taken from one sort
     ordered, mid = np.sort(coef, axis=1), len(ii) // 2

@@ -151,7 +151,7 @@ class _Level:
     it is restricted and then the interpolated correction; all are zero off
     the mask.  Between V-cycles the finest level's b holds the CG residual and
     its r the operator product.  apply reads the operator's diagonal divided
-    by that ratio.
+    by that ratio, a scalar on the finest level, where it is constant.
 
     The box has an odd number of columns n1 = 2 q + 1, so in row-major order
     the node (i, j) is red (i + j even) exactly when its flat index is even.
@@ -162,7 +162,7 @@ class _Level:
     covers the rows off the frame, and frame columns keep x zero because the
     inverse diagonal held for the step is zero off the mask."""
 
-    def __init__(self, mask: np.ndarray, diag: np.ndarray, ratio: float):
+    def __init__(self, mask: np.ndarray, diag: np.ndarray | float, ratio: float):
         self.mask = mask
         self.weight = mask.astype(float)
         self.ratio = ratio
@@ -170,7 +170,7 @@ class _Level:
         self.coarse: _Level | None = None
         self.inverse: np.ndarray | None = None  # the coarsest level's dense inverse
         n0, n1 = mask.shape
-        self._diag_rows = (diag * self.weight / ratio).ravel()[n1:-n1]
+        self._diag_rows = diag / ratio if np.isscalar(diag) else (diag / ratio).ravel()[n1:-n1]
         self._weight_rows = self.weight.ravel()[n1:-n1]
         inv = (self.weight / diag).ravel()
         q = n1 // 2
@@ -317,7 +317,7 @@ class _Multigrid:
         mask[:span[0], :span[1]] = interior[lo[0]:lo[0] + span[0], lo[1]:lo[1] + span[1]]
         ratio = w22 / w11
         weights = (1.0, 1.0, ratio, ratio)  # of _FIVE_POINT's offsets
-        self._top = level = _Level(mask, np.full(mask.shape, 2.0 + 2.0 * ratio), ratio)
+        self._top = level = _Level(mask, 2.0 + 2.0 * ratio, ratio)
         for depth in range(1, k + 1):
             stride = 1 << depth
             coarse = mask[::stride, ::stride]

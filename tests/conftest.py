@@ -37,6 +37,15 @@ def holey_field(g: Grid2, seed: int) -> GridFunction:
     return GridFunction(g, np.where(defined, rng.standard_normal((g.N, g.N)), np.nan), defined)
 
 
+def island_field(g: Grid2) -> GridFunction:
+    """x^3 - 3 x y^2 on the defined nodes of g less the annulus 1.5h < |x - c|
+    <= 0.3 extent about the node c = (6h, 0), so the pointwise fit ball about
+    c holds only the 3 x 3 block of nodes about it."""
+    r = np.hypot(g.X - 6 * g.h, g.Y)
+    defined = g.defined & ((r <= 1.5 * g.h) | (r > 0.3 * g.extent * (1.0 + 1e-9)))
+    return GridFunction(g, np.where(defined, g.X**3 - 3 * g.X * g.Y**2, np.nan), defined)
+
+
 def philox(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed))
 

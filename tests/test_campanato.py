@@ -17,7 +17,7 @@ from ellreg import operators as op
 from ellreg.grid import Grid2, GridFunction
 from ellreg.solver import hessian, solve_fully_nonlinear
 
-from conftest import cubic_harmonic, holey_field, philox, saddle
+from conftest import cubic_harmonic, holey_field, island_field, philox, saddle
 
 FLAT = C.EllipticityBounds(1.0, 1.0)
 EXT1 = C.ExternalConstants(K1=1.0, alpha0=1.0, C_prime=1.0, K2=1.0, C3=1.0)
@@ -28,12 +28,24 @@ def report():
 
 
 # ---------------------------------------------------------------------------
-# fit_quadratic
+# quadratic fits
+
+
+def _ball_fit(u, center, r):
+    """The least-squares quadratic over the defined nodes of u in the
+    coordinate ball of radius r about center, by campanato's row fit: the
+    polynomial in physical coordinates and the max node deviation."""
+    g = u.grid
+    cx, cy = float(center[0]), float(center[1])
+    mask = u.defined & g.ball(r, (cx, cy))
+    design = np.column_stack(cp._monomials((g.X[mask] - cx) / r, (g.Y[mask] - cy) / r))
+    coef, dev = cp._fit_rows(design, u.values[mask])
+    return cp.QuadraticPolynomial(cp._physical(coef, r, cx, cy)), float(dev)
 
 
 def test_fit_recovers_quadratics_exactly(disk65):
     u = GridFunction.from_callable(disk65, lambda x, y: 1.5 - 0.3 * x + y + 0.5 * (2 * x * x + 2 * 0.4 * x * y - 1.1 * y * y))
-    poly, dev = cp.fit_quadratic(u, (0.0, 0.0), 0.5)
+    poly, dev = _ball_fit(u, (0.0, 0.0), 0.5)
     assert dev <= 1e-10 * u.sup()
     assert poly.a == pytest.approx(1.5, abs=1e-10)
     assert poly.b[0] == pytest.approx(-0.3, abs=1e-10)
@@ -42,7 +54,7 @@ def test_fit_recovers_quadratics_exactly(disk65):
     assert poly.c[0, 1] == pytest.approx(0.4, abs=1e-9)
     assert poly.c[1, 1] == pytest.approx(-1.1, abs=1e-9)
     # off-center fits reproduce the same polynomial in physical coordinates
-    poly2, dev2 = cp.fit_quadratic(u, (0.3, -0.2), 0.4)
+    poly2, dev2 = _ball_fit(u, (0.3, -0.2), 0.4)
     assert dev2 <= 1e-10 * u.sup()
     xs = np.linspace(-0.5, 0.5, 7)
     assert np.allclose(poly2(xs, xs[::-1]), poly(xs, xs[::-1]), atol=1e-9)
@@ -52,7 +64,7 @@ def test_fit_cubic_taylor_envelope(disk257):
     u = GridFunction.from_callable(disk257, cubic_harmonic)
     M = u.sup()
     r = 0.2
-    poly, dev = cp.fit_quadratic(u, (0.0, 0.0), r)
+    poly, dev = _ball_fit(u, (0.0, 0.0), r)
     envelope = 125.0 / 6.0 * 8.0 * M * r**3  # third-derivative chain bound, n = 2
     assert dev <= envelope
     assert dev <= r**3  # pure cubic: the optimal fit cannot beat sup|u| on the ball
@@ -60,7 +72,7 @@ def test_fit_cubic_taylor_envelope(disk257):
 
 def test_fit_parity_kills_even_coefficients(disk65):
     u = GridFunction.from_callable(disk65, lambda x, y: x**3)
-    poly, _ = cp.fit_quadratic(u, (0.0, 0.0), 0.4)
+    poly, _ = _ball_fit(u, (0.0, 0.0), 0.4)
     assert abs(poly.c[0, 0]) <= 1e-10
     assert abs(poly.a) <= 1e-10
 
@@ -68,18 +80,29 @@ def test_fit_parity_kills_even_coefficients(disk65):
 def test_fit_errors(disk65):
     u = GridFunction.from_callable(disk65, saddle)
     with pytest.raises(ValueError, match="need at least 12"):
-        cp.fit_quadratic(u, (0.0, 0.0), 1.2 * disk65.h)
+        _ball_fit(u, (0.0, 0.0), 1.2 * disk65.h)
     row = disk65.defined & (np.abs(disk65.Y) < 1e-12)
     line = GridFunction.from_callable(disk65, saddle, mask=row)
     with pytest.raises(ValueError, match="degenerate"):
-        cp.fit_quadratic(line, (0.0, 0.0), 0.5)
+        _ball_fit(line, (0.0, 0.0), 0.5)
+
+
+def test_a_fit_takes_twelve_rows_and_no_fewer():
+    # a 4 x 3 block of nodes pins a quadratic with any one row left out
+    x, y = (a.ravel() for a in np.mgrid[-1.5:2:1.0, -1.0:1.5:1.0])
+    design = np.column_stack(cp._monomials(x, y))
+    vals = saddle(x, y)
+    coef, dev = cp._fit_rows(design, vals)
+    assert np.allclose(coef, [0.0, 0.0, 0.0, 2.0, 0.0, -2.0]) and dev <= 1e-14
+    with pytest.raises(ValueError, match="holds 11 nodes; need at least 12"):
+        cp._fit_rows(design[1:], vals[1:])
 
 
 def test_fit_l2_optimality_beats_taylor_competitor(disk65):
     u = GridFunction.from_callable(disk65, lambda x, y: np.sin(x + 0.3 * y))
     r = 0.5
     mask = disk65.defined & (np.hypot(disk65.X, disk65.Y) <= r)
-    poly, _ = cp.fit_quadratic(u, (0.0, 0.0), r)
+    poly, _ = _ball_fit(u, (0.0, 0.0), r)
     # Taylor polynomial of sin(x + 0.3 y) at 0:  (x + 0.3 y) - 0 x^2 ...
     taylor = cp.QuadraticPolynomial([0.0, 1.0, 0.3, 0.0, 0.0, 0.0])
     dev_fit = u.values[mask] - poly(disk65.X[mask], disk65.Y[mask])
@@ -111,7 +134,7 @@ def test_quadratic_is_one_coefficient_vector(inputs):
         P.coef[0] = 1.0  # the vector is read-only, so polynomials can share it
     # the fit of the sampled quadratic gives back its vector
     u = GridFunction(g, np.where(defined, P(g.X, g.Y), np.nan), defined)
-    fit, dev = cp.fit_quadratic(u, center, r)
+    fit, dev = _ball_fit(u, center, r)
     assert np.max(np.abs(fit.coef - coef)) <= 1e-9 * scale
     assert dev <= 1e-10 * scale
     # evaluation is the product with the monomial basis, up to rounding
@@ -450,6 +473,24 @@ def test_iterate_truncation_flagged():
     assert len(table.records) < 51
 
 
+@pytest.mark.parametrize("extra,scales", [(0, 2), (2, 2), (3, 4)])
+def test_iterate_counts_the_defined_nodes_it_fits(identity_spec, extra, scales):
+    # u is undefined inside 8.5h but for the 3 x 3 block at the origin and
+    # extra of three more nodes, so the balls of radius 8h and 4h (k = 2, 3)
+    # hold 9 + extra defined nodes of the grid's 197 and 49: a scale with
+    # fewer than 12 ends the table, and k = 4 (a radius of 2h) always does
+    g = Grid2.disk(65)
+    i, j = np.mgrid[-32:33, -32:33]
+    keep = (np.abs(i) <= 1) & (np.abs(j) <= 1)
+    for di, dj in ((2, 0), (0, 2), (-2, 0))[:extra]:
+        keep |= (i == di) & (j == dj)
+    defined = g.defined & ((i * i + j * j > 8.5**2) | keep)
+    u = GridFunction(g, np.where(defined, cubic_harmonic(g.X, g.Y), np.nan), defined)
+    table = cp.campanato_iterate(u, identity_spec, rho=0.5, kmax=4)
+    assert table.truncated
+    assert len(table.records) == scales
+
+
 def test_iterate_perturbed_solution_decay(perturbed_solution, sine_spec):
     table = cp.campanato_iterate(perturbed_solution, sine_spec, rho=0.5, kmax=4)
     assert table.exponent_defined
@@ -466,7 +507,7 @@ def test_inhomogeneous_reduces_to_homogeneous_for_zero_source(disk129, identity_
         assert a.sup_dev == b.sup_dev
         assert a.poly.a == b.poly.a
         assert np.array_equal(a.poly.c, b.poly.c)
-        assert b.f_check == 0.0
+        assert a.operator_residual == b.operator_residual
 
 
 def test_inhomogeneous_decay_with_radial_source(disk257, identity_spec):
@@ -479,7 +520,7 @@ def test_inhomogeneous_decay_with_radial_source(disk257, identity_spec):
     table = cp.campanato_iterate(u, identity_spec, rho=0.5, kmax=4, f=f, alpha=alpha)
     assert table.exponent_defined
     assert table.fitted_exponent >= 2 + alpha - 0.2
-    assert all(rec.f_check is not None for rec in table.records)
+    assert all(rec.amplitude == 0.5 ** (rec.k * (2 + alpha)) for rec in table.records)
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +600,7 @@ def test_pointwise_bound_dominates_measured_seminorm_20_fields(disk65):
 
 
 def _pointwise_reference(u, alphas, region_radius, stride=2):
-    """fit_quadratic on the ball of radius 0.3 extent and the K_c max, one
+    """_ball_fit on the ball of radius 0.3 extent and the K_c max, one
     center at a time; the fits of every alpha in alphas, keyed by alpha, and
     the centers with clipped balls."""
     g = u.grid
@@ -571,7 +612,7 @@ def _pointwise_reference(u, alphas, region_radius, stride=2):
     full_count = int((u.defined & (np.hypot(g.X, g.Y) <= fit_radius * (1.0 + 1e-12))).sum())
     for i, j in zip(ii[keep], jj[keep]):
         cx, cy = g.X[i, j], g.Y[i, j]
-        poly, _ = cp.fit_quadratic(u, (cx, cy), fit_radius)
+        poly, _ = _ball_fit(u, (cx, cy), fit_radius)
         dist = np.hypot(allx - cx, ally - cy)
         far = dist > 0.5 * g.h
         resid = np.abs(allv[far] - poly(allx[far], ally[far]))
@@ -606,15 +647,30 @@ def test_pointwise_batched_fits_match_per_center_reference(shape, extent, hole, 
     assert not all(clipped)  # the shared design is exercised
     if fraction == 0.8:
         assert any(clipped)  # and so is the per-center path for clipped balls
+    # at extent 1 every node coordinate is a multiple of h = 2^-5, so X - cx is
+    # di h exactly and a clipped ball's rows of the offset design are the
+    # coordinate ball's: its fit, and the kernel's K with it, agree bit for bit
+    # (the unclipped centers share one solve of many columns, which BLAS sums
+    # in another order than one column's)
+    dyadic = extent == 1.0
     for alpha, want in reference.items():
         got, K = cp.pointwise_fit_constants(u, alpha, region_radius=fraction * extent)
         assert len(got) == len(want)
         k_ref = max(k for _, k in want)
         assert abs(K - k_ref) <= 1e-10 * k_ref
-        for p, (q, _) in zip(got, want):
-            coef = np.concatenate([[p.a], p.b, p.c.ravel()])
-            coef_ref = np.concatenate([[q.a], q.b, q.c.ravel()])
-            assert np.max(np.abs(coef - coef_ref)) <= 1e-10 * np.max(np.abs(coef_ref))
+        for p, (q, _), c in zip(got, want, clipped):
+            if dyadic and c:
+                assert np.array_equal(p.coef, q.coef)
+            else:
+                assert np.max(np.abs(p.coef - q.coef)) <= 1e-10 * np.max(np.abs(q.coef))
+        if dyadic:
+            mixed = [q if c else p for p, (q, _), c in zip(got, want, clipped)]
+            assert K == max(_kc_brute_force(u, mixed, alpha, fraction * extent))
+
+
+def test_a_clipped_ball_under_twelve_defined_nodes_is_an_error():
+    with pytest.raises(ValueError, match="holds 9 nodes; need at least 12"):
+        cp.pointwise_fit_constants(island_field(Grid2.disk(65)), 0.5)
 
 
 @pytest.mark.parametrize("e", [0.5, 2.0])

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from ellreg import checks, cli, operators, solver
 from ellreg.grid import Grid2, GridFunction, load_grid, save_grid
 
-from conftest import cubic_harmonic, saddle
+from conftest import cubic_harmonic, island_field, saddle
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -459,6 +459,19 @@ def test_analyze_pointwise_bound(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["pointwise"]["certified_bound"] > 0
     assert payload["pointwise"]["centers"] > 10
+
+
+def test_analyze_pointwise_rejects_a_clipped_ball_under_twelve_nodes(tmp_path, capsys):
+    # without --pointwise the holed field is analyzed; a pointwise ball that
+    # holds 9 defined nodes cannot be fitted, so --pointwise exits 2
+    grid_file = tmp_path / "u.grid"
+    save_grid(grid_file, island_field(Grid2.disk(65)))
+    base = ["analyze", "--input", str(grid_file), "--alpha0", "1.0",
+            "--csv-output", str(tmp_path / "d.csv"), "-o", str(tmp_path / "a.json")]
+    assert run_cli(base, capsys)[0] == cli.EXIT_OK
+    code, _, err = run_cli(base + ["--pointwise"], capsys)
+    assert code == cli.EXIT_USAGE
+    assert "holds 9 nodes; need at least 12" in err
 
 
 # the check names the selftest reported before it ran the acceptance registry
