@@ -22,15 +22,15 @@ interpolated, so quadratic inputs are reproduced to rounding accuracy at
 every scale.  Sup deviations are brute-force maxima over the ball nodes.
 
 Every quadratic fit is one truncated-SVD least-squares solve with lstsq's rank
-rule, on the design itself or, for a design taller than one row block, on the
-triangular factor its blocks reduce to; a ball's fit takes one design row per
-defined node, so an undefined node drops out by selection.  Pointwise centers
-are lattice nodes, so all centers with unclipped balls share one design matrix,
-factored once, and a clipped ball takes its rows at its defined nodes.  Their
-one constant K = max_c K_c reads distance powers from one table over integer
-offsets, and bounds on (center, lattice tile) pairs, taken after one common
-quadratic is subtracted from u and from every fit, leave only the pairs that
-may hold the max to be evaluated, node by node.
+rule, on the triangular factor the design's row blocks reduce to; a ball's
+fit takes one design row per defined node, so an undefined node drops out by
+selection.  Pointwise centers are lattice nodes, so all centers with unclipped
+balls share one design matrix, factored once, and a clipped ball takes its
+rows at its defined nodes.  Their one constant K = max_c K_c reads distance
+powers from one table over integer offsets, and bounds on (center, lattice
+tile) pairs, taken after one common quadratic is subtracted from u and from
+every fit, leave only the pairs that may hold the max to be evaluated, node
+by node.
 One pairwise kernel measures every Hoelder seminorm over every node of its
 mask (entrywise max metric on the Hessian, matching the pointwise-to-uniform
 statement): bounds on pairs of lattice tiles leave only the tile pairs that
@@ -126,31 +126,24 @@ def _lstsq(design: np.ndarray):
     lstsq's default rcond: (solve, rank), with solve mapping values (m,) or (m, p), stacked
     alike, to minimum-norm coefficients (6,) or (6, p).  A zeroed row drops out of its fit.
 
-    A 2-D design taller than one row block, max(_BLOCK // 6, _MIN_BLOCK_ROWS) rows, is
-    first reduced to its triangular factor, so the SVD makes no copy of it: a
-    Householder QR of each row block, then one QR of the stacked block factors (TSQR:
-    J. Demmel, L. Grigori, M. Hoemmen and J. Langou, SIAM J. Sci. Comput. 34, 2012).  The
-    SVD and the rank rule, which keeps max(m, 6) of the full design, run on that factor,
-    and solve applies the stored block Qs; any other design is factored directly."""
-    rows = max(_BLOCK // 6, _MIN_BLOCK_ROWS)
-    if design.ndim == 2 and len(design) > rows:
-        starts = range(0, len(design), rows)
-        blocks, factors = zip(*(np.linalg.qr(design[lo:lo + rows]) for lo in starts))
-        q, factor = np.linalg.qr(np.vstack(factors))
-        u, s, vt = np.linalg.svd(factor, full_matrices=False)
-        ut = (q @ u).T
-
-        def left(values):  # U^T values, U = diag(blocks) q u the design's left factor
-            return ut @ np.concatenate([b.T @ values[lo:lo + rows]
-                                        for lo, b in zip(starts, blocks)])
-    else:
-        u, s, vt = np.linalg.svd(design, full_matrices=False)
-
-        def left(values):
-            return np.swapaxes(u, -1, -2) @ values
+    Every design is reduced to a small triangular factor, so the SVD makes no copy of
+    it: a Householder QR of each block of _QR_ROWS rows, then one QR of the stacked
+    block factors (TSQR: J. Demmel, L. Grigori, M. Hoemmen and J. Langou, SIAM J. Sci.
+    Comput. 34, 2012).  The SVD and the rank rule, which keeps max(m, 6) of the full
+    design, run on that factor, and solve applies the stored block Qs."""
+    cuts = range(_QR_ROWS, design.shape[-2], _QR_ROWS)
+    blocks, factors = zip(*map(np.linalg.qr, np.split(design, cuts, axis=-2)))
+    q, factor = np.linalg.qr(np.concatenate(factors, axis=-2))
+    u, s, vt = np.linalg.svd(factor, full_matrices=False)
+    ut = np.swapaxes(q @ u, -1, -2)  # the design's left factor is diag(blocks) q u
     keep = s > np.finfo(float).eps * max(design.shape[-2:]) * s[..., :1]
     w = np.swapaxes(vt, -1, -2) * np.divide(1.0, s, out=np.zeros_like(s), where=keep)[..., None, :]
-    return (lambda values: w @ left(values)), np.count_nonzero(keep, axis=-1)
+    axis = design.ndim - 2  # the row axis of values, (m,) and (m, p) alike
+
+    def solve(values):
+        parts = zip(blocks, np.split(values, cuts, axis=axis))
+        return w @ (ut @ np.concatenate([np.swapaxes(b, -1, -2) @ v for b, v in parts], axis=axis))
+    return solve, np.count_nonzero(keep, axis=-1)
 
 
 def _fit_solve(design: np.ndarray):
@@ -212,8 +205,10 @@ def _taylor_at_center(h_fun: GridFunction) -> np.ndarray:
     return np.array([v[1, 1], b1, b2, h11, h12, h22])
 
 
-_REPLACE_RADIUS = 0.8  # radius of the harmonic-replacement disk
-_DEVIATION_RADIUS = 0.25  # radius of the ball the step's deviations are taken on
+# radii of the harmonic-replacement disk and of the ball the step's deviations
+# are taken on, as fractions of the extent
+_REPLACE_RADIUS = 0.8
+_DEVIATION_RADIUS = 0.25
 
 
 def improvement_step(u: GridFunction, spec, constants: ConstantsReport | None = None,
@@ -229,16 +224,20 @@ def improvement_step(u: GridFunction, spec, constants: ConstantsReport | None = 
     lam_max(W0) / lam_min(W0): h o W0^(1/2) is harmonic, on a disk smaller by
     sqrt(lam_max(W0)), and D^2 h = W0^(-1/2) D^2 (h o W0^(1/2)) W0^(-1/2).
     The documented closed-form radii are far below any lattice resolution, so
-    gamma defaults to 4h and the deviation ball to _DEVIATION_RADIUS; the literal
-    constants live in the constants module.
+    gamma defaults to 4h and the deviation ball to _DEVIATION_RADIUS times the
+    extent; the literal constants live in the constants module.  Both step radii
+    scale with the extent, so under u -> e^2 u(x / e) on a lattice of extent e
+    D^2 h(0) and the correction keep their values and the sup deviations scale
+    as e^2.
     """
     g = u.grid
     if gamma_used is None:
         gamma_used = 4.0 * g.h
-    if _REPLACE_RADIUS + gamma_used + 2.0 * g.h >= g.extent:
+    replace_radius, r_used = _REPLACE_RADIUS * g.extent, _DEVIATION_RADIUS * g.extent
+    if replace_radius + gamma_used + 2.0 * g.h >= g.extent:
         raise ValueError("domain too small for mollification plus replacement collar")
     u_moll = mollify(u, gamma_used)
-    sub = g.subregion(_REPLACE_RADIUS)
+    sub = g.subregion(replace_radius)
     if (sub.defined & ~u_moll.defined).any():
         raise ValueError("mollified data does not cover the replacement disk")
     h_fun = solve_linear_dirichlet(spec.W0, None, u_moll, g, region=sub)
@@ -275,7 +274,7 @@ def improvement_step(u: GridFunction, spec, constants: ConstantsReport | None = 
         c_corr = 0.5 * (lo + hi)
         P = QuadraticPolynomial(coef + c_corr * shift)
 
-    ball = g.ball_mask(_DEVIATION_RADIUS)
+    ball = g.ball_mask(r_used)
     both = sub.defined & u.defined
     diff_uh = np.abs(u.values - h_fun.values)
     sup_u_minus_h = float(np.max(diff_uh[both]))
@@ -285,7 +284,7 @@ def improvement_step(u: GridFunction, spec, constants: ConstantsReport | None = 
     up = np.abs(u.values - p_vals)
     sup_u_minus_p = float(np.max(up[u.defined & ball]))
     report = StepReport(
-        gamma_used=gamma_used, r_used=_DEVIATION_RADIUS, replace_radius=_REPLACE_RADIUS,
+        gamma_used=gamma_used, r_used=r_used, replace_radius=replace_radius,
         sup_u=M, sup_u_minus_h=sup_u_minus_h, sup_h_minus_p=sup_h_minus_p,
         sup_u_minus_p=sup_u_minus_p, d2h_norm=d2h_norm, d2h_bound=d2h_bound,
         d2h_bound_ok=bool(d2h_norm <= d2h_bound * (1 + 1e-12)),
@@ -406,9 +405,9 @@ def pointwise_to_holder(K: float, alpha: float) -> float:
 # bounds of one row block of _lattice_max, the nodes of its exact evaluations,
 # and the pointwise fits' gathered values
 _BLOCK = 1 << 16
-# the fewest rows of one row block of a tall least-squares design (_lstsq), so a
-# small _BLOCK cannot cut a design into blocks whose stacked factors outgrow it
-_MIN_BLOCK_ROWS = 1024
+# rows of one block of a least-squares design's QR reduction (_lstsq): one
+# block of 6 columns holds about _BLOCK doubles
+_QR_ROWS = 10_922
 _FIT_STRIDE = 2  # centers on every second lattice row and column
 _FIT_RADIUS = 0.3  # the pointwise fit balls' radius, as a fraction of the extent
 _MIN_FIT_NODES = 12  # the fewest nodes any quadratic fit takes, twice its coefficients
@@ -760,7 +759,8 @@ def certificate_check(u: GridFunction, spec, f: GridFunction | None,
     assembled from C4, delta and the pointwise factor; the full closed-form
     constant is never stated explicitly, so the comparison is informational.
     Both pairwise seminorms, [D^2 u] over the ball and the source's over
-    every defined node, are exact maxima over all their node pairs.
+    every defined node, are exact maxima over all their node pairs; a ball
+    with fewer than 2 nodes of full 9-point stencil is an error that names it.
     """
     g = u.grid
     ball_radius = g.extent / (4.0 * bounds.Lam)
@@ -771,7 +771,13 @@ def certificate_check(u: GridFunction, spec, f: GridFunction | None,
     if not homogeneous and (constants.pair.alpha is None or constants.delta is None):
         raise ValueError("inhomogeneous certificate needs a full (alpha, alpha_bar) report")
     a = constants.pair.alpha_bar if homogeneous else constants.pair.alpha
-    measured = discrete_hessian_seminorm(u, a, radius=ball_radius)
+    H = hessian(u)
+    mask = H.mask & g.ball(ball_radius)
+    nodes = int(np.count_nonzero(mask))
+    if nodes < 2:
+        raise ValueError(f"the certificate ball B_(1/(4 Lambda)) of radius {ball_radius!r} holds "
+                         f"{nodes} nodes with a full 9-point stencil; it needs at least 2")
+    measured = _pairwise_holder(g, mask, (H.h11, H.h12, H.h22), a)
     if homogeneous:
         bound = float(constants.C1) * sup_u
     else:

@@ -218,17 +218,7 @@ def cmd_analyze(args) -> int:
     step_payload = None
     try:
         _, step = campanato.improvement_step(u, spec, report, gamma_used=args.gamma)
-        step_payload = {
-            "gamma_used": step.gamma_used,
-            "r_used": step.r_used,
-            "sup_u_minus_h": step.sup_u_minus_h,
-            "sup_h_minus_p": step.sup_h_minus_p,
-            "sup_u_minus_p": step.sup_u_minus_p,
-            "d2h_norm": step.d2h_norm,
-            "d2h_bound_ok": step.d2h_bound_ok,
-            "c_correction": step.c_correction,
-            "mg_iterations": step.mg_iterations,
-        }
+        step_payload = dataclasses.asdict(step)
     except (ValueError, solver.SolverError) as exc:
         warnings.append(f"improvement step skipped: {exc}")
 

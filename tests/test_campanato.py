@@ -226,12 +226,11 @@ def _tall_design(kind: str, m: int, seed: int):
 def test_blocked_lstsq_matches_the_one_block_svd(monkeypatch, kind, rows):
     design, values = _tall_design(kind, 25_000 if rows is None else 3_000, 7)
     if rows is not None:  # None keeps the default row blocks, which cut 25,000 rows in three
-        monkeypatch.setattr(cp, "_BLOCK", 6)
-        monkeypatch.setattr(cp, "_MIN_BLOCK_ROWS", rows)
-    assert len(design) > max(cp._BLOCK // 6, cp._MIN_BLOCK_ROWS)
+        monkeypatch.setattr(cp, "_QR_ROWS", rows)
+    assert len(design) > cp._QR_ROWS
     solve, rank = cp._lstsq(design)
     got, got_one = solve(values), solve(values[:, 0])
-    monkeypatch.setattr(cp, "_MIN_BLOCK_ROWS", len(design))  # one block: the direct SVD
+    monkeypatch.setattr(cp, "_QR_ROWS", len(design))  # one block
     one, one_rank = cp._lstsq(design)
     ref = one(values)
     assert rank == one_rank == (3 if kind == "line" else 6)
@@ -240,10 +239,10 @@ def test_blocked_lstsq_matches_the_one_block_svd(monkeypatch, kind, rows):
     assert np.max(np.abs(got_one - ref[:, 0])) <= 1e-12 * scale
 
 
-def test_a_small_block_leaves_designs_within_the_row_floor_on_the_direct_svd(monkeypatch):
-    # the K_c tests patch _BLOCK to 1-64; the row floor keeps a design of up to
-    # _MIN_BLOCK_ROWS rows, as every pointwise design there is, on the direct SVD
-    design, values = _tall_design("generic", cp._MIN_BLOCK_ROWS, 3)
+def test_a_small_lattice_block_leaves_every_fit_bit_for_bit(monkeypatch):
+    # the lattice-sup tests patch _BLOCK to 1-64; the fits' row blocks are
+    # _QR_ROWS whatever _BLOCK is
+    design, values = _tall_design("generic", 3_000, 3)
     ref = cp._lstsq(design)[0](values)
     monkeypatch.setattr(cp, "_BLOCK", 64)
     assert np.array_equal(cp._lstsq(design)[0](values), ref)
@@ -257,8 +256,7 @@ def test_blocked_lstsq_rank_rule_counts_the_full_designs_rows(monkeypatch):
     tol = np.finfo(float).eps * m
     left, right = (np.linalg.qr(rng.standard_normal(shape))[0] for shape in ((m, 6), (6, 6)))
     design = (left * np.array([1.0, 0.5, 0.25, 0.125, 4 * tol, tol / 2])) @ right.T
-    monkeypatch.setattr(cp, "_BLOCK", 6)
-    monkeypatch.setattr(cp, "_MIN_BLOCK_ROWS", 100)
+    monkeypatch.setattr(cp, "_QR_ROWS", 100)
     assert np.linalg.lstsq(design, np.zeros(m), rcond=None)[2] == 5
     assert cp._lstsq(design)[1] == 5
 
@@ -399,6 +397,30 @@ def test_step_validation(disk65, identity_spec):
     ue = GridFunction.from_callable(even, saddle)
     with pytest.raises(ValueError, match="center node"):
         cp.improvement_step(ue, identity_spec)
+
+
+@pytest.mark.parametrize("e", [0.5, 0.35])
+def test_step_is_covariant_under_the_blow_up(e):
+    # u_e(x) = e^2 u(x / e) on a disk of extent e: both step radii and gamma =
+    # 4h scale with the extent, so the step sees the same nodes, D^2 h(0) and
+    # the correction keep their values and the sup deviations scale as e^2.
+    # The replacement's multigrid solve stops at its own tolerance on each
+    # lattice, which moved these by at most 1.4e-14 relative; the bound is 1e-12
+    spec = op.OperatorSpec(1.0, 0.0, 1.0, 0.5, "sine")
+
+    def field(x, y):
+        return (x**2 - y**2 + 0.5 * x * y + 0.1 * cubic_harmonic(x, y)
+                + 0.05 * np.sin(3 * x) * np.cos(2 * y))
+
+    _, one = cp.improvement_step(GridFunction.from_callable(Grid2.disk(65), field), spec)
+    _, rep = cp.improvement_step(GridFunction.from_callable(
+        Grid2.disk(65, e), lambda x, y: e**2 * field(x / e, y / e)), spec)
+    assert one.c_correction != 0.0
+    assert rep.d2h_norm == pytest.approx(one.d2h_norm, rel=1e-12, abs=0.0)
+    assert rep.c_correction == pytest.approx(one.c_correction, rel=1e-12, abs=0.0)
+    for key in ("sup_u_minus_h", "sup_h_minus_p", "sup_u_minus_p"):
+        assert getattr(rep, key) == pytest.approx(e**2 * getattr(one, key), rel=1e-12, abs=0.0)
+    assert (rep.replace_radius, rep.r_used) == (0.8 * e, 0.25 * e)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import json
 import os
 import subprocess
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellreg import checks, cli, operators, solver
+from ellreg import campanato, checks, cli, operators, solver
 from ellreg.grid import Grid2, GridFunction, load_grid, save_grid
 
 from conftest import cubic_harmonic, island_field, saddle
@@ -472,6 +473,40 @@ def test_analyze_pointwise_rejects_a_clipped_ball_under_twelve_nodes(tmp_path, c
     code, _, err = run_cli(base + ["--pointwise"], capsys)
     assert code == cli.EXIT_USAGE
     assert "holds 9 nodes; need at least 12" in err
+
+
+def test_analyze_step_report_writes_the_whole_step(tmp_path, capsys):
+    # step_report carries every StepReport field, in its order, at an extent
+    # whose step the absolute radii used to skip
+    code, out, _ = run_cli(["analyze", "-N", "65", "--extent", "0.35", "--eps", "0.05",
+                            "--perturbation", "sine", "--boundary", "quartic",
+                            "--lambda", "0.95", "--Lambda", "1.1", "--alpha0", "1.0",
+                            "--kmax", "3", "--csv-output", str(tmp_path / "d.csv")], capsys)
+    assert code == cli.EXIT_OK
+    payload = json.loads(out)
+    assert payload["warnings"] == []
+    step = payload["step_report"]
+    assert list(step) == [f.name for f in dataclasses.fields(campanato.StepReport)]
+    assert 0 < abs(step["c_correction"]) <= 0.05
+    assert step["operator_residual"] <= 1e-14
+    assert (step["replace_radius"], step["r_used"]) == (0.8 * 0.35, 0.25 * 0.35)
+
+
+def test_analyze_names_an_under_resolved_certificate_ball(tmp_path, capsys):
+    # undefined inside 8.5h but for the 3 x 3 block at the origin: the
+    # certificate ball of radius 1/4 = 8h holds one node with a full stencil
+    g = Grid2.disk(65)
+    i, j = np.mgrid[-32:33, -32:33]
+    defined = g.defined & ((i * i + j * j > 8.5**2) | ((np.abs(i) <= 1) & (np.abs(j) <= 1)))
+    grid_file = tmp_path / "u.grid"
+    save_grid(grid_file, GridFunction(g, np.where(defined, cubic_harmonic(g.X, g.Y), np.nan),
+                                      defined))
+    code, out, err = run_cli(["analyze", "--input", str(grid_file), "--alpha0", "1.0",
+                              "--csv-output", str(tmp_path / "d.csv")], capsys)
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert ("the certificate ball B_(1/(4 Lambda)) of radius 0.25 holds 1 nodes with a full "
+            "9-point stencil; it needs at least 2") in err
 
 
 # the check names the selftest reported before it ran the acceptance registry
