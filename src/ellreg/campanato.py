@@ -26,19 +26,19 @@ rule, on the triangular factor the design's row blocks reduce to; a ball's
 fit takes one design row per defined node, so an undefined node drops out by
 selection.  Pointwise centers are lattice nodes, so all centers with unclipped
 balls share one design matrix, factored once, and a clipped ball takes its
-rows at its defined nodes.  Their one constant K = max_c K_c reads distance
-powers from one table over integer offsets, and bounds on (center, lattice
-tile) pairs, taken after one common quadratic is subtracted from u and from
-every fit, leave only the pairs that may hold the max to be evaluated, node
-by node.
+rows at its defined nodes.  For their one constant K = max_c K_c, bounds on
+(center, lattice tile) pairs, taken after one common quadratic is subtracted
+from u and every fit, leave only the pairs that may hold the max to be
+evaluated, node by node.
 One pairwise kernel measures every Hoelder seminorm over every node of its
 mask (entrywise max metric on the Hessian, matching the pointwise-to-uniform
 statement): bounds on pairs of lattice tiles leave only the tile pairs that
-may hold the max to be evaluated, node by node.  _tiling cuts the lattice into
-t x t tiles for both kinds of bound, t from the node count by one rule,
-_tile_side, and one branch and bound, _lattice_max, finds both sups, the max
-over all node pairs bit for bit, in blocks of at most _BLOCK entries, so its
-working memory does not grow with the lattice.
+may hold the max to be evaluated, node by node.  Both sups read distance
+powers from one table over integer offsets, _offset_powers; _tiling cuts the
+lattice into t x t tiles for both, t by one rule, _tile_side, and one branch
+and bound, _lattice_max, finds both, the max over all node pairs bit for bit,
+in blocks of at most _BLOCK entries, so its memory does not grow with the
+lattice.
 """
 
 from __future__ import annotations
@@ -525,6 +525,15 @@ def _tiling(defined: np.ndarray):
     return cut, t, ti, tj, tuple(box), n
 
 
+def _offset_powers(n: int, h: float, power: float) -> np.ndarray:
+    """((di^2 + dj^2) h^2)^power for 0 <= di, dj < n, flat at di * n + dj, inf at
+    (0, 0); from s = di^2 + dj^2 to s + 1 an entry grows by a relative power /
+    (s + 1) or more, far above the rounding, so it never falls as s grows."""
+    table = ((np.arange(n)[:, None] ** 2 + np.arange(n) ** 2) * h**2) ** power
+    table[0, 0] = np.inf
+    return table.ravel()
+
+
 def _tiles(u: GridFunction, coef: np.ndarray, ii, jj, alpha: float):
     """The tiles of the lattice for the K_c of the quadratics in the columns of
     coef centered at the nodes (ii, jj): (count, t^2, bound, exact), t^2 the
@@ -551,10 +560,7 @@ def _tiles(u: GridFunction, coef: np.ndarray, ii, jj, alpha: float):
     mr, mc = 0.5 * (rlo + rhi) - ti, 0.5 * (clo + chi) - tj
     wr, wc = 0.5 * (rhi - rlo), 0.5 * (chi - clo)
     xs = np.pad(g.xs, (0, n - g.N))  # X[i, j] = xs[i] and Y[i, j] = xs[j]
-    off = np.arange(n)
-    table = ((off[:, None] ** 2 + off[None, :] ** 2) * g.h**2) ** (1.0 + 0.5 * alpha)
-    table[0, 0] = np.inf
-    flat = table.ravel()  # the entry of offset (di, dj) at di * n + dj
+    flat = _offset_powers(n, g.h, 1.0 + 0.5 * alpha)
 
     a, b = np.divmod(np.arange(t * t), t)
     full = present.all(axis=1)
@@ -619,39 +625,36 @@ def _tiles(u: GridFunction, coef: np.ndarray, ii, jj, alpha: float):
     return count, t * t, bound, exact
 
 
-# relative widening of a tile-pair bound per node of a lattice axis: the
-# difference of two node coordinates rounds by up to about N double epsilons
-# of h, and the powers and quotients by a few more
-_SPREAD_WIDEN = 8.0 * np.finfo(float).eps
-
-
 def _holder_tiles(g, mask: np.ndarray, fields, alpha: float):
     """The tiles of the lattice for the pairwise seminorm of the lattice arrays
     in fields over the nodes of mask: (count, t^4, bound, exact), t^4 the
     node pairs exact reads for one tile pair.
 
-    A pair of distinct nodes (x, y) contributes max_k |v_k(x) - v_k(y)| /
-    |x - y|^alpha, its distance the hypot of the coordinate differences.
+    A pair of nodes (x, y) contributes max_k |v_k(x) - v_k(y)| over the
+    _offset_powers entry of |x - y|^alpha, inf for x = y.
     _tiling cuts the lattice into t x t tiles, and the count tiles with a
     node each get the box of their nodes and every field's NaN-aware min and
     max there.  bound(start, stop) gives, for each tile A from start to
     stop - 1 against every tile B from start on, the largest over the fields
-    of max(max_A v - min_B v, max_B v - min_A v) / (dmin h)^alpha, with dmin
-    the boxes' integer offset floored at 1, widened by 1 + _SPREAD_WIDEN N,
-    and -inf for B before A, and start, the index of its first tile B;
-    exact(p, q) gives the max contribution of a node of tile p[s] and a node
-    of tile q[s], each pair in the same expression.
+    of max(max_A v - min_B v, max_B v - min_A v) over the table entry of the
+    boxes' integer offset floored at (0, 1), and -inf for B before A, and
+    start, the index of its first tile B; exact(p, q) gives the max
+    contribution of a node of tile p[s] and a node of tile q[s], each pair in
+    the same expression.  No spread rounds below a difference of its nodes,
+    nor is its entry larger than theirs, so a bound needs no widening.
     """
     nodes = int(np.count_nonzero(mask))
     if nodes < 2:
         raise ValueError(f"a pairwise seminorm needs at least 2 nodes, got {nodes}")
-    cut, t, _, _, (rlo, rhi, clo, chi), _ = _tiling(mask)
+    cut, t, ti, tj, (rlo, rhi, clo, chi), _ = _tiling(mask)
     count = len(rlo)
-    x, y = cut(g.X), cut(g.Y)
+    dr, dc = np.divmod(np.arange(t * t), t)
+    rows, lines = ti[:, None] + dr, tj[:, None] + dc  # each tile's nodes, in cut's order
+    n = max(np.ptp(rows), np.ptp(lines)) + 1  # past every offset of two tiles' nodes
+    flat = _offset_powers(n, g.h, 0.5 * alpha)
     vals = [cut(v) for v in fields]
     lo = [np.fmin.reduce(v, axis=1) for v in vals]
     hi = [np.fmax.reduce(v, axis=1) for v in vals]
-    widen = (1.0 + _SPREAD_WIDEN * g.N) / g.h**alpha
 
     def bound(start, stop):
         a, b = slice(start, stop), slice(start, count)
@@ -659,33 +662,24 @@ def _holder_tiles(g, mask: np.ndarray, fields, alpha: float):
         for top, bottom in zip(hi, lo):
             np.maximum(spread, np.subtract(top[a, None], bottom[b], out=other), out=spread)
             np.maximum(spread, np.subtract(top[b], bottom[a, None], out=other), out=spread)
-        gap = np.zeros_like(spread)  # the boxes' squared integer offset
-        for first, last in ((rlo, rhi), (clo, chi)):
-            np.maximum(np.subtract(first[b], last[a, None], out=other),
-                       first[a, None] - last[b], out=other)
-            np.maximum(other, 0.0, out=other)
-            other *= other
-            gap += other
-        np.maximum(gap, 1.0, out=gap)
-        gap **= 0.5 * alpha
-        spread *= widen
-        spread /= gap
+        di, dj = (np.maximum(np.maximum(first[b] - last[a, None], first[a, None] - last[b]), 0)
+                  for first, last in ((rlo, rhi), (clo, chi)))
+        di *= n
+        di += dj
+        spread /= flat[np.maximum(di, 1, out=di)]  # offset (0, 1) for a tile with itself
         spread[np.tri(*spread.shape, -1, dtype=bool)] = -np.inf
         return spread, start
 
     def exact(p, q):
-        dist = np.subtract(x[p, :, None], x[q, None, :])
-        diff = np.subtract(y[p, :, None], y[q, None, :])
-        np.hypot(dist, diff, out=dist)
-        same = np.flatnonzero(p == q)
-        dist[same[:, None], np.arange(t * t), np.arange(t * t)] = np.inf
-        dist **= alpha  # the same rounding as dist**alpha, in place
-        np.abs(np.subtract(vals[0][p, :, None], vals[0][q, None, :], out=diff), out=diff)
+        index = np.abs(np.subtract(rows[p, :, None], rows[q, None, :]))
+        index *= n
+        index += np.abs(np.subtract(lines[p, :, None], lines[q, None, :]))
+        diff = np.abs(np.subtract(vals[0][p, :, None], vals[0][q, None, :]))
         other = np.empty_like(diff)
         for v in vals[1:]:
             np.abs(np.subtract(v[p, :, None], v[q, None, :], out=other), out=other)
             np.maximum(diff, other, out=diff)
-        diff /= dist
+        diff /= np.take(flat, index, out=other)
         return np.fmax.reduce(diff.reshape(len(p), -1), axis=1)
 
     return count, t**4, bound, exact
@@ -754,16 +748,20 @@ class CertificateReport:
 
 def certificate_check(u: GridFunction, spec, f: GridFunction | None,
                       constants: ConstantsReport, bounds: EllipticityBounds) -> CertificateReport:
-    """Homogeneous: measured [D^2 u]_alpha_bar over B_(1/(4 Lam)) against
-    C1 ||u||_inf (pass/fail).  Inhomogeneous: the accumulated-decay bound
-    assembled from C4, delta and the pointwise factor; the full closed-form
+    """Homogeneous: measured [D^2 u]_alpha_bar over B_(e/(4 Lam)), e the
+    extent, against C1 e^-(2+alpha_bar) ||u||_inf (pass/fail).  Inhomogeneous:
+    the accumulated-decay bound e^-alpha (2 + 2^(2+alpha))^2 2^alpha C4
+    ((1/delta) e^alpha [f]_alpha + e^-2 ||u||_inf); the full closed-form
     constant is never stated explicitly, so the comparison is informational.
+    Both are the unit-ball bounds of v(y) = u(e y) / e^2, source f(e y),
+    pulled back to extent e, so measured / bound is invariant under the blow-up.
     Both pairwise seminorms, [D^2 u] over the ball and the source's over
     every defined node, are exact maxima over all their node pairs; a ball
     with fewer than 2 nodes of full 9-point stencil is an error that names it.
     """
     g = u.grid
-    ball_radius = g.extent / (4.0 * bounds.Lam)
+    e = g.extent
+    ball_radius = e / (4.0 * bounds.Lam)
     if ball_radius < 4.0 * g.h:
         raise ValueError("certificate ball under-resolved on this lattice")
     homogeneous = f is None or not np.any(np.abs(f.values[f.defined]) > 0)
@@ -779,10 +777,10 @@ def certificate_check(u: GridFunction, spec, f: GridFunction | None,
                          f"{nodes} nodes with a full 9-point stencil; it needs at least 2")
     measured = _pairwise_holder(g, mask, (H.h11, H.h12, H.h22), a)
     if homogeneous:
-        bound = float(constants.C1) * sup_u
+        bound = float(constants.C1) * e ** -(2.0 + a) * sup_u
     else:
         f_semi = _pairwise_holder(f.grid, f.defined, (f.values,), a)
-        T = float(1.0 / float(constants.delta)) * f_semi + sup_u
-        bound = float(pointwise_factor(a)) * 2.0**a * float(constants.C4) * T
+        T = float(1.0 / float(constants.delta)) * e**a * f_semi + e**-2.0 * sup_u
+        bound = e**-a * float(pointwise_factor(a)) * 2.0**a * float(constants.C4) * T
     return CertificateReport(measured, bound, bool(measured <= bound), not homogeneous,
                              ball_radius, a)

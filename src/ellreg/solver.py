@@ -433,12 +433,12 @@ class _Multigrid:
 # ---------------------------------------------------------------------------
 # Dirichlet solves: one chord loop
 
-# A linear solve returns a residual of at most _RESIDUAL_TOL * max(|g|, |f|),
-# or of the rounding floor where that is larger (_dirichlet), and aims at 0.05
-# of the first in at most _REFINEMENTS steps after the direct solve.  After the
-# first step (eps > 0) that cuts the residual by less than _SLOW_CONTRACTION
-# every step is a Newton step; _STALL steps in a row without a new best end
-# the loop; meta["residual_history"] keeps the first _HISTORY_CAP residuals.
+# A linear solve returns a residual of at most _RESIDUAL_TOL * max(|g| / e^2,
+# |f|), e the extent, or the rounding floor where larger (_dirichlet), and aims
+# at 0.05 of the first in at most _REFINEMENTS steps after the direct solve.
+# After the first step (eps > 0) that cuts the residual by less than
+# _SLOW_CONTRACTION every step is a Newton step; _STALL steps in a row without a
+# new best end the loop; meta["residual_history"] keeps _HISTORY_CAP residuals.
 _RESIDUAL_TOL = 1e-10
 _UNIT_ROUNDOFF = 2.0**-53
 _REFINEMENTS = 3
@@ -451,8 +451,9 @@ def _dirichlet(spec, f, g, grid: Grid2, region: SubRegion | None, tol: float | N
                max_sweeps: int | None, linear: bool) -> GridFunction:
     """The chord loop of the module docstring, from u = g with zero interior.
 
-    linear only sets the contract: tol = _RESIDUAL_TOL * max(|g|, |f|), an
-    aim of 0.05 tol and 1 + _REFINEMENTS steps; otherwise the aim is tol.
+    linear only sets the contract: tol = _RESIDUAL_TOL * max(|g| / extent^2,
+    |f|), which the blow-up u -> e^2 u(x / e) leaves unchanged as it does the
+    residual, an aim of 0.05 tol and 1 + _REFINEMENTS steps; else the aim is tol.
     The loop returns its best iterate once a residual meets the aim or, with
     the best within accept, a step fails to halve it; after max_sweeps steps or
     _STALL steps in a row without a new best it raises SolverError unless
@@ -474,7 +475,7 @@ def _dirichlet(spec, f, g, grid: Grid2, region: SubRegion | None, tol: float | N
     f_max = float(np.max(np.abs(f_int), initial=0.0))
     h = grid.h
     if linear:
-        tol = _RESIDUAL_TOL * (max(g_max, f_max) or 1.0)
+        tol = _RESIDUAL_TOL * (max(g_max / grid.extent**2, f_max) or 1.0)
         target, max_sweeps = 0.05 * tol, 1 + _REFINEMENTS
         stencil_norm = (4.0 * spec.w11 + 4.0 * spec.w22 + 2.0 * abs(spec.w12)) / (h * h)
         accept = max(tol, _UNIT_ROUNDOFF * (stencil_norm * g_max + f_max))
@@ -534,9 +535,9 @@ def solve_linear_dirichlet(W0, f, g, grid: Grid2,
     at most _REFINEMENTS refinements.
 
     Raises SolverError if the stencil residual exceeds both _RESIDUAL_TOL *
-    max(|g|, |f|) and the rounding floor u (||A||_inf max|g| + max|f|), u the
-    unit roundoff; meta["tol"] is the first if the residual meets it, else
-    the floor.  Each sweep solves the stencil by conjugate gradients
+    max(|g| / extent^2, |f|) and the rounding floor u (||A||_inf max|g| +
+    max|f|), u the unit roundoff; meta["tol"] is the first if the residual
+    meets it, else the floor.  Each sweep solves the stencil by conjugate gradients
     preconditioned by the multigrid V-cycle of W0's diagonal part, and
     meta["mg_iterations"] lists its iteration count per sweep.
     """

@@ -399,13 +399,15 @@ def test_step_validation(disk65, identity_spec):
         cp.improvement_step(ue, identity_spec)
 
 
-@pytest.mark.parametrize("e", [0.5, 0.35])
+@pytest.mark.parametrize("e", [0.5, 0.35, 2.0])
 def test_step_is_covariant_under_the_blow_up(e):
     # u_e(x) = e^2 u(x / e) on a disk of extent e: both step radii and gamma =
     # 4h scale with the extent, so the step sees the same nodes, D^2 h(0) and
     # the correction keep their values and the sup deviations scale as e^2.
-    # The replacement's multigrid solve stops at its own tolerance on each
-    # lattice, which moved these by at most 1.4e-14 relative; the bound is 1e-12
+    # The replacement's solve stops at max|g| / e^2, so it takes the same
+    # iterations on each lattice; the node coordinates and the data round
+    # differently at e = 0.35, which moved these by at most 1.4e-14
+    # relative; the bound is 1e-12
     spec = op.OperatorSpec(1.0, 0.0, 1.0, 0.5, "sine")
 
     def field(x, y):
@@ -416,6 +418,7 @@ def test_step_is_covariant_under_the_blow_up(e):
     _, rep = cp.improvement_step(GridFunction.from_callable(
         Grid2.disk(65, e), lambda x, y: e**2 * field(x / e, y / e)), spec)
     assert one.c_correction != 0.0
+    assert rep.mg_iterations == one.mg_iterations
     assert rep.d2h_norm == pytest.approx(one.d2h_norm, rel=1e-12, abs=0.0)
     assert rep.c_correction == pytest.approx(one.c_correction, rel=1e-12, abs=0.0)
     for key in ("sup_u_minus_h", "sup_h_minus_p", "sup_u_minus_p"):
@@ -902,21 +905,25 @@ def test_seminorm_matches_known_profile(disk129):
     assert s > 1.0
 
 
-_HOLDER_GRIDS = (Grid2.disk(17), Grid2.square(17, 0.5))
+# N=129 puts pairs 128 rows or columns apart, where neighbouring distance
+# powers differ the least
+_HOLDER_GRIDS = (Grid2.disk(17), Grid2.square(17, 0.5), Grid2.disk(129), Grid2.square(129, 2.0))
 
 
 def _holder_brute_force(g, mask, fields, alpha):
     """The pairwise seminorm over every node pair of mask, each node against
-    the nodes after it in row-major order; None for fewer than 2 nodes."""
+    the nodes after it in row-major order, |x - y|^alpha taken from the pair's
+    integer offsets as ((di^2 + dj^2) h^2)^(alpha/2); None for fewer than 2
+    nodes."""
     ii, jj = np.nonzero(mask)
     if len(ii) < 2:
         return None  # no pair to measure
-    x, y = g.X[ii, jj], g.Y[ii, jj]
     worst = 0.0
     for n in range(len(ii) - 1):
         # row arrays take the kernel's vectorised power, which may round
         # differently from the scalar one
-        dist = np.hypot(x[n] - x[n + 1:], y[n] - y[n + 1:]) ** alpha
+        di, dj = ii[n] - ii[n + 1:], jj[n] - jj[n + 1:]
+        dist = ((di * di + dj * dj) * g.h**2) ** (0.5 * alpha)
         diff = np.max([np.abs(v[ii[n], jj[n]] - v[ii[n + 1:], jj[n + 1:]]) for v in fields], axis=0)
         worst = max(worst, float(np.max(diff / dist)))
     return worst
@@ -939,7 +946,8 @@ def _holder_inputs(draw):
         v.ravel()[flat] = draw(st.lists(st.floats(-1e6, 1e6), min_size=len(flat),
                                         max_size=len(flat)))
         fields.append(v)
-    alpha = draw(st.floats(0.0, 1.0, exclude_min=True))
+    # small exponents bring the distance powers of neighbouring offsets closest
+    alpha = draw(st.one_of(st.floats(1e-6, 1e-3), st.floats(0.0, 1.0, exclude_min=True)))
     return (g, mask, tuple(fields), alpha), draw(st.integers(1, 8))
 
 
@@ -972,8 +980,8 @@ def test_pairwise_holder_needs_two_nodes():
 @pytest.mark.parametrize("grid", [Grid2.square(33, 0.5), Grid2.disk(33, 3.0)])
 def test_holder_tile_bounds_hold_for_every_tile_pair(grid, monkeypatch):
     # a field constant on each tile puts a pair of nearest nodes at the bound
-    # of its tile pair, so the node coordinates' rounding alone would break an
-    # unwidened bound
+    # of its tile pair, so a spread that rounded low, or a distance power read
+    # past the boxes' own offset, would break the bound
     for tile in (2, 4):
         nt = -(-grid.N // tile)
         steps = np.kron(philox(tile).standard_normal((nt, nt)), np.ones((tile, tile)))
@@ -1062,6 +1070,30 @@ def test_certificate_seminorms_are_brute_force_over_every_node(disk65, identity_
     H = hessian(u)
     assert cert.measured_seminorm == _holder_brute_force(
         disk65, H.mask & disk65.ball(cert.ball_radius), (H.h11, H.h12, H.h22), a)
+
+
+@pytest.mark.parametrize("e", [0.5, 2.0, 4.0])
+@pytest.mark.parametrize("homogeneous", [True, False], ids=["homogeneous", "inhomogeneous"])
+def test_certificate_ratio_is_covariant_under_the_blow_up(e, homogeneous, identity_spec):
+    # u_e(x) = e^2 u(x / e) with source f(x / e) on a disk of extent e: the
+    # seminorms scale as e^-alpha and the bound with them.  A power of two
+    # scales every node coordinate exactly, so only the extent powers and the
+    # distance table round differently: 4.4e-16 relative measured, the bound
+    # is 1e-14.  The source is scaled by delta so that both of the
+    # inhomogeneous bound's terms count
+    rep = report()
+    u = lambda x, y: saddle(x, y) + np.hypot(x, y) ** 2.5
+    f = None if homogeneous else lambda x, y: float(rep.delta) * 6.25 * np.hypot(x, y) ** 0.5
+
+    def ratio(g, s):
+        v = GridFunction.from_callable(g, lambda x, y: s**2 * u(x / s, y / s))
+        src = None if f is None else GridFunction.from_callable(g, lambda x, y: f(x / s, y / s))
+        cert = cp.certificate_check(v, identity_spec, src, rep, FLAT)
+        assert cert.informational is not homogeneous and cert.measured_seminorm > 0
+        return cert.measured_seminorm / cert.bound
+
+    one = ratio(Grid2.disk(129), 1.0)
+    assert ratio(Grid2.disk(129, e), e) == pytest.approx(one, rel=1e-14, abs=0.0)
 
 
 def test_certificate_under_resolved_ball(identity_spec):
