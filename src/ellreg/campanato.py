@@ -773,7 +773,7 @@ def certificate_check(u: GridFunction, spec, f: GridFunction | None,
     mask = H.mask & g.ball(ball_radius)
     nodes = int(np.count_nonzero(mask))
     if nodes < 2:
-        raise ValueError(f"the certificate ball B_(1/(4 Lambda)) of radius {ball_radius!r} holds "
+        raise ValueError(f"the certificate ball B_({e:g}/(4 Lambda)) of radius {ball_radius!r} holds "
                          f"{nodes} nodes with a full 9-point stencil; it needs at least 2")
     measured = _pairwise_holder(g, mask, (H.h11, H.h12, H.h22), a)
     if homogeneous:

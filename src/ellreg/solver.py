@@ -34,7 +34,9 @@ weighted by DF node by node.  Each iteration takes O(n) work and memory, and
 the solver needs numpy alone.  Conjugate gradients keeps its residual in the
 finest level's right-hand side b, which the V-cycle reads in place, and the
 operator product in that level's r, free between cycles, so a CG iteration
-adds only its iterate and search direction to the hierarchy's arrays.
+adds only its iterate and search direction to the hierarchy's arrays: x, b
+and r on each level, the diagonal and its inverse on each coarse one, and
+one scratch buffer for them all.
 """
 
 from __future__ import annotations
@@ -145,13 +147,15 @@ _DIAGONALS = ((1, 1), (-1, -1), (1, -1), (-1, 1))
 
 class _Level:
     """One level of the hierarchy on the padded box: its interior mask, the
-    mask as 0/1 floats, the weight ratio of a y-neighbour to an x-neighbour
-    (which weighs 1), and work arrays that live as long as the level: the
-    iterate x, the right-hand side b, and r, which holds the residual until
-    it is restricted and then the interpolated correction; all are zero off
-    the mask.  Between V-cycles the finest level's b holds the CG residual and
-    its r the operator product.  apply reads the operator's diagonal divided
-    by that ratio, a scalar on the finest level, where it is constant.
+    weight ratio of a y-neighbour to an x-neighbour (which weighs 1), and work
+    arrays that live as long as the level: the iterate x, the right-hand side
+    b, and r, which holds the residual until it is restricted and then the
+    interpolated correction; all are zero off the mask.  Between V-cycles the
+    finest level's b holds the CG residual and its r the operator product.
+    apply reads the operator's diagonal divided by that ratio and a colour's
+    step the inverse diagonal, scalars on the finest level, where the
+    diagonal is constant.  scratch, sized by the finest level, is shared by
+    every level: no two levels smooth or restrict at the same time.
 
     The box has an odd number of columns n1 = 2 q + 1, so in row-major order
     the node (i, j) is red (i + j even) exactly when its flat index is even.
@@ -159,31 +163,29 @@ class _Level:
     t - q - 1, t + q (up and down) in the black nodes' own order, and black
     node 2 t + 1 the red neighbours t, t + 1, t - q, t + q + 1.  A colour's
     Gauss-Seidel step is thus four shifted slices of the other colour; it
-    covers the rows off the frame, and frame columns keep x zero because the
-    inverse diagonal held for the step is zero off the mask."""
+    covers the rows off the frame and writes x at the colour's mask nodes."""
 
-    def __init__(self, mask: np.ndarray, diag: np.ndarray | float, ratio: float):
-        self.mask = mask
-        self.weight = mask.astype(float)
-        self.ratio = ratio
+    def __init__(self, mask: np.ndarray, diag: np.ndarray | float, ratio: float,
+                 scratch: np.ndarray):
+        self.mask = mask = np.ascontiguousarray(mask)
+        self.ratio, self.scratch = ratio, scratch
         self.x, self.b, self.r = (np.zeros(mask.shape) for _ in range(3))
         self.coarse: _Level | None = None
         self.inverse: np.ndarray | None = None  # the coarsest level's dense inverse
         n0, n1 = mask.shape
-        self._diag_rows = diag / ratio if np.isscalar(diag) else (diag / ratio).ravel()[n1:-n1]
-        self._weight_rows = self.weight.ravel()[n1:-n1]
-        inv = (self.weight / diag).ravel()
+        scalar = np.isscalar(diag)
+        self._diag_rows = diag / ratio if scalar else (diag / ratio).ravel()[n1:-n1]
+        inv = 1.0 / diag if scalar else (1.0 / diag).ravel()
         q = n1 // 2
         x, b = self.x.ravel(), self.b.ravel()
         red, black = x[0::2], x[1::2]
-        scratch = np.empty((n0 - 1) * n1 // 2)  # the neighbour sums of either colour
         colours = []
         for p, (own, other, shifts) in enumerate(((red, black, (0, -1, q, -q - 1)),
                                                   (black, red, (1, 0, q + 1, -q)))):
             lo, hi = (n1 + 1 - p) // 2, ((n0 - 1) * n1 + 1 - p) // 2
             near = tuple(other[lo + d:hi + d] for d in shifts)
-            colours.append((near, b[p::2][lo:hi], inv[p::2][lo:hi].copy(), own[lo:hi],
-                            scratch[:hi - lo]))
+            colours.append((near, b[p::2][lo:hi], inv if scalar else inv[p::2][lo:hi].copy(),
+                            own[lo:hi], mask.ravel()[p::2][lo:hi], scratch[:hi - lo]))
         self.colours = tuple(colours)
 
     def apply(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -200,32 +202,32 @@ class _Level:
         o *= self.ratio
         for d in (-n1, n1):
             o -= v[lo + d:hi + d]
-        o *= self._weight_rows
+        o *= self.mask.ravel()[lo:hi]
         return out
 
     def smooth(self, colours) -> None:
         """Gauss-Seidel on x for b, in place, one colour after the other."""
-        for near, b, inv, x, sum_ in colours:
+        for near, b, inv, x, on, sum_ in colours:
             np.add(near[0], near[1], out=sum_)  # the y-neighbours
             sum_ *= self.ratio
             sum_ += near[2]
             sum_ += near[3]
             sum_ += b
-            np.multiply(sum_, inv, out=x)
+            np.multiply(sum_, inv, out=x, where=on)
 
     def link(self, coarse: "_Level") -> None:
         """Make coarse the next level down, with the views its transfers use:
         restriction writes the full weighting of r onto the even-index nodes,
         times 4 (the transpose of bilinear interpolation), into coarse.b on
-        its mask, by a row pass into a buffer and a column pass; interpolation
+        its mask, by a row pass into scratch and a column pass; interpolation
         writes coarse.x onto the even-index nodes of r, averages it onto the
         odd rows, then onto the odd columns."""
         self.coarse = coarse
         r, c = self.r, coarse.x
-        t = np.empty(((r.shape[0] - 1) // 2 - 1, r.shape[1]))
+        t = self.scratch[:(r.shape[0] - 3) // 2 * r.shape[1]].reshape(-1, r.shape[1])
         self._restrict = ((r[2:-1:2], r[1:-2:2], r[3::2], t),
                           (t[:, 2:-1:2], t[:, 1:-2:2], t[:, 3::2], coarse.b[1:-1, 1:-1]),
-                          0.25 * coarse.weight[1:-1, 1:-1])
+                          coarse.mask[1:-1, 1:-1])
         self._prolong = ((c, r[::2, ::2]), (c[:-1], c[1:], r[1::2, ::2]),
                          (r[:, :-1:2], r[:, 2::2], r[:, 1::2]))
 
@@ -241,18 +243,19 @@ class _Level:
         self.restrict()
         self.coarse.cycle()
         self.prolong()
-        self.r *= self.weight
+        self.r *= self.mask
         self.x += self.r
         self.smooth(self.colours[::-1])
 
     def restrict(self) -> None:
         """coarse.b = 4 times the full weighting of r, on coarse's mask."""
-        rows, cols, weight = self._restrict
+        rows, cols, mask = self._restrict
         for mid, low, high, out in (rows, cols):
             np.multiply(mid, 2.0, out=out)
             out += low
             out += high
-        out *= weight
+        out *= 0.25
+        out *= mask
 
     def prolong(self) -> None:
         """r = the bilinear interpolation of coarse.x."""
@@ -317,7 +320,8 @@ class _Multigrid:
         mask[:span[0], :span[1]] = interior[lo[0]:lo[0] + span[0], lo[1]:lo[1] + span[1]]
         ratio = w22 / w11
         weights = (1.0, 1.0, ratio, ratio)  # of _FIVE_POINT's offsets
-        self._top = level = _Level(mask, 2.0 + 2.0 * ratio, ratio)
+        scratch = np.empty((mask.shape[0] - 1) * mask.shape[1] // 2)
+        self._top = level = _Level(mask, 2.0 + 2.0 * ratio, ratio, scratch)
         for depth in range(1, k + 1):
             stride = 1 << depth
             coarse = mask[::stride, ::stride]
@@ -333,7 +337,7 @@ class _Multigrid:
                 for s, on in reversed(list(enumerate(ahead, 1))):
                     t[~on[::stride, ::stride]] = s
                 diag += np.where(missing, w * (stride / t - 1.0), 0.0)
-            level.link(_Level(coarse, diag, ratio))
+            level.link(_Level(coarse, diag, ratio, scratch))
             level = level.coarse
         # the coarsest matrix, column by column from the level's own operator
         nodes = np.flatnonzero(level.mask)
@@ -343,8 +347,7 @@ class _Multigrid:
             M[:, j] = level.apply(e, out)[level.mask]
             e.flat[node] = 0.0
         level.inverse = np.linalg.inv(M)
-        # the cross term's weight at each node of the box's inner rows and columns
-        self._cross = None if w12 == 0.0 else -0.5 * w12 / w11 * self._top.weight[1:-1, 1:-1]
+        self._cross = -0.5 * w12 / w11  # the cross term's weight
         self._h = h
         self._scale = h * h / w11  # -h^2/w11 A is the finest level's operator
         self._atol = atol * self._scale
@@ -355,6 +358,10 @@ class _Multigrid:
         res, q = top.b, top.r  # the V-cycle reads res in place; q holds A p between cycles
         res[top.mask] = -self._scale * r
         x, p = np.zeros_like(res), np.zeros_like(res)
+        # the cross term, on the flat rows inside the frame, adds at the mask's nodes
+        n1, lo, hi = res.shape[1], res.shape[1] + 1, res.size - res.shape[1] - 1
+        q_rows, on = q.ravel()[lo:hi], top.mask.ravel()[lo:hi]
+        diagonals = [p.ravel()[lo + d:hi + d] for d in (n1 + 1, -n1 - 1, n1 - 1, 1 - n1)]
         it, rz_old = 0, None
         while max(res.max(), -res.min()) > self._atol and it < _KRYLOV_MAX_ITERATIONS:
             top.cycle()
@@ -364,8 +371,9 @@ class _Multigrid:
                 p *= rz / rz_old
             p += z
             top.apply(p, q)
-            if self._cross is not None:
-                q[1:-1, 1:-1] += self._cross * (p[2:, 2:] + p[:-2, :-2] - p[2:, :-2] - p[:-2, 2:])
+            if self._cross:
+                pp, mm, pm, mp = diagonals  # p at (i + 1, j + 1), (i - 1, j - 1), ...
+                np.add(q_rows, self._cross * (pp + mm - pm - mp), out=q_rows, where=on)
             alpha = rz / np.einsum("ij,ij->", p, q)
             q *= alpha
             res -= q

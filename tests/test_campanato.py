@@ -1102,3 +1102,18 @@ def test_certificate_under_resolved_ball(identity_spec):
     rep = report()
     with pytest.raises(ValueError, match="under-resolved"):
         cp.certificate_check(u, identity_spec, None, rep, C.EllipticityBounds(1.0, 4.0))
+
+
+@pytest.mark.parametrize("extent, ball", [(1.0, "B_(1/(4 Lambda)) of radius 0.25"),
+                                          (2.0, "B_(2/(4 Lambda)) of radius 0.5")])
+def test_certificate_names_its_ball_at_the_extent(identity_spec, extent, ball):
+    # undefined inside 8.5 h but for the 3 x 3 block at the origin, so the
+    # ball B_(e/(4 Lambda)) of radius 8 h holds one node with a full stencil
+    g = Grid2.disk(65, extent)
+    i, j = np.mgrid[-32:33, -32:33]
+    defined = g.defined & ((i * i + j * j > 8.5**2) | ((np.abs(i) <= 1) & (np.abs(j) <= 1)))
+    u = GridFunction(g, np.where(defined, saddle(g.X, g.Y), np.nan), defined)
+    with pytest.raises(ValueError) as raised:
+        cp.certificate_check(u, identity_spec, None, report(), FLAT)
+    assert str(raised.value) == (f"the certificate ball {ball} holds 1 nodes with a full 9-point "
+                                 "stencil; it needs at least 2")

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ellreg import constants as C
@@ -484,41 +484,107 @@ def test_isotropic_linear_solves_report_mg_iterations(W0):
     assert 0 < iterations[-1] < iterations[0] <= 30
 
 
+def _levels(mg):
+    level = mg._top
+    while level is not None:
+        yield level
+        level = level.coarse
+
+
+def _check_v_cycle(mg, rng):
+    """CG needs a symmetric preconditioner: the V-cycle smooths red-black
+    going down and black-red coming up, and restricts by the transpose of its
+    bilinear interpolation, at every level.  apply and the cycle leave every
+    level zero off its mask, and the coarsest level's dense inverse inverts
+    that level's own operator.  The levels share one scratch buffer, so each
+    check runs at every level size."""
+    levels = list(_levels(mg))
+    top, bottom = levels[0], levels[-1]
+    for fine, coarse in zip(levels, levels[1:]):
+        r, e = rng.standard_normal(fine.mask.shape), rng.standard_normal(coarse.mask.shape)
+        fine.r[...], coarse.x[...] = r * fine.mask, e * coarse.mask
+        fine.restrict()
+        fine.prolong()
+        assert np.vdot(fine.r, r * fine.mask) == pytest.approx(
+            np.vdot(coarse.b, e * coarse.mask), rel=1e-13)
+    for level in levels:
+        v = rng.standard_normal(level.mask.shape) * level.mask
+        assert not level.apply(v, np.zeros_like(v))[~level.mask].any()
+
+    def cycle(b):
+        top.b[...] = b * top.mask
+        top.cycle()
+        assert not any(level.x[~level.mask].any() for level in levels)
+        return top.x.copy()
+
+    a, b = rng.standard_normal((2, *top.mask.shape))
+    assert np.vdot(cycle(a), b * top.mask) == pytest.approx(np.vdot(a * top.mask, cycle(b)),
+                                                            rel=1e-12)
+    c, x = rng.standard_normal(bottom.mask.shape), np.zeros(bottom.mask.shape)
+    x[bottom.mask] = bottom.inverse @ c[bottom.mask]
+    assert np.max(np.abs(bottom.apply(x, np.zeros_like(x)) - c * bottom.mask)) <= 1e-12
+
+
 @pytest.mark.parametrize("w11, w22", [(1.0, 1.0), (1.0, 2.0)])
 @pytest.mark.parametrize("shape, N, radius", [("disk", 65, None), ("square", 50, None),
                                                ("disk", 129, 0.8), ("disk", 64, 0.37)])
 def test_multigrid_preconditioner_is_symmetric(shape, N, radius, w11, w22):
-    # CG needs a symmetric preconditioner: the V-cycle smooths red-black going
-    # down and black-red coming up, and restricts by the transpose of its
-    # bilinear interpolation
     g = Grid2(shape, N)
     region = g.region if radius is None else g.subregion(radius)
-    top = sv._Multigrid(w11, 0.0, w22, g.h, region, 1.0)._top
-    coarse = top.coarse
-    assert coarse is not None and coarse.coarse is not None
-    rng = philox(N)
-    r, e = rng.standard_normal(top.mask.shape), rng.standard_normal(coarse.mask.shape)
-    top.r[...], coarse.x[...] = r * top.weight, e * coarse.weight
-    top.restrict()
-    top.prolong()
-    assert np.vdot(top.r, r * top.weight) == pytest.approx(np.vdot(coarse.b, e * coarse.weight),
-                                                           rel=1e-13)
+    mg = sv._Multigrid(w11, 0.0, w22, g.h, region, 1.0)
+    assert mg._top.coarse is not None and mg._top.coarse.coarse is not None
+    _check_v_cycle(mg, philox(N))
 
-    def cycle(b):
-        top.b[...] = b * top.weight
-        top.cycle()
-        return top.x.copy()
 
-    a, b = rng.standard_normal((2, *top.mask.shape))
-    assert np.vdot(cycle(a), b * top.weight) == pytest.approx(np.vdot(a * top.weight, cycle(b)),
-                                                              rel=1e-12)
-    # the coarsest level's dense inverse inverts that level's own weighted operator
-    bottom = coarse
-    while bottom.coarse is not None:
-        bottom = bottom.coarse
-    c, x = rng.standard_normal(bottom.mask.shape), np.zeros(bottom.mask.shape)
-    x[bottom.mask] = bottom.inverse @ c[bottom.mask]
-    assert np.max(np.abs(bottom.apply(x, np.zeros_like(x)) - c * bottom.weight)) <= 1e-12
+@st.composite
+def _v_cycle_problems(draw):
+    g = Grid2(draw(st.sampled_from(("disk", "square"))), draw(st.integers(17, 65)))
+    radius = draw(st.floats(0.3, 0.9))
+    off, angle = draw(st.floats(0.0, 0.9 - radius)), draw(st.floats(0.0, 2.0 * np.pi))
+    region = g.subregion(radius, (off * np.cos(angle), off * np.sin(angle)))
+    w11 = draw(st.floats(0.5, 2.0))
+    return g, region, w11, w11 * draw(st.floats(0.5, 2.0)), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_v_cycle_problems())
+def test_v_cycle_is_symmetric_on_drawn_sub_disks(case):
+    # odd and even sides, off-centre sub-disks and w22/w11 in [1/2, 2]
+    g, region, w11, w22, seed = case
+    mg = sv._Multigrid(w11, 0.0, w22, g.h, region, 1.0)
+    assume(mg._top.coarse is not None)
+    _check_v_cycle(mg, philox(seed))
+
+
+def _hierarchy_doubles_per_node(N: int) -> float:
+    """The float arrays the levels of the harmonic replacement's hierarchy own
+    on the r=0.8 disk at N, each owning base counted once, in doubles per
+    interior node; CI prints it at N=513 and N=1025."""
+    g = Grid2.disk(N)
+    region = g.subregion(0.8)
+    mg = sv._Multigrid(1.0, 0.0, 1.0, g.h, region, 1.0)
+    bases = {}
+
+    def own(value):
+        if isinstance(value, np.ndarray):
+            while isinstance(value.base, np.ndarray):
+                value = value.base
+            bases[id(value)] = value
+        elif isinstance(value, tuple):
+            for item in value:
+                own(item)
+
+    for level in _levels(mg):
+        own(tuple(vars(level).values()))
+    doubles = sum(a.nbytes for a in bases.values() if a.dtype.kind == "f") / 8
+    return doubles / int(region.interior.sum())
+
+
+@pytest.mark.parametrize("N", [513, 1025])
+def test_the_replacement_hierarchy_holds_at_most_8_doubles_per_interior_node(N):
+    # a 0/1 float copy of each level's mask, buffers of each level's own or an
+    # inverse-diagonal array on the finest level would each break it
+    assert _hierarchy_doubles_per_node(N) <= 8.0
 
 
 @pytest.mark.parametrize("radius_h", [0.5, 1.2], ids=["single_node", "plus_sign"])
