@@ -12,9 +12,9 @@ and records the sup deviation on each ball, the pointwise-to-uniform Hoelder
 upgrade with its explicit factor (2 + 2^(2+alpha))^2, and the certificate
 comparison of a measured Hessian seminorm against the constants chain.
 
-A quadratic is one coefficient vector (a, b1, b2, c11, c12, c22) against the
-monomial basis (1, x, y, x^2/2, xy, y^2/2); every fit solves for that vector,
-and QuadraticPolynomial holds it.
+A quadratic is its coefficient vector coef = (a, b1, b2, c11, c12, c22), a float
+array against the monomial basis (1, x, y, x^2/2, xy, y^2/2), or one column of a
+(6, k) stack: fits solve for it, evaluate_quadratic evaluates it, F reads coef[3:].
 
 Scale fits are taken on the exact lattice nodes inside each ball, with
 coordinates rescaled to the unit frame for conditioning; values are never
@@ -52,56 +52,34 @@ from . import operators
 from .constants import ConstantsReport, EllipticityBounds, pointwise_factor
 from .grid import GridFunction, ball_reach
 from .mollifier import mollify
-from .solver import SolverError, hessian, solve_linear_dirichlet
+from .solver import SolverError, hessian, hessian_arrays, solve_linear_dirichlet
 
 __all__ = [
     "CertificateReport",
     "DecayRecord",
     "DecayTable",
-    "QuadraticPolynomial",
     "StepReport",
     "campanato_iterate",
     "certificate_check",
     "check_f_decay",
     "discrete_hessian_seminorm",
+    "evaluate_quadratic",
     "improvement_step",
     "pointwise_fit_constants",
     "pointwise_to_holder",
 ]
 
 
-class QuadraticPolynomial:
-    """P(x, y) = coef . _monomials(x, y) = a + b . x + (1/2) x^T c x, with the
-    read-only coefficient vector coef, b = (b1, b2) and c = [[c11, c12], [c12, c22]]."""
-
-    def __init__(self, coef):
-        self.coef = np.array(coef, dtype=float).reshape(6)
-        self.coef.flags.writeable = False
-
-    @property
-    def a(self) -> float:
-        return float(self.coef[0])
-
-    @property
-    def b(self) -> np.ndarray:
-        return self.coef[1:3]
-
-    @property
-    def c(self) -> np.ndarray:
-        return self.coef[[3, 4, 4, 5]].reshape(2, 2)
-
-    def __call__(self, x, y):
-        return _evaluate(self.coef, np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-
-    def __add__(self, other: "QuadraticPolynomial") -> "QuadraticPolynomial":
-        return QuadraticPolynomial(self.coef + other.coef)
-
-
-def _evaluate(coef, x, y):
+def evaluate_quadratic(coef, x, y):
     """The quadratic with coefficient vector coef at (x, y), in one fixed order
     of elementwise operations; coef may stack arrays that broadcast against x."""
     a, b1, b2, c11, c12, c22 = coef
     return a + b1 * x + b2 * y + 0.5 * (c11 * x * x + 2.0 * c12 * x * y + c22 * y * y)
+
+
+def _operator_at(spec, coef: np.ndarray) -> float:
+    """F at the Hessian of the quadratic with coefficient vector coef."""
+    return float(operators.evaluate_batch(spec, *coef[3:]))
 
 
 def _monomials(x, y) -> tuple:
@@ -189,7 +167,7 @@ class StepReport:
 def _taylor_at_center(h_fun: GridFunction) -> np.ndarray:
     """Coefficients of the second-order Taylor polynomial of h_fun at the origin,
     read from the 3 x 3 block of nodes about it; the second differences are
-    hessian's, in its order of operations, so they match it bit for bit."""
+    hessian's, taken by solver.hessian_arrays on that block."""
     g = h_fun.grid
     if g.N % 2 == 0:
         raise ValueError("grid must have a center node (odd N)")
@@ -197,12 +175,9 @@ def _taylor_at_center(h_fun: GridFunction) -> np.ndarray:
     block = np.s_[i0 - 1:i0 + 2, i0 - 1:i0 + 2]
     if not h_fun.defined[block].all():
         raise ValueError("center node lacks full stencil support")
-    v, h2 = h_fun.values[block], g.h * g.h
+    v = h_fun.values[block]
     b1, b2 = (v[2, 1] - v[0, 1]) / (2 * g.h), (v[1, 2] - v[1, 0]) / (2 * g.h)
-    h11 = (v[2, 1] - 2.0 * v[1, 1] + v[0, 1]) / h2
-    h22 = (v[1, 2] - 2.0 * v[1, 1] + v[1, 0]) / h2
-    h12 = (v[2, 2] + v[0, 0] - v[2, 0] - v[0, 2]) / (4.0 * h2)
-    return np.array([v[1, 1], b1, b2, h11, h12, h22])
+    return np.hstack([v[1, 1], b1, b2, *hessian_arrays(v, g.h, np.pad([[True]], 1))])
 
 
 # radii of the harmonic-replacement disk and of the ball the step's deviations
@@ -219,10 +194,10 @@ def improvement_step(u: GridFunction, spec, constants: ConstantsReport | None = 
     operator's zero set with a scalar correction c |x|^2 ||D^2 h(0)|| / (2 lam)
     found by bisection on c in [-eps, eps] (monotone in c by ellipticity).
 
-    Returns the corrected polynomial and a report of every measured quantity,
-    including the derivative bound check ||D^2 h(0)|| <= (25/4) n^2 M
-    lam_max(W0) / lam_min(W0): h o W0^(1/2) is harmonic, on a disk smaller by
-    sqrt(lam_max(W0)), and D^2 h = W0^(-1/2) D^2 (h o W0^(1/2)) W0^(-1/2).
+    Returns the corrected polynomial's coefficient vector and a report of every
+    measured quantity, including the derivative bound check ||D^2 h(0)|| <=
+    (25/4) n^2 M lam_max(W0) / lam_min(W0): h o W0^(1/2) is harmonic, on a disk
+    smaller by sqrt(lam_max(W0)), and D^2 h = W0^(-1/2) D^2 (h o W0^(1/2)) W0^(-1/2).
     The documented closed-form radii are far below any lattice resolution, so
     gamma defaults to 4h and the deviation ball to _DEVIATION_RADIUS times the
     extent; the literal constants live in the constants module.  Both step radii
@@ -252,12 +227,12 @@ def improvement_step(u: GridFunction, spec, constants: ConstantsReport | None = 
     if spec.eps == 0.0 or d2h_norm <= 1e-12 * max(M, 1.0):
         # a correction proportional to ||D^2 h(0)|| cannot move F at rounding level
         c_corr = 0.0
-        P = QuadraticPolynomial(coef)
+        P = coef
     else:
         shift = d2h_norm / eff.lam * np.array([0.0, 0.0, 0.0, 1.0, 0.0, 1.0])
 
         def fval(t):
-            return spec.evaluate(QuadraticPolynomial(coef + t * shift).c)
+            return _operator_at(spec, coef + t * shift)
 
         lo, hi = -spec.eps, spec.eps
         flo, fhi = fval(lo), fval(hi)
@@ -272,13 +247,13 @@ def improvement_step(u: GridFunction, spec, constants: ConstantsReport | None = 
             else:
                 hi = mid
         c_corr = 0.5 * (lo + hi)
-        P = QuadraticPolynomial(coef + c_corr * shift)
+        P = coef + c_corr * shift
 
     ball = g.ball_mask(r_used)
     both = sub.defined & u.defined
     diff_uh = np.abs(u.values - h_fun.values)
     sup_u_minus_h = float(np.max(diff_uh[both]))
-    p_vals = P(g.X, g.Y)
+    p_vals = evaluate_quadratic(P, g.X, g.Y)
     hp = np.abs(h_fun.values - p_vals)
     sup_h_minus_p = float(np.max(hp[both & ball]))
     up = np.abs(u.values - p_vals)
@@ -289,7 +264,7 @@ def improvement_step(u: GridFunction, spec, constants: ConstantsReport | None = 
         sup_u_minus_p=sup_u_minus_p, d2h_norm=d2h_norm, d2h_bound=d2h_bound,
         d2h_bound_ok=bool(d2h_norm <= d2h_bound * (1 + 1e-12)),
         c_correction=float(c_corr),
-        operator_residual=abs(spec.evaluate(P.c)),
+        operator_residual=abs(_operator_at(spec, P)),
         mg_iterations=h_fun.meta["mg_iterations"],
     )
     return P, report
@@ -303,9 +278,9 @@ def improvement_step(u: GridFunction, spec, constants: ConstantsReport | None = 
 class DecayRecord:
     k: int
     radius: float
-    poly: QuadraticPolynomial
+    poly: np.ndarray  # the accumulated P_k's coefficient vector
     sup_dev: float
-    correction: QuadraticPolynomial
+    correction: np.ndarray  # the unit-frame fit over the amplitude, a coefficient vector
     amplitude: float
     operator_residual: float
 
@@ -325,7 +300,7 @@ class DecayTable:
         lines = [self.CSV_HEADER]
         for r in self.records:
             lines.append(",".join(repr(float(v)) for v in
-                                  (r.k, r.radius, r.sup_dev, *r.poly.coef)))
+                                  (r.k, r.radius, r.sup_dev, *r.poly)))
         return "\n".join(lines) + "\n"
 
 
@@ -343,7 +318,7 @@ def campanato_iterate(u: GridFunction, spec, rho: float = 0.5, kmax: int = 4,
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
     g = u.grid
-    P = QuadraticPolynomial(np.zeros(6))
+    P = np.zeros(6)
     records = []
     truncated = False
     for k in range(kmax + 1):
@@ -352,15 +327,15 @@ def campanato_iterate(u: GridFunction, spec, rho: float = 0.5, kmax: int = 4,
         if radius < 4.0 * g.h * (1.0 - 1e-12) or np.count_nonzero(mask) < _MIN_FIT_NODES:
             truncated = True
             break
-        vals = u.values[mask] - P(g.X[mask], g.Y[mask])
+        vals = u.values[mask] - evaluate_quadratic(P, g.X[mask], g.Y[mask])
         coef, sup_dev = _fit_rows(
             np.column_stack(_monomials(g.X[mask] / radius, g.Y[mask] / radius)), vals)
-        P = P + QuadraticPolynomial(_physical(coef, radius, 0.0, 0.0))
+        P = P + _physical(coef, radius, 0.0, 0.0)  # a new array: records keep each P_k
         amplitude = rho ** (2 * k) if f is None else rho ** (k * (2 + alpha))
         records.append(DecayRecord(
             k=k, radius=radius, poly=P,
-            sup_dev=float(sup_dev), correction=QuadraticPolynomial(coef / amplitude),
-            amplitude=amplitude, operator_residual=abs(spec.evaluate(P.c))))
+            sup_dev=float(sup_dev), correction=coef / amplitude,
+            amplitude=amplitude, operator_residual=abs(_operator_at(spec, P))))
     floor = 1e-13 * max(u.sup(), 1.0)
     pts = np.array([(math.log(r.radius), math.log(r.sup_dev))
                     for r in records if r.sup_dev > floor])
@@ -419,10 +394,11 @@ _BOUND_ABS = 1e-12
 
 
 def pointwise_fit_constants(u: GridFunction, alpha: float, region_radius: float | None = None):
-    """The per-center quadratic fits P_c, in center order, and the pointwise
-    Hoelder constant K = max_c K_c, with K_c = max_x |u(x) - P_c(x)| /
-    |x - c|^(2+alpha) over the whole domain, the centers within region_radius,
-    by default min(extent / 4, extent - 4h), of the origin.  Each P_c fits the
+    """The per-center quadratic fits P_c, a (6, centers) array with one
+    coefficient vector per column in center order, and the pointwise Hoelder
+    constant K = max_c K_c, with K_c = max_x |u(x) - P_c(x)| / |x - c|^(2+alpha)
+    over the whole domain, the centers within region_radius, by default
+    min(extent / 4, extent - 4h), of the origin.  Each P_c fits the
     ball of radius _FIT_RADIUS * extent about c, so K scales as e^-alpha
     under u -> e^2 u(x / e) on a lattice of extent e.
 
@@ -479,9 +455,9 @@ def pointwise_fit_constants(u: GridFunction, alpha: float, region_radius: float 
     # value, taken from one sort
     ordered, mid = np.sort(coef, axis=1), len(ii) // 2
     q0 = ordered[:, mid] if len(ii) % 2 else 0.5 * (ordered[:, mid - 1] + ordered[:, mid])
-    shifted = GridFunction(g, u.values - _evaluate(q0, g.xs[:, None], g.xs), u.defined)
+    shifted = GridFunction(g, u.values - evaluate_quadratic(q0, g.xs[:, None], g.xs), u.defined)
     K = _lattice_max(len(ii), *_tiles(shifted, coef - q0[:, None], ii, jj, alpha))
-    return [QuadraticPolynomial(coef[:, c]) for c in range(len(ii))], K
+    return coef, K
 
 
 def _tile_side(nodes: int) -> int:
@@ -615,7 +591,8 @@ def _tiles(u: GridFunction, coef: np.ndarray, ii, jj, alpha: float):
 
     def exact(cols, tids):
         rows, lines = ti[tids, None] + np.arange(t), tj[tids, None] + np.arange(t)
-        ratio = _evaluate(coef[:, cols, None, None], xs[rows][:, :, None], xs[lines][:, None, :])
+        ratio = evaluate_quadratic(coef[:, cols, None, None],
+                                   xs[rows][:, :, None], xs[lines][:, None, :])
         np.subtract(tiles[tids].reshape(-1, t, t), ratio, out=ratio)
         np.abs(ratio, out=ratio)
         ratio /= flat[(np.abs(rows - ii[cols, None]) * n)[:, :, None]

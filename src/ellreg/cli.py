@@ -23,8 +23,8 @@ loads or solves anything.
 
 Start-up: this module imports only the standard library, and each cmd_*
 imports the ellreg modules it runs, so constants loads mpmath and no numpy,
-and solve and cordes load no mpmath.  The parser reads no numpy module: the
-operator checks --perturbation.
+solve and cordes load no mpmath, and cordes without --input no solver or
+grid module.  The parser reads no numpy module: the operator checks --perturbation.
 
 selftest runs the acceptance check registry (ellreg.checks) at its reduced
 scale, with every Philox key set to the run seed.
@@ -208,10 +208,10 @@ def cmd_analyze(args) -> int:
 
     pointwise_payload = None
     if args.pointwise:
-        fits, K = campanato.pointwise_fit_constants(u, args.alpha)
+        coef, K = campanato.pointwise_fit_constants(u, args.alpha)
         pointwise_payload = {
             "certified_bound": campanato.pointwise_to_holder(K, args.alpha),
-            "centers": len(fits),
+            "centers": coef.shape[1],
             "alpha": args.alpha,
         }
 
@@ -249,10 +249,13 @@ def cmd_cordes(args) -> int:
     import numpy as np
 
     from . import cordes
-    from .grid import load_grid
 
     spec = _build_spec(args)
-    field = cordes.linearized_field(spec, load_grid(args.input) if args.input else None)
+    u = None
+    if args.input:
+        from .grid import load_grid  # deferred: the zero-Hessian audit reads no grid
+        u = load_grid(args.input)
+    field = cordes.linearized_field(spec, u)
     a_stack = np.empty((field.x.size, 2, 2))
     a_stack[:, 0, 0], a_stack[:, 1, 1] = field.g11, field.g22
     a_stack[:, 0, 1] = a_stack[:, 1, 0] = field.g12
@@ -269,11 +272,15 @@ def cmd_cordes(args) -> int:
     except cordes.DeviationError as exc:
         nirenberg = {"error": str(exc)}
 
+    # a node's x and y are entries of the increasing lattice coordinates xs (the
+    # one zero without a grid): each entry is formatted once, taken by its index
+    xs = np.zeros(1) if u is None else u.grid.xs
+    text = np.array([repr(v) for v in xs.tolist()], dtype=object)
     # in 2-D the trace-form margin k'_eps equals k_eps, so keps fills both columns
     lines = ["x,y,keps,kepsprime,cordesdelta"]
     lines += [f"{x},{y},{k},{k},{d}" for x, y, k, d in
-              zip(*(map(repr, a.tolist()) for a in
-                    (field.x, field.y, field.keps, field.cordesdelta)))]
+              zip(*(text[np.searchsorted(xs, a)] for a in (field.x, field.y)),
+                  *(map(repr, a.tolist()) for a in (field.keps, field.cordesdelta)))]
     with open(args.csv_output, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -27,12 +27,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import operators
-from .grid import GridFunction
-from .solver import hessian
+
+if TYPE_CHECKING:
+    from .grid import GridFunction
 
 __all__ = [
     "CordesFieldReport",
@@ -144,6 +146,7 @@ def nirenberg_constants(a_field, f_bound: float, eps_slack: float) -> NirenbergR
 
 def hessian_identity_check(u: GridFunction) -> float:
     """Max nodewise defect of ||H||_HS^2 = (tr H)^2 - 2 det H (round-off only)."""
+    from .solver import hessian  # deferred: the zero-Hessian audit loads no solver
     H = hessian(u)
     m = H.mask
     h11, h12, h22 = H.h11[m], H.h12[m], H.h22[m]
@@ -195,6 +198,7 @@ def linearized_field(spec, u: GridFunction | None = None) -> CordesFieldReport:
     if u is None:
         g11, g12, g22 = operators.gradient_batch(spec, *np.zeros((3, 1)))
     else:
+        from .solver import hessian  # deferred, as in hessian_identity_check
         H = hessian(u)
         m = H.mask
         if not m.any():

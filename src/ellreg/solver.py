@@ -53,6 +53,7 @@ __all__ = [
     "HessianField",
     "SolverError",
     "hessian",
+    "hessian_arrays",
     "solve_fully_nonlinear",
     "solve_linear_dirichlet",
 ]
@@ -76,7 +77,7 @@ class HessianField:
     mask: np.ndarray
 
 
-def _hessian_arrays(v: np.ndarray, h: float, mask: np.ndarray):
+def hessian_arrays(v: np.ndarray, h: float, mask: np.ndarray):
     """Second differences of the lattice array v at the nodes of mask, in
     row-major order (the order of the assembled unknowns); mask must stay off
     the lattice frame."""
@@ -95,7 +96,7 @@ def hessian(u: GridFunction) -> HessianField:
     support = np.logical_and.reduce(neighbours(u.defined, stencil, False))
     v = u.filled(0.0)
     h11, h12, h22 = (np.full_like(v, np.nan) for _ in range(3))
-    h11[support], h12[support], h22[support] = _hessian_arrays(v, u.grid.h, support)
+    h11[support], h12[support], h22[support] = hessian_arrays(v, u.grid.h, support)
     return HessianField(h11, h12, h22, support)
 
 
@@ -397,7 +398,7 @@ class _Multigrid:
         c11, c12, c22 = coeffs
 
         def jacobian(z):  # z is a box array, zero off the mask
-            h11, h12, h22 = _hessian_arrays(z, self._h, mask)
+            h11, h12, h22 = hessian_arrays(z, self._h, mask)
             return c11 * h11 + 2.0 * c12 * h12 + c22 * h22
 
         def cycle(v):  # v times the V-cycle's inverse of W0's diagonal stencil
@@ -495,7 +496,7 @@ def _dirichlet(spec, f, g, grid: Grid2, region: SubRegion | None, tol: float | N
     best = prev = np.inf
     stall = newton_steps = sweeps = 0
     while True:
-        H = _hessian_arrays(v, h, interior)
+        H = hessian_arrays(v, h, interior)
         resid = operators.evaluate_batch(spec, *H) - f_int
         res = float(np.max(np.abs(resid)))
         if not np.isfinite(res):

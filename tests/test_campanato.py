@@ -34,30 +34,36 @@ def report():
 def _ball_fit(u, center, r):
     """The least-squares quadratic over the defined nodes of u in the
     coordinate ball of radius r about center, by campanato's row fit: the
-    polynomial in physical coordinates and the max node deviation."""
+    polynomial's coefficients in physical coordinates and the max node deviation."""
     g = u.grid
     cx, cy = float(center[0]), float(center[1])
     mask = u.defined & g.ball(r, (cx, cy))
     design = np.column_stack(cp._monomials((g.X[mask] - cx) / r, (g.Y[mask] - cy) / r))
     coef, dev = cp._fit_rows(design, u.values[mask])
-    return cp.QuadraticPolynomial(cp._physical(coef, r, cx, cy)), float(dev)
+    return cp._physical(coef, r, cx, cy), float(dev)
+
+
+def _hessian_matrix(coef):
+    """The symmetric Hessian [[c11, c12], [c12, c22]] of a coefficient vector."""
+    return coef[[3, 4, 4, 5]].reshape(2, 2)
 
 
 def test_fit_recovers_quadratics_exactly(disk65):
     u = GridFunction.from_callable(disk65, lambda x, y: 1.5 - 0.3 * x + y + 0.5 * (2 * x * x + 2 * 0.4 * x * y - 1.1 * y * y))
     poly, dev = _ball_fit(u, (0.0, 0.0), 0.5)
     assert dev <= 1e-10 * u.sup()
-    assert poly.a == pytest.approx(1.5, abs=1e-10)
-    assert poly.b[0] == pytest.approx(-0.3, abs=1e-10)
-    assert poly.b[1] == pytest.approx(1.0, abs=1e-10)
-    assert poly.c[0, 0] == pytest.approx(2.0, abs=1e-9)
-    assert poly.c[0, 1] == pytest.approx(0.4, abs=1e-9)
-    assert poly.c[1, 1] == pytest.approx(-1.1, abs=1e-9)
+    assert poly[0] == pytest.approx(1.5, abs=1e-10)
+    assert poly[1] == pytest.approx(-0.3, abs=1e-10)
+    assert poly[2] == pytest.approx(1.0, abs=1e-10)
+    assert poly[3] == pytest.approx(2.0, abs=1e-9)
+    assert poly[4] == pytest.approx(0.4, abs=1e-9)
+    assert poly[5] == pytest.approx(-1.1, abs=1e-9)
     # off-center fits reproduce the same polynomial in physical coordinates
     poly2, dev2 = _ball_fit(u, (0.3, -0.2), 0.4)
     assert dev2 <= 1e-10 * u.sup()
     xs = np.linspace(-0.5, 0.5, 7)
-    assert np.allclose(poly2(xs, xs[::-1]), poly(xs, xs[::-1]), atol=1e-9)
+    assert np.allclose(cp.evaluate_quadratic(poly2, xs, xs[::-1]),
+                       cp.evaluate_quadratic(poly, xs, xs[::-1]), atol=1e-9)
 
 
 def test_fit_cubic_taylor_envelope(disk257):
@@ -73,8 +79,8 @@ def test_fit_cubic_taylor_envelope(disk257):
 def test_fit_parity_kills_even_coefficients(disk65):
     u = GridFunction.from_callable(disk65, lambda x, y: x**3)
     poly, _ = _ball_fit(u, (0.0, 0.0), 0.4)
-    assert abs(poly.c[0, 0]) <= 1e-10
-    assert abs(poly.a) <= 1e-10
+    assert abs(poly[3]) <= 1e-10
+    assert abs(poly[0]) <= 1e-10
 
 
 def test_fit_errors(disk65):
@@ -104,9 +110,9 @@ def test_fit_l2_optimality_beats_taylor_competitor(disk65):
     mask = disk65.defined & (np.hypot(disk65.X, disk65.Y) <= r)
     poly, _ = _ball_fit(u, (0.0, 0.0), r)
     # Taylor polynomial of sin(x + 0.3 y) at 0:  (x + 0.3 y) - 0 x^2 ...
-    taylor = cp.QuadraticPolynomial([0.0, 1.0, 0.3, 0.0, 0.0, 0.0])
-    dev_fit = u.values[mask] - poly(disk65.X[mask], disk65.Y[mask])
-    dev_tay = u.values[mask] - taylor(disk65.X[mask], disk65.Y[mask])
+    taylor = np.array([0.0, 1.0, 0.3, 0.0, 0.0, 0.0])
+    dev_fit = u.values[mask] - cp.evaluate_quadratic(poly, disk65.X[mask], disk65.Y[mask])
+    dev_tay = u.values[mask] - cp.evaluate_quadratic(taylor, disk65.X[mask], disk65.Y[mask])
     assert np.sum(dev_fit**2) <= np.sum(dev_tay**2) * (1 + 1e-12)
 
 
@@ -127,23 +133,22 @@ def _quadratic_inputs(draw):
 @given(_quadratic_inputs())
 def test_quadratic_is_one_coefficient_vector(inputs):
     g, defined, coef, other, center, r = inputs
-    P, Q = cp.QuadraticPolynomial(coef), cp.QuadraticPolynomial(other)
     scale = max(1.0, float(np.max(np.abs(coef))))
-    assert np.array_equal(P.c, [[coef[3], coef[4]], [coef[4], coef[5]]])
-    with pytest.raises(ValueError):
-        P.coef[0] = 1.0  # the vector is read-only, so polynomials can share it
+    # F at the quadratic is F at its Hessian [[c11, c12], [c12, c22]]
+    spec = op.OperatorSpec(1.5, 0.25, 1.0, 0.05, "sine")
+    assert cp._operator_at(spec, coef) == spec.evaluate(_hessian_matrix(coef))
     # the fit of the sampled quadratic gives back its vector
-    u = GridFunction(g, np.where(defined, P(g.X, g.Y), np.nan), defined)
+    u = GridFunction(g, np.where(defined, cp.evaluate_quadratic(coef, g.X, g.Y), np.nan), defined)
     fit, dev = _ball_fit(u, center, r)
-    assert np.max(np.abs(fit.coef - coef)) <= 1e-9 * scale
+    assert np.max(np.abs(fit - coef)) <= 1e-9 * scale
     assert dev <= 1e-10 * scale
     # evaluation is the product with the monomial basis, up to rounding
     basis = np.stack(cp._monomials(g.X, g.Y))
     bound = np.tensordot(np.abs(coef), np.abs(basis), axes=1)
-    assert np.all(np.abs(P(g.X, g.Y) - np.tensordot(coef, basis, axes=1)) <= 1e-13 * bound)
-    assert np.array_equal((P + Q).coef, coef + other)
+    assert np.all(np.abs(cp.evaluate_quadratic(coef, g.X, g.Y) - np.tensordot(coef, basis, axes=1))
+                  <= 1e-13 * bound)
     # a decay CSV row carries the vector's reprs
-    rec = cp.DecayRecord(k=0, radius=r, poly=P, sup_dev=dev, correction=Q, amplitude=1.0,
+    rec = cp.DecayRecord(k=0, radius=r, poly=coef, sup_dev=dev, correction=other, amplitude=1.0,
                          operator_residual=0.0)
     table = cp.DecayTable([rec], float("nan"), 0.5, False, False, "homogeneous")
     assert table.to_csv().splitlines()[1].split(",")[3:] == [repr(float(v)) for v in coef]
@@ -282,7 +287,7 @@ def test_step_fixed_point_on_harmonic_quadratic(disk65, identity_spec):
     u = GridFunction.from_callable(disk65, saddle)
     P, rep = cp.improvement_step(u, identity_spec)
     assert rep.c_correction == 0.0
-    assert np.max(np.abs(P.c - np.array([[2.0, 0.0], [0.0, -2.0]]))) <= 1e-6
+    assert np.max(np.abs(_hessian_matrix(P) - np.array([[2.0, 0.0], [0.0, -2.0]]))) <= 1e-6
     assert rep.sup_u_minus_p <= 1e-7
     assert rep.sup_u_minus_h <= 1e-7
     assert rep.d2h_bound_ok
@@ -292,7 +297,8 @@ def test_step_correction_vanishes_for_linear_operator(disk65, identity_spec):
     u = GridFunction.from_callable(disk65, cubic_harmonic)
     P, rep = cp.improvement_step(u, identity_spec)
     assert rep.c_correction == 0.0  # eps = 0 short-circuits to the Taylor polynomial
-    assert abs(np.trace(P.c)) <= 1e-7  # harmonic replacement has near-traceless Hessian
+    # the harmonic replacement has a near-traceless Hessian
+    assert abs(np.trace(_hessian_matrix(P))) <= 1e-7
 
 
 def test_step_with_perturbed_operator(disk65, sine_spec):
@@ -324,7 +330,7 @@ def test_step_replaces_with_the_w0_harmonic_solution(disk65):
     u = GridFunction.from_callable(disk65, lambda x, y: x**2 - 2.0 * y**2)
     P, rep = cp.improvement_step(u, spec)
     assert rep.sup_h_minus_p <= 1e-9
-    assert np.max(np.abs(P.c - np.diag([2.0, -4.0]))) <= 1e-6
+    assert np.max(np.abs(_hessian_matrix(P) - np.diag([2.0, -4.0]))) <= 1e-6
     assert rep.d2h_bound == 25.0 * rep.sup_u * 2.0
     assert rep.d2h_bound_ok
 
@@ -337,7 +343,7 @@ def test_step_runs_on_an_anisotropic_solution_with_eps():
     u = solve_fully_nonlinear(spec, None, lambda x, y: x**4, g)
     P, rep = cp.improvement_step(u, spec)
     assert rep.operator_residual <= 1e-14
-    assert abs(spec.evaluate(P.c)) <= 1e-14
+    assert abs(spec.evaluate(_hessian_matrix(P))) <= 1e-14
     assert 0 < abs(rep.c_correction) <= spec.eps
     lam_min, lam_max = np.linalg.eigvalsh(spec.W0)
     assert rep.d2h_bound == pytest.approx(25.0 * rep.sup_u * lam_max / lam_min, rel=1e-15)
@@ -369,7 +375,7 @@ def test_step_bisection_moves_onto_zero_set(disk65, sine_spec):
     assert rep.d2h_norm > 1.0
     assert 0 < abs(rep.c_correction) <= sine_spec.eps
     assert rep.operator_residual <= 1e-10  # bisection landed on the zero set
-    assert abs(sine_spec.evaluate(P.c)) <= 1e-10
+    assert abs(sine_spec.evaluate(_hessian_matrix(P))) <= 1e-10
 
 
 @pytest.mark.parametrize("b", [-0.9, -0.8])
@@ -384,7 +390,7 @@ def test_step_correction_shift_is_scaled_by_lam(disk65, b):
     taylor, _ = cp.improvement_step(u, dataclasses.replace(spec, eps=0.0))
     W0 = spec.W0
     lam = np.linalg.eigvalsh(W0)[0] - spec.eps
-    expected = -np.trace(W0 @ taylor.c) / (rep.d2h_norm / lam * np.trace(W0))
+    expected = -np.trace(W0 @ _hessian_matrix(taylor)) / (rep.d2h_norm / lam * np.trace(W0))
     assert rep.c_correction != 0.0
     assert rep.c_correction == pytest.approx(expected, rel=1e-10)
 
@@ -464,8 +470,9 @@ def test_iterate_telescoping_identity(disk129, identity_spec):
     ys = np.linspace(-0.05, 0.05, 9)[::-1]
     acc = np.zeros_like(xs)
     for rec in table.records:
-        acc = acc + rec.amplitude * rec.correction(xs / rec.radius, ys / rec.radius)
-    direct = last.poly(xs, ys)
+        acc = acc + rec.amplitude * cp.evaluate_quadratic(
+            rec.correction, xs / rec.radius, ys / rec.radius)
+    direct = cp.evaluate_quadratic(last.poly, xs, ys)
     scale = max(1.0, float(np.max(np.abs(direct))))
     assert np.max(np.abs(acc - direct)) <= 1e-12 * scale
 
@@ -474,7 +481,7 @@ def test_iterate_telescoping_identity(disk129, identity_spec):
 @pytest.mark.parametrize("with_source", [False, True])
 def test_iterate_correction_is_the_rescaled_fit_increment(extent, with_source, identity_spec):
     # correction k is the fit on B_(r_k) in the unit frame over its amplitude:
-    # its Hessian is extent^2 (P_k.c - P_(k-1).c), over rho^(k alpha) with a source
+    # its Hessian is extent^2 (P_k's - P_(k-1)'s), over rho^(k alpha) with a source
     rho, alpha = 0.5, 0.25
     g = Grid2.disk(257, extent)
     u = GridFunction.from_callable(
@@ -483,10 +490,11 @@ def test_iterate_correction_is_the_rescaled_fit_increment(extent, with_source, i
     table = cp.campanato_iterate(u, identity_spec, rho=rho, kmax=4, f=f, alpha=alpha)
     assert len(table.records) == 5
     for prev, rec in zip(table.records, table.records[1:]):
-        expected = extent**2 * (rec.poly.c - prev.poly.c)
+        expected = extent**2 * (_hessian_matrix(rec.poly) - _hessian_matrix(prev.poly))
         if with_source:
             expected = expected / rho ** (rec.k * alpha)
-        assert np.max(np.abs(rec.correction.c - expected)) <= 1e-10 * np.max(np.abs(expected))
+        assert (np.max(np.abs(_hessian_matrix(rec.correction) - expected))
+                <= 1e-10 * np.max(np.abs(expected)))
 
 
 def test_iterate_truncation_flagged():
@@ -530,8 +538,8 @@ def test_inhomogeneous_reduces_to_homogeneous_for_zero_source(disk129, identity_
     assert (hom.mode, inh.mode) == ("homogeneous", "inhomogeneous")
     for a, b in zip(hom.records, inh.records):
         assert a.sup_dev == b.sup_dev
-        assert a.poly.a == b.poly.a
-        assert np.array_equal(a.poly.c, b.poly.c)
+        assert a.poly[0] == b.poly[0]
+        assert np.array_equal(_hessian_matrix(a.poly), _hessian_matrix(b.poly))
         assert a.operator_residual == b.operator_residual
 
 
@@ -640,7 +648,7 @@ def _pointwise_reference(u, alphas, region_radius, stride=2):
         poly, _ = _ball_fit(u, (cx, cy), fit_radius)
         dist = np.hypot(allx - cx, ally - cy)
         far = dist > 0.5 * g.h
-        resid = np.abs(allv[far] - poly(allx[far], ally[far]))
+        resid = np.abs(allv[far] - cp.evaluate_quadratic(poly, allx[far], ally[far]))
         for alpha in alphas:
             fits[alpha].append((poly, float(np.max(resid / dist[far] ** (2.0 + alpha)))))
         ball = u.defined & (np.hypot(g.X - cx, g.Y - cy) <= fit_radius * (1.0 + 1e-12))
@@ -680,16 +688,16 @@ def test_pointwise_batched_fits_match_per_center_reference(shape, extent, hole, 
     dyadic = extent == 1.0
     for alpha, want in reference.items():
         got, K = cp.pointwise_fit_constants(u, alpha, region_radius=fraction * extent)
-        assert len(got) == len(want)
+        assert got.shape[1] == len(want)
         k_ref = max(k for _, k in want)
         assert abs(K - k_ref) <= 1e-10 * k_ref
-        for p, (q, _), c in zip(got, want, clipped):
+        for p, (q, _), c in zip(got.T, want, clipped):
             if dyadic and c:
-                assert np.array_equal(p.coef, q.coef)
+                assert np.array_equal(p, q)
             else:
-                assert np.max(np.abs(p.coef - q.coef)) <= 1e-10 * np.max(np.abs(q.coef))
+                assert np.max(np.abs(p - q)) <= 1e-10 * np.max(np.abs(q))
         if dyadic:
-            mixed = [q if c else p for p, (q, _), c in zip(got, want, clipped)]
+            mixed = np.stack([q if c else p for p, (q, _), c in zip(got.T, want, clipped)], axis=1)
             assert K == max(_kc_brute_force(u, mixed, alpha, fraction * extent))
 
 
@@ -727,22 +735,24 @@ def _shifted(u, coef):
     median of those columns, as the pointwise kernel takes them."""
     g = u.grid
     q0 = np.median(coef, axis=1)
-    return GridFunction(g, u.values - cp._evaluate(q0, g.X, g.Y), u.defined), coef - q0[:, None]
+    return (GridFunction(g, u.values - cp.evaluate_quadratic(q0, g.X, g.Y), u.defined),
+            coef - q0[:, None])
 
 
-def _kc_brute_force(u, fits, alpha, region_radius):
+def _kc_brute_force(u, coef, alpha, region_radius):
     """Each center's K_c as the max over every defined node of the kernel's
     per-node contribution |(u - Q0) - (P_c - Q0)| / ((di^2 + dj^2) h^2)^(1 + alpha/2),
-    P_c the returned polynomials, Q0 the entrywise median of their coefficients,
+    P_c the columns of coef, Q0 the entrywise median of those columns,
     inf at the center itself."""
     g = u.grid
     off = np.arange(g.N)
     table = ((off[:, None] ** 2 + off[None, :] ** 2) * g.h**2) ** (1.0 + 0.5 * alpha)
     table[0, 0] = np.inf
-    shifted, coef = _shifted(u, np.stack([p.coef for p in fits], axis=1))
+    shifted, coef = _shifted(u, coef)
     out = []
     for c, i, j in zip(coef.T, *_fit_centers(u, region_radius)):
-        ratio = np.abs(shifted.values - cp._evaluate(c, g.X, g.Y)) / table[np.abs(off - i)][:, np.abs(off - j)]
+        ratio = (np.abs(shifted.values - cp.evaluate_quadratic(c, g.X, g.Y))
+                 / table[np.abs(off - i)][:, np.abs(off - j)])
         out.append(np.max(ratio[u.defined]))
     return out
 
@@ -760,7 +770,7 @@ def _pointwise_inputs(draw):
     elif kind == "smooth":
         values = np.sin(3 * X) * np.cos(2 * Y) + np.hypot(X - 0.1, Y) ** 2.5
     else:  # every residual is rounding, so the bounds live on their margins
-        values = cp.QuadraticPolynomial(philox(seed).uniform(-1, 1, 6))(X, Y)
+        values = cp.evaluate_quadratic(philox(seed).uniform(-1, 1, 6), X, Y)
     u = GridFunction(g, np.where(defined, values, np.nan), defined)
     alpha = draw(st.floats(0.0, 1.0, exclude_min=True))
     region_radius = draw(st.sampled_from((0.2, 0.5, 0.8))) * g.extent
@@ -784,11 +794,11 @@ def test_tiled_pointwise_constants_equal_the_brute_force_max(inputs, block, tile
             return
         assert K == max(_kc_brute_force(u, fits, alpha, region_radius))
         # every tile's bound holds for every center, not only where the search looked
-        shifted, coef = _shifted(u, np.stack([p.coef for p in fits], axis=1))
+        shifted, coef = _shifted(u, fits)
         count, _, bound, exact = cp._tiles(shifted, coef, *_fit_centers(u, region_radius), alpha)
         step = max(1, (1 << 18) // (count * tile**2))  # centers of one check, in its memory
-        for lo in range(0, len(fits), step):
-            cols = np.arange(lo, min(lo + step, len(fits)))
+        for lo in range(0, fits.shape[1], step):
+            cols = np.arange(lo, min(lo + step, fits.shape[1]))
             bounds, first = bound(lo, cols[-1] + 1)
             assert first == 0
             assert np.all(exact(np.repeat(cols, count), np.tile(np.arange(count), len(cols)))
@@ -801,12 +811,12 @@ def test_tile_bounds_are_their_widening_alone_on_a_quadratic():
     # with u itself as every P_c, a bound is its widening, about 1e-12 of the
     # magnitudes, over a distance power of at least h^(2+alpha)
     g = Grid2.square(65)
-    P = cp.QuadraticPolynomial([0.3, -1.2, 0.7, 2.0, -0.4, 1.1])
-    u = GridFunction.from_callable(g, P)
+    P = np.array([0.3, -1.2, 0.7, 2.0, -0.4, 1.1])
+    u = GridFunction.from_callable(g, lambda x, y: cp.evaluate_quadratic(P, x, y))
     ii, jj = (a.ravel() for a in np.mgrid[0:65:7, 0:65:5])
-    coef = np.repeat(P.coef[:, None], len(ii), axis=1)
+    coef = np.repeat(P[:, None], len(ii), axis=1)
     bounds = cp._tiles(u, coef, ii, jj, 0.5)[2](0, len(ii))[0]
-    scale = u.sup() + np.abs(P.coef) @ [1.0, 1.0, 1.0, 0.5, 1.0, 0.5]
+    scale = u.sup() + np.abs(P) @ [1.0, 1.0, 1.0, 0.5, 1.0, 0.5]
     assert np.all(bounds * g.h**2.5 <= 1e-10 * scale)
 
 
@@ -839,7 +849,7 @@ def test_tiles_evaluated_per_center_stay_few_on_a_rounded_quadratic(monkeypatch)
     u = GridFunction.from_callable(Grid2.disk(129), saddle)
     seen = _counting(monkeypatch, "_tiles")
     fits, _ = cp.pointwise_fit_constants(u, 0.25)
-    assert seen["evaluated"] <= len(fits)
+    assert seen["evaluated"] <= fits.shape[1]
 
 
 def _harmonic_plus_wave(x, y):
@@ -865,8 +875,8 @@ def test_center_tile_pairs_evaluated_stay_few_on_a_harmonic_field(monkeypatch):
     u = GridFunction.from_callable(Grid2.disk(257), _harmonic_plus_wave)
     seen = _counting(monkeypatch, "_tiles")
     fits, _ = cp.pointwise_fit_constants(u, 0.25)
-    assert len(fits) == 797
-    assert seen["evaluated"] <= 16 * len(fits)
+    assert fits.shape[1] == 797
+    assert seen["evaluated"] <= 16 * fits.shape[1]
 
 
 def test_lattice_sup_kernels_work_in_bounded_blocks(disk257):
@@ -888,7 +898,7 @@ def test_lattice_sup_kernels_work_in_bounded_blocks(disk257):
         pointwise_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(fits) == 797
+    assert fits.shape[1] == 797
     assert holder_peak < 4e6
     assert pointwise_peak < 16e6
 

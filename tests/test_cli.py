@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellreg import campanato, checks, cli, operators, solver
+from ellreg import campanato, checks, cli, cordes, operators, solver
 from ellreg.grid import Grid2, GridFunction, load_grid, save_grid
 
 from conftest import cubic_harmonic, island_field, saddle
@@ -348,6 +348,24 @@ def test_cordes_with_solution_grid(tmp_path, capsys):
     assert payload["min_kepsprime"] > 0
 
 
+@pytest.mark.parametrize("grid", [Grid2.disk(65), Grid2.square(64)], ids=["disk65", "square64"])
+def test_cordes_csv_rows_are_each_nodes_reprs(tmp_path, capsys, grid):
+    # the CSV formats each lattice coordinate once; every row still reads the
+    # repr of its own node's x, y, keps, keps and cordesdelta
+    u = GridFunction.from_callable(grid, lambda x, y: np.sin(2 * x + y) * np.cos(x - 3 * y))
+    grid_file = tmp_path / "u.grid"
+    save_grid(grid_file, u)
+    code, _, _ = run_cli(["cordes", "--input", str(grid_file), "--eps", "0.05", "--perturbation",
+                          "sine", "--csv-output", str(tmp_path / "c.csv")], capsys)
+    assert code == cli.EXIT_OK
+    field = cordes.linearized_field(operators.OperatorSpec(1.0, 0.0, 1.0, 0.05, "sine"),
+                                    load_grid(grid_file))
+    rows = [",".join(map(repr, (x, y, k, k, d))) for x, y, k, d in
+            zip(*(a.tolist() for a in (field.x, field.y, field.keps, field.cordesdelta)))]
+    assert len(rows) > 1000
+    assert (tmp_path / "c.csv").read_text().splitlines() == ["x,y,keps,kepsprime,cordesdelta", *rows]
+
+
 def test_cordes_rejects_a_grid_without_a_full_stencil(tmp_path, capsys):
     # a ring of boundary nodes gives no node a discrete Hessian to audit
     g = Grid2.disk(33)
@@ -375,7 +393,8 @@ _IMPORT_PROBE = (
     ([], ["numpy"]),
     (["constants", "-o", "k.json"], ["numpy", "scipy"]),
     (["cordes", "-o", "c.json", "--csv-output", "c.csv"],
-     ["scipy", "mpmath", "ellreg.campanato", "ellreg.checks", "ellreg.mollifier"]),
+     ["scipy", "mpmath", "ellreg.campanato", "ellreg.checks", "ellreg.mollifier",
+      "ellreg.solver", "ellreg.grid"]),
     (["solve", "-N", "33", "-o", "u.grid", "--summary", "s.json"],
      ["mpmath", "scipy", "ellreg.campanato", "ellreg.checks", "ellreg.mollifier",
       "ellreg.cordes"]),
@@ -462,6 +481,21 @@ def test_analyze_pointwise_bound(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["pointwise"]["certified_bound"] > 0
     assert payload["pointwise"]["centers"] > 10
+
+
+def test_pointwise_fits_are_one_coefficient_column_per_reported_center(tmp_path, capsys):
+    g = Grid2.disk(65)
+    u = GridFunction.from_callable(g, lambda x, y: np.sin(x + 2 * y) + (x - 0.1) ** 4)
+    grid_file = tmp_path / "u.grid"
+    save_grid(grid_file, u)
+    code, out, _ = run_cli(["analyze", "--input", str(grid_file), "--pointwise",
+                            "--csv-output", str(tmp_path / "d.csv")], capsys)
+    assert code == cli.EXIT_OK
+    pointwise = json.loads(out)["pointwise"]
+    coef, K = campanato.pointwise_fit_constants(load_grid(grid_file), pointwise["alpha"])
+    assert isinstance(coef, np.ndarray) and coef.dtype == np.float64
+    assert coef.shape == (6, pointwise["centers"])
+    assert pointwise["certified_bound"] == campanato.pointwise_to_holder(K, pointwise["alpha"])
 
 
 def test_analyze_pointwise_rejects_a_clipped_ball_under_twelve_nodes(tmp_path, capsys):

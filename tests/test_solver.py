@@ -357,7 +357,7 @@ def _dense_stencil(c11, c12, c22, h, region):
     e = np.zeros(inner.shape)
     for j, node in enumerate(zip(*np.nonzero(inner))):
         e[node] = 1.0
-        h11, h12, h22 = sv._hessian_arrays(e, h, inner)
+        h11, h12, h22 = sv.hessian_arrays(e, h, inner)
         A[:, j] = c11 * h11 + 2.0 * c12 * h12 + c22 * h22
         e[node] = 0.0
     return A
@@ -644,7 +644,7 @@ def _dense_chord_solve(spec, f, gb, g, region, tol, max_sweeps=10):
     v = np.where(region.boundary, gb, 0.0)
     fi = 0.0 if f is None else f[inner]
     for _ in range(max_sweeps):
-        resid = op.evaluate_batch(spec, *sv._hessian_arrays(v, g.h, inner)) - fi
+        resid = op.evaluate_batch(spec, *sv.hessian_arrays(v, g.h, inner)) - fi
         if float(np.max(np.abs(resid))) <= tol:
             break
         v[inner] -= np.linalg.solve(A, resid)
@@ -727,7 +727,7 @@ def _newton_problems(draw):
     # across its whole range from node to node
     v = np.where(region.defined, rng.standard_normal((g.N, g.N)), 0.0)
     v *= draw(st.sampled_from((1e-2, 1.0, 1e2))) * g.h**2
-    coeffs = op.gradient_batch(spec, *sv._hessian_arrays(v, g.h, region.interior))
+    coeffs = op.gradient_batch(spec, *sv.hessian_arrays(v, g.h, region.interior))
     # a right-hand side of any size: the tolerance is relative to it
     r = rng.standard_normal(int(region.interior.sum())) * draw(st.sampled_from((1e-8, 1.0, 1e4)))
     return g, region, spec, coeffs, r, draw(st.sampled_from(_GMRES_RTOLS))
