@@ -249,7 +249,7 @@ def improvement_step(u: GridFunction, spec, constants: ConstantsReport | None = 
         c_corr = 0.5 * (lo + hi)
         P = coef + c_corr * shift
 
-    ball = g.ball_mask(r_used)
+    ball = g.ball(r_used)
     both = sub.defined & u.defined
     diff_uh = np.abs(u.values - h_fun.values)
     sup_u_minus_h = float(np.max(diff_uh[both]))
@@ -323,7 +323,7 @@ def campanato_iterate(u: GridFunction, spec, rho: float = 0.5, kmax: int = 4,
     truncated = False
     for k in range(kmax + 1):
         radius = rho**k * g.extent
-        mask = u.defined & g.ball_mask(radius)
+        mask = u.defined & g.ball(radius)
         if radius < 4.0 * g.h * (1.0 - 1e-12) or np.count_nonzero(mask) < _MIN_FIT_NODES:
             truncated = True
             break
@@ -516,8 +516,8 @@ def _tiles(u: GridFunction, coef: np.ndarray, ii, jj, alpha: float):
     nodes exact reads for one pair.
 
     A node x contributes |u(x) - P_c(x)| / table[|i - i_c|, |j - j_c|], with
-    P_c evaluated by _evaluate and NaN off the defined nodes, which a max
-    skips.  _tiling cuts the lattice into t x t tiles, and the count tiles
+    P_c evaluated by evaluate_quadratic and NaN off the defined nodes, which a
+    max skips.  _tiling cuts the lattice into t x t tiles, and the count tiles
     with a defined node each get the box of their defined nodes, a
     least-squares quadratic Q_t in index units about the box center and its
     largest node residual e_t (a minimum-norm fit of any rank: e_t bounds its

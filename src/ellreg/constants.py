@@ -276,15 +276,15 @@ def _jnum(x) -> str:
     return s
 
 
-def report_to_json(report: ConstantsReport, indent: int = 2) -> str:
-    """Deterministic JSON rendering; numbers carry full precision even beyond
-    the IEEE-double exponent range, so consumers should parse with a
-    big-float-aware reader when extreme inputs are in play."""
-    pad = " " * indent
+def report_to_json(report: ConstantsReport) -> str:
+    """Deterministic JSON rendering, indented by two spaces; numbers carry full
+    precision even beyond the IEEE-double exponent range, so consumers should
+    parse with a big-float-aware reader when extreme inputs are in play."""
+    pad = "  "
     lines = ["{"]
 
-    def put(key, token, last=False):
-        lines.append(f'{pad}"{key}": {token}' + ("" if last else ","))
+    def put(key, token):
+        lines.append(f'{pad}"{key}": {token},')
 
     put("n", str(report.n))
     put("lambda", _jnum(report.bounds.lam))

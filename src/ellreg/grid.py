@@ -130,10 +130,6 @@ class Grid2:
         """Lattice nodes, defined or not, in the closed ball of the given radius."""
         return np.hypot((self.xs - center[0])[:, None], self.xs - center[1]) <= ball_reach(radius)
 
-    def ball_mask(self, radius: float) -> np.ndarray:
-        """Defined nodes in the closed ball of the given radius about the origin."""
-        return self.defined & self.ball(radius)
-
     def subregion(self, radius: float, center=(0.0, 0.0)) -> SubRegion:
         """Disk sub-domain on this lattice (interior strictly inside, 8-collar boundary)."""
         rr = np.hypot((self.xs - center[0])[:, None], self.xs - center[1])  # no N^2 temporaries
@@ -166,8 +162,8 @@ class GridFunction:
         return cls(grid, values, mask.copy())
 
     @classmethod
-    def zeros(cls, grid: Grid2, mask: np.ndarray | None = None) -> "GridFunction":
-        return cls.from_callable(grid, lambda x, y: np.zeros_like(x), mask)
+    def zeros(cls, grid: Grid2) -> "GridFunction":
+        return cls.from_callable(grid, lambda x, y: np.zeros_like(x))
 
     def filled(self, fill: float = 0.0) -> np.ndarray:
         """Values array with undefined nodes replaced by ``fill`` (for stencil work)."""

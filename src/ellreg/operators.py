@@ -124,18 +124,8 @@ class OperatorSpec:
             raise ValueError("eps must be nonnegative")
         if self.w11 <= 0 or self.w11 * self.w22 - self.w12**2 <= 0:
             raise ValueError("W0 must be symmetric positive definite")
-        if self.eps >= self._lam_min():
+        if self.eps >= np.linalg.eigvalsh(self.W0)[0]:
             raise ValueError("eps must stay below the smallest eigenvalue of W0")
-
-    def _lam_min(self) -> float:
-        tr = self.w11 + self.w22
-        disc = math.sqrt((self.w11 - self.w22) ** 2 + 4.0 * self.w12**2)
-        return (tr - disc) / 2.0
-
-    def _lam_max(self) -> float:
-        tr = self.w11 + self.w22
-        disc = math.sqrt((self.w11 - self.w22) ** 2 + 4.0 * self.w12**2)
-        return (tr + disc) / 2.0
 
     @property
     def W0(self) -> np.ndarray:
@@ -185,10 +175,11 @@ def gradient_batch(spec, h11, h12, h22):
     return (spec.w11 + spec.eps * g11, spec.w12 + spec.eps * g12, spec.w22 + spec.eps * g22)
 
 
-def fd_gradient(op, M, step: float = 1e-6) -> np.ndarray:
-    """Central finite-difference DF(M), for cross-checking the analytic
-    gradient; accepts catalog specs and transformed operators."""
+def fd_gradient(op, M) -> np.ndarray:
+    """Central finite-difference DF(M) with step 1e-6, for cross-checking the
+    analytic gradient; accepts catalog specs and transformed operators."""
     M = np.asarray(M, dtype=float)
+    step = 1e-6
     out = np.zeros((2, 2))
     for (i, j) in ((0, 0), (0, 1), (1, 1)):
         E = np.zeros((2, 2))
@@ -203,7 +194,8 @@ def effective_bounds(spec) -> EllipticityBounds:
     """Catalog-derived ellipticity bounds (trace-norm pairing, see module docstring)."""
     from .constants import EllipticityBounds  # deferred: solve and cordes runs never need mpmath
 
-    return EllipticityBounds(spec._lam_min() - spec.eps, spec._lam_max() + _SQRT2 * spec.eps)
+    lam, Lam = np.linalg.eigvalsh(spec.W0)
+    return EllipticityBounds(float(lam) - spec.eps, float(Lam) + _SQRT2 * spec.eps)
 
 
 def residual_audit(spec, samples: int = 10_000, seed: int = 0) -> float:
@@ -237,12 +229,6 @@ class TransformedOperator:
     @property
     def eps(self) -> float:
         return float(self.base.eps * np.linalg.norm(self.A.T @ self.A, 2))
-
-    def _lam_min(self) -> float:
-        return float(np.linalg.eigvalsh(self.W0)[0])
-
-    def _lam_max(self) -> float:
-        return float(np.linalg.eigvalsh(self.W0)[-1])
 
     def evaluate(self, M) -> float:
         M = np.asarray(M, dtype=float)

@@ -456,7 +456,7 @@ _STALL = 3
 _HISTORY_CAP = 100
 
 
-def _dirichlet(spec, f, g, grid: Grid2, region: SubRegion | None, tol: float | None,
+def _dirichlet(spec, f, g, grid: Grid2, region: SubRegion, tol: float | None,
                max_sweeps: int | None, linear: bool) -> GridFunction:
     """The chord loop of the module docstring, from u = g with zero interior.
 
@@ -474,7 +474,6 @@ def _dirichlet(spec, f, g, grid: Grid2, region: SubRegion | None, tol: float | N
     taken as max|g|.  The stencil scales like 1/h^2, so on a fine lattice
     rounding alone can leave more than tol.  Any other accept is tol.
     """
-    region = region or grid.region
     interior, boundary = region.interior, region.boundary
     v = _lattice_values(g, grid, boundary, "boundary data", "boundary")
     # no source is the scalar 0, which subtracts from a residual as a zero array does
@@ -550,12 +549,13 @@ def solve_linear_dirichlet(W0, f, g, grid: Grid2,
     preconditioned by the multigrid V-cycle of W0's diagonal part, and
     meta["mg_iterations"] lists its iteration count per sweep.
     """
-    return _dirichlet(operators.make_spec(W0), f, g, grid, region, None, None, linear=True)
+    return _dirichlet(operators.make_spec(W0), f, g, grid, region or grid.region, None, None,
+                      linear=True)
 
 
-def solve_fully_nonlinear(spec, f, g, grid: Grid2, region: SubRegion | None = None,
-                          tol: float | None = None, max_sweeps: int = 1_000_000) -> GridFunction:
-    """Solve F(D^2_h u) = f with u = g on the region boundary.
+def solve_fully_nonlinear(spec, f, g, grid: Grid2, tol: float | None = None,
+                          max_sweeps: int = 1_000_000) -> GridFunction:
+    """Solve F(D^2_h u) = f with u = g on the grid's boundary.
 
     max_sweeps bounds the outer (chord or Newton) iterations.  Raises
     ValueError unless tol (when given) is positive and finite and max_sweeps
@@ -570,5 +570,5 @@ def solve_fully_nonlinear(spec, f, g, grid: Grid2, region: SubRegion | None = No
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
     if max_sweeps < 0:
         raise ValueError(f"max_sweeps must be nonnegative, got {max_sweeps!r}")
-    return _dirichlet(spec, f, g, grid, region, tol, max_sweeps, linear=False)
+    return _dirichlet(spec, f, g, grid, grid.region, tol, max_sweeps, linear=False)
 

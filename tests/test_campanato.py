@@ -723,6 +723,71 @@ def test_pointwise_constant_scales_under_the_blow_up(e):
     assert abs(K_e - e**-alpha * K) <= 1e-12 * e**-alpha * K
 
 
+# the eight symmetries of the square lattice, as maps of a lattice array; on
+# an odd lattice each keeps the domain, the balls about the origin and the
+# fit centers on even rows and columns
+_D4 = (lambda a: a, lambda a: np.rot90(a, 1), lambda a: np.rot90(a, 2), lambda a: np.rot90(a, 3),
+       lambda a: a.T, lambda a: np.rot90(a, 1).T, lambda a: np.rot90(a, 2).T,
+       lambda a: np.rot90(a, 3).T)
+
+
+@st.composite
+def _metamorphic_inputs(draw):
+    """A smooth field on a disk or square of odd N <= 129 and extent in
+    [0.25, 4], and an alpha."""
+    e = draw(st.floats(0.25, 4.0))
+    g = Grid2(draw(st.sampled_from(("disk", "square"))), 2 * draw(st.integers(8, 64)) + 1, e)
+    k1, k2, phase, px, py = philox(draw(st.integers(0, 2**32 - 1))).uniform(-1, 1, 5)
+    X, Y = g.X / e, g.Y / e
+    values = e**2 * (np.sin((2.5 + 1.5 * k1) * X + 3 * phase) * np.cos((2.5 + 1.5 * k2) * Y)
+                     + np.hypot(X - 0.3 * px, Y - 0.3 * py) ** 2.5)
+    u = GridFunction(g, np.where(g.defined, values, np.nan), g.defined.copy())
+    return u, draw(st.floats(0.05, 0.95))
+
+
+def _rounding_scale(alpha, *fields):
+    """u_r M / h^(2+alpha), u_r = 2^-52 and M the largest sup of the fields: an
+    error of u_r M in a value moves a Hessian by u_r M / h^2, and both lattice
+    sups divide by h^alpha at the nearest pair or node."""
+    return 2.0**-52 * max(f.sup() for f in fields) / fields[0].grid.h ** (2 + alpha)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_metamorphic_inputs(), st.integers(1, 7))
+def test_lattice_symmetries_keep_the_seminorm_and_K(inputs, which):
+    # the map permutes the nodes, so only the order of roundings changes; over
+    # about 2,300 drawn lattices the seminorm moved by at most 0.25 and K by at
+    # most 8.1 rounding scales (7e-13 relative), and the bounds are 2 and 64
+    u, alpha = inputs
+    g, d4 = u.grid, _D4[which]
+    v = GridFunction(g, d4(u.values).copy(), d4(u.defined).copy())
+    scale = _rounding_scale(alpha, u)
+    radius = 0.5 * g.extent
+    seminorm = cp.discrete_hessian_seminorm(u, alpha, radius=radius)
+    assert abs(cp.discrete_hessian_seminorm(v, alpha, radius=radius) - seminorm) <= 2 * scale
+    K = cp.pointwise_fit_constants(u, alpha)[1]
+    assert abs(cp.pointwise_fit_constants(v, alpha)[1] - K) <= 64 * scale
+
+
+@settings(max_examples=25, deadline=None)
+@given(_metamorphic_inputs(), st.integers(0, 2**32 - 1))
+def test_an_added_affine_function_keeps_the_seminorm_and_K(inputs, seed):
+    # second differences and quadratic fits are exact on affine functions, so
+    # only roundings move; over about 2,300 drawn lattices the seminorm moved
+    # by at most 1.9 and K by at most 7.1 rounding scales (1.1e-11 relative),
+    # and the bounds are 16 and 64
+    u, alpha = inputs
+    g = u.grid
+    a, b1, b2 = philox(seed).uniform(-1, 1, 3) * g.extent**2
+    w = GridFunction(g, u.values + a + b1 * g.X / g.extent + b2 * g.Y / g.extent, u.defined)
+    scale = _rounding_scale(alpha, u, w)
+    radius = 0.5 * g.extent
+    seminorm = cp.discrete_hessian_seminorm(u, alpha, radius=radius)
+    assert abs(cp.discrete_hessian_seminorm(w, alpha, radius=radius) - seminorm) <= 16 * scale
+    K = cp.pointwise_fit_constants(u, alpha)[1]
+    assert abs(cp.pointwise_fit_constants(w, alpha)[1] - K) <= 64 * scale
+
+
 def _fit_centers(u, region_radius):
     """The lattice indices of the pointwise fit centers, in their order."""
     ii, jj = np.nonzero(u.defined & u.grid.ball(region_radius))

@@ -110,12 +110,23 @@ def test_regions_and_balls_match_shifted_copy_references(shape, N):
         cases.append((g.subregion(radius, center), sub))
         ball = np.hypot(g.X - center[0], g.Y - center[1]) <= radius * (1.0 + 1e-12)
         assert np.array_equal(g.ball(radius, center), ball)
-    assert np.array_equal(g.ball_mask(0.8), g.defined & g.ball(0.8))
     holey = holey_field(g, N).defined & interior  # holes inside the interior
     cases.append((gr.SubRegion(holey, gr._collar(holey)), holey))
     for region, inner in cases:
         assert np.array_equal(region.interior, inner)
         assert np.array_equal(region.boundary, _collar_reference(inner))
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=st.sampled_from(["disk", "square"]), N=st.integers(17, 513),
+       extent=st.floats(0.25, 4.0), fraction=st.floats(0.0, 1.0))
+@example(shape="disk", N=17, extent=1.0, fraction=1.0)
+@example(shape="disk", N=34, extent=1.5, fraction=1.0)
+def test_balls_within_the_extent_hold_only_defined_nodes(shape, N, extent, fraction):
+    # the scale fits and the step's deviations take u.defined & g.ball(r) for
+    # r <= extent as the defined nodes of the ball
+    g = Grid2(shape, N, extent)
+    assert not (g.ball(fraction * extent) & ~g.defined).any()
 
 
 def test_grid_io_round_trip(tmp_path, disk33):
@@ -133,7 +144,7 @@ def test_grid_io_round_trip(tmp_path, disk33):
 def test_grid_io_round_trips_a_sub_mask(tmp_path, disk33):
     # values off the mask are finite here; the file must still mark them nan
     vals = cubic_harmonic(disk33.X, disk33.Y)
-    u = GridFunction(disk33, vals, disk33.ball_mask(0.4))
+    u = GridFunction(disk33, vals, disk33.defined & disk33.ball(0.4))
     path = tmp_path / "u.grid"
     save_grid(path, u)
     v = load_grid(path)
@@ -1037,7 +1048,7 @@ def generated_specs(draw):
     w11 = draw(st.floats(0.5, 2.0))
     w22 = draw(st.floats(0.5, 2.0))
     w12 = draw(st.floats(-0.9, 0.9)) * np.sqrt(w11 * w22)
-    lam_min = op.OperatorSpec(w11, w12, w22)._lam_min()
+    lam_min = float(np.linalg.eigvalsh(op.OperatorSpec(w11, w12, w22).W0)[0])
     eps = draw(st.floats(0.0, 0.95)) * lam_min
     return op.OperatorSpec(w11, w12, w22, eps, draw(st.sampled_from(op.PERTURBATIONS)))
 
